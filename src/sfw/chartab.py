@@ -10,8 +10,7 @@ Orthogonality relations are asserted before anything is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,8 +43,12 @@ class ConjClassData:
         return self.class_of[p]
 
 
-@lru_cache(maxsize=None)
 def conjugacy_classes(G: PermGroup) -> ConjClassData:
+    """Classes of G with an element -> class map, kept in G's cache."""
+    return G.cached("conjugacy_classes", lambda: _conjugacy_classes(G))
+
+
+def _conjugacy_classes(G: PermGroup) -> ConjClassData:
     classes = G.conjugacy_partition()
     if len(classes) > CLASS_CAP:
         raise PreconditionError(
@@ -158,14 +161,16 @@ def character_table(G: PermGroup, config: Config = DEFAULT) -> CharacterTable:
     """All irreducible complex characters of G.
 
     Characters are sorted by (degree, rounded real parts, rounded
-    imaginary parts of the values), which fixes the table layout.
+    imaginary parts of the values), which fixes the table layout.  The
+    table is kept in G's cache, keyed by the two tolerances it uses.
     """
-    return _character_table_cached(G, config.tol_char, config.tol_multiplicity)
+    tol_char, tol_mult = config.tol_char, config.tol_multiplicity
+    return G.cached(("character_table", tol_char, tol_mult),
+                    lambda: _character_table(G, tol_char, tol_mult))
 
 
-@lru_cache(maxsize=None)
-def _character_table_cached(G: PermGroup, tol_char: float,
-                            tol_mult: float) -> CharacterTable:
+def _character_table(G: PermGroup, tol_char: float,
+                     tol_mult: float) -> CharacterTable:
     classes = conjugacy_classes(G)
     r = classes.count
     order = G.order
@@ -321,6 +326,3 @@ def permutation_character(G: PermGroup, action: Mapping[Perm, Sequence[int]],
         values.append(complex(sum(1 for x in range(size) if img[x] == x)))
     return ClassFunction(G, tuple(values), is_character=True)
 
-
-def action_from_callable(G: PermGroup, fn: Callable[[Perm], Sequence[int]]) -> dict:
-    return {p: tuple(fn(p)) for p in G.elements}

@@ -46,10 +46,6 @@ class Config:
         return kw
 
     @classmethod
-    def from_env(cls, environ=None) -> "Config":
-        return cls(**cls.env_overrides(environ))
-
-    @classmethod
     def from_file(cls, path: str, base: "Config" = None) -> "Config":
         base = base if base is not None else cls()
         with open(path) as fh:

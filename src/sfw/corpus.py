@@ -27,7 +27,7 @@ class InclusionCase:
 
 @lru_cache(maxsize=1)
 def builtin_cases() -> tuple:
-    """Six inclusions covering indices 2 through 8 with varied shapes."""
+    """Six inclusions of index 2 to 4 with varied shapes."""
     cases = []
 
     S3 = symmetric_group(3)

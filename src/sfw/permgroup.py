@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .config import Config, DEFAULT
 from .errors import (
@@ -214,6 +213,8 @@ class PermGroup:
         self.elements = tuple(elements)
         self.order = len(elements)
         self._index = {p: i for i, p in enumerate(elements)}
+        # elements never change, so the hash is computed once
+        self._hash = hash((degree, self.elements))
         self._cache = {}
 
     @property
@@ -237,7 +238,19 @@ class PermGroup:
                 and self.elements == other.elements)
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.elements))
+        return self._hash
+
+    def cached(self, key, compute: Callable[[], object]):
+        """The value stored under key for this group, computed on first use.
+
+        Derived data (cosets, classes, character tables) lives here, so it
+        is freed together with the group.
+        """
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = compute()
+            return value
 
     def __repr__(self) -> str:
         return "PermGroup(degree=%d, order=%d)" % (self.degree, self.order)
@@ -349,7 +362,14 @@ class CosetData:
 
 
 def right_coset_data(G: PermGroup, H: PermGroup) -> CosetData:
-    """Partition G into right cosets H*g with canonical representatives."""
+    """Partition G into right cosets H*g with canonical representatives.
+
+    The result is kept in G's cache, keyed by H.
+    """
+    return G.cached(("right_cosets", H), lambda: _right_cosets(G, H))
+
+
+def _right_cosets(G: PermGroup, H: PermGroup) -> CosetData:
     _require_subgroup(G, H)
     assigned = {}
     reps = []
@@ -369,6 +389,83 @@ def right_coset_data(G: PermGroup, H: PermGroup) -> CosetData:
 
 
 @dataclass(frozen=True)
+class CosetOrbit:
+    """One orbit of a group A, with H <= A <= G, on the right cosets H\\G.
+
+    cosets lists coset indices in discovery order, starting with the
+    least one; stabilizer is A  *intersect*  g^-1 H g for g the
+    representative of cosets[0].
+    """
+
+    cosets: tuple
+    stabilizer: PermGroup
+
+
+def coset_orbits(G: PermGroup, H: PermGroup, A: PermGroup) -> tuple:
+    """Orbits of A on H\\G under right multiplication, with stabilizers.
+
+    Orbits come in order of their least coset index.  The stabilizer of
+    coset i is generated by the Schreier generators u_j s u_{j.s}^-1 of
+    its orbit (Seress, Permutation Group Algorithms, 2003, ch. 4), where
+    u_j in A carries coset i to coset j and s runs over the generators
+    of A.  The stabilizer of the coset H is H, and H itself is returned
+    for it, so data already cached on H (its character table) is
+    reused.  Every stabilizer is checked to lie in A  *intersect*
+    g_i^-1 H g_i, and orbit-stabilizer then shows it is the whole
+    intersection.  The result is kept in G's
+    cache, keyed by (H, A).
+    """
+    return G.cached(("coset_orbits", H, A), lambda: _coset_orbits(G, H, A))
+
+
+def _coset_orbits(G: PermGroup, H: PermGroup, A: PermGroup) -> tuple:
+    _require_subgroup(G, A)
+    _require_subgroup(A, H)
+    cosets = right_coset_data(G, H)
+    reps = cosets.reps
+    coset_of = cosets.coset_of
+    done = [False] * cosets.index
+    cap = Config(order_cap=A.order)
+    orbits = []
+    for start in range(cosets.index):
+        if done[start]:
+            continue
+        done[start] = True
+        orbit = [start]
+        transversal = {start: A.identity}
+        schreier = {}
+        for j in orbit:
+            u = transversal[j]
+            for s in A.generators:
+                image = coset_of[reps[j] * s]
+                us = u * s
+                if image not in transversal:
+                    transversal[image] = us
+                    done[image] = True
+                    orbit.append(image)
+                elif start:
+                    x = us * transversal[image].inv()
+                    if not x.is_identity():
+                        schreier[x.images] = x
+        if start == 0:
+            K = H
+        else:
+            K = PermGroup(G.degree, tuple(schreier.values()), cap)
+        g = reps[start]
+        ginv = g.inv()
+        for x in K.elements:
+            if x not in A or g * x * ginv not in H:
+                raise PreconditionError(
+                    "stabilizer element %r is outside the intersection" % x)
+        if len(orbit) * K.order != A.order:
+            raise PreconditionError(
+                "orbit of length %d and stabilizer of order %d violate "
+                "|A| = %d" % (len(orbit), K.order, A.order))
+        orbits.append(CosetOrbit(tuple(orbit), K))
+    return tuple(orbits)
+
+
+@dataclass(frozen=True)
 class DoubleCosetData:
     """Double cosets H\\G/H with stabilizers K_i = H  *intersect*  g_i^-1 H g_i."""
 
@@ -385,32 +482,27 @@ class DoubleCosetData:
 
 
 def double_coset_data(G: PermGroup, H: PermGroup) -> DoubleCosetData:
-    """Partition G into double cosets H*g*H; reps chosen like coset reps."""
-    _require_subgroup(G, H)
-    assigned = {}
-    reps = []
-    sizes = []
-    stabs = []
-    for g in sorted(G.elements, key=Perm.sort_key):
-        if g in assigned:
-            continue
-        idx = len(reps)
-        cell = set()
-        for h1 in H.elements:
-            left = h1 * g
-            for h2 in H.elements:
-                cell.add(left * h2)
-        for x in cell:
-            assigned[x] = idx
-        ginv = g.inv()
-        conj = {ginv * h * g for h in H.elements}
-        k_elems = [h for h in H.elements if h in conj]
-        K = PermGroup(G.degree, k_elems)
-        if K.order != len(k_elems):
-            raise PreconditionError("stabilizer enumeration inconsistent")
-        reps.append(g)
-        sizes.append(len(cell))
-        stabs.append(K)
+    """Partition G into double cosets H*g*H; reps chosen like coset reps.
+
+    Each double coset is an orbit of H on the right cosets H\\G (see
+    coset_orbits).  Coset representatives are sorted by Perm.sort_key,
+    so the first coset of an orbit holds the minimum of the whole double
+    coset.  K_1, the stabilizer of H itself, is H.  The result is kept
+    in G's cache, keyed by H.
+    """
+    return G.cached(("double_cosets", H), lambda: _double_cosets(G, H))
+
+
+def _double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetData:
+    cosets = right_coset_data(G, H)
+    orbits = coset_orbits(G, H, H)
+    orbit_of = [0] * cosets.index
+    for n, orbit in enumerate(orbits):
+        for i in orbit.cosets:
+            orbit_of[i] = n
+    reps = tuple(cosets.reps[orbit.cosets[0]] for orbit in orbits)
+    sizes = tuple(len(orbit.cosets) * H.order for orbit in orbits)
+    stabs = tuple(orbit.stabilizer for orbit in orbits)
     if sum(sizes) != G.order:
         raise PreconditionError("double cosets do not partition the group")
     for size, K in zip(sizes, stabs):
@@ -418,24 +510,27 @@ def double_coset_data(G: PermGroup, H: PermGroup) -> DoubleCosetData:
             raise PreconditionError(
                 "double coset size %d inconsistent with |H|=%d, |K|=%d"
                 % (size, H.order, K.order))
-    return DoubleCosetData(G, H, tuple(reps), tuple(sizes), tuple(stabs),
-                           assigned)
+    coset_of = {x: orbit_of[i] for x, i in cosets.coset_of.items()}
+    return DoubleCosetData(G, H, reps, sizes, stabs, coset_of)
 
 
 def normal_core(G: PermGroup, H: PermGroup) -> PermGroup:
-    """The largest normal subgroup of G contained in H."""
+    """The largest normal subgroup of G contained in H.
+
+    It is the kernel of H acting on H\\G by right multiplication.
+    """
     cosets = right_coset_data(G, H)
-    core = set(H.elements)
-    for g in cosets.reps:
-        ginv = g.inv()
-        conj = {ginv * h * g for h in H.elements}
-        core &= conj
-    K = PermGroup(G.degree, sorted(core, key=lambda p: p.images))
-    if K.order != len(core):
+    reps = cosets.reps
+    coset_of = cosets.coset_of
+    kernel = [h for h in H.elements
+              if all(coset_of[r * h] == i for i, r in enumerate(reps))]
+    K = PermGroup(G.degree, _generating_subset(kernel, len(kernel)),
+                  Config(order_cap=len(kernel)))
+    if K.order != len(kernel):
         raise PreconditionError("core is not closed; subgroup data corrupt")
     for g in G.generators:
         ginv = g.inv()
-        if any(g * x * ginv not in K for x in K.elements):
+        if any(g * x * ginv not in K for x in K.generators):
             raise NotNormalError("computed core is not normal")
     return K
 
@@ -486,17 +581,25 @@ def is_automorphism_perm(G: PermGroup, a: Perm) -> bool:
     return True
 
 
-def _reduced_generators(G: PermGroup) -> list:
+def _generating_subset(candidates: Sequence[Perm], order: int) -> list:
+    """The candidates that enlarge the group generated by those before.
+
+    Stops once that group has the given order.
+    """
     kept = []
-    known = {G.identity}
-    for g in G.generators:
-        if g in known:
+    known = set()
+    for g in candidates:
+        if g in known or g.is_identity():
             continue
         kept.append(g)
-        known = set(mulclose(kept, G.order + 1))
-        if len(known) == G.order:
+        known = set(mulclose(kept, order + 1))
+        if len(known) == order:
             break
-    return kept or [G.identity]
+    return kept
+
+
+def _reduced_generators(G: PermGroup) -> list:
+    return _generating_subset(G.generators, G.order) or [G.identity]
 
 
 def automorphism_group(G: PermGroup, config: Config = DEFAULT) -> AutomorphismData:
@@ -748,12 +851,3 @@ def verify_wreath_like(G: PermGroup, copies: Sequence[PermGroup],
                     (g, i))
     return WreathReport(True)
 
-
-@lru_cache(maxsize=None)
-def _cached_cosets(G: PermGroup, H: PermGroup) -> CosetData:
-    return right_coset_data(G, H)
-
-
-@lru_cache(maxsize=None)
-def _cached_double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetData:
-    return double_coset_data(G, H)

@@ -35,8 +35,14 @@ from .errors import (
     SubgroupError,
 )
 from .groupalgebra import GroupAlgebraElement, conditional_expectation
-from .permgroup import CosetData, Perm, PermGroup, right_coset_data, \
-    _cached_cosets, _cached_double_cosets
+from .permgroup import (
+    CosetData,
+    Perm,
+    PermGroup,
+    coset_orbits,
+    double_coset_data,
+    right_coset_data,
+)
 
 IN_SUBGROUP = "in-L(H)"
 IN_GROUP = "in-L(G)"
@@ -254,36 +260,19 @@ def relative_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
     _check_k(k, config)
     if not H.is_subgroup_of(G0) or not G0.is_subgroup_of(G):
         raise SubgroupError("need H <= G0 <= G")
-    cosets = _cached_cosets(G, H)
+    cosets = right_coset_data(G, H)
     if side == IN_GROUP:
         table = _tuple_action_table(G0, cosets, k, config)
         return _sum_of_squared_multiplicities(
             G0, table, cosets.index ** k, config)
-    # side == IN_SUBGROUP: orbit decomposition over single indices, then
-    # the commutant of each stabilizer acting on (k-1)-tuples
-    act1 = _tuple_action_table(G0, cosets, 1, config)
-    seen = set()
+    # side == IN_SUBGROUP: orbits of G0 on single indices, then the
+    # commutant of each orbit's stabilizer acting on (k-1)-tuples
+    orbits = coset_orbits(G, H, G0)
+    if k == 1:
+        return len(orbits)
     total = 0
-    for i in range(cosets.index):
-        if i in seen:
-            continue
-        orbit = {i}
-        frontier = [i]
-        while frontier:
-            x = frontier.pop()
-            for g in G0.generators:
-                y = act1[g][x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        seen |= orbit
-        stab_elems = [g for g in G0.elements if act1[g][i] == i]
-        K = PermGroup(G.degree, stab_elems)
-        if K.order * len(orbit) != G0.order:
-            raise InvariantViolationError("orbit-stabilizer mismatch")
-        if k == 1:
-            total += 1
-            continue
+    for orbit in orbits:
+        K = orbit.stabilizer
         sub_table = _tuple_action_table(K, cosets, k - 1, config)
         total += _sum_of_squared_multiplicities(
             K, sub_table, cosets.index ** (k - 1), config)
@@ -292,7 +281,7 @@ def relative_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
 
 def stabilizer_matches_intersection(G: PermGroup, H: PermGroup) -> bool:
     """Stab_H(i) under the tuple action equals H intersect g_i^-1 H g_i."""
-    cosets = _cached_cosets(G, H)
+    cosets = right_coset_data(G, H)
     act1 = _tuple_action_table(H, cosets, 1, DEFAULT)
     for i, rep in enumerate(cosets.reps):
         stab = {h for h in H.elements if act1[h][i] == i}
@@ -349,7 +338,7 @@ def brute_force_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
     _check_k(k, config)
     if not H.is_subgroup_of(G0) or not G0.is_subgroup_of(G):
         raise SubgroupError("need H <= G0 <= G")
-    cosets = _cached_cosets(G, H)
+    cosets = right_coset_data(G, H)
     t = cosets.index
     if G.order * t ** k > config.oracle_cap:
         raise CapExceededError(
@@ -533,7 +522,7 @@ def principal_graph(G: PermGroup, H: PermGroup,
     the trivial characters is returned; the designated vertex is the
     trivial character of K_1 = H.
     """
-    dc = _cached_double_cosets(G, H)
+    dc = double_coset_data(G, H)
     h_tab = character_table(H, config)
     even = []
     even_rows = []

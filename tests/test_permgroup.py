@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sfw.chartab import character_table, conjugacy_classes
 from sfw.config import Config
 from sfw.errors import (CapExceededError, InvalidActionError, ParseError,
                         SubgroupError)
@@ -25,6 +29,8 @@ from sfw.permgroup import (
     verify_wreath_like,
     wreath_product,
 )
+from sfw.standard_invariant import (IN_SUBGROUP, principal_graph,
+                                    relative_commutant_dim)
 
 
 def perm(degree, text):
@@ -123,8 +129,13 @@ def _coset_partition_oracle(G, H):
 
 def _double_coset_oracle(G, H):
     cells = set()
+    covered = set()
     for x in G.elements:
-        cells.add(frozenset(h1 * x * h2 for h1 in H.elements for h2 in H.elements))
+        if x in covered:
+            continue
+        cell = frozenset(h1 * x * h2 for h1 in H.elements for h2 in H.elements)
+        cells.add(cell)
+        covered |= cell
     return cells
 
 
@@ -163,6 +174,82 @@ def test_double_cosets_against_oracle(name, make):
     for size, K in zip(dc.sizes, dc.stabilizers):
         assert size * K.order == H.order * H.order
         assert K.is_subgroup_of(H)
+
+
+@st.composite
+def inclusions(draw):
+    """A random subgroup G of S4, S5 or S6 and a random subgroup H of G."""
+    n = draw(st.integers(4, 6))
+    perms = st.permutations(range(n)).map(Perm)
+    G = group_from_generators(n, draw(st.lists(perms, min_size=1,
+                                               max_size=2)))
+    picks = st.lists(st.integers(0, G.order - 1), min_size=1, max_size=2)
+    H = G.subgroup([G.elements[i] for i in draw(picks)])
+    return G, H
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(inclusions())
+def test_double_cosets_match_oracle_on_random_subgroups(pair):
+    G, H = pair
+    dc = double_coset_data(G, H)
+    cells = _double_coset_oracle(G, H)
+    cell_of = {x: cell for cell in cells for x in cell}
+    assert {cell_of[r] for r in dc.reps} == cells
+    assert dc.count == len(cells)
+    for r, size, K in zip(dc.reps, dc.sizes, dc.stabilizers):
+        assert r == min(cell_of[r], key=Perm.sort_key)
+        assert size == len(cell_of[r])
+        conj = {r.inv() * h * r for h in H.elements}
+        assert set(K.elements) == {h for h in H.elements if h in conj}
+    assert dc.stabilizers[0] is H
+    assert set(dc.coset_of) == set(G.elements)
+    for x, i in dc.coset_of.items():
+        assert x in cell_of[dc.reps[i]]
+    # the core is the largest subset of H closed under conjugation by G
+    core, last = set(H.elements), None
+    while core != last:
+        last = core
+        core = {x for x in core
+                if all(s * x * s.inv() in core for s in G.generators)}
+    assert set(normal_core(G, H).elements) == core
+
+
+def test_double_cosets_s7_s6_multiplication_count(monkeypatch):
+    G = symmetric_group(7, Config(order_cap=10 ** 4))
+    H = G.subgroup([perm(7, "(0 1 2 3 4 5)"), perm(7, "(0 1)")])
+    calls = [0]
+    mul = Perm.__mul__
+
+    def counting_mul(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Perm, "__mul__", counting_mul)
+    dc = double_coset_data(G, H)
+    assert list(dc.sizes) == [720, 4320]
+    assert calls[0] < 4 * G.order
+
+
+def _group_and_derived_data():
+    """Weak references to a group and subgroup whose caches are filled."""
+    G = symmetric_group(4)
+    H = G.subgroup([perm(4, "(0 1 2 3)"), perm(4, "(0 2)")])
+    right_coset_data(G, H)
+    double_coset_data(G, H)
+    normal_core(G, H)
+    principal_graph(G, H)
+    relative_commutant_dim(G, H, H, 2, IN_SUBGROUP)
+    for X in (G, H):
+        conjugacy_classes(X)
+        character_table(X)
+    return weakref.ref(G), weakref.ref(H)
+
+
+def test_cached_data_does_not_keep_groups_alive():
+    refs = _group_and_derived_data()
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_double_cosets_s3_transposition():
