@@ -16,12 +16,11 @@ import numpy as np
 
 from .config import Config, DEFAULT
 from .errors import (
-    InvalidActionError,
     NumericalDegeneracyError,
     PreconditionError,
     SubgroupError,
 )
-from .permgroup import Perm, PermGroup
+from .permgroup import Perm, PermGroup, verify_action_table
 
 CLASS_CAP = 64
 
@@ -296,23 +295,6 @@ def induce(chi: ClassFunction, G: PermGroup) -> ClassFunction:
 def trivial_character(G: PermGroup) -> ClassFunction:
     return ClassFunction(G, tuple([1.0 + 0.0j] * conjugacy_classes(G).count),
                          is_character=True)
-
-
-def verify_action_table(G: PermGroup, action: Mapping[Perm, Sequence[int]],
-                        size: int) -> None:
-    if set(action) != set(G.elements):
-        raise InvalidActionError("action table must cover the whole group")
-    for p, img in action.items():
-        if len(img) != size or sorted(img) != list(range(size)):
-            raise InvalidActionError("action image of %r is not a bijection" % (p,))
-    if tuple(action[G.identity]) != tuple(range(size)):
-        raise InvalidActionError("identity must act trivially")
-    for g in G.elements:
-        ag = action[g]
-        for s in G.generators:
-            asq = action[s]
-            if tuple(action[g * s]) != tuple(ag[x] for x in asq):
-                raise InvalidActionError("action table is not a homomorphism")
 
 
 def permutation_character(G: PermGroup, action: Mapping[Perm, Sequence[int]],

@@ -74,7 +74,10 @@ def _build_config(args) -> Config:
             raise ParseError("cannot read config: %s" % e) from None
         except ValueError as e:
             raise ParseError("bad config file: %s" % e) from None
-    cfg = cfg.replace(**Config.env_overrides())
+    try:
+        cfg = cfg.replace(**Config.env_overrides())
+    except ValueError as e:
+        raise ParseError("bad environment setting: %s" % e) from None
     overrides = {}
     for name in _CONFIG_FLAGS:
         value = getattr(args, name, None)
@@ -110,8 +113,11 @@ def _load_inclusion(args, config: Config):
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ParseError("cannot write %s: %s" % (args.out, e)) from None
     else:
         sys.stdout.write(text)
 

@@ -35,14 +35,17 @@ class Config:
     def env_overrides(cls, environ=None) -> dict:
         environ = os.environ if environ is None else environ
         kw = {}
-        for name in _INT_FIELDS:
-            raw = environ.get(_ENV_PREFIX + name.upper())
-            if raw is not None:
-                kw[name] = int(raw)
-        for name in _FLOAT_FIELDS:
-            raw = environ.get(_ENV_PREFIX + name.upper())
-            if raw is not None:
-                kw[name] = float(raw)
+        for name in _INT_FIELDS + _FLOAT_FIELDS:
+            key = _ENV_PREFIX + name.upper()
+            raw = environ.get(key)
+            if raw is None:
+                continue
+            kind = int if name in _INT_FIELDS else float
+            try:
+                kw[name] = kind(raw)
+            except ValueError:
+                raise ValueError("%s=%r is not a valid %s"
+                                 % (key, raw, kind.__name__)) from None
         return kw
 
     @classmethod

@@ -15,6 +15,7 @@ from .errors import (
     ConstraintError,
     HomomorphismError,
     InvariantViolationError,
+    ParseError,
     PreconditionError,
     SubgroupError,
 )
@@ -52,6 +53,10 @@ def jones_spectrum_query(x: float, tol: float = None,
     """
     x = float(x)
     tol = config.tol_spectrum if tol is None else float(tol)
+    if math.isnan(x) or math.isnan(tol):
+        # NaN fails every comparison below, so the scan would never end
+        raise ParseError("spectrum query needs numbers, got value %r "
+                         "and tolerance %r" % (x, tol))
     if x < 1.0 - tol:
         raise PreconditionError("index values start at 1, got %r" % x)
     if x >= 4.0 - tol:

@@ -389,83 +389,6 @@ def _right_cosets(G: PermGroup, H: PermGroup) -> CosetData:
 
 
 @dataclass(frozen=True)
-class CosetOrbit:
-    """One orbit of a group A, with H <= A <= G, on the right cosets H\\G.
-
-    cosets lists coset indices in discovery order, starting with the
-    least one; stabilizer is A  *intersect*  g^-1 H g for g the
-    representative of cosets[0].
-    """
-
-    cosets: tuple
-    stabilizer: PermGroup
-
-
-def coset_orbits(G: PermGroup, H: PermGroup, A: PermGroup) -> tuple:
-    """Orbits of A on H\\G under right multiplication, with stabilizers.
-
-    Orbits come in order of their least coset index.  The stabilizer of
-    coset i is generated by the Schreier generators u_j s u_{j.s}^-1 of
-    its orbit (Seress, Permutation Group Algorithms, 2003, ch. 4), where
-    u_j in A carries coset i to coset j and s runs over the generators
-    of A.  The stabilizer of the coset H is H, and H itself is returned
-    for it, so data already cached on H (its character table) is
-    reused.  Every stabilizer is checked to lie in A  *intersect*
-    g_i^-1 H g_i, and orbit-stabilizer then shows it is the whole
-    intersection.  The result is kept in G's
-    cache, keyed by (H, A).
-    """
-    return G.cached(("coset_orbits", H, A), lambda: _coset_orbits(G, H, A))
-
-
-def _coset_orbits(G: PermGroup, H: PermGroup, A: PermGroup) -> tuple:
-    _require_subgroup(G, A)
-    _require_subgroup(A, H)
-    cosets = right_coset_data(G, H)
-    reps = cosets.reps
-    coset_of = cosets.coset_of
-    done = [False] * cosets.index
-    cap = Config(order_cap=A.order)
-    orbits = []
-    for start in range(cosets.index):
-        if done[start]:
-            continue
-        done[start] = True
-        orbit = [start]
-        transversal = {start: A.identity}
-        schreier = {}
-        for j in orbit:
-            u = transversal[j]
-            for s in A.generators:
-                image = coset_of[reps[j] * s]
-                us = u * s
-                if image not in transversal:
-                    transversal[image] = us
-                    done[image] = True
-                    orbit.append(image)
-                elif start:
-                    x = us * transversal[image].inv()
-                    if not x.is_identity():
-                        schreier[x.images] = x
-        if start == 0:
-            K = H
-        else:
-            K = PermGroup(G.degree, tuple(schreier.values()), cap)
-        g = reps[start]
-        ginv = g.inv()
-        for x in K.elements:
-            if x not in A or g * x * ginv not in H:
-                raise PreconditionError(
-                    "stabilizer element %r is outside the intersection" % x)
-        if len(orbit) * K.order != A.order:
-            raise PreconditionError(
-                "orbit of length %d and stabilizer of order %d violate "
-                "|A| = %d" % (len(orbit), K.order, A.order))
-        orbits.append(CosetOrbit(tuple(orbit), K))
-    return tuple(orbits)
-
-
-@dataclass(frozen=True)
 class DoubleCosetData:
     """Double cosets H\\G/H with stabilizers K_i = H  *intersect*  g_i^-1 H g_i."""
 
@@ -484,25 +407,65 @@ class DoubleCosetData:
 def double_coset_data(G: PermGroup, H: PermGroup) -> DoubleCosetData:
     """Partition G into double cosets H*g*H; reps chosen like coset reps.
 
-    Each double coset is an orbit of H on the right cosets H\\G (see
-    coset_orbits).  Coset representatives are sorted by Perm.sort_key,
-    so the first coset of an orbit holds the minimum of the whole double
-    coset.  K_1, the stabilizer of H itself, is H.  The result is kept
-    in G's cache, keyed by H.
+    Each double coset is an orbit of H on the right cosets H\\G under
+    right multiplication.  Coset representatives are sorted by
+    Perm.sort_key, so the first coset of an orbit holds the minimum of
+    the whole double coset.  The stabilizer of coset i is generated by
+    the Schreier generators u_j s u_{j.s}^-1 of its orbit (Seress,
+    Permutation Group Algorithms, 2003, ch. 4), where u_j in H carries
+    coset i to coset j and s runs over the generators of H.  K_1, the
+    stabilizer of H itself, is H, so data already cached on H (its
+    character table) is reused.  Every stabilizer is checked to lie in
+    H  *intersect*  g_i^-1 H g_i, and orbit-stabilizer then shows it is
+    the whole intersection.  The result is kept in G's cache, keyed by H.
     """
     return G.cached(("double_cosets", H), lambda: _double_cosets(G, H))
 
 
 def _double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetData:
     cosets = right_coset_data(G, H)
-    orbits = coset_orbits(G, H, H)
-    orbit_of = [0] * cosets.index
-    for n, orbit in enumerate(orbits):
-        for i in orbit.cosets:
-            orbit_of[i] = n
-    reps = tuple(cosets.reps[orbit.cosets[0]] for orbit in orbits)
-    sizes = tuple(len(orbit.cosets) * H.order for orbit in orbits)
-    stabs = tuple(orbit.stabilizer for orbit in orbits)
+    reps = cosets.reps
+    coset_of = cosets.coset_of
+    orbit_of = [None] * cosets.index
+    cap = Config(order_cap=H.order)
+    dc_reps, sizes, stabs = [], [], []
+    for start in range(cosets.index):
+        if orbit_of[start] is not None:
+            continue
+        orbit_of[start] = len(dc_reps)
+        orbit = [start]
+        transversal = {start: H.identity}
+        schreier = {}
+        for j in orbit:
+            u = transversal[j]
+            for s in H.generators:
+                image = coset_of[reps[j] * s]
+                us = u * s
+                if image not in transversal:
+                    transversal[image] = us
+                    orbit_of[image] = orbit_of[start]
+                    orbit.append(image)
+                elif start:
+                    x = us * transversal[image].inv()
+                    if not x.is_identity():
+                        schreier[x.images] = x
+        if start == 0:
+            K = H
+        else:
+            K = PermGroup(G.degree, tuple(schreier.values()), cap)
+        g = reps[start]
+        ginv = g.inv()
+        for x in K.elements:
+            if x not in H or g * x * ginv not in H:
+                raise PreconditionError(
+                    "stabilizer element %r is outside the intersection" % x)
+        if len(orbit) * K.order != H.order:
+            raise PreconditionError(
+                "orbit of length %d and stabilizer of order %d violate "
+                "|H| = %d" % (len(orbit), K.order, H.order))
+        dc_reps.append(g)
+        sizes.append(len(orbit) * H.order)
+        stabs.append(K)
     if sum(sizes) != G.order:
         raise PreconditionError("double cosets do not partition the group")
     for size, K in zip(sizes, stabs):
@@ -510,8 +473,9 @@ def _double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetData:
             raise PreconditionError(
                 "double coset size %d inconsistent with |H|=%d, |K|=%d"
                 % (size, H.order, K.order))
-    coset_of = {x: orbit_of[i] for x, i in cosets.coset_of.items()}
-    return DoubleCosetData(G, H, reps, sizes, stabs, coset_of)
+    coset_of = {x: orbit_of[i] for x, i in coset_of.items()}
+    return DoubleCosetData(G, H, tuple(dc_reps), tuple(sizes), tuple(stabs),
+                           coset_of)
 
 
 def normal_core(G: PermGroup, H: PermGroup) -> PermGroup:
@@ -709,7 +673,9 @@ def natural_action(B: PermGroup) -> dict:
     return {b: b.images for b in B.elements}
 
 
-def _verify_action(B: PermGroup, action: Mapping[Perm, tuple], size: int) -> None:
+def verify_action_table(B: PermGroup, action: Mapping[Perm, Sequence[int]],
+                        size: int) -> None:
+    """Raise InvalidActionError unless action is a homomorphism B -> Sym(size)."""
     if set(action) != set(B.elements):
         raise InvalidActionError("action table must cover exactly the acting group")
     for b, img in action.items():
@@ -738,7 +704,7 @@ def wreath_product(A: PermGroup, B: PermGroup,
     if action is None:
         action = natural_action(B)
     size = len(next(iter(action.values())))
-    _verify_action(B, action, size)
+    verify_action_table(B, action, size)
     by_image = {}
     for b, img in action.items():
         key = tuple(img)
@@ -804,7 +770,7 @@ def verify_wreath_like(G: PermGroup, copies: Sequence[PermGroup],
                 "no action given and the acting group degree does not match "
                 "the number of copies")
     try:
-        _verify_action(B, action, n)
+        verify_action_table(B, action, n)
     except InvalidActionError as exc:
         return WreathReport(False, "bad action table: %s" % exc)
     if set(kappa) != set(G.elements):

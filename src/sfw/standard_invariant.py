@@ -6,7 +6,9 @@ algebra of H, indexed by k-tuples of coset indices.  This module computes
 those matrix entries two independent ways (nested conditional expectations
 versus a closed form gated by coset membership), the induced action of G
 on index tuples, relative commutant dimensions, and the principal and dual
-principal graphs with their operator norms.
+principal graphs with their operator norms.  Commutant dimensions are exact
+orbit counts (Burnside's lemma over fixed cosets); no character table or
+float enters them.
 
 Tuples are 0-based index vectors ordered lexicographically.
 """
@@ -14,19 +16,13 @@ Tuples are 0-based index vectors ordered lexicographically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .chartab import (
-    character_table,
-    multiplicity,
-    permutation_character,
-    restrict,
-    trivial_character,
-)
+from .chartab import character_table, multiplicity, restrict
 from .config import Config, DEFAULT
 from .errors import (
     CapExceededError,
@@ -39,7 +35,6 @@ from .permgroup import (
     CosetData,
     Perm,
     PermGroup,
-    coset_orbits,
     double_coset_data,
     right_coset_data,
 )
@@ -220,30 +215,6 @@ def theta_matrix_product(m1: dict, m2: dict) -> dict:
 # ---------------------------------------------------------------------------
 # relative commutants
 
-def _tuple_action_table(G0: PermGroup, cosets: CosetData, k: int,
-                        config: Config) -> dict:
-    """Action table of G0 on index k-tuples, flattened to point indices."""
-    tuples = list(itertools.product(range(cosets.index), repeat=k))
-    tup_idx = {tu: n for n, tu in enumerate(tuples)}
-    table = {}
-    for g in G0.elements:
-        table[g] = tuple(tup_idx[action_on_tuples(g, tu, cosets, k, config)]
-                         for tu in tuples)
-    return table
-
-
-def _sum_of_squared_multiplicities(G0: PermGroup, action_table: dict,
-                                   size: int, config: Config) -> int:
-    """dim of the commutant of the permutation representation on C^size."""
-    chi = permutation_character(G0, action_table, size)
-    tab = character_table(G0, config)
-    total = 0
-    for irr in tab.characters:
-        m = multiplicity(chi, irr, config)
-        total += m * m
-    return total
-
-
 def relative_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
                            k: int, side: str,
                            config: Config = DEFAULT) -> int:
@@ -254,6 +225,14 @@ def relative_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
     matrices over the full group algebra.  With N and M the algebras of
     H and G, the four combinations (G0 in {H, G}) x side give the tower
     relative commutants N' or M' intersected with M_{2k-1} or M_{2k}.
+
+    A tuple is determined by its sequence of suffix cosets, and on those
+    the tuple action is the diagonal action of G on (H\\G)^k by right
+    multiplication.  The dimension is therefore the number of G0-orbits
+    on (H\\G)^n, with n = 2k for IN_GROUP and n = 2k - 1 for
+    IN_SUBGROUP, and Burnside's lemma counts them exactly: the sum over
+    g in G0 of fix(g)^n divided by |G0|, where fix(g) is the number of
+    cosets Hx with Hxg = Hx.
     """
     if side not in SIDES:
         raise PreconditionError("side must be one of %r" % (SIDES,))
@@ -261,30 +240,27 @@ def relative_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
     if not H.is_subgroup_of(G0) or not G0.is_subgroup_of(G):
         raise SubgroupError("need H <= G0 <= G")
     cosets = right_coset_data(G, H)
-    if side == IN_GROUP:
-        table = _tuple_action_table(G0, cosets, k, config)
-        return _sum_of_squared_multiplicities(
-            G0, table, cosets.index ** k, config)
-    # side == IN_SUBGROUP: orbits of G0 on single indices, then the
-    # commutant of each orbit's stabilizer acting on (k-1)-tuples
-    orbits = coset_orbits(G, H, G0)
-    if k == 1:
-        return len(orbits)
+    n = 2 * k if side == IN_GROUP else 2 * k - 1
+    coset_of = cosets.coset_of
     total = 0
-    for orbit in orbits:
-        K = orbit.stabilizer
-        sub_table = _tuple_action_table(K, cosets, k - 1, config)
-        total += _sum_of_squared_multiplicities(
-            K, sub_table, cosets.index ** (k - 1), config)
-    return total
+    for g in G0.elements:
+        fixed = sum(1 for i, rep in enumerate(cosets.reps)
+                    if coset_of[rep * g] == i)
+        total += fixed ** n
+    dim, rest = divmod(total, G0.order)
+    if rest:
+        raise InvariantViolationError(
+            "Burnside sum %d is not divisible by |G0| = %d"
+            % (total, G0.order))
+    return dim
 
 
 def stabilizer_matches_intersection(G: PermGroup, H: PermGroup) -> bool:
     """Stab_H(i) under the tuple action equals H intersect g_i^-1 H g_i."""
     cosets = right_coset_data(G, H)
-    act1 = _tuple_action_table(H, cosets, 1, DEFAULT)
     for i, rep in enumerate(cosets.reps):
-        stab = {h for h in H.elements if act1[h][i] == i}
+        stab = {h for h in H.elements
+                if action_on_tuples(h, (i,), cosets) == (i,)}
         conj = {rep.inv() * h * rep for h in H.elements}
         if stab != {h for h in H.elements if h in conj}:
             return False
@@ -418,10 +394,7 @@ class BipartiteMultiGraph:
     norm_squared: float
 
     def adjacency(self) -> np.ndarray:
-        B = np.zeros((len(self.even), len(self.odd)))
-        for e, o, m in self.edges:
-            B[e, o] += m
-        return B
+        return _adjacency(len(self.even), len(self.odd), self.edges)
 
     def degree_of(self, side: str, index: int) -> int:
         total = 0
@@ -431,6 +404,14 @@ class BipartiteMultiGraph:
             if side == "odd" and o == index:
                 total += m
         return total
+
+
+def _adjacency(n_even: int, n_odd: int, edges) -> np.ndarray:
+    """Even-by-odd matrix of edge multiplicities."""
+    B = np.zeros((n_even, n_odd))
+    for e, o, m in edges:
+        B[e, o] += m
+    return B
 
 
 def _power_iteration_norm_sq(B: np.ndarray, tol: float = 1e-12,
@@ -497,10 +478,8 @@ def _assemble_graph(even, odd, edges, designated_idx, marked_odd_idx,
     kept_edges = tuple(sorted((even_map[e], odd_map[o], m)
                               for e, o, m in edges
                               if m and e in even_in and o in odd_in))
-    B = np.zeros((len(kept_even), len(kept_odd)))
-    for e, o, m in kept_edges:
-        B[e, o] += m
-    norm_sq = _power_iteration_norm_sq(B)
+    norm_sq = _power_iteration_norm_sq(
+        _adjacency(len(kept_even), len(kept_odd), kept_edges))
     if not _norm_in_jones_closure(norm_sq, config.tol_norm):
         raise InvariantViolationError(
             "graph norm squared %r escapes the index spectrum closure"

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +82,20 @@ def test_spectrum_command(capsys):
     assert json.loads(out)["kind"] == "not-in-spectrum"
 
 
+def test_spectrum_nan_exits_2():
+    # NaN fails every comparison of the spectrum scan; run in a child
+    # process so that a scan that never ends fails the test on timeout
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "sfw.cli", "spectrum", "nan"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
+
+
 def test_vindex_command(capsys):
     rc, out = run(
         capsys,
@@ -148,6 +166,15 @@ def test_out_file_replaces_stdout(capsys, tmp_path):
     assert json.loads(target.read_text())["index"] == 3
 
 
+def test_out_file_in_missing_directory_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    rc = cli.main(["index", "--case", "s3-flip", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: cannot write")
+    assert captured.out == ""
+
+
 def test_unknown_case_exits_2(capsys):
     rc, _ = run(capsys, ["index", "--case", "nope"])
     assert rc == 2
@@ -203,3 +230,12 @@ def test_env_cap_applies_and_flags_win(capsys, tmp_path, monkeypatch):
     assert rc == 4
     rc, _ = run(capsys, ["index", "--group", g, "--subgroup", h, "--order-cap", "100"])
     assert rc == 0
+
+
+def test_non_integer_env_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("SFW_ORDER_CAP", "abc")
+    rc = cli.main(["index", "--case", "s3-flip"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: bad environment setting")
+    assert "SFW_ORDER_CAP" in captured.err

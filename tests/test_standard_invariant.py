@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
+from sfw.chartab import character_table, multiplicity, permutation_character
 from sfw.config import DEFAULT
 from sfw.corpus import builtin_cases, case_by_name
 from sfw.errors import CapExceededError, PreconditionError
 from sfw.groupalgebra import GroupAlgebraElement
-from sfw.permgroup import parse_cycle_string, right_coset_data
+from sfw.permgroup import parse_cycle_string, right_coset_data, symmetric_group
 from sfw.standard_invariant import (
     IN_GROUP,
     IN_SUBGROUP,
+    SIDES,
     ThetaMap,
     action_on_tuples,
     brute_force_commutant_dim,
@@ -24,6 +28,7 @@ from sfw.standard_invariant import (
     theta_entry,
     theta_matrix_product,
 )
+from test_permgroup import inclusions
 
 
 def perm(degree, text):
@@ -180,6 +185,63 @@ def test_commutant_dim_equals_brute_force():
         assert relative_commutant_dim(G, H, H, 2, side) == brute_force_commutant_dim(
             G, H, H, 2, side
         )
+
+
+def tuple_character(G0, cosets, k):
+    """Permutation character of G0 on k-tuples, from an action table.
+
+    The only 0-tuple is fixed by every element, so k = 0 gives the
+    trivial character.
+    """
+    tuples = list(itertools.product(range(cosets.index), repeat=k))
+    number = {tu: n for n, tu in enumerate(tuples)}
+    table = {g: tuple(number[action_on_tuples(g, tu, cosets)] if tu else 0
+                      for tu in tuples)
+             for g in G0.elements}
+    return permutation_character(G0, table, len(tuples))
+
+
+def character_table_dim(G, G0, H, k, side):
+    """The commutant dimension from the character table of G0.
+
+    With chi_j the permutation character of G0 on j-tuples, the dimension
+    is <chi_k, chi_k> on the group side and <chi_k, chi_{k-1}> on the
+    subgroup side, expanded over the irreducible characters.
+    """
+    cosets = right_coset_data(G, H)
+    chi = tuple_character(G0, cosets, k)
+    psi = chi if side == IN_GROUP else tuple_character(G0, cosets, k - 1)
+    return sum(multiplicity(chi, irr) * multiplicity(psi, irr)
+               for irr in character_table(G0).characters)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(inclusions())
+def test_commutant_dim_matches_oracle_and_character_table(pair):
+    G, H = pair
+    t = G.order // H.order
+    for k in (1, 2):
+        # the oracle solves for up to t^(2k) unknowns, so bound that
+        # rather than its own |G| * t^k
+        if G.order * t ** (2 * k) > DEFAULT.oracle_cap:
+            break
+        for G0 in (H, G):
+            for side in SIDES:
+                dim = relative_commutant_dim(G, G0, H, k, side)
+                assert dim == brute_force_commutant_dim(G, G0, H, k, side)
+                assert dim == character_table_dim(G, G0, H, k, side)
+
+
+def test_commutant_dim_builds_no_character_table():
+    G = symmetric_group(4)
+    H = G.subgroup([perm(4, "(0 1 2)"), perm(4, "(0 1)")])
+    dims = [relative_commutant_dim(G, G0, H, k, side)
+            for G0 in (H, G) for k in (1, 2, 3) for side in SIDES]
+    assert dims == [2, 5, 15, 51, 187, 715, 1, 2, 5, 15, 51, 187]
+    for X in (G, H):
+        assert not [key for key in X._cache
+                    if key == "conjugacy_classes"
+                    or (isinstance(key, tuple) and key[0] == "character_table")]
 
 
 def path_count_dims(graph, steps):
