@@ -83,7 +83,10 @@ def _build_config(args) -> Config:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    return cfg.replace(**overrides)
+    try:
+        return cfg.replace(**overrides)
+    except ValueError as e:
+        raise ParseError("bad option: %s" % e) from None
 
 
 def _load_group_file(path: str, config: Config):
@@ -95,14 +98,23 @@ def _load_group_file(path: str, config: Config):
     return group_from_json(parse_json_text(text), config)
 
 
+def _load_case(name: str, config: Config):
+    """A built-in case, held to the same order cap as a group file."""
+    try:
+        case = case_by_name(name)
+    except KeyError as e:
+        raise ParseError(str(e.args[0])) from None
+    if case.group.order > config.order_cap:
+        raise CapExceededError("case %s has group order %d, above cap %d"
+                               % (name, case.group.order, config.order_cap))
+    return case
+
+
 def _load_inclusion(args, config: Config):
     if args.case:
         if args.group or args.subgroup:
             raise ParseError("--case excludes --group/--subgroup")
-        try:
-            case = case_by_name(args.case)
-        except KeyError as e:
-            raise ParseError(str(e.args[0])) from None
+        case = _load_case(args.case, config)
         return case.name, case.group, case.subgroup
     if not (args.group and args.subgroup):
         raise ParseError("need --case or both --group and --subgroup")
@@ -203,10 +215,7 @@ def cmd_chartab(args) -> int:
 def cmd_extend(args) -> int:
     cfg = _build_config(args)
     if args.case:
-        try:
-            G = case_by_name(args.case).group
-        except KeyError as e:
-            raise ParseError(str(e.args[0])) from None
+        G = _load_case(args.case, cfg).group
     elif args.group:
         G = _load_group_file(args.group, cfg)
     else:

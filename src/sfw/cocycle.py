@@ -303,43 +303,36 @@ def _check_normal(G: PermGroup, K: PermGroup) -> None:
 
 
 def _crossed_reps(G: PermGroup, K: PermGroup, H_mid: PermGroup,
-                  rule: str) -> list:
+                  rule: str) -> tuple:
     """One representative per coset of K, those inside H_mid first.
 
     rule "min" takes the canonical minimal element of each coset, rule
-    "max" takes the lexicographically largest one except that the
-    subgroup coset keeps the identity.
+    "max" takes the largest one by sort key except that the subgroup
+    coset keeps the identity.  Also returns the map from each element
+    of G to the position of its coset in that order.
     """
-    chosen = {}
-    for pool in (H_mid.elements, G.elements):
-        for x in sorted(pool, key=Perm.sort_key):
-            key = frozenset(k * x for k in K.elements)
-            if key in chosen:
-                if rule == "max" and not chosen[key].is_identity():
-                    if x.sort_key() > chosen[key].sort_key():
-                        chosen[key] = x
-            else:
-                chosen[key] = x
-    inside = [x for x in chosen.values() if x in H_mid]
-    outside = [x for x in chosen.values() if x not in H_mid]
-    inside.sort(key=Perm.sort_key)
-    outside.sort(key=Perm.sort_key)
-    reps = inside + outside
+    cosets = right_coset_data(G, K)
+    if rule == "max":
+        chosen = [cosets.reps[0]] + [
+            max(cosets.coset_elements(i), key=Perm.sort_key)
+            for i in range(1, cosets.index)]
+    else:
+        chosen = list(cosets.reps)
+    order = sorted(range(cosets.index),
+                   key=lambda i: (chosen[i] not in H_mid,
+                                  chosen[i].sort_key()))
+    reps = [chosen[i] for i in order]
     if not reps[0].is_identity():
         raise InvariantViolationError("identity coset must come first")
-    return reps
+    position = {i: j for j, i in enumerate(order)}
+    coset_of = {x: position[i] for x, i in cosets.coset_of.items()}
+    return reps, coset_of
 
 
 def _crossed_product_data(G: PermGroup, K: PermGroup, H_mid: PermGroup,
                           rule: str, config: Config):
-    reps = _crossed_reps(G, K, H_mid, rule)
+    reps, coset_of = _crossed_reps(G, K, H_mid, rule)
     q = len(reps)
-    coset_of = {}
-    for j, r in enumerate(reps):
-        for x in K.elements:
-            coset_of[x * r] = j
-    if len(coset_of) != G.order:
-        raise InvariantViolationError("coset decomposition is not a cover")
     table = [[coset_of[reps[i] * reps[j]] for j in range(q)]
              for i in range(q)]
     qperms = [Perm([table[i][j] for j in range(q)]) for i in range(q)]
@@ -367,7 +360,7 @@ def _crossed_product_data(G: PermGroup, K: PermGroup, H_mid: PermGroup,
             values[(gi, gj)] = w
     cocycle = Cocycle2(K, quotient, values, alpha)
     middle = tuple(sorted(j for j, r in enumerate(reps) if r in H_mid))
-    return reps, coset_of, table, qperms, cocycle, middle
+    return reps, table, qperms, cocycle, middle
 
 
 def crossed_product_check(G: PermGroup, K: PermGroup,
@@ -388,7 +381,7 @@ def crossed_product_check(G: PermGroup, K: PermGroup,
         raise SubgroupError("middle group must sit between the two")
     last = None
     for rule in ("min", "max"):
-        reps, coset_of, table, qperms, cocycle, middle = \
+        reps, table, qperms, cocycle, middle = \
             _crossed_product_data(G, K, H_mid, rule, config)
         report = verify_cocycle(cocycle)
         if not report.ok:

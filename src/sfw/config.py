@@ -1,14 +1,19 @@
 """Resource caps and numerical tolerances.
 
 All limits live in one frozen dataclass so library calls stay deterministic
-for a fixed config.  Environment variables with the SFW_ prefix override the
-defaults; CLI flags override both.
+for a fixed config.  Every value is validated on construction: caps are
+integers of at least 1 (theta_k_cap may be 0), tolerances are finite numbers
+of at least 0.  A JSON config file overrides the defaults, environment
+variables with the SFW_ prefix override the file, and CLI flags override
+both.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import os
 
 _ENV_PREFIX = "SFW_"
@@ -27,6 +32,23 @@ class Config:
     tol_multiplicity: float = 1e-6
     tol_norm: float = 1e-6
     tol_spectrum: float = 1e-9
+
+    def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            least = 0 if name == "theta_k_cap" else 1
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)
+                    or value < least):
+                raise ValueError("%s must be an integer >= %d, got %r"
+                                 % (name, least, value))
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0):
+                raise ValueError("%s must be a finite number >= 0, got %r"
+                                 % (name, value))
 
     def replace(self, **kw) -> "Config":
         return dataclasses.replace(self, **kw)
@@ -53,6 +75,8 @@ class Config:
         base = base if base is not None else cls()
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         bad = sorted(set(data) - known)
         if bad:

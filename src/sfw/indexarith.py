@@ -42,37 +42,73 @@ def _discrete_point(n: int) -> float:
     return 4.0 * math.cos(math.pi / n) ** 2
 
 
+def _first_stop(x: float, tol: float) -> int:
+    """First n >= 3 whose discrete point lies within tol of x or above x + tol.
+
+    The points increase with n, so the condition turns true once and
+    stays true.  It is false for points below y = x - |tol|, and the
+    closed form n(y) = pi / arccos(sqrt(y) / 2), evaluated as
+    pi / arcsin(sqrt(4 - y) / 2) to keep its precision near 4, guesses
+    the first n with a point of at least y.  The guess is bracketed by
+    doubling steps and bisected against the float points themselves:
+    close to 4 a run of millions of n shares one float point, so the
+    rounded points can put the answer far from the exact guess.
+    """
+    def stops(n: int) -> bool:
+        point = _discrete_point(n)
+        return abs(x - point) <= tol or point > x + tol
+
+    y = x - abs(tol)
+    guess = 3
+    if y > 1.0:
+        root = math.sqrt(4.0 - y) / 2.0
+        guess = max(3, math.ceil(math.pi / math.asin(root)))
+    # bracket lo < n <= hi, with lo = 2 standing for "before the first point"
+    step = 1
+    if stops(guess):
+        lo, hi = guess - 1, guess
+        while lo >= 3 and stops(lo):
+            lo, hi, step = lo - step, lo, 2 * step
+        lo = max(lo, 2)
+    else:
+        lo, hi = guess, guess + 1
+        while not stops(hi):
+            lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if stops(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def jones_spectrum_query(x: float, tol: float = None,
                          config: Config = DEFAULT) -> SpectrumVerdict:
     """Locate x in {4 cos^2(pi/n) : n >= 3} union [4, inf).
 
     Values within tol of 4 or above are reported continuous; this takes
     precedence over the accumulating discrete points just below 4.
-    Otherwise the increasing discrete sequence is scanned until it
-    passes x + tol.
+    Otherwise the verdict is read at the first point that lies within
+    tol of x (discrete) or above x + tol (not in the spectrum, with the
+    distance to the nearer of that point and the one before it).
     """
     x = float(x)
     tol = config.tol_spectrum if tol is None else float(tol)
     if math.isnan(x) or math.isnan(tol):
-        # NaN fails every comparison below, so the scan would never end
+        # NaN fails every comparison below, so the search would never end
         raise ParseError("spectrum query needs numbers, got value %r "
                          "and tolerance %r" % (x, tol))
     if x < 1.0 - tol:
         raise PreconditionError("index values start at 1, got %r" % x)
     if x >= 4.0 - tol:
         return SpectrumVerdict("continuous", x, None, max(0.0, 4.0 - x))
-    prev = None
-    n = 3
-    while True:
-        point = _discrete_point(n)
-        if abs(x - point) <= tol:
-            return SpectrumVerdict("discrete", x, n, abs(x - point))
-        if point > x + tol:
-            lower = abs(x - prev) if prev is not None else point - x
-            return SpectrumVerdict("not-in-spectrum", x, None,
-                                   min(lower, point - x))
-        prev = point
-        n += 1
+    n = _first_stop(x, tol)
+    point = _discrete_point(n)
+    if abs(x - point) <= tol:
+        return SpectrumVerdict("discrete", x, n, abs(x - point))
+    lower = abs(x - _discrete_point(n - 1)) if n > 3 else point - x
+    return SpectrumVerdict("not-in-spectrum", x, None, min(lower, point - x))
 
 
 @dataclass(frozen=True)

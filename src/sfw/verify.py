@@ -36,8 +36,8 @@ from .standard_invariant import (
     IN_GROUP,
     IN_SUBGROUP,
     ThetaMap,
-    action_on_tuples,
     dual_principal_graph,
+    nested_theta_entry,
     principal_graph,
     relative_commutant_dim,
     stabilizer_matches_intersection,
@@ -122,15 +122,19 @@ def _suite_theta(cases, config: Config) -> list:
                 continue
             theta = ThetaMap(cosets, k, config)
 
-            def entries_consistent(theta=theta, G=G, rng=rng, k=k,
+            def entries_consistent(theta=theta, G=G, rng=rng,
                                    cosets=cosets):
                 count = 0
                 for g in _sample_elements(G, rng, 4):
                     m = theta.matrix(g)
-                    for (i, j) in m:
-                        if action_on_tuples(g, j, cosets, k) != i:
+                    if len({i for (i, j) in m}) != len(m):
+                        raise AssertionError("duplicate row in amplified "
+                                             "matrix")
+                    for (i, j), value in m.items():
+                        if value != nested_theta_entry(cosets, g, i, j):
                             raise AssertionError(
-                                "matrix support disagrees with the action")
+                                "entry at (%r, %r) disagrees with nested "
+                                "expectations" % (i, j))
                     count += len(m)
                 return "%d entries cross-checked" % count
 

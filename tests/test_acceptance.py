@@ -46,6 +46,7 @@ from sfw.standard_invariant import (
     action_on_tuples,
     brute_force_commutant_dim,
     dual_principal_graph,
+    nested_theta_entry,
     principal_graph,
     relative_commutant_dim,
 )
@@ -82,10 +83,10 @@ def perm(degree, text):
 
 @criterion(1, "theta consistency")
 def test_criterion_01_theta_consistency():
-    # Every entry evaluation cross-checks the nested-expectation route
-    # against the closed form and raises on disagreement, so building the
-    # full matrix for random elements is the equality test.  The support
-    # pattern must be the graph of the tuple action.
+    # Every entry of the full matrix for random elements must equal the
+    # nested-expectation reference, and the support pattern must be the
+    # graph of the tuple action.  Sampled entries off the support must
+    # vanish by both routes.
     started = time.perf_counter()
     rng = random.Random(20260822)
     for case in builtin_cases():
@@ -101,6 +102,13 @@ def test_criterion_01_theta_consistency():
                 for (i_t, j_t), value in mat.items():
                     assert i_t == action_on_tuples(g, j_t, cosets)
                     assert not value.is_zero()
+                    assert value == nested_theta_entry(cosets, g, i_t, j_t)
+                i_t = theta.tuples[rng.randrange(expected_rows)]
+                j_t = theta.tuples[rng.randrange(expected_rows)]
+                if i_t != action_on_tuples(g, j_t, cosets):
+                    value = theta.entry(g, i_t, j_t)
+                    assert value.is_zero()
+                    assert value == nested_theta_entry(cosets, g, i_t, j_t)
     assert time.perf_counter() - started < 30.0
 
 

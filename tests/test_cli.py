@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from sfw import cli
+from sfw.config import Config
 from sfw.corpus import case_by_name
 from sfw.formats import canonical_json, graph_from_json, group_to_json
 
@@ -94,6 +95,21 @@ def test_spectrum_nan_exits_2():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert proc.stdout == ""
+
+
+def test_spectrum_next_to_four_returns_promptly():
+    # the discrete points accumulate at 4: the largest float below 4 sits
+    # beyond n = 10^8, so a walk over the points would run for minutes
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "sfw.cli", "spectrum",
+                           "3.9999999999999996", "--tol-spectrum", "0",
+                           "--json"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["kind"] in ("discrete", "not-in-spectrum")
 
 
 def test_vindex_command(capsys):
@@ -239,3 +255,82 @@ def test_non_integer_env_cap_exits_2(capsys, monkeypatch):
     assert rc == 2
     assert captured.err.startswith("error: bad environment setting")
     assert "SFW_ORDER_CAP" in captured.err
+
+
+@pytest.mark.parametrize("text", [
+    '{"order_cap": "x"}',
+    '{"oracle_cap": null}',
+    '{"tol_norm": "x"}',
+    '{"aut_cap": true}',
+    '{"theta_k_cap": -1}',
+    '{"order_cap": 0}',
+    '{"tol_spectrum": -1e-9}',
+    '{"tol_char": Infinity}',
+    '[1]',
+])
+def test_bad_config_file_value_exits_2(capsys, tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    rc = cli.main(["index", "--case", "s3-flip", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: bad config file")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--order-cap", "-1"],
+    ["--oracle-cap", "0"],
+    ["--theta-k-cap", "-1"],
+    ["--tol-norm", "-0.5"],
+    ["--tol-char", "inf"],
+    ["--tol-spectrum", "nan"],
+])
+def test_bad_config_flag_value_exits_2(capsys, argv):
+    rc = cli.main(["index", "--case", "s3-flip"] + argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: bad option")
+
+
+def test_bad_env_config_value_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("SFW_TOL_NORM", "nan")
+    rc = cli.main(["index", "--case", "s3-flip"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: bad environment setting")
+    assert "tol_norm" in captured.err
+
+
+def test_config_validates_on_construction():
+    for bad in ({"order_cap": 0}, {"aut_cap": 2.0}, {"oracle_cap": True},
+                {"theta_k_cap": -1}, {"tol_norm": float("nan")},
+                {"tol_char": -1e-12}, {"tol_multiplicity": "1e-6"}):
+        with pytest.raises(ValueError):
+            Config(**bad)
+    edge = Config(order_cap=1, aut_cap=1, theta_k_cap=0, oracle_cap=1,
+                  tol_char=0, tol_multiplicity=0.0, tol_norm=0,
+                  tol_spectrum=0.0)
+    assert edge.theta_k_cap == 0 and edge.tol_norm == 0
+
+
+@pytest.mark.parametrize("argv, enough", [
+    (["index", "--case", "s4-d4", "--order-cap", "2"], 24),
+    (["graph", "--case", "s4-d4", "--order-cap", "23"], 24),
+    (["chartab", "--case", "s3-a3", "--config", "CFG"], 6),
+    (["induce", "--case", "s3-a3", "--order-cap", "5"], 6),
+    # the extension of A4 by its outer class has order 24
+    (["extend", "--case", "a4-v4", "--order-cap", "11"], 24),
+])
+def test_order_cap_applies_to_builtin_cases(capsys, tmp_path, argv, enough):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"order_cap": 5}\n')
+    argv = [str(cfg) if a == "CFG" else a for a in argv]
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.err.startswith("error: case ")
+    assert captured.out == ""
+    rc = cli.main(argv[:3] + ["--order-cap", str(enough)])
+    capsys.readouterr()
+    assert rc == 0

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from sfw.config import DEFAULT
 from sfw.corpus import builtin_cases
 from sfw.errors import (
     ConstraintError,
@@ -14,6 +16,7 @@ from sfw.errors import (
 )
 from sfw.groupalgebra import GroupAlgebraElement
 from sfw.indexarith import (
+    SpectrumVerdict,
     VirtualEmbeddingSpec,
     VirtualPart,
     commutant_bound_check,
@@ -65,8 +68,6 @@ def test_spectrum_tolerance_behaviour():
 
 
 def test_spectrum_points_increase_with_n():
-    import math
-
     previous = 0.0
     for n in range(3, 13):
         x = 4 * math.cos(math.pi / n) ** 2
@@ -80,6 +81,51 @@ def test_spectrum_points_increase_with_n():
 def test_spectrum_rejects_small_values():
     with pytest.raises(PreconditionError):
         jones_spectrum_query(0.5)
+
+
+def scan_spectrum_query(x, tol):
+    """Reference: walk the increasing discrete points until one stops it."""
+    if x < 1.0 - tol:
+        raise PreconditionError("index values start at 1, got %r" % x)
+    if x >= 4.0 - tol:
+        return SpectrumVerdict("continuous", x, None, max(0.0, 4.0 - x))
+    prev = None
+    n = 3
+    while True:
+        point = 4.0 * math.cos(math.pi / n) ** 2
+        if abs(x - point) <= tol:
+            return SpectrumVerdict("discrete", x, n, abs(x - point))
+        if point > x + tol:
+            lower = abs(x - prev) if prev is not None else point - x
+            return SpectrumVerdict("not-in-spectrum", x, None,
+                                   min(lower, point - x))
+        prev = point
+        n += 1
+
+
+def test_spectrum_matches_the_scan():
+    default = DEFAULT.tol_spectrum
+    cases = []
+    for n in range(3, 13):
+        point = 4.0 * math.cos(math.pi / n) ** 2
+        cases += [(point, default), (float("%.15g" % point), default)]
+    values = [1.0 + 3.0 * i / 97 for i in range(97)]
+    for n in (3, 4, 5, 7, 12, 50, 333, 2000):
+        point = 4.0 * math.cos(math.pi / n) ** 2
+        for d in (0.0, 1e-12, 1e-9, 5e-10, 1e-6, 1e-3):
+            values += [point - d, point + d]
+    values += [4.0 - 1e-5, 4.0 - 1e-6, 4.0 - 1e-8, 3.9999]
+    for tol in (0.0, 1e-12, 5e-10, default, 1e-6, 1e-3, 0.05, 0.5, 2.0,
+                -1e-9):
+        cases += [(x, tol) for x in values if x < 4.0]
+    for x, tol in cases:
+        try:
+            want = scan_spectrum_query(x, tol)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                jones_spectrum_query(x, tol)
+            continue
+        assert jones_spectrum_query(x, tol) == want, (x, tol)
 
 
 # ------------------------------------------------------------ virtual index

@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from sfw import standard_invariant
 from sfw.chartab import character_table, multiplicity, permutation_character
 from sfw.config import DEFAULT
 from sfw.corpus import builtin_cases, case_by_name
@@ -22,6 +23,7 @@ from sfw.standard_invariant import (
     action_on_tuples,
     brute_force_commutant_dim,
     dual_principal_graph,
+    nested_theta_entry,
     principal_graph,
     relative_commutant_dim,
     stabilizer_matches_intersection,
@@ -97,8 +99,8 @@ def test_action_at_depth_one_is_right_coset_multiplication():
 
 
 def test_theta_matrix_shape_and_consistency():
-    # ThetaMap.entry cross-checks the nested-expectation route against the
-    # closed form internally, so evaluating it is itself the equality test.
+    # Every matrix entry, and a sample of the entries off the support,
+    # must equal the nested-expectation reference.
     rng = random.Random(7002)
     for case in builtin_cases():
         G = case.group
@@ -115,13 +117,34 @@ def test_theta_matrix_shape_and_consistency():
                 for (i_t, j_t), val in mat.items():
                     assert i_t == action_on_tuples(g, j_t, cosets)
                     assert val == theta.entry(g, i_t, j_t)
+                    assert val == nested_theta_entry(cosets, g, i_t, j_t)
                     assert not val.is_zero()
                 # A sample of off-pattern entries vanish.
                 for _ in range(5):
                     i_t = tuples[rng.randrange(len(tuples))]
                     j_t = tuples[rng.randrange(len(tuples))]
                     if i_t != action_on_tuples(g, j_t, cosets):
-                        assert theta.entry(g, i_t, j_t).is_zero()
+                        val = theta.entry(g, i_t, j_t)
+                        assert val.is_zero()
+                        assert val == nested_theta_entry(cosets, g, i_t, j_t)
+
+
+def test_theta_production_path_never_reaches_the_nested_route(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("production path reached the nested route")
+
+    monkeypatch.setattr(standard_invariant, "nested_theta_entry", forbidden)
+    monkeypatch.setattr(standard_invariant, "conditional_expectation",
+                        forbidden)
+    for case in builtin_cases():
+        G = case.group
+        cosets = right_coset_data(G, case.subgroup)
+        for k in (1, 2):
+            theta = ThetaMap(cosets, k)
+            for g in G.generators:
+                for (i_t, j_t), val in theta.matrix(g).items():
+                    assert theta.entry(g, i_t, j_t) == val
+                    assert action_on_tuples(g, j_t, cosets, k) == i_t
 
 
 def test_theta_is_multiplicative():
@@ -151,6 +174,18 @@ def test_theta_rejects_bad_input():
         action_on_tuples(g, (99,), cosets)
     with pytest.raises(CapExceededError):
         ThetaMap(cosets, DEFAULT.theta_k_cap + 1)
+
+
+def test_theta_matrix_honours_a_raised_k_cap():
+    case = case_by_name("s3-a3")
+    cosets = right_coset_data(case.group, case.subgroup)
+    k = DEFAULT.theta_k_cap + 1
+    theta = ThetaMap(cosets, k, DEFAULT.replace(theta_k_cap=k))
+    g = perm(3, "(0 1)")
+    mat = theta.matrix(g)
+    assert len(mat) == 2 ** k
+    for (i_t, j_t), val in mat.items():
+        assert val == nested_theta_entry(cosets, g, i_t, j_t)
 
 
 # ------------------------------------------------- relative commutant sizes
