@@ -5,6 +5,10 @@ structure-constant matrices: a random real combination of them (seeded, so
 the run is deterministic) is diagonalized, each eigenvector is normalized
 at the identity class, and degrees are recovered from the column norm.
 Orthogonality relations are asserted before anything is returned.
+
+Conjugacy classes come from permgroup.conjugacy_classes, which this
+module re-exports; the class cap applies only to the table, since it
+bounds the size of the eigen-solve.
 """
 
 from __future__ import annotations
@@ -20,45 +24,15 @@ from .errors import (
     PreconditionError,
     SubgroupError,
 )
-from .permgroup import Perm, PermGroup, verify_action_table
+from .permgroup import (
+    ConjClassData,
+    Perm,
+    PermGroup,
+    conjugacy_classes,
+    verify_action_table,
+)
 
 CLASS_CAP = 64
-
-
-@dataclass(frozen=True)
-class ConjClassData:
-    """Conjugacy classes: canonical reps, sizes, and element -> class map."""
-
-    group: PermGroup
-    reps: tuple
-    sizes: tuple
-    class_of: Mapping[Perm, int]
-
-    @property
-    def count(self) -> int:
-        return len(self.reps)
-
-    def class_index(self, p: Perm) -> int:
-        return self.class_of[p]
-
-
-def conjugacy_classes(G: PermGroup) -> ConjClassData:
-    """Classes of G with an element -> class map, kept in G's cache."""
-    return G.cached("conjugacy_classes", lambda: _conjugacy_classes(G))
-
-
-def _conjugacy_classes(G: PermGroup) -> ConjClassData:
-    classes = G.conjugacy_partition()
-    if len(classes) > CLASS_CAP:
-        raise PreconditionError(
-            "group has %d conjugacy classes, cap is %d"
-            % (len(classes), CLASS_CAP))
-    class_of = {}
-    for i, cls in enumerate(classes):
-        for p in cls:
-            class_of[p] = i
-    return ConjClassData(G, tuple(c[0] for c in classes),
-                         tuple(len(c) for c in classes), class_of)
 
 
 @dataclass(frozen=True)
@@ -118,7 +92,7 @@ def _structure_matrices(classes: ConjClassData) -> list:
     return mats
 
 
-def _eigenbasis(mats: Sequence[np.ndarray], tol: float):
+def _eigenbasis(mats: Sequence[np.ndarray]):
     """Common eigenvectors of the commuting family, via a random combination."""
     r = mats[0].shape[0]
     last_residual = None
@@ -172,10 +146,14 @@ def _character_table(G: PermGroup, tol_char: float,
                      tol_mult: float) -> CharacterTable:
     classes = conjugacy_classes(G)
     r = classes.count
+    if r > CLASS_CAP:
+        # bounds the r x r structure matrices and their eigen-solve
+        raise PreconditionError(
+            "group has %d conjugacy classes, cap is %d" % (r, CLASS_CAP))
     order = G.order
     id_idx = classes.class_index(G.identity)
     mats = _structure_matrices(classes)
-    vectors = _eigenbasis(mats, tol_char)
+    vectors = _eigenbasis(mats)
 
     chars = []
     degrees = []

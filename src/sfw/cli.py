@@ -24,13 +24,8 @@ import sys
 from .chartab import character_table
 from .cocycle import subfactor_report_from_out
 from .config import Config, DEFAULT
-from .corpus import case_names, case_by_name
-from .errors import (
-    CapExceededError,
-    ParseError,
-    PreconditionError,
-    SfwError,
-)
+from .corpus import case_names, case_by_name, require_order_cap
+from .errors import ParseError, PreconditionError, SfwError
 from .formats import (
     canonical_json,
     chartab_to_json,
@@ -104,10 +99,7 @@ def _load_case(name: str, config: Config):
         case = case_by_name(name)
     except KeyError as e:
         raise ParseError(str(e.args[0])) from None
-    if case.group.order > config.order_cap:
-        raise CapExceededError("case %s has group order %d, above cap %d"
-                               % (name, case.group.order, config.order_cap))
-    return case
+    return require_order_cap(case, config)
 
 
 def _load_inclusion(args, config: Config):
@@ -452,18 +444,9 @@ def main(argv=None) -> int:
             setattr(args, attr, None)
     try:
         return args.func(args)
-    except ParseError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except CapExceededError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 4
-    except PreconditionError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 3
     except SfwError as e:
         print("error: %s" % e, file=sys.stderr)
-        return 1
+        return e.exit_code
 
 
 if __name__ == "__main__":

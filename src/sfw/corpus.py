@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import PreconditionError
+from .config import Config
+from .errors import CapExceededError, PreconditionError
 from .permgroup import (
     PermGroup,
     alternating_group,
@@ -70,3 +71,16 @@ def case_by_name(name: str) -> InclusionCase:
             return c
     raise KeyError("unknown case %r, have %s"
                    % (name, ", ".join(case_names())))
+
+
+def require_order_cap(case: InclusionCase, config: Config) -> InclusionCase:
+    """The case, held to config.order_cap like a group read from a file.
+
+    The built-in groups are enumerated once under the default config, so
+    a lower cap has to be applied here.
+    """
+    if case.group.order > config.order_cap:
+        raise CapExceededError("case %s has group order %d, above cap %d"
+                               % (case.name, case.group.order,
+                                  config.order_cap))
+    return case

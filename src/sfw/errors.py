@@ -1,22 +1,27 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ParseError -> 2, PreconditionError and
-its subclasses -> 3, CapExceededError -> 4.  Verification failures are data
-(reports), not exceptions, and exit 1.  InvariantViolationError signals a
-broken internal consistency check and is never expected to fire.
+Each class carries the CLI exit code it maps onto: ParseError 2,
+PreconditionError and its subclasses 3, CapExceededError 4, and every
+other SfwError 1.  Verification failures are data (reports), not
+exceptions, and also exit 1.  InvariantViolationError signals a broken
+internal consistency check and is never expected to fire.
 """
 
 
 class SfwError(Exception):
-    pass
+    exit_code = 1
 
 
 class ParseError(SfwError):
     """Malformed input data (JSON syntax, bad generator images, ...)."""
 
+    exit_code = 2
+
 
 class PreconditionError(SfwError):
     """Input is well formed but violates a documented precondition."""
+
+    exit_code = 3
 
 
 class SubgroupError(PreconditionError):
@@ -45,6 +50,8 @@ class ConstraintError(PreconditionError):
 
 class CapExceededError(SfwError):
     """A configured resource cap (group order, k, oracle size) was exceeded."""
+
+    exit_code = 4
 
 
 class NumericalDegeneracyError(SfwError):

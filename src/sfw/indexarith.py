@@ -95,10 +95,11 @@ def jones_spectrum_query(x: float, tol: float = None,
     """
     x = float(x)
     tol = config.tol_spectrum if tol is None else float(tol)
-    if math.isnan(x) or math.isnan(tol):
-        # NaN fails every comparison below, so the search would never end
-        raise ParseError("spectrum query needs numbers, got value %r "
-                         "and tolerance %r" % (x, tol))
+    if not (math.isfinite(x) and math.isfinite(tol)):
+        # NaN fails every comparison below, so the search would never end,
+        # and an infinite value has no JSON form
+        raise ParseError("spectrum query needs finite numbers, got value "
+                         "%r and tolerance %r" % (x, tol))
     if x < 1.0 - tol:
         raise PreconditionError("index values start at 1, got %r" % x)
     if x >= 4.0 - tol:

@@ -267,39 +267,10 @@ class PermGroup:
             raise SubgroupError("generated group is not inside the parent")
         return sub
 
-    def conjugacy_partition(self) -> tuple:
-        """Conjugacy classes as element tuples, sorted by (size, least rep).
-
-        The class of the identity always comes first.
-        """
-        if "classes" not in self._cache:
-            remaining = dict(self._index)
-            classes = []
-            for p in self.elements:
-                if p not in remaining:
-                    continue
-                orbit = {p}
-                frontier = [p]
-                while frontier:
-                    x = frontier.pop()
-                    for g in self.generators:
-                        y = g * x * g.inv()
-                        if y not in orbit:
-                            orbit.add(y)
-                            frontier.append(y)
-                for x in orbit:
-                    remaining.pop(x, None)
-                classes.append(tuple(sorted(orbit, key=lambda q: q.images)))
-            classes.sort(key=lambda c: (len(c), c[0].images))
-            self._cache["classes"] = tuple(classes)
-        return self._cache["classes"]
-
     def center(self) -> tuple:
-        if "center" not in self._cache:
-            self._cache["center"] = tuple(
-                p for p in self.elements
-                if all(p * g == g * p for g in self.generators))
-        return self._cache["center"]
+        return self.cached("center", lambda: tuple(
+            p for p in self.elements
+            if all(p * g == g * p for g in self.generators)))
 
     def element_order_histogram(self) -> dict:
         hist = {}
@@ -333,6 +304,63 @@ def cyclic_group(n: int, config: Config = DEFAULT) -> PermGroup:
     if n <= 1:
         return PermGroup(max(n, 1), (), config)
     return PermGroup(n, [Perm.from_cycles(n, [list(range(n))])], config)
+
+
+@dataclass(frozen=True)
+class ConjClassData:
+    """Conjugacy classes: canonical reps, sizes, and element -> class map.
+
+    Classes are sorted by (size, least element by images), and each rep
+    is the least element of its class, so the identity's class is first.
+    """
+
+    group: PermGroup
+    reps: tuple
+    sizes: tuple
+    class_of: Mapping[Perm, int]
+
+    @property
+    def count(self) -> int:
+        return len(self.reps)
+
+    def class_index(self, p: Perm) -> int:
+        return self.class_of[p]
+
+
+def conjugacy_classes(G: PermGroup) -> ConjClassData:
+    """Classes of G with an element -> class map, kept in G's cache."""
+    return G.cached("conjugacy_classes", lambda: _conjugacy_classes(G))
+
+
+def _conjugacy_classes(G: PermGroup) -> ConjClassData:
+    # elements run in images order, so each orbit is found from its least
+    # element and the orbit number n grows with that element: sorting on
+    # (size, n) sorts on (size, least element)
+    pairs = [(g, g.inv()) for g in G.generators]
+    orbit_of = {}
+    reps, sizes = [], []
+    for p in G.elements:
+        if p in orbit_of:
+            continue
+        n = len(reps)
+        orbit_of[p] = n
+        frontier = [p]
+        size = 1
+        while frontier:
+            x = frontier.pop()
+            for g, ginv in pairs:
+                y = g * x * ginv
+                if y not in orbit_of:
+                    orbit_of[y] = n
+                    frontier.append(y)
+                    size += 1
+        reps.append(p)
+        sizes.append(size)
+    order = sorted(range(len(reps)), key=lambda n: (sizes[n], n))
+    rank = {n: i for i, n in enumerate(order)}
+    class_of = {x: rank[n] for x, n in orbit_of.items()}
+    return ConjClassData(G, tuple(reps[n] for n in order),
+                         tuple(sizes[n] for n in order), class_of)
 
 
 def _require_subgroup(G: PermGroup, H: PermGroup) -> None:
@@ -578,11 +606,8 @@ def automorphism_group(G: PermGroup, config: Config = DEFAULT) -> AutomorphismDa
             "automorphism search capped at order %d, group has order %d"
             % (config.aut_cap, G.order))
     gens = _reduced_generators(G)
-    classes = G.conjugacy_partition()
-    class_size = {}
-    for c in classes:
-        for p in c:
-            class_size[p] = len(c)
+    classes = conjugacy_classes(G)
+    class_size = {p: classes.sizes[i] for p, i in classes.class_of.items()}
     orders = {p: p.order() for p in G.elements}
     candidates = []
     for g in gens:

@@ -6,11 +6,15 @@ algebra of H, indexed by k-tuples of coset indices.  This module computes
 those matrices (the support is the graph of the induced action of G on
 index tuples, and each nonzero entry has a closed form), relative
 commutant dimensions, and the principal and dual principal graphs with
-their operator norms.  Commutant dimensions are exact orbit counts
-(Burnside's lemma over fixed cosets); no character table or float enters
-them.  Exact brute-force references for the entries (nested conditional
-expectations) and for the dimensions (rational linear algebra) are kept
-for the verify suites and the tests; no production path calls them.
+their operator norms.  Both graphs take their edges from one builder
+that restricts each character of the larger group once, and the squared
+norm is the largest eigenvalue of B B^T, B the even-by-odd adjacency
+matrix, from one symmetric eigen-solve.  Commutant dimensions are exact
+orbit counts (Burnside's lemma over fixed cosets); no character table or
+float enters them.  Exact brute-force references for the entries (nested
+conditional expectations) and for the dimensions (rational linear
+algebra) are kept for the verify suites and the tests; no production
+path calls them.
 
 Tuples are 0-based index vectors ordered lexicographically.
 """
@@ -107,8 +111,6 @@ class ThetaMap:
         is the image of the column index under the tuple action, a
         bijection of the tuples, and the entry is u_{prod_i * g * prod_j^-1}.
         """
-        if g not in self.cosets.group:
-            raise PreconditionError("element is outside the ambient group")
         H = self.cosets.subgroup
         out = {}
         for j in self.tuples:
@@ -148,6 +150,8 @@ def action_on_tuples(g: Perm, j_tuple, cosets: CosetData,
         if not 0 <= i < cosets.index:
             raise PreconditionError(
                 "tuple entry %r outside coset range 0..%d" % (i, cosets.index - 1))
+    if g not in cosets.group:
+        raise PreconditionError("element is outside the ambient group")
     reps = cosets.reps
     ginv = g.inv()
     out = [0] * k
@@ -400,28 +404,6 @@ def _adjacency(n_even: int, n_odd: int, edges) -> np.ndarray:
     return B
 
 
-def _power_iteration_norm_sq(B: np.ndarray, tol: float = 1e-12,
-                             max_iter: int = 10 ** 4) -> float:
-    """Largest eigenvalue of B B^T by deterministic power iteration."""
-    M = B @ B.T
-    n = M.shape[0]
-    if n == 0:
-        return 0.0
-    v = np.ones(n) / np.sqrt(n)
-    last = 0.0
-    for _ in range(max_iter):
-        w = M @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam = float(v @ (M @ v))
-        if abs(lam - last) < tol:
-            return lam
-        last = lam
-    return last
-
-
 def _norm_in_jones_closure(x: float, tol: float) -> bool:
     from .indexarith import jones_spectrum_query
 
@@ -464,8 +446,8 @@ def _assemble_graph(even, odd, edges, designated_idx, marked_odd_idx,
     kept_edges = tuple(sorted((even_map[e], odd_map[o], m)
                               for e, o, m in edges
                               if m and e in even_in and o in odd_in))
-    norm_sq = _power_iteration_norm_sq(
-        _adjacency(len(kept_even), len(kept_odd), kept_edges))
+    B = _adjacency(len(kept_even), len(kept_odd), kept_edges)
+    norm_sq = float(np.linalg.eigvalsh(B @ B.T)[-1])
     if not _norm_in_jones_closure(norm_sq, config.tol_norm):
         raise InvariantViolationError(
             "graph norm squared %r escapes the index spectrum closure"
@@ -474,6 +456,29 @@ def _assemble_graph(even, odd, edges, designated_idx, marked_odd_idx,
         kept_even, kept_odd, kept_edges,
         even[designated_idx].label, odd[marked_odd_idx].label,
         norm_sq)
+
+
+def _vertices(table, prefix: str, group_index: int) -> list:
+    """One vertex per irreducible character of the table."""
+    return [GraphVertex("%s:chi%d" % (prefix, j), group_index, j, d)
+            for j, d in enumerate(table.degrees)]
+
+
+def _restriction_edges(big_table, small_table, config: Config) -> list:
+    """Edges (b, s, m) from a group's character table to a subgroup's.
+
+    m > 0 is the multiplicity of the subgroup's irreducible s in the
+    restriction of the group's irreducible b; each b is restricted once.
+    """
+    small = small_table.group
+    edges = []
+    for b, chi in enumerate(big_table.characters):
+        res = restrict(chi, small)
+        for s, psi in enumerate(small_table.characters):
+            m = multiplicity(res, psi, config)
+            if m:
+                edges.append((b, s, m))
+    return edges
 
 
 def principal_graph(G: PermGroup, H: PermGroup,
@@ -490,31 +495,17 @@ def principal_graph(G: PermGroup, H: PermGroup,
     dc = double_coset_data(G, H)
     h_tab = character_table(H, config)
     even = []
-    even_rows = []
-    designated_idx = None
+    edges = []
     for i, K in enumerate(dc.stabilizers):
         k_tab = character_table(K, config)
-        for j, rho in enumerate(k_tab.characters):
-            label = "K%d:chi%d" % (i + 1, j)
-            even.append(GraphVertex(label, i, j, int(round(
-                rho.degree_value.real))))
-            even_rows.append((i, rho))
-            if i == 0 and j == k_tab.trivial_index():
-                designated_idx = len(even) - 1
-    odd = []
-    for j, rho in enumerate(h_tab.characters):
-        odd.append(GraphVertex("H:chi%d" % j, 0, j, int(round(
-            rho.degree_value.real))))
-    marked_odd_idx = h_tab.trivial_index()
-    edges = []
-    for e_idx, (i, rho0) in enumerate(even_rows):
-        K = dc.stabilizers[i]
-        for o_idx, rho1 in enumerate(h_tab.characters):
-            m = multiplicity(restrict(rho1, K), rho0, config)
-            if m:
-                edges.append((e_idx, o_idx, m))
-    return _assemble_graph(even, odd, edges, designated_idx, marked_odd_idx,
-                           config)
+        offset = len(even)
+        even.extend(_vertices(k_tab, "K%d" % (i + 1), i))
+        edges.extend((offset + s, b, m)
+                     for b, s, m in _restriction_edges(h_tab, k_tab, config))
+    odd = _vertices(h_tab, "H", 0)
+    # K_1 is H and its vertices come first
+    trivial = h_tab.trivial_index()
+    return _assemble_graph(even, odd, edges, trivial, trivial, config)
 
 
 def dual_principal_graph(G: PermGroup, H: PermGroup,
@@ -529,18 +520,7 @@ def dual_principal_graph(G: PermGroup, H: PermGroup,
         raise SubgroupError("need H <= G")
     g_tab = character_table(G, config)
     h_tab = character_table(H, config)
-    even = tuple(GraphVertex("G:chi%d" % j, 0, j,
-                             int(round(rho.degree_value.real)))
-                 for j, rho in enumerate(g_tab.characters))
-    odd = tuple(GraphVertex("H:chi%d" % j, 0, j,
-                            int(round(rho.degree_value.real)))
-                for j, rho in enumerate(h_tab.characters))
-    edges = []
-    for e_idx, rho0 in enumerate(g_tab.characters):
-        res = restrict(rho0, H)
-        for o_idx, rho1 in enumerate(h_tab.characters):
-            m = multiplicity(res, rho1, config)
-            if m:
-                edges.append((e_idx, o_idx, m))
-    return _assemble_graph(even, odd, edges, g_tab.trivial_index(),
-                           h_tab.trivial_index(), config)
+    return _assemble_graph(_vertices(g_tab, "G", 0), _vertices(h_tab, "H", 0),
+                           _restriction_edges(g_tab, h_tab, config),
+                           g_tab.trivial_index(), h_tab.trivial_index(),
+                           config)

@@ -18,7 +18,7 @@ from .chartab import character_table
 from .cocycle import crossed_product_check, extension_from_out, \
     subfactor_report_from_out, verify_cocycle
 from .config import Config, DEFAULT
-from .corpus import InclusionCase, builtin_cases
+from .corpus import InclusionCase, builtin_cases, require_order_cap
 from .errors import ParseError, SfwError, SubgroupError
 from .formats import group_from_json, parse_json_text
 from .groupalgebra import GroupAlgebraElement, pimsner_popa_expand, \
@@ -451,7 +451,8 @@ def run_suite(suite: str, cases=None, corpus_dir=None,
     """Run one named suite, or every suite with "all"."""
     if cases is None:
         cases = (load_corpus_dir(corpus_dir, config) if corpus_dir
-                 else builtin_cases())
+                 else tuple(require_order_cap(case, config)
+                            for case in builtin_cases()))
     start = time.perf_counter()
     if suite == "all":
         results = []

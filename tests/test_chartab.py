@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from sfw.chartab import (
+    CLASS_CAP,
     ClassFunction,
     character_table,
     conjugacy_classes,
@@ -15,6 +16,7 @@ from sfw.chartab import (
     restrict,
     trivial_character,
 )
+from sfw.errors import PreconditionError
 from sfw.permgroup import (
     alternating_group,
     cyclic_group,
@@ -173,3 +175,10 @@ def test_inner_product_non_characters_returns_complex():
     got = inner_product(f, chi)
     assert isinstance(got, complex)
     assert abs(got - 0.5) < 1e-9
+
+
+def test_class_cap_bounds_the_table_not_the_classes():
+    G = cyclic_group(CLASS_CAP + 1)
+    assert conjugacy_classes(G).count == CLASS_CAP + 1
+    with pytest.raises(PreconditionError):
+        character_table(G)

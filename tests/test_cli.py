@@ -97,6 +97,16 @@ def test_spectrum_nan_exits_2():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+def test_spectrum_infinite_value_exits_2(capsys, value):
+    # an infinite value has no JSON form
+    rc = cli.main(["spectrum", "--json", "--", value])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_spectrum_next_to_four_returns_promptly():
     # the discrete points accumulate at 4: the largest float below 4 sits
     # beyond n = 10^8, so a walk over the points would run for minutes
@@ -321,6 +331,7 @@ def test_config_validates_on_construction():
     (["induce", "--case", "s3-a3", "--order-cap", "5"], 6),
     # the extension of A4 by its outer class has order 24
     (["extend", "--case", "a4-v4", "--order-cap", "11"], 24),
+    (["verify", "--suite", "graphs", "--order-cap", "2"], 24),
 ])
 def test_order_cap_applies_to_builtin_cases(capsys, tmp_path, argv, enough):
     cfg = tmp_path / "cfg.json"

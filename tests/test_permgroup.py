@@ -9,7 +9,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfw.chartab import character_table, conjugacy_classes
+from sfw.chartab import character_table
 from sfw.config import Config
 from sfw.errors import (CapExceededError, InvalidActionError, ParseError,
                         SubgroupError)
@@ -18,6 +18,7 @@ from sfw.permgroup import (
     PermGroup,
     alternating_group,
     automorphism_group,
+    conjugacy_classes,
     cyclic_group,
     double_coset_data,
     group_from_generators,
@@ -306,9 +307,42 @@ def test_subgroup_rejects_outsiders():
 
 def test_conjugacy_partition_s4():
     G = symmetric_group(4)
-    sizes = sorted(len(c) for c in G.conjugacy_partition())
-    assert sizes == [1, 3, 6, 6, 8]
-    assert G.conjugacy_partition()[0] == (G.identity,)
+    classes = conjugacy_classes(G)
+    assert sorted(classes.sizes) == [1, 3, 6, 6, 8]
+    assert classes.reps[0] == G.identity and classes.sizes[0] == 1
+
+
+def _conjugacy_oracle(G):
+    """The classes of G as sets, each found by conjugating by every element."""
+    cells = []
+    covered = set()
+    for p in G.elements:
+        if p not in covered:
+            cell = frozenset(x * p * x.inv() for x in G.elements)
+            covered |= cell
+            cells.append(cell)
+    return cells
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(inclusions())
+def test_conjugacy_classes_match_oracle_on_random_subgroups(pair):
+    for X in pair:
+        classes = conjugacy_classes(X)
+        cells = _conjugacy_oracle(X)
+        cell_of = {x: cell for cell in cells for x in cell}
+        assert {cell_of[r] for r in classes.reps} == set(cells)
+        assert classes.count == len(cells)
+        for r, size in zip(classes.reps, classes.sizes):
+            assert r == min(cell_of[r], key=lambda p: p.images)
+            assert size == len(cell_of[r])
+        keys = [(size, r.images) for r, size in zip(classes.reps,
+                                                    classes.sizes)]
+        assert keys == sorted(keys)
+        assert classes.reps[0] == X.identity
+        assert set(classes.class_of) == set(X.elements)
+        for x, i in classes.class_of.items():
+            assert x in cell_of[classes.reps[i]]
 
 
 def test_center():

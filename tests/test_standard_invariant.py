@@ -9,12 +9,22 @@ import pytest
 from hypothesis import given, settings
 
 from sfw import standard_invariant
-from sfw.chartab import character_table, multiplicity, permutation_character
+from sfw.chartab import (
+    character_table,
+    multiplicity,
+    permutation_character,
+    restrict,
+)
 from sfw.config import DEFAULT
 from sfw.corpus import builtin_cases, case_by_name
 from sfw.errors import CapExceededError, PreconditionError
 from sfw.groupalgebra import GroupAlgebraElement
-from sfw.permgroup import parse_cycle_string, right_coset_data, symmetric_group
+from sfw.permgroup import (
+    double_coset_data,
+    parse_cycle_string,
+    right_coset_data,
+    symmetric_group,
+)
 from sfw.standard_invariant import (
     IN_GROUP,
     IN_SUBGROUP,
@@ -172,6 +182,14 @@ def test_theta_rejects_bad_input():
         theta_entry(g, (0, 0), (1,), cosets)
     with pytest.raises(PreconditionError):
         action_on_tuples(g, (99,), cosets)
+    case = case_by_name("a4-v4")
+    cosets = right_coset_data(case.group, case.subgroup)
+    # an odd permutation, and a permutation of another degree
+    for outsider in (perm(4, "(0 1)"), perm(3, "(0 1)")):
+        with pytest.raises(PreconditionError):
+            action_on_tuples(outsider, (0,), cosets)
+        with pytest.raises(PreconditionError):
+            ThetaMap(cosets, 1).matrix(outsider)
     with pytest.raises(CapExceededError):
         ThetaMap(cosets, DEFAULT.theta_k_cap + 1)
 
@@ -425,3 +443,47 @@ def test_graph_dimension_bookkeeping():
                 )
                 if total:
                     assert total == odd.degree
+
+
+def pairwise_graph(G, H, kind):
+    """A graph built pair by pair: one restriction per (even, odd) pair.
+
+    Vertices and edges are laid out as principal_graph and
+    dual_principal_graph lay them out, and the same component and norm
+    step finishes the graph.
+    """
+    h_tab = character_table(H)
+    odd = [standard_invariant.GraphVertex("H:chi%d" % j, 0, j, d)
+           for j, d in enumerate(h_tab.degrees)]
+    if kind == "dual":
+        g_tab = character_table(G)
+        even = [standard_invariant.GraphVertex("G:chi%d" % j, 0, j, d)
+                for j, d in enumerate(g_tab.degrees)]
+        edges = [(e, o, multiplicity(restrict(chi, H), psi))
+                 for e, chi in enumerate(g_tab.characters)
+                 for o, psi in enumerate(h_tab.characters)]
+        designated = g_tab.trivial_index()
+    else:
+        even, edges, designated = [], [], None
+        for i, K in enumerate(double_coset_data(G, H).stabilizers):
+            k_tab = character_table(K)
+            for j, rho in enumerate(k_tab.characters):
+                if i == 0 and j == k_tab.trivial_index():
+                    designated = len(even)
+                edges += [(len(even), o, multiplicity(restrict(psi, K), rho))
+                          for o, psi in enumerate(h_tab.characters)]
+                even.append(standard_invariant.GraphVertex(
+                    "K%d:chi%d" % (i + 1, j), i, j, k_tab.degrees[j]))
+    return standard_invariant._assemble_graph(
+        even, odd, edges, designated, h_tab.trivial_index(), DEFAULT)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(inclusions())
+def test_graphs_match_the_pairwise_reference(pair):
+    G, H = pair
+    for kind, build in (("principal", principal_graph),
+                        ("dual", dual_principal_graph)):
+        graph = build(G, H)
+        assert graph == pairwise_graph(G, H, kind)
+        assert abs(graph.norm_squared - G.order // H.order) <= DEFAULT.tol_norm
