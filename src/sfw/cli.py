@@ -23,7 +23,7 @@ import sys
 
 from .chartab import character_table
 from .cocycle import subfactor_report_from_out
-from .config import Config, DEFAULT
+from .config import Config, DEFAULT, config_fields
 from .corpus import case_names, case_by_name, require_order_cap
 from .errors import ParseError, PreconditionError, SfwError
 from .formats import (
@@ -56,10 +56,6 @@ from .standard_invariant import (
 )
 from .verify import SUITES, run_suite
 
-_CONFIG_FLAGS = ("order_cap", "aut_cap", "theta_k_cap", "oracle_cap",
-                 "tol_char", "tol_multiplicity", "tol_norm", "tol_spectrum")
-
-
 def _build_config(args) -> Config:
     cfg = DEFAULT
     if getattr(args, "config", None):
@@ -74,7 +70,7 @@ def _build_config(args) -> Config:
     except ValueError as e:
         raise ParseError("bad environment setting: %s" % e) from None
     overrides = {}
-    for name in _CONFIG_FLAGS:
+    for name, _ in config_fields():
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -361,15 +357,8 @@ def _add_common(sub, inclusion=False, group_only=False):
     sub.add_argument("--json", action="store_true",
                      help="emit machine-readable JSON")
     sub.add_argument("--out", help="write output to a file instead of stdout")
-    sub.add_argument("--order-cap", type=int, dest="order_cap")
-    sub.add_argument("--aut-cap", type=int, dest="aut_cap")
-    sub.add_argument("--theta-k-cap", type=int, dest="theta_k_cap")
-    sub.add_argument("--oracle-cap", type=int, dest="oracle_cap")
-    sub.add_argument("--tol-char", type=float, dest="tol_char")
-    sub.add_argument("--tol-multiplicity", type=float,
-                     dest="tol_multiplicity")
-    sub.add_argument("--tol-norm", type=float, dest="tol_norm")
-    sub.add_argument("--tol-spectrum", type=float, dest="tol_spectrum")
+    for name, kind in config_fields():
+        sub.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
     if inclusion or group_only:
         sub.add_argument("--case", help="built-in case: %s"
                          % ", ".join(case_names()))

@@ -18,9 +18,6 @@ import os
 
 _ENV_PREFIX = "SFW_"
 
-_INT_FIELDS = ("order_cap", "aut_cap", "theta_k_cap", "oracle_cap")
-_FLOAT_FIELDS = ("tol_char", "tol_multiplicity", "tol_norm", "tol_spectrum")
-
 
 @dataclasses.dataclass(frozen=True)
 class Config:
@@ -30,21 +27,19 @@ class Config:
     oracle_cap: int = 20000
     tol_char: float = 1e-9
     tol_multiplicity: float = 1e-6
-    tol_norm: float = 1e-6
     tol_spectrum: float = 1e-9
 
     def __post_init__(self):
-        for name in _INT_FIELDS:
+        for name, kind in config_fields():
             value = getattr(self, name)
-            least = 0 if name == "theta_k_cap" else 1
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)
-                    or value < least):
-                raise ValueError("%s must be an integer >= %d, got %r"
-                                 % (name, least, value))
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if (isinstance(value, bool)
+            if kind is int:
+                least = 0 if name == "theta_k_cap" else 1
+                if (isinstance(value, bool)
+                        or not isinstance(value, numbers.Integral)
+                        or value < least):
+                    raise ValueError("%s must be an integer >= %d, got %r"
+                                     % (name, least, value))
+            elif (isinstance(value, bool)
                     or not isinstance(value, numbers.Real)
                     or not math.isfinite(value) or value < 0):
                 raise ValueError("%s must be a finite number >= 0, got %r"
@@ -57,12 +52,11 @@ class Config:
     def env_overrides(cls, environ=None) -> dict:
         environ = os.environ if environ is None else environ
         kw = {}
-        for name in _INT_FIELDS + _FLOAT_FIELDS:
+        for name, kind in config_fields():
             key = _ENV_PREFIX + name.upper()
             raw = environ.get(key)
             if raw is None:
                 continue
-            kind = int if name in _INT_FIELDS else float
             try:
                 kw[name] = kind(raw)
             except ValueError:
@@ -77,11 +71,21 @@ class Config:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = {name for name, _ in config_fields()}
         bad = sorted(set(data) - known)
         if bad:
             raise ValueError("unknown config keys: %s" % ", ".join(bad))
         return base.replace(**data)
+
+
+def config_fields() -> tuple:
+    """(name, int or float) for each Config field, in declaration order.
+
+    The kind is the type of the field's default; validation, environment
+    variables and the CLI flags all read the fields from here.
+    """
+    return tuple((f.name, type(f.default))
+                 for f in dataclasses.fields(Config))
 
 
 DEFAULT = Config()

@@ -20,7 +20,7 @@ from .errors import (
     SubgroupError,
 )
 from .groupalgebra import GroupAlgebraElement
-from .permgroup import CosetData, Perm, PermGroup
+from .permgroup import Perm, PermGroup, right_coset_data
 
 
 @dataclass(frozen=True)
@@ -230,37 +230,6 @@ def commutant_bound_check(commutant_dim: int, index: float,
 # ---------------------------------------------------------------------------
 # induced homomorphisms into amplified subgroup algebras
 
-@dataclass(frozen=True)
-class LeftCosetData:
-    """Left cosets g*K of K in G; reps[0] is the identity."""
-
-    group: PermGroup
-    subgroup: PermGroup
-    reps: tuple
-    index: int
-    coset_of: Mapping[Perm, int]
-
-    def coset_index(self, g: Perm) -> int:
-        return self.coset_of[g]
-
-
-def left_coset_data(G: PermGroup, K: PermGroup) -> LeftCosetData:
-    if not K.is_subgroup_of(G):
-        raise SubgroupError("not a subgroup")
-    assigned = {}
-    reps = []
-    for g in sorted(G.elements, key=Perm.sort_key):
-        if g in assigned:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for h in K.elements:
-            assigned[g * h] = idx
-    if len(reps) * K.order != G.order:
-        raise PreconditionError("left coset partition inconsistent")
-    return LeftCosetData(G, K, tuple(reps), len(reps), assigned)
-
-
 def _as_matrix(value, s):
     import numpy as np
 
@@ -293,14 +262,37 @@ def _verify_unitary_rep(K: PermGroup, rho, s: int, tol: float = 1e-9):
     return mats
 
 
+def _left_cosets(G: PermGroup, K: PermGroup) -> tuple:
+    """Left coset representatives of K in G and the lookup x -> coset.
+
+    The left coset x K is the inverse of the right coset K x^-1, so both
+    come from right_coset_data.  Each left coset is represented by its
+    least element under Perm.sort_key, and the cosets are ordered by
+    that representative; reps[0] is the identity.
+    """
+    right = right_coset_data(G, K)
+    firsts = [min((rep.inv() * k for k in K.elements), key=Perm.sort_key)
+              for rep in right.reps]
+    order = sorted(range(right.index), key=lambda i: firsts[i].sort_key())
+    position = [0] * right.index
+    for n, i in enumerate(order):
+        position[i] = n
+
+    def coset_index(x: Perm) -> int:
+        return position[right.coset_of[x.inv()]]
+
+    return tuple(firsts[i] for i in order), coset_index
+
+
 class InducedHomomorphism:
     """Block monomial matrices over a subgroup algebra induced from K <= G.
 
     For g in G the matrix has one nonzero block per left coset column;
     block (m, l) is rho(c) tensored with u_{gamma(c)} where
     c = section(g * coset_l)^-1 * g * section(coset_l) lies in K.
-    Multiplicativity and unitarity are verified on the generators at
-    construction time.
+    The left cosets are listed in left_reps and located by
+    left_coset_index (see _left_cosets).  Multiplicativity and
+    unitarity are verified on the generators at construction time.
     """
 
     def __init__(self, G: PermGroup, K: PermGroup, target: PermGroup,
@@ -313,7 +305,7 @@ class InducedHomomorphism:
         self.G = G
         self.K = K
         self.target = target
-        self.cosets = left_coset_data(G, K)
+        self.left_reps, self.left_coset_index = _left_cosets(G, K)
         if gamma is None:
             gamma = {x: x for x in K.elements}
         _verified_injective_hom(K, target, gamma)
@@ -326,26 +318,26 @@ class InducedHomomorphism:
             self.s = 1 if first.shape == () else int(first.shape[0])
             self.rho = _verify_unitary_rep(K, rho, self.s)
         if section is None:
-            self.section = tuple(self.cosets.reps)
+            self.section = self.left_reps
         else:
             section = tuple(section)
-            if len(section) != self.cosets.index:
+            if len(section) != len(self.left_reps):
                 raise PreconditionError("section must pick one element per coset")
             for l, x in enumerate(section):
-                if self.cosets.coset_index(x) != l:
+                if self.left_coset_index(x) != l:
                     raise PreconditionError(
                         "section element %d is in the wrong coset" % l)
-            if not section[self.cosets.coset_index(G.identity)].is_identity():
+            if not section[self.left_coset_index(G.identity)].is_identity():
                 raise PreconditionError(
                     "section must send the subgroup coset to the identity")
             self.section = section
-        self.degree = self.cosets.index * self.s
+        self.degree = len(self.left_reps) * self.s
         self._verify_on_generators(config)
 
     def cocycle(self, g: Perm, l: int):
         """(target coset, c) with c = section(g l K)^-1 g section(l K) in K."""
         x = g * self.section[l]
-        m = self.cosets.coset_index(x)
+        m = self.left_coset_index(x)
         c = self.section[m].inv() * x
         if c not in self.K:
             raise InvariantViolationError("section cocycle left the subgroup")
@@ -355,7 +347,7 @@ class InducedHomomorphism:
         """Dense block matrix of g, entries in the target group algebra."""
         if g not in self.G:
             raise PreconditionError("element outside the source group")
-        t, s = self.cosets.index, self.s
+        t, s = len(self.left_reps), self.s
         zero = GroupAlgebraElement.zero(self.target)
         out = [[zero for _ in range(t * s)] for _ in range(t * s)]
         for l in range(t):

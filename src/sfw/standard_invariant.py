@@ -7,14 +7,14 @@ those matrices (the support is the graph of the induced action of G on
 index tuples, and each nonzero entry has a closed form), relative
 commutant dimensions, and the principal and dual principal graphs with
 their operator norms.  Both graphs take their edges from one builder
-that restricts each character of the larger group once, and the squared
-norm is the largest eigenvalue of B B^T, B the even-by-odd adjacency
-matrix, from one symmetric eigen-solve.  Commutant dimensions are exact
-orbit counts (Burnside's lemma over fixed cosets); no character table or
-float enters them.  Exact brute-force references for the entries (nested
-conditional expectations) and for the dimensions (rational linear
-algebra) are kept for the verify suites and the tests; no production
-path calls them.
+that restricts each character of the larger group once.  The squared
+norm of a graph is the index [G:H], certified in integers by a positive
+Perron eigenvector (the odd vertex degrees); no eigen-solve runs.
+Commutant dimensions are exact orbit counts (Burnside's lemma over fixed
+cosets); no character table or float enters them.  Exact brute-force
+references for the entries (nested conditional expectations) and for the
+dimensions (rational linear algebra) are kept for the verify suites and
+the tests; no production path calls them.
 
 Tuples are 0-based index vectors ordered lexicographically.
 """
@@ -25,8 +25,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .chartab import character_table, multiplicity, restrict
 from .config import Config, DEFAULT
@@ -118,17 +116,6 @@ class ThetaMap:
             w = self._prod[i] * g * self._prod[j].inv()
             out[(i, j)] = GroupAlgebraElement.from_perm(H, w)
         return out
-
-
-def theta_entry(g: Perm, i_tuple, j_tuple, cosets: CosetData,
-                k: Optional[int] = None,
-                config: Config = DEFAULT) -> GroupAlgebraElement:
-    """Entry of the k-fold amplification of u_g; see ThetaMap.entry."""
-    if k is None:
-        k = len(tuple(i_tuple))
-    if len(tuple(i_tuple)) != k or len(tuple(j_tuple)) != k:
-        raise PreconditionError("tuple lengths must equal k")
-    return ThetaMap(cosets, k, config).entry(g, i_tuple, j_tuple)
 
 
 def action_on_tuples(g: Perm, j_tuple, cosets: CosetData,
@@ -383,9 +370,6 @@ class BipartiteMultiGraph:
     marked_odd: str
     norm_squared: float
 
-    def adjacency(self) -> np.ndarray:
-        return _adjacency(len(self.even), len(self.odd), self.edges)
-
     def degree_of(self, side: str, index: int) -> int:
         total = 0
         for e, o, m in self.edges:
@@ -394,21 +378,6 @@ class BipartiteMultiGraph:
             if side == "odd" and o == index:
                 total += m
         return total
-
-
-def _adjacency(n_even: int, n_odd: int, edges) -> np.ndarray:
-    """Even-by-odd matrix of edge multiplicities."""
-    B = np.zeros((n_even, n_odd))
-    for e, o, m in edges:
-        B[e, o] += m
-    return B
-
-
-def _norm_in_jones_closure(x: float, tol: float) -> bool:
-    from .indexarith import jones_spectrum_query
-
-    verdict = jones_spectrum_query(x, tol)
-    return verdict.kind in ("discrete", "continuous")
 
 
 def _component(seed_even: int, n_even: int, n_odd: int, edges) -> tuple:
@@ -434,7 +403,18 @@ def _component(seed_even: int, n_even: int, n_odd: int, edges) -> tuple:
 
 
 def _assemble_graph(even, odd, edges, designated_idx, marked_odd_idx,
-                    config: Config) -> BipartiteMultiGraph:
+                    index: int) -> BipartiteMultiGraph:
+    """The component of the designated vertex, with its norm certified.
+
+    With B the even-by-odd multiplicity matrix of the component and d
+    the odd vertex degrees, B d is the vector of even weights (deg chi
+    on the dual graph, [H:K_i] deg sigma on the principal graph), and
+    Frobenius reciprocity gives B^T B d = [G:H] d.  That identity is
+    checked in integers.  d is positive, and a non-negative matrix with
+    a positive eigenvector has its eigenvalue as spectral radius, so
+    the squared norm of B is exactly [G:H] (Goodman, de la Harpe and
+    Jones, Coxeter Graphs and Towers of Algebras, ch. 1).
+    """
     even_in, odd_in = _component(designated_idx, len(even), len(odd), edges)
     if marked_odd_idx not in odd_in:
         raise InvariantViolationError(
@@ -446,16 +426,22 @@ def _assemble_graph(even, odd, edges, designated_idx, marked_odd_idx,
     kept_edges = tuple(sorted((even_map[e], odd_map[o], m)
                               for e, o, m in edges
                               if m and e in even_in and o in odd_in))
-    B = _adjacency(len(kept_even), len(kept_odd), kept_edges)
-    norm_sq = float(np.linalg.eigvalsh(B @ B.T)[-1])
-    if not _norm_in_jones_closure(norm_sq, config.tol_norm):
-        raise InvariantViolationError(
-            "graph norm squared %r escapes the index spectrum closure"
-            % norm_sq)
+    even_weight = [0] * len(kept_even)
+    for e, o, m in kept_edges:
+        even_weight[e] += m * kept_odd[o].degree
+    odd_weight = [0] * len(kept_odd)
+    for e, o, m in kept_edges:
+        odd_weight[o] += m * even_weight[e]
+    for v, w in zip(kept_odd, odd_weight):
+        if w != index * v.degree:
+            raise InvariantViolationError(
+                "Perron certificate fails at %s: B^T B d gives %d, "
+                "want [G:H] * %d = %d" % (v.label, w, v.degree,
+                                          index * v.degree))
     return BipartiteMultiGraph(
         kept_even, kept_odd, kept_edges,
         even[designated_idx].label, odd[marked_odd_idx].label,
-        norm_sq)
+        float(index))
 
 
 def _vertices(table, prefix: str, group_index: int) -> list:
@@ -505,7 +491,8 @@ def principal_graph(G: PermGroup, H: PermGroup,
     odd = _vertices(h_tab, "H", 0)
     # K_1 is H and its vertices come first
     trivial = h_tab.trivial_index()
-    return _assemble_graph(even, odd, edges, trivial, trivial, config)
+    return _assemble_graph(even, odd, edges, trivial, trivial,
+                           G.order // H.order)
 
 
 def dual_principal_graph(G: PermGroup, H: PermGroup,
@@ -523,4 +510,4 @@ def dual_principal_graph(G: PermGroup, H: PermGroup,
     return _assemble_graph(_vertices(g_tab, "G", 0), _vertices(h_tab, "H", 0),
                            _restriction_edges(g_tab, h_tab, config),
                            g_tab.trivial_index(), h_tab.trivial_index(),
-                           config)
+                           G.order // H.order)

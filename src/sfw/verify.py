@@ -209,7 +209,7 @@ def _suite_graphs(cases, config: Config) -> list:
 
         def principal(G=G, H=H, case=case):
             graph = principal_graph(G, H, config)
-            if abs(graph.norm_squared - case.index) > config.tol_norm:
+            if graph.norm_squared != case.index:
                 raise AssertionError(
                     "norm squared %r is not the index %d"
                     % (graph.norm_squared, case.index))
@@ -220,7 +220,7 @@ def _suite_graphs(cases, config: Config) -> list:
 
         def dual(G=G, H=H, case=case):
             graph = dual_principal_graph(G, H, config)
-            if abs(graph.norm_squared - case.index) > config.tol_norm:
+            if graph.norm_squared != case.index:
                 raise AssertionError(
                     "norm squared %r is not the index %d"
                     % (graph.norm_squared, case.index))
@@ -261,15 +261,23 @@ def _suite_graphs(cases, config: Config) -> list:
     return rec.results
 
 
-def _normal_triples(cases):
-    """Triples (G, K, mid) with K normal in G, drawn from the corpus."""
-    S4 = symmetric_group(4)
-    A4 = alternating_group(4)
-    V4 = group_from_generators(
+def _klein_four(config: Config):
+    return group_from_generators(
         4, [parse_cycle_string(4, "(0 1)(2 3)"),
-            parse_cycle_string(4, "(0 2)(1 3)")])
-    S3 = symmetric_group(3)
-    A3 = alternating_group(3)
+            parse_cycle_string(4, "(0 2)(1 3)")], config)
+
+
+def _normal_triples(cases, config: Config):
+    """Triples (G, K, mid) with K normal in G, drawn from the corpus.
+
+    The groups are built under the run's config, outside any recorded
+    case, so one above order_cap ends the run with CapExceededError.
+    """
+    S4 = symmetric_group(4, config)
+    A4 = alternating_group(4, config)
+    V4 = _klein_four(config)
+    S3 = symmetric_group(3, config)
+    A3 = alternating_group(3, config)
     triples = [("s4-v4-a4", S4, V4, A4),
                ("a4-v4", A4, V4, V4),
                ("s3-a3", S3, A3, A3)]
@@ -282,7 +290,7 @@ def _normal_triples(cases):
 
 def _suite_cocycles(cases, config: Config) -> list:
     rec = _Recorder()
-    for name, G, K, mid in _normal_triples(cases):
+    for name, G, K, mid in _normal_triples(cases, config):
 
         def crossed(G=G, K=K, mid=mid):
             report = crossed_product_check(G, K, mid, config)
@@ -300,9 +308,15 @@ def _suite_cocycles(cases, config: Config) -> list:
 
 def _suite_extensions(cases, config: Config) -> list:
     rec = _Recorder()
+    # built outside the recorded cases, so a group above order_cap ends
+    # the run with CapExceededError instead of failing one case
+    A4 = alternating_group(4, config)
+    S3 = symmetric_group(3, config)
+    S3xS3 = group_from_generators(
+        6, [parse_cycle_string(6, text)
+            for text in ("(0 1)", "(0 1 2)", "(3 4)", "(3 4 5)")], config)
 
     def a4_out(config=config):
-        A4 = alternating_group(4)
         t = parse_cycle_string(4, "(0 1)")
         out = {x: t * x * t.inv() for x in A4.elements}
         result, report = subfactor_report_from_out(A4, [out], config)
@@ -317,7 +331,6 @@ def _suite_extensions(cases, config: Config) -> list:
     rec.run("extensions:a4-out", a4_out)
 
     def s3_trivial_out(config=config):
-        S3 = symmetric_group(3)
         result, report = subfactor_report_from_out(S3, [], config)
         if not report.ok:
             raise AssertionError(report.reason)
@@ -328,14 +341,9 @@ def _suite_extensions(cases, config: Config) -> list:
     rec.run("extensions:s3-trivial", s3_trivial_out)
 
     def s3xs3_swap(config=config):
-        a = parse_cycle_string(6, "(0 1)")
-        b = parse_cycle_string(6, "(0 1 2)")
-        c = parse_cycle_string(6, "(3 4)")
-        d = parse_cycle_string(6, "(3 4 5)")
-        G = group_from_generators(6, [a, b, c, d], config)
         swap = parse_cycle_string(6, "(0 3)(1 4)(2 5)")
-        out = {x: swap * x * swap.inv() for x in G.elements}
-        result, report = subfactor_report_from_out(G, [out], config)
+        out = {x: swap * x * swap.inv() for x in S3xS3.elements}
+        result, report = subfactor_report_from_out(S3xS3, [out], config)
         if not report.ok:
             raise AssertionError("%s at %r" % (report.reason, report.witness))
         if result.index != 2 or result.ambient.order != 72:
@@ -365,13 +373,11 @@ def _suite_arithmetic(cases, config: Config) -> list:
 
     rec.run("arithmetic:spectrum", spectrum)
 
+    # built outside the recorded case, as in _suite_extensions
+    towers = [(symmetric_group(4, config), alternating_group(4, config),
+               _klein_four(config))]
+
     def chains(cases=cases):
-        S4 = symmetric_group(4)
-        A4 = alternating_group(4)
-        V4 = group_from_generators(
-            4, [parse_cycle_string(4, "(0 1)(2 3)"),
-                parse_cycle_string(4, "(0 2)(1 3)")])
-        towers = [(S4, A4, V4)]
         for G, M, H in towers:
             a = G.order / H.order
             b = G.order / M.order

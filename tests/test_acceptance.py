@@ -52,7 +52,6 @@ from sfw.standard_invariant import (
 )
 from sfw.verify import run_suite
 
-TOL_NORM = 1e-6
 TOL_MULT = 1e-6
 TOL_ORTHO = 1e-9
 TOL_SPECTRUM = 1e-9
@@ -136,7 +135,7 @@ def test_criterion_03_graphs():
     for case in builtin_cases():
         for build in (principal_graph, dual_principal_graph):
             g = build(case.group, case.subgroup)
-            assert abs(g.norm_squared - case.index) < TOL_NORM
+            assert g.norm_squared == case.index
     case = case_by_name("s3-flip")
     g = principal_graph(case.group, case.subgroup)
     assert [v.label for v in g.even] == ["K1:chi0", "K1:chi1", "K2:chi0"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from sfw.chartab import (
     CLASS_CAP,
@@ -24,6 +25,7 @@ from sfw.permgroup import (
     right_coset_data,
     symmetric_group,
 )
+from test_permgroup import inclusions
 
 
 def perm(degree, text):
@@ -129,6 +131,18 @@ def test_frobenius_reciprocity():
                 lhs = inner_product(ind, psi)
                 rhs = inner_product(chi, restrict(psi, H))
                 assert lhs == rhs
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(inclusions())
+def test_frobenius_reciprocity_on_random_subgroups(pair):
+    G, H = pair
+    g_chars = character_table(G).characters
+    for chi in character_table(H).characters:
+        ind = induce(chi, G)
+        for psi in g_chars:
+            assert inner_product(ind, psi) == inner_product(
+                chi, restrict(psi, H))
 
 
 def test_induced_degree():

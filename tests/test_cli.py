@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from sfw import cli
-from sfw.config import Config
+from sfw.config import Config, config_fields
 from sfw.corpus import case_by_name
 from sfw.formats import canonical_json, graph_from_json, group_to_json
 
@@ -53,7 +53,7 @@ def test_graph_command_json_and_dot(capsys):
     assert rc == 0
     graph = graph_from_json(json.loads(out))
     assert len(graph.even) == 3 and len(graph.odd) == 1
-    assert abs(graph.norm_squared - 3.0) < 1e-6
+    assert graph.norm_squared == 3.0
 
     rc, out = run(capsys, ["graph", "--case", "s3-flip", "--format", "dot"])
     assert rc == 0
@@ -184,6 +184,31 @@ def test_verify_corpus_dir(capsys, tmp_path):
     assert "failures=0" in out
 
 
+@pytest.mark.parametrize("suite", ["cocycles", "extensions", "arithmetic"])
+def test_verify_groups_of_its_own_respect_order_cap(capsys, tmp_path, suite):
+    # The corpus fits under the cap, but these suites also build S4, A4
+    # or S3 x S3 for themselves; those must stop the run, not pass it.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    entry = {
+        "name": "s3-a3",
+        "group": {"degree": 3, "convention": "rightmost-first",
+                  "generators": ["(0 1 2)", "(0 1)"]},
+        "subgroup": {"degree": 3, "convention": "rightmost-first",
+                     "generators": ["(0 1 2)"]},
+    }
+    (corpus / "s3a3.json").write_text(canonical_json(entry))
+    argv = ["verify", "--suite", suite, "--corpus-dir", str(corpus)]
+    rc = cli.main(argv + ["--order-cap", "6"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.err.startswith("error: group order exceeds cap 6")
+    assert captured.out == ""
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    assert "failures=0" in out
+
+
 def test_out_file_replaces_stdout(capsys, tmp_path):
     target = tmp_path / "report.json"
     rc, out = run(capsys, ["index", "--case", "s3-flip", "--json", "--out", str(target)])
@@ -270,7 +295,7 @@ def test_non_integer_env_cap_exits_2(capsys, monkeypatch):
 @pytest.mark.parametrize("text", [
     '{"order_cap": "x"}',
     '{"oracle_cap": null}',
-    '{"tol_norm": "x"}',
+    '{"tol_multiplicity": "x"}',
     '{"aut_cap": true}',
     '{"theta_k_cap": -1}',
     '{"order_cap": 0}',
@@ -292,7 +317,7 @@ def test_bad_config_file_value_exits_2(capsys, tmp_path, text):
     ["--order-cap", "-1"],
     ["--oracle-cap", "0"],
     ["--theta-k-cap", "-1"],
-    ["--tol-norm", "-0.5"],
+    ["--tol-multiplicity", "-0.5"],
     ["--tol-char", "inf"],
     ["--tol-spectrum", "nan"],
 ])
@@ -304,24 +329,44 @@ def test_bad_config_flag_value_exits_2(capsys, argv):
 
 
 def test_bad_env_config_value_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("SFW_TOL_NORM", "nan")
+    monkeypatch.setenv("SFW_TOL_MULTIPLICITY", "nan")
     rc = cli.main(["index", "--case", "s3-flip"])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error: bad environment setting")
-    assert "tol_norm" in captured.err
+    assert "tol_multiplicity" in captured.err
+
+
+def test_every_config_field_has_a_flag():
+    parser = cli.build_parser()
+    for name, kind in config_fields():
+        flag = "--" + name.replace("_", "-")
+        args = parser.parse_args(["index", "--case", "s3-flip", flag, "1"])
+        value = getattr(cli._build_config(args), name)
+        assert value == 1 and type(value) is kind
+
+
+def test_removed_norm_tolerance_exits_2(capsys, tmp_path):
+    rc, out = run(capsys, ["graph", "--case", "s4-d4", "--tol-norm", "0"])
+    assert rc == 2 and out == ""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tol_norm": 1e-6}')
+    rc = cli.main(["graph", "--case", "s4-d4", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: bad config file: unknown config keys: " \
+        "tol_norm\n"
 
 
 def test_config_validates_on_construction():
     for bad in ({"order_cap": 0}, {"aut_cap": 2.0}, {"oracle_cap": True},
-                {"theta_k_cap": -1}, {"tol_norm": float("nan")},
+                {"theta_k_cap": -1}, {"tol_char": float("nan")},
                 {"tol_char": -1e-12}, {"tol_multiplicity": "1e-6"}):
         with pytest.raises(ValueError):
             Config(**bad)
     edge = Config(order_cap=1, aut_cap=1, theta_k_cap=0, oracle_cap=1,
-                  tol_char=0, tol_multiplicity=0.0, tol_norm=0,
-                  tol_spectrum=0.0)
-    assert edge.theta_k_cap == 0 and edge.tol_norm == 0
+                  tol_char=0, tol_multiplicity=0.0, tol_spectrum=0.0)
+    assert edge.theta_k_cap == 0 and edge.tol_char == 0
 
 
 @pytest.mark.parametrize("argv, enough", [

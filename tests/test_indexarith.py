@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from sfw.config import DEFAULT
 from sfw.corpus import builtin_cases
@@ -21,18 +22,20 @@ from sfw.indexarith import (
     VirtualPart,
     commutant_bound_check,
     index_chain_check,
+    _left_cosets,
     induced_standard_homomorphism,
     jones_spectrum_query,
-    left_coset_data,
     local_index_combine,
     virtual_index,
     virtual_index_concrete,
 )
 from sfw.permgroup import (
+    Perm,
     alternating_group,
     parse_cycle_string,
     symmetric_group,
 )
+from test_permgroup import inclusions
 
 
 def perm(degree, text):
@@ -234,16 +237,44 @@ def test_corpus_indices_sit_in_the_spectrum():
 def test_left_cosets_partition_the_group():
     S4 = symmetric_group(4)
     A4 = alternating_group(4)
-    data = left_coset_data(S4, A4)
-    assert data.reps[0] == S4.elements[0]
-    assert len(data.reps) == 2
+    data = induced_standard_homomorphism(S4, A4, A4)
+    assert data.left_reps[0] == S4.elements[0]
+    assert len(data.left_reps) == 2
     seen = set()
-    for rep in data.reps:
-        cell = [g for g in S4.elements if data.coset_index(g) == data.coset_index(rep)]
+    for rep in data.left_reps:
+        cell = [g for g in S4.elements
+                if data.left_coset_index(g) == data.left_coset_index(rep)]
         for x in cell:
             assert rep.inv() * x in A4
         seen.update(cell)
     assert len(seen) == S4.order
+
+
+def direct_left_cosets(G, K):
+    """Left cosets g K by a direct loop over G in Perm.sort_key order.
+
+    The first element not yet assigned represents its coset, so the
+    representatives are the coset minima, in increasing order.
+    """
+    assigned = {}
+    reps = []
+    for g in sorted(G.elements, key=Perm.sort_key):
+        if g in assigned:
+            continue
+        for h in K.elements:
+            assigned[g * h] = len(reps)
+        reps.append(g)
+    return tuple(reps), assigned
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(inclusions())
+def test_left_cosets_match_the_direct_loop(pair):
+    G, K = pair
+    reps, coset_index = _left_cosets(G, K)
+    want_reps, want_index = direct_left_cosets(G, K)
+    assert reps == want_reps
+    assert {g: coset_index(g) for g in G.elements} == want_index
 
 
 # ------------------------------------------------- induced homomorphisms

@@ -17,7 +17,11 @@ from sfw.chartab import (
 )
 from sfw.config import DEFAULT
 from sfw.corpus import builtin_cases, case_by_name
-from sfw.errors import CapExceededError, PreconditionError
+from sfw.errors import (
+    CapExceededError,
+    InvariantViolationError,
+    PreconditionError,
+)
 from sfw.groupalgebra import GroupAlgebraElement
 from sfw.permgroup import (
     double_coset_data,
@@ -37,7 +41,6 @@ from sfw.standard_invariant import (
     principal_graph,
     relative_commutant_dim,
     stabilizer_matches_intersection,
-    theta_entry,
     theta_matrix_product,
 )
 from test_permgroup import inclusions
@@ -69,14 +72,14 @@ def test_theta_values_by_hand():
     case = case_by_name("s3-flip")
     cosets = right_coset_data(case.group, case.subgroup)
     g = perm(3, "(0 1)")
-    hit = theta_entry(g, (2,), (1,), cosets)
+    hit = ThetaMap(cosets, 1).entry(g, (2,), (1,))
     assert hit == GroupAlgebraElement.from_perm(case.group, perm(3, "(0 1)"))
-    assert theta_entry(g, (0,), (1,), cosets).is_zero()
+    assert ThetaMap(cosets, 1).entry(g, (0,), (1,)).is_zero()
     # Depth two: representative products telescope, the survivor at
     # ((2, 2), (1, 1)) is again (0 1).
-    hit2 = theta_entry(g, (2, 2), (1, 1), cosets)
+    hit2 = ThetaMap(cosets, 2).entry(g, (2, 2), (1, 1))
     assert hit2 == GroupAlgebraElement.from_perm(case.group, perm(3, "(0 1)"))
-    assert theta_entry(g, (0, 0), (1, 1), cosets).is_zero()
+    assert ThetaMap(cosets, 2).entry(g, (0, 0), (1, 1)).is_zero()
 
 
 def test_action_identity_and_composition():
@@ -179,7 +182,7 @@ def test_theta_rejects_bad_input():
     cosets = right_coset_data(case.group, case.subgroup)
     g = perm(3, "(0 1)")
     with pytest.raises(PreconditionError):
-        theta_entry(g, (0, 0), (1,), cosets)
+        ThetaMap(cosets, 2).entry(g, (0, 0), (1,))
     with pytest.raises(PreconditionError):
         action_on_tuples(g, (99,), cosets)
     case = case_by_name("a4-v4")
@@ -368,7 +371,7 @@ def test_principal_graph_of_s3_flip_is_the_five_vertex_path():
     assert g.edges == ((0, 0, 1), (1, 1, 1), (2, 0, 1), (2, 1, 1))
     assert g.designated == "K1:chi1"
     assert g.marked_odd == "H:chi1"
-    assert abs(g.norm_squared - 3.0) < 1e-6
+    assert g.norm_squared == 3.0
     # Path shape: every vertex has degree at most two, exactly two ends.
     degs = [g.degree_of("even", i) for i in range(len(g.even))]
     degs += [g.degree_of("odd", j) for j in range(len(g.odd))]
@@ -387,7 +390,7 @@ def test_dual_graph_of_s3_flip_is_the_five_vertex_path():
     assert [v.label for v in g.odd] == ["H:chi0", "H:chi1"]
     assert g.edges == ((0, 0, 1), (1, 1, 1), (2, 0, 1), (2, 1, 1))
     assert g.designated == "G:chi1"
-    assert abs(g.norm_squared - 3.0) < 1e-6
+    assert g.norm_squared == 3.0
 
 
 def test_principal_graph_of_a4_v4_is_a_three_pointed_star():
@@ -396,14 +399,14 @@ def test_principal_graph_of_a4_v4_is_a_three_pointed_star():
     assert [v.label for v in g.even] == ["K1:chi3", "K2:chi3", "K3:chi3"]
     assert [v.label for v in g.odd] == ["H:chi3"]
     assert g.edges == ((0, 0, 1), (1, 0, 1), (2, 0, 1))
-    assert abs(g.norm_squared - 3.0) < 1e-6
+    assert g.norm_squared == 3.0
 
 
 def test_graph_norms_equal_the_index():
     for case in builtin_cases():
         for build in (principal_graph, dual_principal_graph):
             g = build(case.group, case.subgroup)
-            assert abs(g.norm_squared - case.index) < 1e-6
+            assert g.norm_squared == case.index
 
 
 def test_graphs_are_connected_from_the_designated_vertex():
@@ -450,7 +453,7 @@ def pairwise_graph(G, H, kind):
 
     Vertices and edges are laid out as principal_graph and
     dual_principal_graph lay them out, and the same component and norm
-    step finishes the graph.
+    certificate step finishes the graph.
     """
     h_tab = character_table(H)
     odd = [standard_invariant.GraphVertex("H:chi%d" % j, 0, j, d)
@@ -475,7 +478,8 @@ def pairwise_graph(G, H, kind):
                 even.append(standard_invariant.GraphVertex(
                     "K%d:chi%d" % (i + 1, j), i, j, k_tab.degrees[j]))
     return standard_invariant._assemble_graph(
-        even, odd, edges, designated, h_tab.trivial_index(), DEFAULT)
+        even, odd, edges, designated, h_tab.trivial_index(),
+        G.order // H.order)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -486,4 +490,24 @@ def test_graphs_match_the_pairwise_reference(pair):
                         ("dual", dual_principal_graph)):
         graph = build(G, H)
         assert graph == pairwise_graph(G, H, kind)
-        assert abs(graph.norm_squared - G.order // H.order) <= DEFAULT.tol_norm
+        assert graph.norm_squared == G.order // H.order
+
+
+def test_norm_certificate_rejects_a_raised_edge():
+    # Raising any one multiplicity makes B^T B d exceed [G:H] d at the
+    # odd end of that edge, so the Perron certificate must fail there.
+    for case in builtin_cases():
+        for build in (principal_graph, dual_principal_graph):
+            g = build(case.group, case.subgroup)
+            designated = [v.label for v in g.even].index(g.designated)
+            marked = [v.label for v in g.odd].index(g.marked_odd)
+            assert standard_invariant._assemble_graph(
+                g.even, g.odd, g.edges, designated, marked,
+                case.index) == g
+            for n, (e, o, m) in enumerate(g.edges):
+                edges = list(g.edges)
+                edges[n] = (e, o, m + 1)
+                with pytest.raises(InvariantViolationError):
+                    standard_invariant._assemble_graph(
+                        g.even, g.odd, edges, designated, marked,
+                        case.index)
