@@ -6,6 +6,11 @@ the run is deterministic) is diagonalized, each eigenvector is normalized
 at the identity class, and degrees are recovered from the column norm.
 Orthogonality relations are asserted before anything is returned.
 
+Besides the table, the module holds what the graph builders use:
+restriction to a subgroup and the inner product that turns a restricted
+character into multiplicities.  Induction is not needed by any command;
+the tests keep a reference implementation for Frobenius reciprocity.
+
 Conjugacy classes come from permgroup.conjugacy_classes, which this
 module re-exports; the class cap applies only to the table, since it
 bounds the size of the eigen-solve.
@@ -14,7 +19,7 @@ bounds the size of the eigen-solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,13 +29,7 @@ from .errors import (
     PreconditionError,
     SubgroupError,
 )
-from .permgroup import (
-    ConjClassData,
-    Perm,
-    PermGroup,
-    conjugacy_classes,
-    verify_action_table,
-)
+from .permgroup import ConjClassData, PermGroup, conjugacy_classes
 
 CLASS_CAP = 64
 
@@ -42,14 +41,6 @@ class ClassFunction:
     group: PermGroup
     values: tuple
     is_character: bool = False
-
-    @property
-    def degree_value(self) -> complex:
-        return self.values[conjugacy_classes(self.group).class_index(
-            self.group.identity)]
-
-    def value_at(self, p: Perm) -> complex:
-        return self.values[conjugacy_classes(self.group).class_index(p)]
 
 
 @dataclass(frozen=True)
@@ -251,38 +242,3 @@ def restrict(chi: ClassFunction, H: PermGroup) -> ClassFunction:
     values = tuple(chi.values[g_classes.class_index(rep)]
                    for rep in h_classes.reps)
     return ClassFunction(H, values, is_character=chi.is_character)
-
-
-def induce(chi: ClassFunction, G: PermGroup) -> ClassFunction:
-    """Induction from a subgroup to G via averaged conjugation sums."""
-    H = chi.group
-    if not H.is_subgroup_of(G):
-        raise SubgroupError("induction target does not contain the subgroup")
-    g_classes = conjugacy_classes(G)
-    values = []
-    for rep in g_classes.reps:
-        total = 0.0 + 0.0j
-        for x in G.elements:
-            y = x * rep * x.inv()
-            if y in H:
-                total += chi.value_at(y)
-        values.append(total / H.order)
-    return ClassFunction(G, tuple(values), is_character=chi.is_character)
-
-
-def trivial_character(G: PermGroup) -> ClassFunction:
-    return ClassFunction(G, tuple([1.0 + 0.0j] * conjugacy_classes(G).count),
-                         is_character=True)
-
-
-def permutation_character(G: PermGroup, action: Mapping[Perm, Sequence[int]],
-                          size: int) -> ClassFunction:
-    """Fixed-point character of a verified action of G on {0..size-1}."""
-    verify_action_table(G, action, size)
-    classes = conjugacy_classes(G)
-    values = []
-    for rep in classes.reps:
-        img = action[rep]
-        values.append(complex(sum(1 for x in range(size) if img[x] == x)))
-    return ClassFunction(G, tuple(values), is_character=True)
-

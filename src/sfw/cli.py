@@ -29,15 +29,17 @@ from .errors import ParseError, PreconditionError, SfwError
 from .formats import (
     canonical_json,
     chartab_to_json,
+    complex_pair,
     extension_to_json,
     graph_to_dot,
     graph_to_json,
     group_from_json,
     parse_json_text,
+    rounded,
 )
 from .indexarith import (
+    InducedHomomorphism,
     VirtualEmbeddingSpec,
-    induced_standard_homomorphism,
     jones_spectrum_query,
     virtual_index,
 )
@@ -132,8 +134,6 @@ def cmd_index(args) -> int:
     dc = double_coset_data(G, H)
     dims = {IN_SUBGROUP: {}, IN_GROUP: {}}
     for k in range(1, cfg.theta_k_cap + 1):
-        if G.order * cosets.index ** k > cfg.oracle_cap:
-            break
         for side in (IN_SUBGROUP, IN_GROUP):
             dims[side][k] = relative_commutant_dim(G, H, H, k, side, cfg)
     if args.json:
@@ -191,10 +191,11 @@ def cmd_chartab(args) -> int:
     for i, chi in enumerate(table.characters):
         cells = []
         for z in chi.values:
+            re, im = rounded(z.real, 6), rounded(z.imag, 6)
             if abs(z.imag) < 1e-9:
-                cells.append("%g" % round(z.real, 6))
+                cells.append("%g" % re)
             else:
-                cells.append("%g%+gi" % (round(z.real, 6), round(z.imag, 6)))
+                cells.append("%g%+gi" % (re, im))
         lines.append("  ".join(["chi%d" % i] + cells))
     _emit(args, "\n".join(lines) + "\n")
     return 0
@@ -292,7 +293,7 @@ def cmd_vindex(args) -> int:
 def cmd_induce(args) -> int:
     cfg = _build_config(args)
     name, G, K = _load_inclusion(args, cfg)
-    hom = induced_standard_homomorphism(G, K, K, config=cfg)
+    hom = InducedHomomorphism(G, K, K)
     elements = []
     if args.element:
         elements.append(parse_cycle_string(G.degree, args.element))
@@ -313,8 +314,7 @@ def cmd_induce(args) -> int:
                     for p, z in sorted(el.coeffs.items(),
                                        key=lambda kv: kv[0].images):
                         entries.append({"row": r, "col": c,
-                                        "coeff": [round(z.real, 12),
-                                                  round(z.imag, 12)],
+                                        "coeff": complex_pair(z),
                                         "support": p.cycle_string()})
             blocks.append({"element": g.cycle_string(), "entries": entries})
         payload = {"name": name, "degree": hom.degree,

@@ -28,7 +28,6 @@ from .permgroup import (
     PermGroup,
     automorphism_perm,
     conjugation_perm,
-    group_from_generators,
     is_automorphism_perm,
     right_coset_data,
 )
@@ -110,29 +109,6 @@ def verify_cocycle(c: Cocycle2) -> CocycleReport:
     return CocycleReport(True)
 
 
-def normalize_cocycle(c: Cocycle2) -> Cocycle2:
-    """Shift all values by the inverse of the value at (1, 1).
-
-    The shift only preserves the axioms when that value commutes with
-    everything in sight, so the result is re-verified; when the check
-    fails the caller should instead rebuild the cocycle from lifts that
-    send the identity coset to the identity.
-    """
-    if c.is_normalized():
-        return c
-    one = c.quotient.identity
-    shift = c.values[(one, one)].inv()
-    shifted = {key: shift * val for key, val in c.values.items()}
-    candidate = Cocycle2(c.base, c.quotient, shifted, dict(c.alpha))
-    report = verify_cocycle(candidate)
-    if not report.ok:
-        raise PreconditionError(
-            "normalization by a constant shift breaks axiom '%s'; rebuild "
-            "the cocycle from lifts sending the identity coset to the "
-            "identity" % report.reason)
-    return candidate
-
-
 def _coerce_automorphism(G: PermGroup, item) -> Perm:
     """Accept either an element-index permutation or a Perm -> Perm map."""
     if isinstance(item, Perm):
@@ -209,10 +185,10 @@ def extension_from_out(G: PermGroup, out_auts: Sequence,
     outs = [_coerce_automorphism(G, a) for a in out_auts]
     embedding = {x: conjugation_perm(G, x) for x in G.elements}
     inner_gens = [embedding[x] for x in G.generators]
-    inner = group_from_generators(G.order, inner_gens, config=config)
+    inner = PermGroup(G.order, inner_gens, config)
     if inner.order != G.order:
         raise InvariantViolationError("inner automorphism count is off")
-    ambient = group_from_generators(G.order, inner_gens + outs, config=config)
+    ambient = PermGroup(G.order, inner_gens + outs, config)
     if not inner.is_subgroup_of(ambient):
         raise InvariantViolationError("inner subgroup escaped the ambient")
     cosets = right_coset_data(ambient, inner)
@@ -220,7 +196,7 @@ def extension_from_out(G: PermGroup, out_auts: Sequence,
     for h in ambient.elements:
         quotient_of[h] = _quotient_action_perm(cosets, h)
     qgens = [quotient_of[g] for g in ambient.generators]
-    quotient = group_from_generators(cosets.index, qgens, config=config)
+    quotient = PermGroup(cosets.index, qgens, config)
     if quotient.order != cosets.index:
         raise InvariantViolationError("quotient order mismatch")
     lifts = {}
@@ -250,33 +226,6 @@ def extension_from_out(G: PermGroup, out_auts: Sequence,
         raise InvariantViolationError("minimal lifts should normalize")
     return ExtensionResult(G, ambient, inner, embedding, quotient,
                            lifts, cocycle, quotient.order)
-
-
-def extension_cocycle_from_lifts(result: ExtensionResult,
-                                 lifts: Mapping[Perm, Perm]) -> Cocycle2:
-    """Recompute the cocycle of an extension from caller-chosen lifts.
-
-    Each quotient element must be assigned an ambient element in its
-    own coset.  No normalization is applied, so a lift family moving
-    the identity produces data that fails verification; this exposes
-    how the choice of section feeds the cocycle.
-    """
-    Q = result.quotient
-    cosets = right_coset_data(result.ambient, result.inner)
-    canonical = {q: result.lifts[q] for q in Q.elements}
-    for q in Q.elements:
-        if q not in lifts:
-            raise PreconditionError("lift family must cover the quotient")
-        if cosets.coset_index(lifts[q]) != cosets.coset_index(canonical[q]):
-            raise PreconditionError("lift lies in the wrong coset")
-    inner_of = _inner_lookup(result.base)
-    values = {}
-    for g1 in Q.elements:
-        for g2 in Q.elements:
-            w = lifts[g1] * lifts[g2] * lifts[g1 * g2].inv()
-            values[(g1, g2)] = inner_of[w]
-    alpha = {q: lifts[q] for q in Q.elements}
-    return Cocycle2(result.base, Q, values, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +285,7 @@ def _crossed_product_data(G: PermGroup, K: PermGroup, H_mid: PermGroup,
     table = [[coset_of[reps[i] * reps[j]] for j in range(q)]
              for i in range(q)]
     qperms = [Perm([table[i][j] for j in range(q)]) for i in range(q)]
-    quotient = group_from_generators(
-        q, [p for p in qperms if not p.is_identity()], config=config)
+    quotient = PermGroup(q, qperms, config)
     if quotient.order != q:
         raise InvariantViolationError("quotient regular image is too small")
     values = {}

@@ -5,7 +5,8 @@ for a fixed config.  Every value is validated on construction: caps are
 integers of at least 1 (theta_k_cap may be 0), tolerances are finite numbers
 of at least 0.  A JSON config file overrides the defaults, environment
 variables with the SFW_ prefix override the file, and CLI flags override
-both.
+both.  An SFW_ variable or a file key that names no field is rejected, so
+a misspelt setting cannot be dropped without a word.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ class Config:
     @classmethod
     def env_overrides(cls, environ=None) -> dict:
         environ = os.environ if environ is None else environ
+        known = {_ENV_PREFIX + name.upper() for name, _ in config_fields()}
+        bad = sorted(key for key in environ
+                     if key.startswith(_ENV_PREFIX) and key not in known)
+        if bad:
+            raise ValueError("unknown variables: %s" % ", ".join(bad))
         kw = {}
         for name, kind in config_fields():
             key = _ENV_PREFIX + name.upper()

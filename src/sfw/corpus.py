@@ -11,7 +11,6 @@ from .permgroup import (
     PermGroup,
     alternating_group,
     cyclic_group,
-    group_from_generators,
     parse_cycle_string,
     symmetric_group,
     wreath_product,
@@ -32,27 +31,27 @@ def builtin_cases() -> tuple:
     cases = []
 
     S3 = symmetric_group(3)
-    flip = group_from_generators(3, [parse_cycle_string(3, "(0 1)")])
+    flip = PermGroup(3, [parse_cycle_string(3, "(0 1)")])
     cases.append(InclusionCase("s3-flip", S3, flip, 3))
     cases.append(InclusionCase("s3-a3", S3, alternating_group(3), 2))
 
     S4 = symmetric_group(4)
-    S3_in_S4 = group_from_generators(
+    S3_in_S4 = PermGroup(
         4, [parse_cycle_string(4, "(0 1)"), parse_cycle_string(4, "(0 1 2)")])
     cases.append(InclusionCase("s4-s3", S4, S3_in_S4, 4))
-    D4 = group_from_generators(
+    D4 = PermGroup(
         4, [parse_cycle_string(4, "(0 1 2 3)"), parse_cycle_string(4, "(0 2)")])
     cases.append(InclusionCase("s4-d4", S4, D4, 3))
 
     A4 = alternating_group(4)
-    V4 = group_from_generators(
+    V4 = PermGroup(
         4, [parse_cycle_string(4, "(0 1)(2 3)"),
             parse_cycle_string(4, "(0 2)(1 3)")])
     cases.append(InclusionCase("a4-v4", A4, V4, 3))
 
     wr = wreath_product(cyclic_group(2), cyclic_group(3))
     base_gens = [g for copy in wr.base_copies for g in copy.generators]
-    base = group_from_generators(wr.group.degree, base_gens)
+    base = PermGroup(wr.group.degree, base_gens)
     cases.append(InclusionCase("wr2x3-base", wr.group, base, 3))
 
     for c in cases:

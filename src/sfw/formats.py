@@ -13,7 +13,7 @@ from .chartab import CharacterTable
 from .config import Config, DEFAULT
 from .cocycle import Cocycle2, ExtensionResult
 from .errors import ParseError
-from .permgroup import Perm, PermGroup, group_from_generators, parse_cycle_string
+from .permgroup import Perm, PermGroup, parse_cycle_string
 from .standard_invariant import BipartiteMultiGraph, GraphVertex
 
 CONVENTION = "rightmost-first"
@@ -90,7 +90,7 @@ def group_from_json(obj, config: Config = DEFAULT) -> PermGroup:
                 and from_cycles != from_images):
             raise ParseError("%s cycles and images disagree" % where)
         gens.append(from_images if from_images is not None else from_cycles)
-    return group_from_generators(degree, gens, config)
+    return PermGroup(degree, gens, config)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +170,25 @@ def graph_to_dot(g: BipartiteMultiGraph, name: str = "principal") -> str:
 # ---------------------------------------------------------------------------
 # character tables
 
-def _complex_pair(z: complex) -> list:
-    return [round(z.real, 12), round(z.imag, 12)]
+def rounded(x: float, places: int) -> float:
+    """x rounded to the given decimal places, with -0.0 read as 0.0.
+
+    Exact zeros of a character table come out of the eigen-solve with
+    the sign of its rounding noise; that sign is not data, and keeping
+    it would make the output depend on the LAPACK build.
+    """
+    value = round(x, places)
+    return value if value else 0.0
+
+
+def complex_pair(z: complex) -> list:
+    return [rounded(z.real, 12), rounded(z.imag, 12)]
 
 
 def chartab_to_json(table: CharacterTable) -> dict:
     classes = [{"representative": rep.cycle_string(), "size": size}
                for rep, size in zip(table.classes.reps, table.classes.sizes)]
-    values = [[_complex_pair(chi.values[j])
+    values = [[complex_pair(chi.values[j])
                for j in range(table.classes.count)]
               for chi in table.characters]
     return {
@@ -187,29 +198,6 @@ def chartab_to_json(table: CharacterTable) -> dict:
         "degrees": list(table.degrees),
         "values": values,
     }
-
-
-def chartab_from_json(obj) -> dict:
-    order = _require(obj, "group_order", int, "character table")
-    classes = _require(obj, "classes", list, "character table")
-    sizes = []
-    reps = []
-    for entry in classes:
-        reps.append(_require(entry, "representative", str, "class"))
-        sizes.append(_require(entry, "size", int, "class"))
-    degrees = _require(obj, "degrees", list, "character table")
-    rows = []
-    for row in _require(obj, "values", list, "character table"):
-        parsed = []
-        for pair in row:
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ParseError("character values must be [re, im] pairs")
-            parsed.append(complex(pair[0], pair[1]))
-        rows.append(parsed)
-    if sum(sizes) != order:
-        raise ParseError("class sizes do not add up to the group order")
-    return {"group_order": order, "representatives": reps, "sizes": sizes,
-            "degrees": degrees, "values": rows}
 
 
 # ---------------------------------------------------------------------------

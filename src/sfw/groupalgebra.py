@@ -100,10 +100,6 @@ class GroupAlgebraElement:
         """The canonical trace: the coefficient of the identity."""
         return self.coeffs.get(self.group.identity, 0.0)
 
-    def norm2_sq(self) -> float:
-        """Squared 2-norm under the canonical trace, tr(x* x)."""
-        return float(sum(abs(c) ** 2 for c in self.coeffs.values()))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupAlgebraElement)
                 and self.group.degree == other.group.degree

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .config import Config, DEFAULT
 from .errors import (
@@ -290,16 +290,17 @@ class InducedHomomorphism:
     For g in G the matrix has one nonzero block per left coset column;
     block (m, l) is rho(c) tensored with u_{gamma(c)} where
     c = section(g * coset_l)^-1 * g * section(coset_l) lies in K.
-    The left cosets are listed in left_reps and located by
-    left_coset_index (see _left_cosets).  Multiplicativity and
-    unitarity are verified on the generators at construction time.
+    gamma defaults to the inclusion of K into the target, rho to the
+    trivial one-dimensional representation, and section to the left
+    coset representatives.  The left cosets are listed in left_reps and
+    located by left_coset_index (see _left_cosets).  Multiplicativity
+    and unitarity are verified on the generators at construction time.
     """
 
     def __init__(self, G: PermGroup, K: PermGroup, target: PermGroup,
                  gamma: Optional[Mapping[Perm, Perm]] = None,
                  rho: Optional[Mapping] = None,
-                 section: Optional[Sequence[Perm]] = None,
-                 config: Config = DEFAULT):
+                 section: Optional[Sequence[Perm]] = None):
         import numpy as np
 
         self.G = G
@@ -332,7 +333,7 @@ class InducedHomomorphism:
                     "section must send the subgroup coset to the identity")
             self.section = section
         self.degree = len(self.left_reps) * self.s
-        self._verify_on_generators(config)
+        self._verify_on_generators()
 
     def cocycle(self, g: Perm, l: int):
         """(target coset, c) with c = section(g l K)^-1 g section(l K) in K."""
@@ -362,7 +363,7 @@ class InducedHomomorphism:
                             self.target, {u: coeff})
         return out
 
-    def _verify_on_generators(self, config: Config) -> None:
+    def _verify_on_generators(self) -> None:
         gens = list(self.G.generators)
         mats = {g: self.matrix(g) for g in gens}
         for g in gens:
@@ -382,7 +383,6 @@ class InducedHomomorphism:
 
 def _bmat_mul(A, B):
     n = len(A)
-    zero = None
     out = []
     for r in range(n):
         row = []
@@ -417,17 +417,3 @@ def _bmat_close(A, B, tol: float = 1e-9) -> bool:
     n = len(A)
     return all(A[r][c].allclose(B[r][c], tol)
                for r in range(n) for c in range(n))
-
-
-def induced_standard_homomorphism(G: PermGroup, K: PermGroup,
-                                  target: PermGroup,
-                                  gamma: Optional[Mapping[Perm, Perm]] = None,
-                                  rho: Optional[Mapping] = None,
-                                  section: Optional[Sequence[Perm]] = None,
-                                  config: Config = DEFAULT) -> InducedHomomorphism:
-    """Induce a homomorphism G -> blocks over the target group algebra.
-
-    gamma defaults to the inclusion of K into the target, rho to the
-    trivial one-dimensional representation.
-    """
-    return InducedHomomorphism(G, K, target, gamma, rho, section, config)

@@ -280,12 +280,6 @@ class PermGroup:
         return hist
 
 
-def group_from_generators(degree: int, generators: Sequence[Perm],
-                          config: Config = DEFAULT) -> PermGroup:
-    """Enumerate the group generated by the given permutations."""
-    return PermGroup(degree, generators, config)
-
-
 def symmetric_group(n: int, config: Config = DEFAULT) -> PermGroup:
     if n <= 1:
         return PermGroup(max(n, 1), (), config)
@@ -543,10 +537,6 @@ class AutomorphismData:
     aut: PermGroup
     inner: PermGroup
     out_cosets: CosetData
-
-    @property
-    def out_order(self) -> int:
-        return self.out_cosets.index
 
 
 def automorphism_perm(G: PermGroup, mapping: Mapping[Perm, Perm]) -> Perm:

@@ -13,8 +13,9 @@ Perron eigenvector (the odd vertex degrees); no eigen-solve runs.
 Commutant dimensions are exact orbit counts (Burnside's lemma over fixed
 cosets); no character table or float enters them.  Exact brute-force
 references for the entries (nested conditional expectations) and for the
-dimensions (rational linear algebra) are kept for the verify suites and
-the tests; no production path calls them.
+dimensions (rational linear algebra) are kept for the theta and graphs
+verify suites, which compare them with the closed forms, and for the
+tests; no other path calls them.
 
 Tuples are 0-based index vectors ordered lexicographically.
 """
@@ -292,11 +293,12 @@ def brute_force_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
     if not H.is_subgroup_of(G0) or not G0.is_subgroup_of(G):
         raise SubgroupError("need H <= G0 <= G")
     cosets = right_coset_data(G, H)
-    t = cosets.index
-    if G.order * t ** k > config.oracle_cap:
+    # up to t^(2k) unknowns, one per pair of tuples, and the commutation
+    # equations are expanded over the elements of G
+    size = G.order * cosets.index ** (2 * k)
+    if size > config.oracle_cap:
         raise CapExceededError(
-            "oracle size %d exceeds cap %d" % (G.order * t ** k,
-                                               config.oracle_cap))
+            "oracle size %d exceeds cap %d" % (size, config.oracle_cap))
     theta = ThetaMap(cosets, k, config)
     tuples = theta.tuples
     unknown = {}
@@ -369,15 +371,6 @@ class BipartiteMultiGraph:
     designated: str
     marked_odd: str
     norm_squared: float
-
-    def degree_of(self, side: str, index: int) -> int:
-        total = 0
-        for e, o, m in self.edges:
-            if side == "even" and e == index:
-                total += m
-            if side == "odd" and o == index:
-                total += m
-        return total
 
 
 def _component(seed_even: int, n_even: int, n_odd: int, edges) -> tuple:

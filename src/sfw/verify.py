@@ -4,6 +4,15 @@ Each suite runs a list of named cases and reports per-case outcomes;
 a case failure is recorded, not raised, so one bad inclusion does not
 hide the rest.  Precondition and parse errors from malformed custom
 corpora still propagate.
+
+The suites hold the fast paths against the exact references kept for
+them: theta entries against nested conditional expectations, commutant
+dimensions against the rational-rank oracle wherever its unknowns fit
+under oracle_cap.  They also run what no command reaches: the
+wreath-like axioms on C2 wr C3, index towers over the normal core, and
+virtual indices of concrete embeddings.  The cocycles and extensions
+suites build a few groups of their own under the run's config; the
+other suites use only the corpus.
 """
 
 from __future__ import annotations
@@ -15,27 +24,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chartab import character_table
-from .cocycle import crossed_product_check, extension_from_out, \
-    subfactor_report_from_out, verify_cocycle
+from .cocycle import crossed_product_check, subfactor_report_from_out, \
+    verify_cocycle
 from .config import Config, DEFAULT
 from .corpus import InclusionCase, builtin_cases, require_order_cap
-from .errors import ParseError, SfwError, SubgroupError
+from .errors import CapExceededError, ParseError, SfwError, SubgroupError
 from .formats import group_from_json, parse_json_text
 from .groupalgebra import GroupAlgebraElement, pimsner_popa_expand, \
     pimsner_popa_reassemble
 from .indexarith import index_chain_check, jones_spectrum_query, \
-    local_index_combine, commutant_bound_check
+    local_index_combine, commutant_bound_check, virtual_index_concrete
 from .permgroup import (
+    PermGroup,
     alternating_group,
-    group_from_generators,
+    cyclic_group,
+    normal_core,
     parse_cycle_string,
     right_coset_data,
     symmetric_group,
+    verify_wreath_like,
+    wreath_product,
 )
 from .standard_invariant import (
-    IN_GROUP,
     IN_SUBGROUP,
+    SIDES,
     ThetaMap,
+    brute_force_commutant_dim,
     dual_principal_graph,
     nested_theta_entry,
     principal_graph,
@@ -181,19 +195,25 @@ def _suite_theta(cases, config: Config) -> list:
 
 
 def _check_dimension_law(graph, direction: str) -> None:
-    """Each odd degree must match the weighted even degrees blockwise."""
-    for o_idx, o in enumerate(graph.odd):
-        blocks = {}
-        for e, od, m in graph.edges:
-            if od != o_idx:
-                continue
-            blocks.setdefault(graph.even[e].group_index, 0)
-            blocks[graph.even[e].group_index] += m * graph.even[e].degree
-        for gi, total in blocks.items():
-            if direction == "restriction" and total != o.degree:
+    """Degrees around each vertex must add up along the edges.
+
+    For "restriction" (the principal graph) each odd degree is the sum
+    of the weighted even degrees within every stabilizer block; for
+    "induction" (the dual graph) each even degree is the weighted sum
+    of the odd degrees around it.
+    """
+    if direction == "restriction":
+        for o_idx, o in enumerate(graph.odd):
+            blocks = {}
+            for e, od, m in graph.edges:
+                if od != o_idx:
+                    continue
+                blocks.setdefault(graph.even[e].group_index, 0)
+                blocks[graph.even[e].group_index] += m * graph.even[e].degree
+            if any(total != o.degree for total in blocks.values()):
                 raise AssertionError(
                     "degrees around %s do not add up" % o.label)
-    if direction == "induction":
+    else:
         for e_idx, e in enumerate(graph.even):
             total = sum(m * graph.odd[o].degree
                         for ee, o, m in graph.edges if ee == e_idx)
@@ -230,22 +250,28 @@ def _suite_graphs(cases, config: Config) -> list:
         rec.run("graphs:%s:dual" % case.name, dual)
 
         def commutants(G=G, H=H, case=case):
-            checked = 0
+            compared = 0
             for k in (1, 2):
-                if G.order * (case.index ** k) > config.oracle_cap:
-                    continue
                 for G0 in (H, G):
-                    for side in (IN_SUBGROUP, IN_GROUP):
+                    for side in SIDES:
+                        try:
+                            want = brute_force_commutant_dim(
+                                G, G0, H, k, side, config)
+                        except CapExceededError:
+                            # too large for oracle_cap or theta_k_cap
+                            continue
                         dim = relative_commutant_dim(G, G0, H, k, side,
                                                      config)
-                        if dim < 1:
+                        if dim != want:
                             raise AssertionError(
-                                "commutant lost the scalars")
-                        checked += 1
+                                "k=%d %s over %s: orbit count %d, oracle %d"
+                                % (k, side, "H" if G0 is H else "G", dim,
+                                   want))
+                        compared += 1
             d1 = relative_commutant_dim(G, H, H, 1, IN_SUBGROUP, config)
             if not commutant_bound_check(d1, case.index):
                 raise AssertionError("first commutant exceeds index + 1")
-            return "%d tower entries" % checked
+            return "%d tower entries match the oracle" % compared
 
         rec.run("graphs:%s:commutants" % case.name, commutants)
 
@@ -261,12 +287,6 @@ def _suite_graphs(cases, config: Config) -> list:
     return rec.results
 
 
-def _klein_four(config: Config):
-    return group_from_generators(
-        4, [parse_cycle_string(4, "(0 1)(2 3)"),
-            parse_cycle_string(4, "(0 2)(1 3)")], config)
-
-
 def _normal_triples(cases, config: Config):
     """Triples (G, K, mid) with K normal in G, drawn from the corpus.
 
@@ -275,7 +295,8 @@ def _normal_triples(cases, config: Config):
     """
     S4 = symmetric_group(4, config)
     A4 = alternating_group(4, config)
-    V4 = _klein_four(config)
+    V4 = PermGroup(4, [parse_cycle_string(4, "(0 1)(2 3)"),
+                       parse_cycle_string(4, "(0 2)(1 3)")], config)
     S3 = symmetric_group(3, config)
     A3 = alternating_group(3, config)
     triples = [("s4-v4-a4", S4, V4, A4),
@@ -312,9 +333,11 @@ def _suite_extensions(cases, config: Config) -> list:
     # the run with CapExceededError instead of failing one case
     A4 = alternating_group(4, config)
     S3 = symmetric_group(3, config)
-    S3xS3 = group_from_generators(
+    S3xS3 = PermGroup(
         6, [parse_cycle_string(6, text)
             for text in ("(0 1)", "(0 1 2)", "(3 4)", "(3 4 5)")], config)
+    wr = wreath_product(cyclic_group(2, config), cyclic_group(3, config),
+                        config=config)
 
     def a4_out(config=config):
         t = parse_cycle_string(4, "(0 1)")
@@ -351,6 +374,16 @@ def _suite_extensions(cases, config: Config) -> list:
         return "index %d" % result.index
 
     rec.run("extensions:s3xs3-swap", s3xs3_swap)
+
+    def wreath_like(wr=wr):
+        report = verify_wreath_like(wr.group, wr.base_copies, wr.kappa,
+                                    wr.acting, wr.action)
+        if not report.ok:
+            raise AssertionError("%s at %r" % (report.reason, report.witness))
+        return "C2 wr C3, order %d, %d copies" % (wr.group.order,
+                                                  len(wr.base_copies))
+
+    rec.run("extensions:c2wrc3-wreath-like", wreath_like)
     return rec.results
 
 
@@ -373,22 +406,22 @@ def _suite_arithmetic(cases, config: Config) -> list:
 
     rec.run("arithmetic:spectrum", spectrum)
 
-    # built outside the recorded case, as in _suite_extensions
-    towers = [(symmetric_group(4, config), alternating_group(4, config),
-               _klein_four(config))]
-
     def chains(cases=cases):
-        for G, M, H in towers:
-            a = G.order / H.order
-            b = G.order / M.order
-            c = M.order / H.order
-            if abs(a - b * c) > 1e-9:
-                raise AssertionError("index tower is not multiplicative")
-            if not index_chain_check(a, b, c):
-                raise AssertionError("chain bounds violated")
+        # G >= H >= core_G(H), all indices integers
+        for case in cases:
+            G, H = case.group, case.subgroup
+            K = normal_core(G, H)
+            a = G.order // K.order
+            c = H.order // K.order
+            if a != case.index * c:
+                raise AssertionError("index tower is not multiplicative "
+                                     "on %s" % case.name)
+            if not index_chain_check(a, case.index, c):
+                raise AssertionError("chain bounds violated on %s"
+                                     % case.name)
         if index_chain_check(2.0, 2.0, 3.0):
             raise AssertionError("impossible chain accepted")
-        return ""
+        return "%d towers over the normal core" % len(cases)
 
     rec.run("arithmetic:chains", chains)
 
@@ -402,6 +435,20 @@ def _suite_arithmetic(cases, config: Config) -> list:
         return "%d inclusions" % len(cases)
 
     rec.run("arithmetic:bounds", bounds)
+
+    def virtual(cases=cases):
+        # one part (1, H, inclusion of H into G): t = [G:H] and the
+        # virtual index is t * [G:H] = t^2
+        for case in cases:
+            G, H, t = case.group, case.subgroup, case.index
+            inclusion = {x: x for x in H.elements}
+            value = virtual_index_concrete(G, G, t, [(1, H, inclusion)])
+            if value != t * t:
+                raise AssertionError("virtual index %d on %s, want %d"
+                                     % (value, case.name, t * t))
+        return "%d inclusions" % len(cases)
+
+    rec.run("arithmetic:virtual", virtual)
 
     def combination(config=config):
         value = local_index_combine([(Fraction(1, 2), 2), (Fraction(1, 2), 2)])

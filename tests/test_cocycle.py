@@ -5,10 +5,9 @@ from __future__ import annotations
 import pytest
 
 from sfw.cocycle import (
+    Cocycle2,
     crossed_product_check,
-    extension_cocycle_from_lifts,
     extension_from_out,
-    normalize_cocycle,
     subfactor_report_from_out,
     verify_cocycle,
 )
@@ -17,14 +16,13 @@ from sfw.errors import (
     HomomorphismError,
     NontrivialCenterError,
     NotNormalError,
-    PreconditionError,
     SubgroupError,
 )
 from sfw.permgroup import (
     Perm,
+    PermGroup,
     alternating_group,
     cyclic_group,
-    group_from_generators,
     parse_cycle_string,
     symmetric_group,
 )
@@ -89,7 +87,7 @@ def test_empty_outer_data_gives_a_trivial_extension():
 
 def test_s3_times_s3_with_swap():
     gens = [perm(6, t) for t in ("(0 1)", "(0 1 2)", "(3 4)", "(3 4 5)")]
-    G = group_from_generators(6, gens)
+    G = PermGroup(6, gens)
     assert G.order == 36
     swap = perm(6, "(0 3)(1 4)(2 5)")
     out = {x: swap * x * swap.inv() for x in G.elements}
@@ -114,43 +112,20 @@ def test_extension_rejects_a_non_automorphism():
 # ---------------------------------------------------------------- cocycles
 
 
-def test_lift_choice_reproduces_the_stored_cocycle():
-    _, res = a4_extension()
-    again = extension_cocycle_from_lifts(res, dict(res.lifts))
-    assert again.values == res.cocycle.values
-
-
 def test_bad_identity_lift_is_detected_deterministically():
     _, res = a4_extension()
     identity = res.quotient.elements[0]
     other_inner = next(
         g for g in res.inner.elements if g != res.ambient.elements[0]
     )
-    bad = dict(res.lifts)
-    bad[identity] = other_inner
-    broken = extension_cocycle_from_lifts(res, bad)
+    alpha = dict(res.cocycle.alpha)
+    alpha[identity] = other_inner
+    broken = Cocycle2(res.base, res.quotient, res.cocycle.values, alpha)
     r1 = verify_cocycle(broken)
     assert not r1.ok
     assert r1.reason == "identity does not act trivially"
     r2 = verify_cocycle(broken)
     assert r2.witness == r1.witness
-    with pytest.raises(PreconditionError):
-        normalize_cocycle(broken)
-
-
-def test_lift_outside_its_coset_is_rejected():
-    _, res = a4_extension()
-    nonidentity = res.quotient.elements[1]
-    bad = dict(res.lifts)
-    bad[nonidentity] = res.ambient.elements[0]
-    with pytest.raises(PreconditionError):
-        extension_cocycle_from_lifts(res, bad)
-
-
-def test_normalizing_a_normalized_cocycle_changes_nothing():
-    _, res = a4_extension()
-    same = normalize_cocycle(res.cocycle)
-    assert same.values == res.cocycle.values
 
 
 def test_tampered_cocycle_fails_an_axiom():

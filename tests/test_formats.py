@@ -10,7 +10,6 @@ from sfw.corpus import builtin_cases, case_by_name
 from sfw.errors import CapExceededError, ParseError
 from sfw.formats import (
     canonical_json,
-    chartab_from_json,
     chartab_to_json,
     graph_from_json,
     graph_to_dot,
@@ -139,10 +138,10 @@ def test_dot_labels_multiple_edges():
 def test_chartab_round_trip():
     for case in builtin_cases():
         table = character_table(case.group)
-        back = chartab_from_json(chartab_to_json(table))
+        back = parse_json_text(canonical_json(chartab_to_json(table)))
         assert back["degrees"] == list(table.degrees)
         assert back["group_order"] == case.group.order
-        assert sum(back["sizes"]) == case.group.order
+        assert sum(c["size"] for c in back["classes"]) == case.group.order
         assert len(back["values"]) == len(table.degrees)
 
 
@@ -155,11 +154,3 @@ def test_chartab_json_shape():
     assert len(obj["values"]) == 3
     for row in obj["values"]:
         assert all(isinstance(entry, list) and len(entry) == 2 for entry in row)
-
-
-def test_chartab_json_validation():
-    case = case_by_name("s3-flip")
-    obj = chartab_to_json(character_table(case.group))
-    bad = dict(obj, classes=[dict(c, size=c["size"] + 1) for c in obj["classes"]])
-    with pytest.raises(ParseError):
-        chartab_from_json(bad)

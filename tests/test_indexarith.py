@@ -17,13 +17,13 @@ from sfw.errors import (
 )
 from sfw.groupalgebra import GroupAlgebraElement
 from sfw.indexarith import (
+    InducedHomomorphism,
     SpectrumVerdict,
     VirtualEmbeddingSpec,
     VirtualPart,
     commutant_bound_check,
     index_chain_check,
     _left_cosets,
-    induced_standard_homomorphism,
     jones_spectrum_query,
     local_index_combine,
     virtual_index,
@@ -237,7 +237,7 @@ def test_corpus_indices_sit_in_the_spectrum():
 def test_left_cosets_partition_the_group():
     S4 = symmetric_group(4)
     A4 = alternating_group(4)
-    data = induced_standard_homomorphism(S4, A4, A4)
+    data = InducedHomomorphism(S4, A4, A4)
     assert data.left_reps[0] == S4.elements[0]
     assert len(data.left_reps) == 2
     seen = set()
@@ -287,7 +287,7 @@ def u(G, text):
 def test_induced_map_for_s3_over_a3():
     S3 = symmetric_group(3)
     A3 = S3.subgroup([perm(3, "(0 1 2)")])
-    ind = induced_standard_homomorphism(S3, A3, A3)
+    ind = InducedHomomorphism(S3, A3, A3)
     assert ind.degree == 2
 
     m_id = ind.matrix(perm(3, "()"))
@@ -320,7 +320,7 @@ def block_mul(a, b):
 def test_induced_map_is_multiplicative_everywhere():
     S3 = symmetric_group(3)
     A3 = S3.subgroup([perm(3, "(0 1 2)")])
-    ind = induced_standard_homomorphism(S3, A3, A3)
+    ind = InducedHomomorphism(S3, A3, A3)
     for g in S3.elements:
         for h in S3.elements:
             lhs = block_mul(ind.matrix(g), ind.matrix(h))
@@ -333,7 +333,7 @@ def test_induced_map_is_multiplicative_everywhere():
 def test_induced_map_is_unitary():
     S3 = symmetric_group(3)
     A3 = S3.subgroup([perm(3, "(0 1 2)")])
-    ind = induced_standard_homomorphism(S3, A3, A3)
+    ind = InducedHomomorphism(S3, A3, A3)
     for g in S3.elements:
         m = ind.matrix(g)
         minv = ind.matrix(g.inv())
@@ -347,7 +347,7 @@ def test_induced_map_with_a_sign_representation():
     S3 = symmetric_group(3)
     K = S3.subgroup([perm(3, "(0 1)")])
     rho = {perm(3, "()"): [[1.0]], perm(3, "(0 1)"): [[-1.0]]}
-    ind = induced_standard_homomorphism(S3, K, K, rho=rho)
+    ind = InducedHomomorphism(S3, K, K, rho=rho)
     assert ind.degree == 3
     m = ind.matrix(perm(3, "(0 1)"))
     flat = [m[i][j] for i in range(3) for j in range(3) if not m[i][j].is_zero()]
@@ -362,9 +362,9 @@ def test_induced_map_rejects_bad_data():
     K = S3.subgroup([perm(3, "(0 1)")])
     stretched = {perm(3, "()"): [[1.0]], perm(3, "(0 1)"): [[2.0]]}
     with pytest.raises(HomomorphismError):
-        induced_standard_homomorphism(S3, K, K, rho=stretched)
+        InducedHomomorphism(S3, K, K, rho=stretched)
     collapse = {x: A3.elements[0] for x in A3.elements}
     with pytest.raises(HomomorphismError):
-        induced_standard_homomorphism(S3, A3, A3, gamma=collapse)
+        InducedHomomorphism(S3, A3, A3, gamma=collapse)
     with pytest.raises(PreconditionError):
-        induced_standard_homomorphism(S3, A3, A3, section=[S3.elements[0]])
+        InducedHomomorphism(S3, A3, A3, section=[S3.elements[0]])

@@ -1,0 +1,47 @@
+"""Every public name in src/sfw is reached inside the package or is API.
+
+A public module-level function or class that no command, verify suite or
+other package code refers to is either dead or a test oracle, and
+belongs in tests/.  The only exceptions are the file-format functions
+that README's *Library entry points* names for callers of the library.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FORMAT_API = {"group_to_json", "graph_from_json"}
+
+
+def unreached_public_names() -> dict:
+    """{name: module} for public definitions no Name or Attribute uses."""
+    defined, used = {}, set()
+    for path in sorted((ROOT / "src" / "sfw").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined[node.name] = path.stem
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return {name: module for name, module in defined.items()
+            if name not in used}
+
+
+def test_every_public_name_is_reached_or_format_api():
+    # equality, so an allowlist entry the package starts to use fails too
+    unreached = unreached_public_names()
+    assert set(unreached) == FORMAT_API, sorted(
+        "%s.%s" % (module, name) for name, module in unreached.items())
+
+
+def test_format_api_is_named_in_the_readme():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library entry points", 1)[1].split("\n## ")[0]
+    for name in sorted(FORMAT_API):
+        assert "`%s`" % name in section, name

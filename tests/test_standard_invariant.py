@@ -9,12 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from sfw import standard_invariant
-from sfw.chartab import (
-    character_table,
-    multiplicity,
-    permutation_character,
-    restrict,
-)
+from sfw.chartab import character_table, multiplicity, restrict
 from sfw.config import DEFAULT
 from sfw.corpus import builtin_cases, case_by_name
 from sfw.errors import (
@@ -43,6 +38,7 @@ from sfw.standard_invariant import (
     stabilizer_matches_intersection,
     theta_matrix_product,
 )
+from oracles import permutation_character
 from test_permgroup import inclusions
 
 
@@ -373,8 +369,8 @@ def test_principal_graph_of_s3_flip_is_the_five_vertex_path():
     assert g.marked_odd == "H:chi1"
     assert g.norm_squared == 3.0
     # Path shape: every vertex has degree at most two, exactly two ends.
-    degs = [g.degree_of("even", i) for i in range(len(g.even))]
-    degs += [g.degree_of("odd", j) for j in range(len(g.odd))]
+    degs = [sum(m for e, _, m in g.edges if e == i) for i in range(len(g.even))]
+    degs += [sum(m for _, o, m in g.edges if o == j) for j in range(len(g.odd))]
     assert sorted(degs) == [1, 1, 2, 2, 2]
 
 
