@@ -1,46 +1,75 @@
-"""Complex character tables of finite groups by the class-algebra method.
+"""Complex character tables of finite groups, computed exactly over GF(p).
 
-The table is obtained from simultaneous diagonalization of the class-sum
-structure-constant matrices: a random real combination of them (seeded, so
-the run is deterministic) is diagonalized, each eigenvector is normalized
-at the identity class, and degrees are recovered from the column norm.
-Orthogonality relations are asserted before anything is returned.
+The method is Dixon's (J. D. Dixon, "High speed computation of group
+characters", Numer. Math. 10, 1967), with the class matrices split
+lazily as in G. J. A. Schneider, "Dixon's character table algorithm
+revisited", J. Symb. Comp. 9, 1990:
+
+- p is the least prime with p = 1 (mod e), e the exponent of G, and
+  p > 2 sqrt|G|.  A primitive e-th root of unity z in GF(p) makes
+  reduction mod p a ring map from Z[exp(2 pi i / e)] onto GF(p).
+- The class matrices B_i[j][k] = #{x in C_i : x g_j in C_k} commute,
+  and (chi(g_k))_k is a common eigenvector of all of them.  They are
+  taken smallest class first, and each splits every common eigenspace
+  that is not yet a line by the GF(p) roots of a Hessenberg
+  characteristic polynomial.  Only the rows of B_i at the pivot columns
+  of those eigenspaces are built.
+- A line normalised at the identity class holds beta_k =
+  chi(g_k) / chi(1), and the degree is the d <= sqrt|G| with
+  d^2 = |G| / sum_k |C_k| beta_k beta_{k^-1} (mod p).
+- Through the power maps, a discrete Fourier transform mod p gives the
+  multiplicity m_j of each eigenvalue exp(2 pi i j / o) of chi on a
+  class of order o (its spectrum).  Each m_j lies in [0, d] and p > 2d,
+  so the residues are the integers, and chi(g) = sum_j m_j
+  exp(2 pi i j / o).  Sending z to exp(2 pi i / e) lifts each row to a
+  Galois conjugate of a true row; Galois conjugation permutes the
+  irreducible characters, so the sorted table is the true one.
+
+A value that is a rational integer is returned as that integer, exactly;
+the others are float sums of roots of unity.  Row and column
+orthogonality mod p, the sum of the squared degrees and 0 <= m_j <= d
+are checked before a table is returned.
 
 Besides the table, the module holds what the graph builders use:
-restriction to a subgroup and the inner product that turns a restricted
-character into multiplicities.  Induction is not needed by any command;
-the tests keep a reference implementation for Frobenius reciprocity.
+restriction to a subgroup, and restriction multiplicities, which are
+computed from the spectra in GF(q) and are exact integers.  Induction
+and the float inner product are not needed by any command; the tests
+keep references for them.
 
 Conjugacy classes come from permgroup.conjugacy_classes, which this
-module re-exports; the class cap applies only to the table, since it
-bounds the size of the eigen-solve.
+module re-exports; the class cap applies only to the table.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
+import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from operator import mul
+from typing import Optional
 
 from .config import Config, DEFAULT
-from .errors import (
-    NumericalDegeneracyError,
-    PreconditionError,
-    SubgroupError,
-)
+from .errors import InvariantViolationError, PreconditionError, SubgroupError
 from .permgroup import ConjClassData, PermGroup, conjugacy_classes
 
+# bounds the r x r class matrices and the r^3 orthogonality checks
 CLASS_CAP = 64
 
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """A class function, with a flag marking genuine characters."""
+    """A class function, with a flag marking genuine characters.
+
+    The characters of a table and their restrictions also carry
+    spectra: per class, the multiplicities m_j of the eigenvalues
+    exp(2 pi i j / o), o the order of the class's elements.
+    """
 
     group: PermGroup
     values: tuple
     is_character: bool = False
+    spectra: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -56,181 +85,402 @@ class CharacterTable:
 
     def trivial_index(self) -> int:
         for i, chi in enumerate(self.characters):
-            if all(abs(v - 1.0) < 1e-8 for v in chi.values):
+            if all(v == 1 for v in chi.values):
                 return i
         raise PreconditionError("no trivial character found")
 
 
-def _structure_matrices(classes: ConjClassData) -> list:
-    """B_i[j][k] = number of x in C_i with x * g_j in C_k.
+# ---------------------------------------------------------------------------
+# arithmetic in GF(p) and in Z[x]
 
-    The plain character-value vector (chi(g_k))_k is then a right
-    eigenvector of every B_i with eigenvalue |C_i| chi(g_i) / chi(1).
+def _prime_factors(n: int) -> list:
+    factors, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+@functools.lru_cache(maxsize=None)
+def _modulus(e: int, square_bound: int) -> tuple:
+    """(p, z): the least prime p = 1 (mod e) with p^2 > square_bound, and
+    the primitive e-th root of unity z = a^((p-1)/e) in GF(p) of least a.
+
+    p does not divide the order of a group of exponent e: a prime
+    divisor of the order divides e, and p > e.
     """
-    G = classes.group
-    r = classes.count
-    members = [[] for _ in range(r)]
-    for p in G.elements:
-        members[classes.class_index(p)].append(p)
-    mats = []
-    for i in range(r):
-        B = np.zeros((r, r))
-        for j, gj in enumerate(classes.reps):
-            for x in members[i]:
-                k = classes.class_index(x * gj)
-                B[j][k] += 1.0
-        mats.append(B)
-    return mats
+    p = e + 1
+    while p * p <= square_bound or _prime_factors(p) != [p]:
+        p += e
+    factors = _prime_factors(e)
+    for a in range(1, p):
+        z = pow(a, (p - 1) // e, p)
+        if all(pow(z, e // q, p) != 1 for q in factors):
+            return p, z
+    raise InvariantViolationError("no primitive %d-th root of unity mod %d"
+                                  % (e, p))
 
 
-def _eigenbasis(mats: Sequence[np.ndarray]):
-    """Common eigenvectors of the commuting family, via a random combination."""
-    r = mats[0].shape[0]
-    last_residual = None
-    for attempt in range(8):
-        rng = np.random.default_rng(12345 + attempt)
-        weights = rng.normal(size=len(mats))
-        M = sum(w * N for w, N in zip(weights, mats))
-        eigvals, eigvecs = np.linalg.eig(M)
-        scale = max(1.0, float(np.max(np.abs(eigvals))))
-        min_gap = np.inf
-        for a in range(r):
-            for b in range(a + 1, r):
-                min_gap = min(min_gap, abs(eigvals[a] - eigvals[b]))
-        if r > 1 and min_gap < 1e-8 * scale:
-            last_residual = float(min_gap)
+def _echelon(rows: list, p: int) -> tuple:
+    """Reduced row echelon form over GF(p) without zero rows, and its
+    pivot columns."""
+    rows = [list(v) for v in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        hit = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if hit is None:
             continue
-        vectors = []
-        ok = True
-        for c in range(r):
-            v = eigvecs[:, c]
-            m = int(np.argmax(np.abs(v)))
-            residual = 0.0
-            for N in mats:
-                w = N @ v
-                lam = w[m] / v[m]
-                residual = max(residual, float(np.max(np.abs(w - lam * v))))
-            if residual > 1e-6 * scale:
-                ok = False
-                last_residual = residual
-                break
-            vectors.append(v)
-        if ok:
-            return vectors
-    raise NumericalDegeneracyError(
-        "class algebra diagonalization failed; residual %r" % (last_residual,))
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        top = rows[rank] = [v * inv % p for v in rows[rank]]
+        for i, row in enumerate(rows):
+            c = row[col]
+            if c and i != rank:
+                rows[i] = [(a - c * b) % p for a, b in zip(row, top)]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
 
+
+def _kernel(A: list, p: int) -> list:
+    """A basis of the null space {x : A x = 0} over GF(p)."""
+    n = len(A)
+    reduced, pivots = _echelon(A, p)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        x = [0] * n
+        x[free] = 1
+        for row, col in zip(reduced, pivots):
+            x[col] = -row[free] % p
+        basis.append(x)
+    return basis
+
+
+def _charpoly(A: list, p: int) -> list:
+    """det(xI - A) over GF(p), constant term first.
+
+    A is brought to upper Hessenberg form by similarity, and the
+    polynomial follows from the recurrence over its leading minors
+    (H. Cohen, A Course in Computational Algebraic Number Theory,
+    algorithm 2.2.9).
+    """
+    n = len(A)
+    H = [row[:] for row in A]
+    for m in range(1, n - 1):
+        hit = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if hit is None:
+            continue
+        if hit != m:
+            H[hit], H[m] = H[m], H[hit]
+            for row in H:
+                row[hit], row[m] = row[m], row[hit]
+        inv = pow(H[m][m - 1], -1, p)
+        for i in range(m + 1, n):
+            u = H[i][m - 1] * inv % p
+            if u:
+                H[i] = [(a - u * b) % p for a, b in zip(H[i], H[m])]
+                for row in H:
+                    row[m] = (row[m] + u * row[i]) % p
+    polys = [[1]]
+    for m in range(n):
+        nxt = [0] + polys[m]
+        for j, c in enumerate(polys[m]):
+            nxt[j] -= H[m][m] * c
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * H[i + 1][i] % p
+            f = H[i][m] * t
+            for j, c in enumerate(polys[i]):
+                nxt[j] -= f * c
+        polys.append([c % p for c in nxt])
+    return polys[n]
+
+
+def _roots(f: list, p: int) -> list:
+    """The distinct roots of f in GF(p), by evaluation at every residue."""
+    roots = []
+    for x in range(p):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * x + c) % p
+        if not acc:
+            roots.append(x)
+    return roots
+
+
+def _divide_monic(num, den) -> tuple:
+    """Quotient and remainder of integer polynomials, den monic;
+    coefficients constant term first."""
+    rem = list(num)
+    k = len(den) - 1
+    quot = [0] * max(len(num) - k, 0)
+    for i in range(len(num) - 1, k - 1, -1):
+        c = rem[i]
+        if c:
+            quot[i - k] = c
+            for j, dj in enumerate(den):
+                rem[i - k + j] -= c * dj
+    return tuple(quot), tuple(rem[:k])
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple:
+    """The n-th cyclotomic polynomial, constant term first."""
+    poly = (-1,) + (0,) * (n - 1) + (1,)
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _divide_monic(poly, _cyclotomic(d))[0]
+    return poly
+
+
+def _value(spectrum: tuple) -> complex:
+    """sum_j m_j exp(2 pi i j / o), exact when it is a rational integer.
+
+    The remainder of sum_j m_j x^j modulo the o-th cyclotomic polynomial
+    is the value's unique form in the power basis; it is rational
+    exactly when only the constant term is left.
+    """
+    o = len(spectrum)
+    rem = _divide_monic(spectrum, _cyclotomic(o))[1]
+    if not any(rem[1:]):
+        return complex(rem[0])
+    return sum(m * cmath.exp(2j * cmath.pi * j / o)
+               for j, m in enumerate(spectrum) if m)
+
+
+# ---------------------------------------------------------------------------
+# the table
 
 def character_table(G: PermGroup, config: Config = DEFAULT) -> CharacterTable:
     """All irreducible complex characters of G.
 
     Characters are sorted by (degree, rounded real parts, rounded
     imaginary parts of the values), which fixes the table layout.  The
-    table is kept in G's cache, keyed by the two tolerances it uses.
+    table is kept in G's cache.  It depends on no setting; config is
+    accepted for callers that pass one.
     """
-    tol_char, tol_mult = config.tol_char, config.tol_multiplicity
-    return G.cached(("character_table", tol_char, tol_mult),
-                    lambda: _character_table(G, tol_char, tol_mult))
+    return G.cached("character_table", lambda: _character_table(G))
 
 
-def _character_table(G: PermGroup, tol_char: float,
-                     tol_mult: float) -> CharacterTable:
+def _power_classes(g, class_of) -> tuple:
+    """Class indices of g^0, g^1, ..., g^(o-1), o the order of g."""
+    out = [0]  # the identity's class is first
+    x = g
+    while not x.is_identity():
+        out.append(class_of[x])
+        x = x * g
+    return tuple(out)
+
+
+def _split(basis: list, pivot_rows: list, p: int) -> list:
+    """The eigenspaces of a class matrix B on an invariant subspace.
+
+    basis is in reduced echelon form, so the coordinates of B b in it
+    are the entries of B b at the pivot columns; pivot_rows are the
+    sparse rows of B there, as (column, count) pairs.
+    """
+    m = len(basis)
+    A = [[sum(count * b[k] for k, count in row) % p for b in basis]
+         for row in pivot_rows]
+    if all(A[i][j] == (A[0][0] if i == j else 0)
+           for i in range(m) for j in range(m)):
+        return [basis]
+    spaces = []
+    for lam in _roots(_charpoly(A, p), p):
+        shifted = [[(a - lam) % p if i == j else a
+                    for j, a in enumerate(row)] for i, row in enumerate(A)]
+        vectors = [[sum(c * v for c, v in zip(x, column)) % p
+                    for column in zip(*basis)]
+                   for x in _kernel(shifted, p)]
+        spaces.append(_echelon(vectors, p)[0])
+    if sum(len(s) for s in spaces) != m:
+        raise InvariantViolationError(
+            "class matrix is not diagonalizable over GF(%d)" % p)
+    return spaces
+
+
+def _common_lines(classes: ConjClassData, p: int) -> list:
+    """Vectors spanning the common eigenlines of the class matrices mod p."""
+    r = classes.count
+    class_of = classes.class_of
+    members = [[] for _ in range(r)]
+    for x, k in class_of.items():
+        members[k].append(x)
+    rows = {}
+
+    def row(i, j):
+        if (i, j) not in rows:
+            counts = {}
+            gj = classes.reps[j]
+            for x in members[i]:
+                k = class_of[x * gj]
+                counts[k] = counts.get(k, 0) + 1
+            rows[i, j] = tuple(counts.items())
+        return rows[i, j]
+
+    spaces = [[[int(i == j) for j in range(r)] for i in range(r)]]
+    for i in range(1, r):
+        if all(len(s) == 1 for s in spaces):
+            break
+        split = []
+        for basis in spaces:
+            if len(basis) == 1:
+                split.append(basis)
+                continue
+            pivots = [b.index(1) for b in basis]
+            split.extend(_split(basis, [row(i, j) for j in pivots], p))
+        spaces = split
+    if any(len(s) > 1 for s in spaces):
+        raise InvariantViolationError(
+            "class matrices leave an eigenspace of dimension %d mod %d"
+            % (max(len(s) for s in spaces), p))
+    return [s[0] for s in spaces]
+
+
+def _fourier_rows(o: int, p: int, w: int) -> list:
+    """Rows (w^(-jt) / o)_t, j = 0..o-1, of the inverse Fourier transform
+    on Z/o over GF(p), w the image of exp(2 pi i / o)."""
+    inv_o = pow(o, -1, p)
+    w_inv = pow(w, -1, p)
+    return [[inv_o * pow(w_inv, j * t, p) % p for t in range(o)]
+            for j in range(o)]
+
+
+def _spectrum(at_powers: list, degree: int, rows: list, p: int) -> tuple:
+    """Eigenvalue multiplicities from the values chi(g^t) mod p."""
+    spectrum = tuple(sum(map(mul, row, at_powers)) % p for row in rows)
+    if any(m > degree for m in spectrum) or sum(spectrum) != degree:
+        raise InvariantViolationError(
+            "eigenvalue multiplicities %r do not fit degree %d"
+            % (spectrum, degree))
+    return spectrum
+
+
+def _character_table(G: PermGroup) -> CharacterTable:
     classes = conjugacy_classes(G)
     r = classes.count
     if r > CLASS_CAP:
-        # bounds the r x r structure matrices and their eigen-solve
         raise PreconditionError(
             "group has %d conjugacy classes, cap is %d" % (r, CLASS_CAP))
-    order = G.order
-    id_idx = classes.class_index(G.identity)
-    mats = _structure_matrices(classes)
-    vectors = _eigenbasis(mats)
+    order, sizes = G.order, classes.sizes
+    powers = [_power_classes(rep, classes.class_of) for rep in classes.reps]
+    inverse = [pw[-1] for pw in powers]
+    e = math.lcm(*(len(pw) for pw in powers))
+    p, z = _modulus(e, 4 * order)
+    fourier = {o: _fourier_rows(o, p, pow(z, e // o, p))
+               for o in {len(pw) for pw in powers}}
 
-    chars = []
-    degrees = []
-    for v in vectors:
-        if abs(v[id_idx]) < 1e-12:
-            raise NumericalDegeneracyError(
-                "eigenvector vanishes at the identity class")
-        beta = v / v[id_idx]
-        s = sum(classes.sizes[j] * abs(beta[j]) ** 2 for j in range(r))
-        deg_sq = order / s
-        deg = float(np.sqrt(deg_sq))
-        deg_int = round(deg)
-        if abs(deg - deg_int) > tol_mult or deg_int < 1:
-            raise NumericalDegeneracyError(
-                "non-integral character degree %r" % deg)
-        values = tuple(complex(beta[j]).conjugate() * deg_int for j in range(r))
-        chars.append(values)
-        degrees.append(deg_int)
-
-    if sum(d * d for d in degrees) != order:
-        raise NumericalDegeneracyError(
+    modular, rows = [], []
+    for v in _common_lines(classes, p):
+        if not v[0]:
+            raise InvariantViolationError(
+                "eigenvector vanishes at the identity class mod %d" % p)
+        inv = pow(v[0], -1, p)
+        beta = [x * inv % p for x in v]
+        norm = sum(sizes[k] * beta[k] * beta[inverse[k]]
+                   for k in range(r)) % p
+        target = order * pow(norm, -1, p) % p if norm else None
+        degree = next((d for d in range(1, math.isqrt(order) + 1)
+                       if d * d % p == target), None)
+        if degree is None:
+            raise InvariantViolationError(
+                "no degree d <= sqrt(%d) has d^2 = %r mod %d"
+                % (order, target, p))
+        values = [degree * b % p for b in beta]
+        spectra = tuple(_spectrum([values[c] for c in pw], degree,
+                                  fourier[len(pw)], p)
+                        for pw in powers)
+        modular.append(values)
+        rows.append((degree, tuple(_value(s) for s in spectra), spectra))
+    _check_orthogonality(modular, sizes, inverse, order, p)
+    if sum(d * d for d, _, _ in rows) != order:
+        raise InvariantViolationError(
             "degree squares sum to %d, expected %d"
-            % (sum(d * d for d in degrees), order))
+            % (sum(d * d for d, _, _ in rows), order))
 
     def sort_key(item):
-        deg, values = item
+        deg, values, _ = item
         re = tuple(round(v.real, 6) for v in values)
         im = tuple(round(v.imag, 6) for v in values)
         return (deg, re, im)
 
-    paired = sorted(zip(degrees, chars), key=sort_key)
-    degrees = tuple(d for d, _ in paired)
-    functions = tuple(
-        ClassFunction(G, values, is_character=True) for _, values in paired)
+    rows.sort(key=sort_key)
+    functions = tuple(ClassFunction(G, values, True, spectra)
+                      for _, values, spectra in rows)
+    return CharacterTable(G, classes, functions, tuple(d for d, _, _ in rows))
 
-    # first orthogonality: <chi_a, chi_b> = delta_ab
-    for a, fa in enumerate(functions):
-        for b, fb in enumerate(functions):
-            ip = sum(classes.sizes[j] * fa.values[j] * fb.values[j].conjugate()
-                     for j in range(r)) / order
-            target = 1.0 if a == b else 0.0
-            if abs(ip - target) > tol_char:
-                raise NumericalDegeneracyError(
-                    "row orthogonality residual %r at (%d, %d)"
-                    % (abs(ip - target), a, b))
-    # column orthogonality
+
+def _check_orthogonality(table: list, sizes: tuple, inverse: list,
+                         order: int, p: int) -> None:
+    """Row and column orthogonality of a table of values mod p.
+
+    chi(g^-1) is the complex conjugate of chi(g), so the relations read
+    sum_k |C_k| chi_a(g_k) chi_b(g_k^-1) = |G| delta_ab over the classes
+    and sum_chi chi(g_j) chi(g_k^-1) = |G| / |C_j| delta_jk over the
+    characters.
+    """
+    r = len(sizes)
+    for a, chi in enumerate(table):
+        weighted = [sizes[k] * chi[inverse[k]] for k in range(r)]
+        for b, psi in enumerate(table):
+            want = order % p if a == b else 0
+            if sum(map(mul, weighted, psi)) % p != want:
+                raise InvariantViolationError(
+                    "row orthogonality fails mod %d at (%d, %d)" % (p, a, b))
+    columns = list(zip(*table))
     for j in range(r):
         for k in range(r):
-            s = sum(f.values[j] * f.values[k].conjugate() for f in functions)
-            target = order / classes.sizes[j] if j == k else 0.0
-            if abs(s - target) > tol_char * order:
-                raise NumericalDegeneracyError(
-                    "column orthogonality residual %r at (%d, %d)"
-                    % (abs(s - target), j, k))
-
-    return CharacterTable(G, classes, functions, degrees)
+            want = order // sizes[j] % p if j == k else 0
+            if sum(map(mul, columns[j], columns[inverse[k]])) % p != want:
+                raise InvariantViolationError(
+                    "column orthogonality fails mod %d at (%d, %d)"
+                    % (p, j, k))
 
 
-def inner_product(chi: ClassFunction, psi: ClassFunction,
-                  config: Config = DEFAULT):
-    """<chi, psi> = |G|^-1 sum |C| chi conj(psi).
+# ---------------------------------------------------------------------------
+# restriction and multiplicities
 
-    For two genuine characters the value must be a nonnegative integer
-    within tolerance and the rounded integer is returned.
+def multiplicity(chi: ClassFunction, irr: ClassFunction) -> int:
+    """<chi, irr> = |G|^-1 sum_k |C_k| chi(g_k) conj(irr(g_k)), exactly.
+
+    Both class functions must carry spectra.  The product is a
+    non-negative integer n with n irr(1) <= chi(1).  It is evaluated in
+    GF(q), q the least prime = 1 modulo the exponent of the group with
+    q > chi(1), with each exp(2 pi i j / o) sent to the matching power
+    of one primitive root; the residue is then n itself.
     """
-    if chi.group != psi.group:
+    if chi.group != irr.group:
         raise PreconditionError("class functions live on different groups")
-    classes = conjugacy_classes(chi.group)
-    total = sum(classes.sizes[j] * chi.values[j] * psi.values[j].conjugate()
-                for j in range(classes.count)) / chi.group.order
-    if chi.is_character and psi.is_character:
-        n = round(total.real)
-        if abs(total - n) > config.tol_multiplicity or n < 0:
-            raise NumericalDegeneracyError(
-                "character inner product %r is not a nonnegative integer"
-                % (total,))
-        return int(n)
-    return total
-
-
-def multiplicity(chi: ClassFunction, irr: ClassFunction,
-                 config: Config = DEFAULT) -> int:
-    m = inner_product(chi, irr, config)
-    if not isinstance(m, int):
-        raise PreconditionError("multiplicity requires two characters")
-    return m
+    if chi.spectra is None or irr.spectra is None:
+        raise PreconditionError(
+            "multiplicity requires two characters with spectra")
+    G = chi.group
+    degree = chi.spectra[0][0]
+    e = math.lcm(*map(len, chi.spectra))
+    q, z = _modulus(e, degree * degree)
+    total = 0
+    for size, a, b in zip(conjugacy_classes(G).sizes, chi.spectra,
+                          irr.spectra):
+        w = pow(z, e // len(a), q)
+        w_inv = pow(w, -1, q)
+        x = y = 0
+        for ma, mb in zip(reversed(a), reversed(b)):
+            x = (x * w + ma) % q
+            y = (y * w_inv + mb) % q
+        total += size * x * y
+    n = total * pow(G.order, -1, q) % q
+    if n * irr.spectra[0][0] > degree:
+        raise InvariantViolationError(
+            "multiplicity %d of a degree-%d character in one of degree %d"
+            % (n, irr.spectra[0][0], degree))
+    return n
 
 
 def restrict(chi: ClassFunction, H: PermGroup) -> ClassFunction:
@@ -238,7 +488,8 @@ def restrict(chi: ClassFunction, H: PermGroup) -> ClassFunction:
     if not H.is_subgroup_of(chi.group):
         raise SubgroupError("restriction target is not a subgroup")
     g_classes = conjugacy_classes(chi.group)
-    h_classes = conjugacy_classes(H)
-    values = tuple(chi.values[g_classes.class_index(rep)]
-                   for rep in h_classes.reps)
-    return ClassFunction(H, values, is_character=chi.is_character)
+    at = [g_classes.class_index(rep) for rep in conjugacy_classes(H).reps]
+    spectra = (None if chi.spectra is None
+               else tuple(chi.spectra[k] for k in at))
+    return ClassFunction(H, tuple(chi.values[k] for k in at),
+                         chi.is_character, spectra)

@@ -177,7 +177,7 @@ def cmd_chartab(args) -> int:
     cfg = _build_config(args)
     name, G, H = _load_inclusion(args, cfg)
     target = H if args.member == "subgroup" else G
-    table = character_table(target, cfg)
+    table = character_table(target)
     if args.json:
         _emit(args, canonical_json(chartab_to_json(table)))
         return 0

@@ -1,11 +1,12 @@
-"""Resource caps and numerical tolerances.
+"""Resource caps and the spectrum tolerance.
 
 All limits live in one frozen dataclass so library calls stay deterministic
 for a fixed config.  Every value is validated on construction: caps are
-integers of at least 1 (theta_k_cap may be 0), tolerances are finite numbers
-of at least 0.  A JSON config file overrides the defaults, environment
-variables with the SFW_ prefix override the file, and CLI flags override
-both.  An SFW_ variable or a file key that names no field is rejected, so
+integers of at least 1 (theta_k_cap may be 0), and tol_spectrum is a finite
+number of at least 0.  Nothing else needs a tolerance: character tables,
+multiplicities, graph norms and commutant dimensions are exact.  A JSON
+config file overrides the defaults, environment variables with the SFW_
+prefix override the file, and CLI flags override both.  An SFW_ variable or a file key that names no field is rejected, so
 a misspelt setting cannot be dropped without a word.
 """
 
@@ -26,8 +27,6 @@ class Config:
     aut_cap: int = 300
     theta_k_cap: int = 3
     oracle_cap: int = 20000
-    tol_char: float = 1e-9
-    tol_multiplicity: float = 1e-6
     tol_spectrum: float = 1e-9
 
     def __post_init__(self):

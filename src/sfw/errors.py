@@ -4,7 +4,9 @@ Each class carries the CLI exit code it maps onto: ParseError 2,
 PreconditionError and its subclasses 3, CapExceededError 4, and every
 other SfwError 1.  Verification failures are data (reports), not
 exceptions, and also exit 1.  InvariantViolationError signals a broken
-internal consistency check and is never expected to fire.
+internal consistency check and is never expected to fire; the exact
+checks of a character table (orthogonality mod p, the squared degrees,
+the eigenvalue multiplicities) raise it.
 """
 
 
@@ -52,10 +54,6 @@ class CapExceededError(SfwError):
     """A configured resource cap (group order, k, oracle size) was exceeded."""
 
     exit_code = 4
-
-
-class NumericalDegeneracyError(SfwError):
-    """Numerical linear algebra failed beyond tolerance; carries residuals."""
 
 
 class InvariantViolationError(SfwError):

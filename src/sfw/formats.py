@@ -173,9 +173,9 @@ def graph_to_dot(g: BipartiteMultiGraph, name: str = "principal") -> str:
 def rounded(x: float, places: int) -> float:
     """x rounded to the given decimal places, with -0.0 read as 0.0.
 
-    Exact zeros of a character table come out of the eigen-solve with
-    the sign of its rounding noise; that sign is not data, and keeping
-    it would make the output depend on the LAPACK build.
+    A character value that is not an integer is a float sum of roots of
+    unity, and a zero real or imaginary part of it comes out with the
+    sign of its rounding error; that sign is not data.
     """
     value = round(x, places)
     return value if value else 0.0

@@ -230,38 +230,6 @@ def commutant_bound_check(commutant_dim: int, index: float,
 # ---------------------------------------------------------------------------
 # induced homomorphisms into amplified subgroup algebras
 
-def _as_matrix(value, s):
-    import numpy as np
-
-    m = np.asarray(value, dtype=complex)
-    if m.shape == () and s == 1:
-        m = m.reshape(1, 1)
-    if m.shape != (s, s):
-        raise PreconditionError("representation matrix has wrong shape")
-    return m
-
-
-def _verify_unitary_rep(K: PermGroup, rho, s: int, tol: float = 1e-9):
-    import numpy as np
-
-    mats = {}
-    for x in K.elements:
-        if x not in rho:
-            raise HomomorphismError("representation must be total on the group")
-        mats[x] = _as_matrix(rho[x], s)
-    eye = np.eye(s)
-    if np.max(np.abs(mats[K.identity] - eye)) > tol:
-        raise HomomorphismError("identity must map to the identity matrix")
-    for x in K.elements:
-        m = mats[x]
-        if np.max(np.abs(m @ m.conj().T - eye)) > tol:
-            raise HomomorphismError("representation value is not unitary")
-        for g in K.generators:
-            if np.max(np.abs(mats[x * g] - m @ mats[g])) > tol:
-                raise HomomorphismError("representation is not multiplicative")
-    return mats
-
-
 def _left_cosets(G: PermGroup, K: PermGroup) -> tuple:
     """Left coset representatives of K in G and the lookup x -> coset.
 
@@ -287,80 +255,44 @@ def _left_cosets(G: PermGroup, K: PermGroup) -> tuple:
 class InducedHomomorphism:
     """Block monomial matrices over a subgroup algebra induced from K <= G.
 
-    For g in G the matrix has one nonzero block per left coset column;
-    block (m, l) is rho(c) tensored with u_{gamma(c)} where
-    c = section(g * coset_l)^-1 * g * section(coset_l) lies in K.
-    gamma defaults to the inclusion of K into the target, rho to the
-    trivial one-dimensional representation, and section to the left
-    coset representatives.  The left cosets are listed in left_reps and
-    located by left_coset_index (see _left_cosets).  Multiplicativity
-    and unitarity are verified on the generators at construction time.
+    For g in G the matrix has one nonzero entry per left coset column:
+    entry (m, l) is u_c with c = rep_m^-1 * g * rep_l in K, where rep_l
+    represents the l-th left coset and g rep_l lies in the m-th.  The
+    left cosets are listed in left_reps and located by left_coset_index
+    (see _left_cosets).  K must lie in the target group, whose algebra
+    holds the entries.  Multiplicativity and unitarity are verified on
+    the generators at construction time.
     """
 
-    def __init__(self, G: PermGroup, K: PermGroup, target: PermGroup,
-                 gamma: Optional[Mapping[Perm, Perm]] = None,
-                 rho: Optional[Mapping] = None,
-                 section: Optional[Sequence[Perm]] = None):
-        import numpy as np
-
+    def __init__(self, G: PermGroup, K: PermGroup, target: PermGroup):
+        if not K.is_subgroup_of(target):
+            raise HomomorphismError("image is not inside the target group")
         self.G = G
         self.K = K
         self.target = target
         self.left_reps, self.left_coset_index = _left_cosets(G, K)
-        if gamma is None:
-            gamma = {x: x for x in K.elements}
-        _verified_injective_hom(K, target, gamma)
-        self.gamma = dict(gamma)
-        if rho is None:
-            self.s = 1
-            self.rho = {x: np.ones((1, 1), dtype=complex) for x in K.elements}
-        else:
-            first = np.asarray(next(iter(rho.values())), dtype=complex)
-            self.s = 1 if first.shape == () else int(first.shape[0])
-            self.rho = _verify_unitary_rep(K, rho, self.s)
-        if section is None:
-            self.section = self.left_reps
-        else:
-            section = tuple(section)
-            if len(section) != len(self.left_reps):
-                raise PreconditionError("section must pick one element per coset")
-            for l, x in enumerate(section):
-                if self.left_coset_index(x) != l:
-                    raise PreconditionError(
-                        "section element %d is in the wrong coset" % l)
-            if not section[self.left_coset_index(G.identity)].is_identity():
-                raise PreconditionError(
-                    "section must send the subgroup coset to the identity")
-            self.section = section
-        self.degree = len(self.left_reps) * self.s
+        self.degree = len(self.left_reps)
         self._verify_on_generators()
 
     def cocycle(self, g: Perm, l: int):
-        """(target coset, c) with c = section(g l K)^-1 g section(l K) in K."""
-        x = g * self.section[l]
+        """(target coset, c) with c = rep(g l K)^-1 g rep(l K) in K."""
+        x = g * self.left_reps[l]
         m = self.left_coset_index(x)
-        c = self.section[m].inv() * x
+        c = self.left_reps[m].inv() * x
         if c not in self.K:
-            raise InvariantViolationError("section cocycle left the subgroup")
+            raise InvariantViolationError("coset cocycle left the subgroup")
         return m, c
 
     def matrix(self, g: Perm):
         """Dense block matrix of g, entries in the target group algebra."""
         if g not in self.G:
             raise PreconditionError("element outside the source group")
-        t, s = len(self.left_reps), self.s
+        t = self.degree
         zero = GroupAlgebraElement.zero(self.target)
-        out = [[zero for _ in range(t * s)] for _ in range(t * s)]
+        out = [[zero for _ in range(t)] for _ in range(t)]
         for l in range(t):
             m, c = self.cocycle(g, l)
-            block = self.rho[c]
-            u = self.gamma[c]
-            for r in range(s):
-                for cc in range(s):
-                    coeff = complex(block[r, cc])
-                    if coeff != 0:
-                        out[m * s + r][l * s + cc] = GroupAlgebraElement(
-                            self.target, {u: coeff})
+            out[m][l] = GroupAlgebraElement(self.target, {c: complex(1)})
         return out
 
     def _verify_on_generators(self) -> None:
@@ -370,13 +302,13 @@ class InducedHomomorphism:
             for h in gens:
                 prod = _bmat_mul(mats[g], mats[h])
                 direct = self.matrix(g * h)
-                if not _bmat_close(prod, direct):
+                if prod != direct:
                     raise InvariantViolationError(
                         "induced map is not multiplicative at (%r, %r)"
                         % (g, h))
         ident = _bmat_identity(self.target, self.degree)
         for g in gens:
-            if not _bmat_close(_bmat_mul(mats[g], _bmat_star(mats[g])), ident):
+            if _bmat_mul(mats[g], _bmat_star(mats[g])) != ident:
                 raise InvariantViolationError(
                     "induced image of %r is not unitary" % (g,))
 
@@ -411,9 +343,3 @@ def _bmat_identity(group: PermGroup, n: int):
     zero = GroupAlgebraElement.zero(group)
     one = GroupAlgebraElement.one(group)
     return [[one if r == c else zero for c in range(n)] for r in range(n)]
-
-
-def _bmat_close(A, B, tol: float = 1e-9) -> bool:
-    n = len(A)
-    return all(A[r][c].allclose(B[r][c], tol)
-               for r in range(n) for c in range(n))

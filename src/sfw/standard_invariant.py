@@ -7,15 +7,16 @@ those matrices (the support is the graph of the induced action of G on
 index tuples, and each nonzero entry has a closed form), relative
 commutant dimensions, and the principal and dual principal graphs with
 their operator norms.  Both graphs take their edges from one builder
-that restricts each character of the larger group once.  The squared
-norm of a graph is the index [G:H], certified in integers by a positive
-Perron eigenvector (the odd vertex degrees); no eigen-solve runs.
-Commutant dimensions are exact orbit counts (Burnside's lemma over fixed
-cosets); no character table or float enters them.  Exact brute-force
-references for the entries (nested conditional expectations) and for the
-dimensions (rational linear algebra) are kept for the theta and graphs
-verify suites, which compare them with the closed forms, and for the
-tests; no other path calls them.
+that restricts each character of the larger group once, with exact
+integer multiplicities (chartab.multiplicity).  The squared norm of a
+graph is the index [G:H], certified in integers by a positive Perron
+eigenvector (the odd vertex degrees); no eigen-solve runs.  Commutant
+dimensions are exact orbit counts (Burnside's lemma over one histogram
+of fixed cosets per (G0, H)); no character table or float enters them.
+Exact brute-force references for the entries (nested conditional
+expectations) and for the dimensions (rational linear algebra) are kept
+for the theta and graphs verify suites, which compare them with the
+closed forms, and for the tests; no other path calls them.
 
 Tuples are 0-based index vectors ordered lexicographically.
 """
@@ -191,27 +192,41 @@ def relative_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
     on (H\\G)^n, with n = 2k for IN_GROUP and n = 2k - 1 for
     IN_SUBGROUP, and Burnside's lemma counts them exactly: the sum over
     g in G0 of fix(g)^n divided by |G0|, where fix(g) is the number of
-    cosets Hx with Hxg = Hx.
+    cosets Hx with Hxg = Hx.  Every k and both sides read one histogram
+    of fix over G0 (see _fixed_point_histogram).
     """
     if side not in SIDES:
         raise PreconditionError("side must be one of %r" % (SIDES,))
     _check_k(k, config)
     if not H.is_subgroup_of(G0) or not G0.is_subgroup_of(G):
         raise SubgroupError("need H <= G0 <= G")
-    cosets = right_coset_data(G, H)
     n = 2 * k if side == IN_GROUP else 2 * k - 1
-    coset_of = cosets.coset_of
-    total = 0
-    for g in G0.elements:
-        fixed = sum(1 for i, rep in enumerate(cosets.reps)
-                    if coset_of[rep * g] == i)
-        total += fixed ** n
+    total = sum(count * fixed ** n
+                for fixed, count in _fixed_point_histogram(G, G0, H).items())
     dim, rest = divmod(total, G0.order)
     if rest:
         raise InvariantViolationError(
             "Burnside sum %d is not divisible by |G0| = %d"
             % (total, G0.order))
     return dim
+
+
+def _fixed_point_histogram(G: PermGroup, G0: PermGroup,
+                           H: PermGroup) -> dict:
+    """{fix: number of g in G0 fixing exactly fix cosets of H\\G}.
+
+    One pass over G0, kept in G0's cache keyed by (G, H).
+    """
+    def compute():
+        cosets = right_coset_data(G, H)
+        coset_of = cosets.coset_of
+        histogram = {}
+        for g in G0.elements:
+            fixed = sum(1 for i, rep in enumerate(cosets.reps)
+                        if coset_of[rep * g] == i)
+            histogram[fixed] = histogram.get(fixed, 0) + 1
+        return histogram
+    return G0.cached(("fixed_points", G, H), compute)
 
 
 def stabilizer_matches_intersection(G: PermGroup, H: PermGroup) -> bool:
@@ -443,7 +458,7 @@ def _vertices(table, prefix: str, group_index: int) -> list:
             for j, d in enumerate(table.degrees)]
 
 
-def _restriction_edges(big_table, small_table, config: Config) -> list:
+def _restriction_edges(big_table, small_table) -> list:
     """Edges (b, s, m) from a group's character table to a subgroup's.
 
     m > 0 is the multiplicity of the subgroup's irreducible s in the
@@ -454,7 +469,7 @@ def _restriction_edges(big_table, small_table, config: Config) -> list:
     for b, chi in enumerate(big_table.characters):
         res = restrict(chi, small)
         for s, psi in enumerate(small_table.characters):
-            m = multiplicity(res, psi, config)
+            m = multiplicity(res, psi)
             if m:
                 edges.append((b, s, m))
     return edges
@@ -469,18 +484,19 @@ def principal_graph(G: PermGroup, H: PermGroup,
     multiplicity is the multiplicity of the even character inside the
     restriction of the odd one to K_i.  Only the connected component of
     the trivial characters is returned; the designated vertex is the
-    trivial character of K_1 = H.
+    trivial character of K_1 = H.  The graph depends on no setting;
+    config is accepted for callers that pass one.
     """
     dc = double_coset_data(G, H)
-    h_tab = character_table(H, config)
+    h_tab = character_table(H)
     even = []
     edges = []
     for i, K in enumerate(dc.stabilizers):
-        k_tab = character_table(K, config)
+        k_tab = character_table(K)
         offset = len(even)
         even.extend(_vertices(k_tab, "K%d" % (i + 1), i))
         edges.extend((offset + s, b, m)
-                     for b, s, m in _restriction_edges(h_tab, k_tab, config))
+                     for b, s, m in _restriction_edges(h_tab, k_tab))
     odd = _vertices(h_tab, "H", 0)
     # K_1 is H and its vertices come first
     trivial = h_tab.trivial_index()
@@ -494,13 +510,14 @@ def dual_principal_graph(G: PermGroup, H: PermGroup,
 
     Edge multiplicity is the multiplicity of the odd (subgroup)
     character inside the restriction of the even (group) character.
-    The designated vertex is the trivial character of G.
+    The designated vertex is the trivial character of G.  config is
+    accepted as in principal_graph.
     """
     if not H.is_subgroup_of(G):
         raise SubgroupError("need H <= G")
-    g_tab = character_table(G, config)
-    h_tab = character_table(H, config)
+    g_tab = character_table(G)
+    h_tab = character_table(H)
     return _assemble_graph(_vertices(g_tab, "G", 0), _vertices(h_tab, "H", 0),
-                           _restriction_edges(g_tab, h_tab, config),
+                           _restriction_edges(g_tab, h_tab),
                            g_tab.trivial_index(), h_tab.trivial_index(),
                            G.order // H.order)

@@ -1,15 +1,38 @@
 """Character-theory references that no sfw command needs.
 
-Induction and permutation characters stay here, outside the package, as
-the references of the Frobenius-reciprocity tests and of the
+Induction, permutation characters and the float inner product stay
+here, outside the package, as the references of the Frobenius-reciprocity
+tests, of the exact restriction multiplicities and of the
 character-table route to relative commutant dimensions.
 """
 
 from __future__ import annotations
 
 from sfw.chartab import ClassFunction, conjugacy_classes
-from sfw.errors import SubgroupError
+from sfw.errors import PreconditionError, SubgroupError
 from sfw.permgroup import verify_action_table
+
+
+# how far a float inner product of two characters may sit from its integer
+TOL_MULTIPLICITY = 1e-6
+
+
+def inner_product(chi, psi):
+    """<chi, psi> = |G|^-1 sum |C| chi conj(psi), in floats.
+
+    For two genuine characters the value must lie within
+    TOL_MULTIPLICITY of a non-negative integer, which is returned.
+    """
+    if chi.group != psi.group:
+        raise PreconditionError("class functions live on different groups")
+    classes = conjugacy_classes(chi.group)
+    total = sum(classes.sizes[j] * chi.values[j] * psi.values[j].conjugate()
+                for j in range(classes.count)) / chi.group.order
+    if chi.is_character and psi.is_character:
+        n = round(total.real)
+        assert abs(total - n) <= TOL_MULTIPLICITY and n >= 0, total
+        return int(n)
+    return total
 
 
 def induce(chi, G):

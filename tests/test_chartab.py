@@ -10,7 +10,6 @@ from sfw.chartab import (
     ClassFunction,
     character_table,
     conjugacy_classes,
-    inner_product,
     multiplicity,
     restrict,
 )
@@ -22,7 +21,12 @@ from sfw.permgroup import (
     right_coset_data,
     symmetric_group,
 )
-from oracles import induce, permutation_character, trivial_character
+from oracles import (
+    induce,
+    inner_product,
+    permutation_character,
+    trivial_character,
+)
 from test_permgroup import inclusions
 
 
@@ -143,6 +147,19 @@ def test_frobenius_reciprocity_on_random_subgroups(pair):
                 chi, restrict(psi, H))
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(inclusions())
+def test_exact_multiplicities_match_the_float_inner_product(pair):
+    G, H = pair
+    h_tab = character_table(H)
+    for chi in character_table(G).characters:
+        res = restrict(chi, H)
+        mults = [multiplicity(res, psi) for psi in h_tab.characters]
+        assert mults == [inner_product(res, psi) for psi in h_tab.characters]
+        assert sum(m * d for m, d in zip(mults, h_tab.degrees)) \
+            == chi.values[0]
+
+
 def test_induced_degree():
     G = symmetric_group(4)
     H = G.subgroup([perm(4, "(0 1 2)"), perm(4, "(0 1)")])
@@ -168,7 +185,11 @@ def test_permutation_character_is_induced_trivial():
     assert all(abs(a - b) < 1e-8 for a, b in zip(chi.values, ind.values))
     # contains the trivial character exactly once (transitive action)
     tab = character_table(G)
-    assert multiplicity(chi, tab.characters[tab.trivial_index()]) == 1
+    assert inner_product(chi, tab.characters[tab.trivial_index()]) == 1
+    # the exact multiplicity needs eigenvalue spectra, which only the
+    # characters of a table carry
+    with pytest.raises(PreconditionError):
+        multiplicity(chi, tab.characters[tab.trivial_index()])
 
 
 def test_permutation_character_natural_s4():

@@ -94,7 +94,8 @@ def test_chartab_command(capsys):
 
 
 def test_chartab_prints_no_negative_zero(capsys):
-    # exact zeros come out of the eigen-solve with the sign of its noise
+    # a zero real or imaginary part of a float sum of roots of unity
+    # comes out with the sign of its rounding error
     for name in case_names():
         for member in ("group", "subgroup"):
             argv = ["chartab", "--case", name, "--member", member]
@@ -106,6 +107,30 @@ def test_chartab_prints_no_negative_zero(capsys):
             rc, out = run(capsys, argv)
             assert rc == 0
             assert not re.search(r"-0(?![.\d])", out), out
+
+
+@pytest.mark.parametrize("rung", [
+    (7, ["(0 1 2 3 4 5 6)", "(0 1)"], ["(0 1 2 3 4 5)", "(0 1)"]),
+    (8, ["(0 1)", "(0 2)(1 3)", "(0 2 4 6)(1 3 5 7)"],
+     ["(0 1)", "(2 3)", "(4 5)", "(6 7)"]),
+], ids=["s7", "c2wrs4"])
+def test_rational_character_tables_print_exact_integers(capsys, tmp_path,
+                                                        rung):
+    # S7 and C2 wr S4 are Weyl groups (types A6 and B4), so every
+    # character value is an integer; a float eigen-solve printed
+    # 3.999999999999 on S7 and -4.000000000001 on C2 wr S4
+    degree, group, subgroup = rung
+    paths = []
+    for name, gens in (("g", group), ("h", subgroup)):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps({"degree": degree, "generators": gens}))
+        paths.append(str(path))
+    rc, out = run(capsys, ["chartab", "--json", "--group", paths[0],
+                           "--subgroup", paths[1], "--order-cap", "10000"])
+    assert rc == 0
+    values = json.loads(out)["values"]
+    assert all(re == int(re) and im == 0.0
+               for row in values for re, im in row)
 
 
 def test_spectrum_command(capsys):
@@ -361,8 +386,8 @@ def test_bad_config_file_value_exits_2(capsys, tmp_path, text):
     ["--order-cap", "-1"],
     ["--oracle-cap", "0"],
     ["--theta-k-cap", "-1"],
-    ["--tol-multiplicity", "-0.5"],
-    ["--tol-char", "inf"],
+    ["--aut-cap", "0"],
+    ["--tol-spectrum", "-0.5"],
     ["--tol-spectrum", "nan"],
 ])
 def test_bad_config_flag_value_exits_2(capsys, argv):
@@ -372,7 +397,8 @@ def test_bad_config_flag_value_exits_2(capsys, argv):
     assert captured.err.startswith("error: bad option")
 
 
-@pytest.mark.parametrize("name", ["SFW_ORDER_CAPP", "SFW_TOL_NORM"])
+@pytest.mark.parametrize("name", ["SFW_ORDER_CAPP", "SFW_TOL_NORM",
+                                  "SFW_TOL_CHAR", "SFW_TOL_MULTIPLICITY"])
 def test_unknown_env_variable_exits_2(capsys, monkeypatch, name):
     monkeypatch.setenv(name, "1")
     rc = cli.main(["index", "--case", "s3-a3"])
@@ -384,12 +410,12 @@ def test_unknown_env_variable_exits_2(capsys, monkeypatch, name):
 
 
 def test_bad_env_config_value_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("SFW_TOL_MULTIPLICITY", "nan")
+    monkeypatch.setenv("SFW_TOL_SPECTRUM", "nan")
     rc = cli.main(["index", "--case", "s3-flip"])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error: bad environment setting")
-    assert "tol_multiplicity" in captured.err
+    assert "tol_spectrum" in captured.err
 
 
 def test_every_config_field_has_a_flag():
@@ -413,15 +439,33 @@ def test_removed_norm_tolerance_exits_2(capsys, tmp_path):
         "tol_norm\n"
 
 
+@pytest.mark.parametrize("name", ["tol_char", "tol_multiplicity"])
+def test_removed_character_tolerances_exit_2(capsys, tmp_path, name):
+    # character tables and multiplicities are exact and take no tolerance;
+    # test_unknown_env_variable_exits_2 covers the SFW_ variables
+    flag = "--" + name.replace("_", "-")
+    rc, out = run(capsys, ["chartab", "--case", "s4-d4", flag, "1e-9"])
+    assert rc == 2 and out == ""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"%s": 1e-9}' % name)
+    rc = cli.main(["graph", "--case", "s4-d4", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: bad config file: unknown config keys: " \
+        "%s\n" % name
+
+
 def test_config_validates_on_construction():
     for bad in ({"order_cap": 0}, {"aut_cap": 2.0}, {"oracle_cap": True},
-                {"theta_k_cap": -1}, {"tol_char": float("nan")},
-                {"tol_char": -1e-12}, {"tol_multiplicity": "1e-6"}):
+                {"theta_k_cap": -1}, {"tol_spectrum": float("nan")},
+                {"tol_spectrum": -1e-12}, {"tol_spectrum": "1e-6"}):
         with pytest.raises(ValueError):
             Config(**bad)
     edge = Config(order_cap=1, aut_cap=1, theta_k_cap=0, oracle_cap=1,
-                  tol_char=0, tol_multiplicity=0.0, tol_spectrum=0.0)
-    assert edge.theta_k_cap == 0 and edge.tol_char == 0
+                  tol_spectrum=0.0)
+    assert edge.theta_k_cap == 0 and edge.tol_spectrum == 0
+    assert [name for name, _ in config_fields()] == [
+        "order_cap", "aut_cap", "theta_k_cap", "oracle_cap", "tol_spectrum"]
 
 
 @pytest.mark.parametrize("argv, enough", [
@@ -496,3 +540,39 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
                                       if b'"wall_time"' not in line)
                              for text in (first, second))
         assert first == second, argv
+
+
+# one child process hides numpy from every import and runs the commands
+# that build groups, tables, graphs, induced maps and extensions
+_NO_NUMPY_CHILD = """
+import json, os, sys
+sys.modules["numpy"] = None
+from sfw import cli
+out, commands = sys.argv[1], json.loads(sys.argv[2])
+failed = [argv for n, argv in enumerate(commands)
+          if cli.main(argv + ["--out", os.path.join(out, str(n))]) != 0]
+if failed or "numpy" in sys.modules and sys.modules["numpy"] is not None:
+    sys.exit("failed without numpy: %r" % (failed,))
+"""
+
+
+def test_commands_run_without_numpy(tmp_path):
+    commands = [["verify", "--suite", "all"]]
+    for name in case_names():
+        commands += [["index", "--case", name],
+                     ["graph", "--case", name],
+                     ["graph", "--case", name, "--kind", "dual"],
+                     ["chartab", "--case", name],
+                     ["induce", "--case", name]]
+        # the one built-in group with a centre has no extension
+        if name != "wr2x3-base":
+            commands.append(["extend", "--case", name])
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    child = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_CHILD, str(tmp_path),
+         json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr

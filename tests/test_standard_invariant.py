@@ -38,7 +38,7 @@ from sfw.standard_invariant import (
     stabilizer_matches_intersection,
     theta_matrix_product,
 )
-from oracles import permutation_character
+from oracles import inner_product, permutation_character
 from test_permgroup import inclusions
 
 
@@ -263,7 +263,7 @@ def character_table_dim(G, G0, H, k, side):
     cosets = right_coset_data(G, H)
     chi = tuple_character(G0, cosets, k)
     psi = chi if side == IN_GROUP else tuple_character(G0, cosets, k - 1)
-    return sum(multiplicity(chi, irr) * multiplicity(psi, irr)
+    return sum(inner_product(chi, irr) * inner_product(psi, irr)
                for irr in character_table(G0).characters)
 
 
