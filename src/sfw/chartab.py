@@ -485,11 +485,24 @@ def multiplicity(chi: ClassFunction, irr: ClassFunction) -> int:
 
 def restrict(chi: ClassFunction, H: PermGroup) -> ClassFunction:
     """Restriction of a class function on G to a subgroup H."""
-    if not H.is_subgroup_of(chi.group):
-        raise SubgroupError("restriction target is not a subgroup")
-    g_classes = conjugacy_classes(chi.group)
-    at = [g_classes.class_index(rep) for rep in conjugacy_classes(H).reps]
+    at = _class_fusion(chi.group, H)
     spectra = (None if chi.spectra is None
                else tuple(chi.spectra[k] for k in at))
     return ClassFunction(H, tuple(chi.values[k] for k in at),
                          chi.is_character, spectra)
+
+
+def _class_fusion(G: PermGroup, H: PermGroup) -> tuple:
+    """The class of G holding each class representative of H.
+
+    The graph builders restrict every character of one table to the
+    same subgroup, so the fusion, and the subgroup check with it, is
+    computed once and kept in G's cache keyed by H.
+    """
+    def compute():
+        if not H.is_subgroup_of(G):
+            raise SubgroupError("restriction target is not a subgroup")
+        g_classes = conjugacy_classes(G)
+        return tuple(g_classes.class_index(rep)
+                     for rep in conjugacy_classes(H).reps)
+    return G.cached(("class_fusion", H), compute)

@@ -38,7 +38,6 @@ from .formats import (
     rounded,
 )
 from .indexarith import (
-    InducedHomomorphism,
     VirtualEmbeddingSpec,
     jones_spectrum_query,
     virtual_index,
@@ -53,6 +52,7 @@ from .standard_invariant import (
     IN_GROUP,
     IN_SUBGROUP,
     dual_principal_graph,
+    induced_theta,
     principal_graph,
     relative_commutant_dim,
 )
@@ -293,7 +293,8 @@ def cmd_vindex(args) -> int:
 def cmd_induce(args) -> int:
     cfg = _build_config(args)
     name, G, K = _load_inclusion(args, cfg)
-    hom = InducedHomomorphism(G, K, K)
+    theta = induced_theta(G, K)
+    degree = theta.cosets.index
     elements = []
     if args.element:
         elements.append(parse_cycle_string(G.degree, args.element))
@@ -307,27 +308,27 @@ def cmd_induce(args) -> int:
         blocks = []
         for g in elements:
             entries = []
-            M = hom.matrix(g)
-            for r in range(hom.degree):
-                for c in range(hom.degree):
-                    el = M[r][c]
-                    for p, z in sorted(el.coeffs.items(),
-                                       key=lambda kv: kv[0].images):
-                        entries.append({"row": r, "col": c,
-                                        "coeff": complex_pair(z),
-                                        "support": p.cycle_string()})
+            for ((r,), (c,)), el in sorted(theta.matrix(g).items()):
+                for p, z in sorted(el.coeffs.items(),
+                                   key=lambda kv: kv[0].images):
+                    entries.append({"row": r, "col": c,
+                                    "coeff": complex_pair(z),
+                                    "support": p.cycle_string()})
             blocks.append({"element": g.cycle_string(), "entries": entries})
-        payload = {"name": name, "degree": hom.degree,
+        payload = {"name": name, "degree": degree,
                    "target_order": K.order, "matrices": blocks}
         _emit(args, canonical_json(payload))
         return 0
     lines = ["inclusion: %s" % name,
              "block matrix degree: %d over group of order %d"
-             % (hom.degree, K.order)]
+             % (degree, K.order)]
     for g in elements:
         lines.append("element %s:" % g.cycle_string())
-        for row in hom.matrix(g):
-            lines.append("  [" + ", ".join(repr(e) for e in row) + "]")
+        rows = [["0"] * degree for _ in range(degree)]
+        for ((r,), (c,)), el in theta.matrix(g).items():
+            rows[r][c] = repr(el)
+        for row in rows:
+            lines.append("  [" + ", ".join(row) + "]")
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -427,10 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # load-bearing defaults for subcommands without inclusion flags
-    for attr in ("case", "group", "subgroup"):
-        if not hasattr(args, attr):
-            setattr(args, attr, None)
     try:
         return args.func(args)
     except SfwError as e:

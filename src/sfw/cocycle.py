@@ -24,6 +24,7 @@ from .errors import (
 )
 from .groupalgebra import GroupAlgebraElement
 from .permgroup import (
+    CosetData,
     Perm,
     PermGroup,
     automorphism_perm,
@@ -252,13 +253,12 @@ def _check_normal(G: PermGroup, K: PermGroup) -> None:
 
 
 def _crossed_reps(G: PermGroup, K: PermGroup, H_mid: PermGroup,
-                  rule: str) -> tuple:
-    """One representative per coset of K, those inside H_mid first.
+                  rule: str) -> CosetData:
+    """The cosets of K, one representative each, those inside H_mid first.
 
     rule "min" takes the canonical minimal element of each coset, rule
     "max" takes the largest one by sort key except that the subgroup
-    coset keeps the identity.  Also returns the map from each element
-    of G to the position of its coset in that order.
+    coset keeps the identity, which sorts first under either rule.
     """
     cosets = right_coset_data(G, K)
     if rule == "max":
@@ -267,20 +267,14 @@ def _crossed_reps(G: PermGroup, K: PermGroup, H_mid: PermGroup,
             for i in range(1, cosets.index)]
     else:
         chosen = list(cosets.reps)
-    order = sorted(range(cosets.index),
-                   key=lambda i: (chosen[i] not in H_mid,
-                                  chosen[i].sort_key()))
-    reps = [chosen[i] for i in order]
-    if not reps[0].is_identity():
-        raise InvariantViolationError("identity coset must come first")
-    position = {i: j for j, i in enumerate(order)}
-    coset_of = {x: position[i] for x, i in cosets.coset_of.items()}
-    return reps, coset_of
+    chosen.sort(key=lambda r: (r not in H_mid, r.sort_key()))
+    return cosets.with_reps(chosen)
 
 
 def _crossed_product_data(G: PermGroup, K: PermGroup, H_mid: PermGroup,
                           rule: str, config: Config):
-    reps, coset_of = _crossed_reps(G, K, H_mid, rule)
+    cosets = _crossed_reps(G, K, H_mid, rule)
+    reps, coset_of = cosets.reps, cosets.coset_of
     q = len(reps)
     table = [[coset_of[reps[i] * reps[j]] for j in range(q)]
              for i in range(q)]

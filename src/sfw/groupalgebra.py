@@ -96,23 +96,12 @@ class GroupAlgebraElement:
             self.group,
             {p.inv(): complex(c).conjugate() for p, c in self.coeffs.items()})
 
-    def trace(self) -> complex:
-        """The canonical trace: the coefficient of the identity."""
-        return self.coeffs.get(self.group.identity, 0.0)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupAlgebraElement)
                 and self.group.degree == other.group.degree
                 and self.coeffs == other.coeffs)
 
     __hash__ = None
-
-    def allclose(self, other: "GroupAlgebraElement", tol: float = 1e-9) -> bool:
-        if self.group.degree != other.group.degree:
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(abs(self.coeffs.get(k, 0.0) - other.coeffs.get(k, 0.0)) <= tol
-                   for k in keys)
 
     def __repr__(self) -> str:
         if not self.coeffs:

@@ -1,6 +1,8 @@
 """Index arithmetic: the admissible index spectrum, virtual embedding
-index values, local index combination, chain inequalities, and induced
-block-matrix homomorphisms over a subgroup algebra.
+index values, local index combination and chain inequalities.
+
+The block monomial map of G into matrices over a subgroup algebra that
+`induce` prints is theta at k = 1 (standard_invariant.induced_theta).
 """
 
 from __future__ import annotations
@@ -14,13 +16,11 @@ from .config import Config, DEFAULT
 from .errors import (
     ConstraintError,
     HomomorphismError,
-    InvariantViolationError,
     ParseError,
     PreconditionError,
     SubgroupError,
 )
-from .groupalgebra import GroupAlgebraElement
-from .permgroup import Perm, PermGroup, right_coset_data
+from .permgroup import Perm, PermGroup
 
 
 @dataclass(frozen=True)
@@ -226,120 +226,3 @@ def commutant_bound_check(commutant_dim: int, index: float,
     """Relative commutant dimension is at most index + 1."""
     return commutant_dim <= index + 1.0 + tol
 
-
-# ---------------------------------------------------------------------------
-# induced homomorphisms into amplified subgroup algebras
-
-def _left_cosets(G: PermGroup, K: PermGroup) -> tuple:
-    """Left coset representatives of K in G and the lookup x -> coset.
-
-    The left coset x K is the inverse of the right coset K x^-1, so both
-    come from right_coset_data.  Each left coset is represented by its
-    least element under Perm.sort_key, and the cosets are ordered by
-    that representative; reps[0] is the identity.
-    """
-    right = right_coset_data(G, K)
-    firsts = [min((rep.inv() * k for k in K.elements), key=Perm.sort_key)
-              for rep in right.reps]
-    order = sorted(range(right.index), key=lambda i: firsts[i].sort_key())
-    position = [0] * right.index
-    for n, i in enumerate(order):
-        position[i] = n
-
-    def coset_index(x: Perm) -> int:
-        return position[right.coset_of[x.inv()]]
-
-    return tuple(firsts[i] for i in order), coset_index
-
-
-class InducedHomomorphism:
-    """Block monomial matrices over a subgroup algebra induced from K <= G.
-
-    For g in G the matrix has one nonzero entry per left coset column:
-    entry (m, l) is u_c with c = rep_m^-1 * g * rep_l in K, where rep_l
-    represents the l-th left coset and g rep_l lies in the m-th.  The
-    left cosets are listed in left_reps and located by left_coset_index
-    (see _left_cosets).  K must lie in the target group, whose algebra
-    holds the entries.  Multiplicativity and unitarity are verified on
-    the generators at construction time.
-    """
-
-    def __init__(self, G: PermGroup, K: PermGroup, target: PermGroup):
-        if not K.is_subgroup_of(target):
-            raise HomomorphismError("image is not inside the target group")
-        self.G = G
-        self.K = K
-        self.target = target
-        self.left_reps, self.left_coset_index = _left_cosets(G, K)
-        self.degree = len(self.left_reps)
-        self._verify_on_generators()
-
-    def cocycle(self, g: Perm, l: int):
-        """(target coset, c) with c = rep(g l K)^-1 g rep(l K) in K."""
-        x = g * self.left_reps[l]
-        m = self.left_coset_index(x)
-        c = self.left_reps[m].inv() * x
-        if c not in self.K:
-            raise InvariantViolationError("coset cocycle left the subgroup")
-        return m, c
-
-    def matrix(self, g: Perm):
-        """Dense block matrix of g, entries in the target group algebra."""
-        if g not in self.G:
-            raise PreconditionError("element outside the source group")
-        t = self.degree
-        zero = GroupAlgebraElement.zero(self.target)
-        out = [[zero for _ in range(t)] for _ in range(t)]
-        for l in range(t):
-            m, c = self.cocycle(g, l)
-            out[m][l] = GroupAlgebraElement(self.target, {c: complex(1)})
-        return out
-
-    def _verify_on_generators(self) -> None:
-        gens = list(self.G.generators)
-        mats = {g: self.matrix(g) for g in gens}
-        for g in gens:
-            for h in gens:
-                prod = _bmat_mul(mats[g], mats[h])
-                direct = self.matrix(g * h)
-                if prod != direct:
-                    raise InvariantViolationError(
-                        "induced map is not multiplicative at (%r, %r)"
-                        % (g, h))
-        ident = _bmat_identity(self.target, self.degree)
-        for g in gens:
-            if _bmat_mul(mats[g], _bmat_star(mats[g])) != ident:
-                raise InvariantViolationError(
-                    "induced image of %r is not unitary" % (g,))
-
-
-def _bmat_mul(A, B):
-    n = len(A)
-    out = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            acc = None
-            for m in range(n):
-                x = A[r][m]
-                y = B[m][c]
-                if x.is_zero() or y.is_zero():
-                    continue
-                term = x * y
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = GroupAlgebraElement.zero(A[r][0].group)
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _bmat_star(A):
-    n = len(A)
-    return [[A[c][r].star() for c in range(n)] for r in range(n)]
-
-
-def _bmat_identity(group: PermGroup, n: int):
-    zero = GroupAlgebraElement.zero(group)
-    one = GroupAlgebraElement.one(group)
-    return [[one if r == c else zero for c in range(n)] for r in range(n)]

@@ -11,7 +11,9 @@ Conventions used throughout the package:
   minimum of the coset under the key (number of moved points, moved
   points, images).  Under this key the identity is the global minimum,
   so the coset of the subgroup itself always comes first and its
-  representative is the identity.
+  representative is the identity.  CosetData.with_reps relabels those
+  cosets by another transversal, in another order; the theta map of
+  `induce` and the crossed product decomposition take theirs that way.
 """
 
 from __future__ import annotations
@@ -381,6 +383,27 @@ class CosetData:
         rep = self.reps[i]
         return sorted((h * rep for h in self.subgroup.elements),
                       key=lambda p: p.images)
+
+    def with_reps(self, reps: Sequence[Perm]) -> "CosetData":
+        """The same cosets, represented by reps and listed in their order.
+
+        reps must hold one element of every coset, the identity first,
+        so that callers needing another transversal (inverted left
+        coset minima, the largest elements) relabel this one instead of
+        partitioning G again.
+        """
+        reps = tuple(reps)
+        old = [self.coset_of.get(rep) for rep in reps]
+        if len(reps) != self.index or set(old) != set(range(self.index)):
+            raise PreconditionError(
+                "a relabelling needs one representative per coset")
+        if not reps[0].is_identity():
+            raise PreconditionError(
+                "a relabelling must represent the subgroup by the identity")
+        position = {i: n for n, i in enumerate(old)}
+        coset_of = {x: position[i] for x, i in self.coset_of.items()}
+        return CosetData(self.group, self.subgroup, reps, self.index,
+                         coset_of)
 
 
 def right_coset_data(G: PermGroup, H: PermGroup) -> CosetData:

@@ -6,9 +6,13 @@ algebra of H, indexed by k-tuples of coset indices.  This module computes
 those matrices (the support is the graph of the induced action of G on
 index tuples, and each nonzero entry has a closed form), relative
 commutant dimensions, and the principal and dual principal graphs with
-their operator norms.  Both graphs take their edges from one builder
-that restricts each character of the larger group once, with exact
-integer multiplicities (chartab.multiplicity).  The squared norm of a
+their operator norms.  At k = 1 on the inverted left transversal (see
+induced_theta, built with CosetData.with_reps) the amplification is
+the block monomial embedding of G into t x t matrices over the algebra
+of H that `induce` prints; it is checked on the generators of G with
+sparse matrix products on every call.  Both graphs take their edges
+from one builder that restricts each character of the larger group
+once, with exact integer multiplicities (chartab.multiplicity).  The squared norm of a
 graph is the index [G:H], certified in integers by a positive Perron
 eigenvector (the odd vertex degrees); no eigen-solve runs.  Commutant
 dimensions are exact orbit counts (Burnside's lemma over one histogram
@@ -67,7 +71,6 @@ class ThetaMap:
         self.k = k
         self.config = config
         self.tuples = tuple(itertools.product(range(cosets.index), repeat=k))
-        self.tuple_index = {tu: n for n, tu in enumerate(self.tuples)}
         self._prod = {}
         for tu in self.tuples:
             p = cosets.group.identity
@@ -78,38 +81,14 @@ class ThetaMap:
     def rep_product(self, tu) -> Perm:
         return self._prod[tuple(tu)]
 
-    def entry(self, g: Perm, i_tuple, j_tuple) -> GroupAlgebraElement:
-        """Matrix entry at (i_tuple, j_tuple) of the amplified u_g.
-
-        Closed form: u_{prod_i * g * prod_j^-1} when every suffix
-        product g_{i_l}...g_{i_k} * g * (g_{j_l}...g_{j_k})^-1 lies in
-        H, zero otherwise.  nested_theta_entry computes the same entry
-        by nested conditional expectations and serves as its reference.
-        """
-        i_tuple = tuple(i_tuple)
-        j_tuple = tuple(j_tuple)
-        if i_tuple not in self.tuple_index or j_tuple not in self.tuple_index:
-            raise PreconditionError("tuple index out of range")
-        if g not in self.cosets.group:
-            raise PreconditionError("element is outside the ambient group")
-        H = self.cosets.subgroup
-        reps = self.cosets.reps
-        suffix_i = self.cosets.group.identity
-        suffix_j = self.cosets.group.identity
-        for l in range(self.k - 1, -1, -1):
-            suffix_i = reps[i_tuple[l]] * suffix_i
-            suffix_j = reps[j_tuple[l]] * suffix_j
-            if (suffix_i * g) * suffix_j.inv() not in H:
-                return GroupAlgebraElement.zero(H)
-        w = self._prod[i_tuple] * g * self._prod[j_tuple].inv()
-        return GroupAlgebraElement.from_perm(H, w)
-
     def matrix(self, g: Perm) -> dict:
         """Nonzero entries as {(i_tuple, j_tuple): element}.
 
         Exactly one nonzero entry per row and per column: the row index
         is the image of the column index under the tuple action, a
         bijection of the tuples, and the entry is u_{prod_i * g * prod_j^-1}.
+        Every other entry is zero.  nested_theta_entry computes any entry
+        by nested conditional expectations and serves as the reference.
         """
         H = self.cosets.subgroup
         out = {}
@@ -118,6 +97,45 @@ class ThetaMap:
             w = self._prod[i] * g * self._prod[j].inv()
             out[(i, j)] = GroupAlgebraElement.from_perm(H, w)
         return out
+
+
+def induced_theta(G: PermGroup, K: PermGroup) -> ThetaMap:
+    """The block monomial map G -> M_t(L(K)) that `induce` prints.
+
+    It is theta at k = 1 on the inverted left transversal: with a_l the
+    sort-key-least element of the l-th left coset a_l K, the cosets
+    listed by a_l, the representative of the right coset K a_l^-1 is
+    a_l^-1, and entry (m, l) of theta(g) is u_c with
+    c = a_m^-1 g a_l in K (the Kaloujnine-Krasner embedding of G into
+    K wr Sym(t)).  The map takes the default config, so theta_k_cap
+    does not bind it.  Multiplicativity and unitarity are checked on
+    the generators of G before it is returned.
+    """
+    cosets = right_coset_data(G, K)
+    # the left coset x K is the inverse of the right coset K x^-1
+    lefts = sorted((min((rep.inv() * k for k in K.elements),
+                        key=Perm.sort_key) for rep in cosets.reps),
+                   key=Perm.sort_key)
+    theta = ThetaMap(cosets.with_reps([a.inv() for a in lefts]), 1)
+    _check_on_generators(theta)
+    return theta
+
+
+def _check_on_generators(theta: ThetaMap) -> None:
+    """theta(g) theta(h) = theta(gh) and theta(g) theta(g)* = 1 on generators."""
+    gens = theta.cosets.group.generators
+    mats = {g: theta.matrix(g) for g in gens}
+    one = GroupAlgebraElement.one(theta.cosets.subgroup)
+    identity = {(tu, tu): one for tu in theta.tuples}
+    for g in gens:
+        for h in gens:
+            if theta_matrix_product(mats[g], mats[h]) != theta.matrix(g * h):
+                raise InvariantViolationError(
+                    "theta is not multiplicative at (%r, %r)" % (g, h))
+        star = {(j, i): v.star() for (i, j), v in mats[g].items()}
+        if theta_matrix_product(mats[g], star) != identity:
+            raise InvariantViolationError(
+                "theta of %r is not unitary" % (g,))
 
 
 def action_on_tuples(g: Perm, j_tuple, cosets: CosetData,
@@ -248,7 +266,7 @@ def nested_theta_entry(cosets: CosetData, g: Perm, i_tuple,
                        j_tuple) -> GroupAlgebraElement:
     """Entry (i_tuple, j_tuple) of the amplified u_g, by nested expectations.
 
-    Reference for ThetaMap.entry and ThetaMap.matrix: from the last
+    Reference for ThetaMap.matrix: from the last
     coordinate backwards, y <- E_H(u_{g_{i_l}} * y * u_{g_{j_l}}^-1),
     starting from y = u_g, with honest group-algebra products.
     """

@@ -1,16 +1,19 @@
-"""Character-theory references that no sfw command needs.
+"""Direct references that no sfw command needs.
 
 Induction, permutation characters and the float inner product stay
 here, outside the package, as the references of the Frobenius-reciprocity
 tests, of the exact restriction multiplicities and of the
-character-table route to relative commutant dimensions.
+character-table route to relative commutant dimensions.  The left cosets
+by a direct loop and the block monomial matrices built on them are the
+references of the map that `induce` prints, and trace reads the
+canonical trace of a group algebra element.
 """
 
 from __future__ import annotations
 
 from sfw.chartab import ClassFunction, conjugacy_classes
 from sfw.errors import PreconditionError, SubgroupError
-from sfw.permgroup import verify_action_table
+from sfw.permgroup import Perm, verify_action_table
 
 
 # how far a float inner product of two characters may sit from its integer
@@ -65,3 +68,46 @@ def permutation_character(G, action, size):
         img = action[rep]
         values.append(complex(sum(1 for x in range(size) if img[x] == x)))
     return ClassFunction(G, tuple(values), is_character=True)
+
+
+def trace(x):
+    """The canonical trace of a group algebra element.
+
+    It is the coefficient of the identity.
+    """
+    return x.coeffs.get(x.group.identity, 0.0)
+
+
+def left_cosets(G, K):
+    """Left cosets g K by a direct loop over G in Perm.sort_key order.
+
+    The first element not yet assigned represents its coset, so the
+    representatives are the coset minima, in increasing order.  Returns
+    the representatives and the map from each element to its coset.
+    """
+    assigned = {}
+    reps = []
+    for g in sorted(G.elements, key=Perm.sort_key):
+        if g in assigned:
+            continue
+        for h in K.elements:
+            assigned[g * h] = len(reps)
+        reps.append(g)
+    return tuple(reps), assigned
+
+
+def induced_monomials(G, K):
+    """The block monomial matrix of every g induced from K.
+
+    Returns {g: {(m, l): c}}.  With a_l the l-th representative of
+    left_cosets, g a_l lies in the coset a_m K, and the entry of g at
+    (m, l) is u_c with c = a_m^-1 g a_l; every other entry is zero.
+    """
+    reps, coset_of = left_cosets(G, K)
+    out = {}
+    for g in G.elements:
+        matrix = out[g] = {}
+        for l, a in enumerate(reps):
+            m = coset_of[g * a]
+            matrix[(m, l)] = reps[m].inv() * g * a
+    return out

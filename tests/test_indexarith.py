@@ -1,4 +1,9 @@
-"""Jones spectrum queries, virtual indices, chains, induced homomorphisms."""
+"""Jones spectrum queries, virtual indices, chains, and the induced map.
+
+The block monomial map that `induce` prints is theta at k = 1 on the
+inverted left transversal (standard_invariant.induced_theta); its tests
+stay here, next to the rest of the index arithmetic.
+"""
 
 from __future__ import annotations
 
@@ -14,16 +19,15 @@ from sfw.errors import (
     ConstraintError,
     HomomorphismError,
     PreconditionError,
+    SubgroupError,
 )
 from sfw.groupalgebra import GroupAlgebraElement
 from sfw.indexarith import (
-    InducedHomomorphism,
     SpectrumVerdict,
     VirtualEmbeddingSpec,
     VirtualPart,
     commutant_bound_check,
     index_chain_check,
-    _left_cosets,
     jones_spectrum_query,
     local_index_combine,
     virtual_index,
@@ -35,6 +39,8 @@ from sfw.permgroup import (
     parse_cycle_string,
     symmetric_group,
 )
+from sfw.standard_invariant import induced_theta
+from oracles import induced_monomials, left_cosets
 from test_permgroup import inclusions
 
 
@@ -231,53 +237,67 @@ def test_corpus_indices_sit_in_the_spectrum():
         assert verdict.kind in ("discrete", "continuous")
 
 
-# -------------------------------------------------------------- left cosets
+# ------------------------------------------------ the map that induce prints
+
+
+def left_transversal(theta):
+    """The left coset representatives a_l and x -> l, read off theta.
+
+    theta represents the right coset K a_l^-1 by a_l^-1, and x lies in
+    a_l K exactly when x^-1 lies in K a_l^-1.
+    """
+    cosets = theta.cosets
+    reps = tuple(rep.inv() for rep in cosets.reps)
+    return reps, lambda x: cosets.coset_index(x.inv())
+
+
+def dense(theta, g):
+    """theta(g) at k = 1 as a list of rows, zero off the support."""
+    t = theta.cosets.index
+    zero = GroupAlgebraElement.zero(theta.cosets.subgroup)
+    rows = [[zero] * t for _ in range(t)]
+    for ((i,), (j,)), value in theta.matrix(g).items():
+        rows[i][j] = value
+    return rows
 
 
 def test_left_cosets_partition_the_group():
     S4 = symmetric_group(4)
     A4 = alternating_group(4)
-    data = InducedHomomorphism(S4, A4, A4)
-    assert data.left_reps[0] == S4.elements[0]
-    assert len(data.left_reps) == 2
+    left_reps, left_coset_index = left_transversal(induced_theta(S4, A4))
+    assert left_reps[0] == S4.elements[0]
+    assert len(left_reps) == 2
     seen = set()
-    for rep in data.left_reps:
+    for rep in left_reps:
         cell = [g for g in S4.elements
-                if data.left_coset_index(g) == data.left_coset_index(rep)]
+                if left_coset_index(g) == left_coset_index(rep)]
         for x in cell:
             assert rep.inv() * x in A4
         seen.update(cell)
     assert len(seen) == S4.order
 
 
-def direct_left_cosets(G, K):
-    """Left cosets g K by a direct loop over G in Perm.sort_key order.
-
-    The first element not yet assigned represents its coset, so the
-    representatives are the coset minima, in increasing order.
-    """
-    assigned = {}
-    reps = []
-    for g in sorted(G.elements, key=Perm.sort_key):
-        if g in assigned:
-            continue
-        for h in K.elements:
-            assigned[g * h] = len(reps)
-        reps.append(g)
-    return tuple(reps), assigned
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(inclusions())
 def test_left_cosets_match_the_direct_loop(pair):
     G, K = pair
-    reps, coset_index = _left_cosets(G, K)
-    want_reps, want_index = direct_left_cosets(G, K)
+    reps, coset_index = left_transversal(induced_theta(G, K))
+    want_reps, want_index = left_cosets(G, K)
     assert reps == want_reps
     assert {g: coset_index(g) for g in G.elements} == want_index
 
 
-# ------------------------------------------------- induced homomorphisms
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(inclusions())
+def test_induced_theta_matches_the_monomial_reference(pair):
+    G, K = pair
+    theta = induced_theta(G, K)
+    for g, monomial in induced_monomials(G, K).items():
+        got = {(i, j): value for ((i,), (j,)), value
+               in theta.matrix(g).items()}
+        want = {key: GroupAlgebraElement.from_perm(K, c)
+                for key, c in monomial.items()}
+        assert got == want
 
 
 def u(G, text):
@@ -287,18 +307,18 @@ def u(G, text):
 def test_induced_map_for_s3_over_a3():
     S3 = symmetric_group(3)
     A3 = S3.subgroup([perm(3, "(0 1 2)")])
-    ind = InducedHomomorphism(S3, A3, A3)
-    assert ind.degree == 2
+    theta = induced_theta(S3, A3)
+    assert theta.cosets.index == 2
 
-    m_id = ind.matrix(perm(3, "()"))
+    m_id = dense(theta, perm(3, "()"))
     assert m_id[0][0] == u(A3, "()") and m_id[1][1] == u(A3, "()")
     assert m_id[0][1].is_zero() and m_id[1][0].is_zero()
 
-    m_flip = ind.matrix(perm(3, "(0 1)"))
+    m_flip = dense(theta, perm(3, "(0 1)"))
     assert m_flip[0][0].is_zero() and m_flip[1][1].is_zero()
     assert m_flip[0][1] == u(A3, "()") and m_flip[1][0] == u(A3, "()")
 
-    m_rot = ind.matrix(perm(3, "(0 1 2)"))
+    m_rot = dense(theta, perm(3, "(0 1 2)"))
     assert m_rot[0][0] == u(A3, "(0 1 2)")
     assert m_rot[1][1] == u(A3, "(0 2 1)")
     assert m_rot[0][1].is_zero() and m_rot[1][0].is_zero()
@@ -320,11 +340,11 @@ def block_mul(a, b):
 def test_induced_map_is_multiplicative_everywhere():
     S3 = symmetric_group(3)
     A3 = S3.subgroup([perm(3, "(0 1 2)")])
-    ind = InducedHomomorphism(S3, A3, A3)
+    theta = induced_theta(S3, A3)
     for g in S3.elements:
         for h in S3.elements:
-            lhs = block_mul(ind.matrix(g), ind.matrix(h))
-            rhs = ind.matrix(g * h)
+            lhs = block_mul(dense(theta, g), dense(theta, h))
+            rhs = dense(theta, g * h)
             for row_l, row_r in zip(lhs, rhs):
                 for x, y in zip(row_l, row_r):
                     assert x == y
@@ -333,10 +353,10 @@ def test_induced_map_is_multiplicative_everywhere():
 def test_induced_map_is_unitary():
     S3 = symmetric_group(3)
     A3 = S3.subgroup([perm(3, "(0 1 2)")])
-    ind = InducedHomomorphism(S3, A3, A3)
+    theta = induced_theta(S3, A3)
     for g in S3.elements:
-        m = ind.matrix(g)
-        minv = ind.matrix(g.inv())
+        m = dense(theta, g)
+        minv = dense(theta, g.inv())
         star = [[m[i][j].star() for i in range(len(m))] for j in range(len(m))]
         for row_s, row_i in zip(star, minv):
             for x, y in zip(row_s, row_i):
@@ -347,8 +367,8 @@ def test_induced_map_rejects_bad_data():
     S3 = symmetric_group(3)
     A3 = S3.subgroup([perm(3, "(0 1 2)")])
     K = S3.subgroup([perm(3, "(0 1)")])
-    with pytest.raises(HomomorphismError):
-        InducedHomomorphism(S3, K, A3)
-    ind = InducedHomomorphism(S3, A3, A3)
+    with pytest.raises(SubgroupError):
+        induced_theta(A3, K)
+    theta = induced_theta(S3, A3)
     with pytest.raises(PreconditionError):
-        ind.matrix(perm(4, "(0 3)"))
+        theta.matrix(perm(4, "(0 3)"))

@@ -4,6 +4,7 @@ A public module-level function or class that no command, verify suite or
 other package code refers to is either dead or a test oracle, and
 belongs in tests/.  The only exceptions are the file-format functions
 that README's *Library entry points* names for callers of the library.
+The same holds for the public methods of every class in src/sfw.
 """
 
 from __future__ import annotations
@@ -15,15 +16,20 @@ ROOT = Path(__file__).resolve().parents[1]
 FORMAT_API = {"group_to_json", "graph_from_json"}
 
 
+def package_trees() -> list:
+    """(module name, parsed tree) for every module of src/sfw."""
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted((ROOT / "src" / "sfw").glob("*.py"))]
+
+
 def unreached_public_names() -> dict:
     """{name: module} for public definitions no Name or Attribute uses."""
     defined, used = {}, set()
-    for path in sorted((ROOT / "src" / "sfw").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for stem, tree in package_trees():
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
-                defined[node.name] = path.stem
+                defined[node.name] = stem
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -31,6 +37,29 @@ def unreached_public_names() -> dict:
                 used.add(node.attr)
     return {name: module for name, module in defined.items()
             if name not in used}
+
+
+def unreferenced_public_methods() -> list:
+    """Class.method for public methods that no attribute access names.
+
+    A method is reached only through an attribute, so a name that no
+    `x.name` in src/sfw spells is called from tests alone, or not at all.
+    """
+    methods, attributes = [], set()
+    for _, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                methods.extend((node.name, item.name) for item in node.body
+                               if isinstance(item, ast.FunctionDef)
+                               and not item.name.startswith("_"))
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    return sorted("%s.%s" % (cls, name) for cls, name in methods
+                  if name not in attributes)
+
+
+def test_every_public_method_is_referenced_in_the_package():
+    assert unreferenced_public_methods() == []
 
 
 def test_every_public_name_is_reached_or_format_api():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from sfw.chartab import character_table
 from sfw.config import Config
 from sfw.errors import (CapExceededError, InvalidActionError, ParseError,
-                        SubgroupError)
+                        PreconditionError, SubgroupError)
 from sfw.permgroup import (
     Perm,
     PermGroup,
@@ -113,6 +113,32 @@ def test_coset_data_s3():
     assert [r.cycle_string() for r in cosets.reps] == ["()", "(0 2)", "(1 2)"]
     assert {p.cycle_string() for p in cosets.coset_elements(1)} == {"(0 2)", "(0 2 1)"}
     assert {p.cycle_string() for p in cosets.coset_elements(2)} == {"(1 2)", "(0 1 2)"}
+
+
+def test_with_reps_relabels_the_same_cosets():
+    G = symmetric_group(4)
+    H = G.subgroup([perm(4, "(0 1 2)"), perm(4, "(0 1)")])
+    cosets = right_coset_data(G, H)
+    # the identity, then the largest element of every other coset, in
+    # reverse order
+    reps = [G.identity] + [
+        max(cosets.coset_elements(i), key=Perm.sort_key)
+        for i in reversed(range(1, cosets.index))]
+    relabelled = cosets.with_reps(reps)
+    assert relabelled.reps == tuple(reps)
+    assert relabelled.index == cosets.index
+    for n, rep in enumerate(reps):
+        cell = {h * rep for h in H.elements}
+        assert cell == {x for x in G.elements
+                        if relabelled.coset_index(x) == n}
+    twice = perm(4, "(0 1)") * reps[1]
+    assert cosets.coset_index(twice) == cosets.coset_index(reps[1])
+    for bad in (reps[:-1],                      # a coset left out
+                reps[:-1] + [twice],            # a coset twice
+                reps[1:] + reps[:1],            # identity not first
+                reps[:-1] + [perm(5, "(0 4)")]):  # outside the group
+        with pytest.raises(PreconditionError):
+            cosets.with_reps(bad)
 
 
 def _coset_partition_oracle(G, H):

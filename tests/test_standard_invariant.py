@@ -19,6 +19,7 @@ from sfw.errors import (
 )
 from sfw.groupalgebra import GroupAlgebraElement
 from sfw.permgroup import (
+    PermGroup,
     double_coset_data,
     parse_cycle_string,
     right_coset_data,
@@ -32,6 +33,7 @@ from sfw.standard_invariant import (
     action_on_tuples,
     brute_force_commutant_dim,
     dual_principal_graph,
+    induced_theta,
     nested_theta_entry,
     principal_graph,
     relative_commutant_dim,
@@ -68,14 +70,18 @@ def test_theta_values_by_hand():
     case = case_by_name("s3-flip")
     cosets = right_coset_data(case.group, case.subgroup)
     g = perm(3, "(0 1)")
-    hit = ThetaMap(cosets, 1).entry(g, (2,), (1,))
+    depth_one = ThetaMap(cosets, 1).matrix(g)
+    hit = depth_one[((2,), (1,))]
     assert hit == GroupAlgebraElement.from_perm(case.group, perm(3, "(0 1)"))
-    assert ThetaMap(cosets, 1).entry(g, (0,), (1,)).is_zero()
+    assert ((0,), (1,)) not in depth_one
+    assert nested_theta_entry(cosets, g, (0,), (1,)).is_zero()
     # Depth two: representative products telescope, the survivor at
     # ((2, 2), (1, 1)) is again (0 1).
-    hit2 = ThetaMap(cosets, 2).entry(g, (2, 2), (1, 1))
+    depth_two = ThetaMap(cosets, 2).matrix(g)
+    hit2 = depth_two[((2, 2), (1, 1))]
     assert hit2 == GroupAlgebraElement.from_perm(case.group, perm(3, "(0 1)"))
-    assert ThetaMap(cosets, 2).entry(g, (0, 0), (1, 1)).is_zero()
+    assert ((0, 0), (1, 1)) not in depth_two
+    assert nested_theta_entry(cosets, g, (0, 0), (1, 1)).is_zero()
 
 
 def test_action_identity_and_composition():
@@ -125,7 +131,6 @@ def test_theta_matrix_shape_and_consistency():
                 assert len(mat) == len(tuples)
                 for (i_t, j_t), val in mat.items():
                     assert i_t == action_on_tuples(g, j_t, cosets)
-                    assert val == theta.entry(g, i_t, j_t)
                     assert val == nested_theta_entry(cosets, g, i_t, j_t)
                     assert not val.is_zero()
                 # A sample of off-pattern entries vanish.
@@ -133,9 +138,9 @@ def test_theta_matrix_shape_and_consistency():
                     i_t = tuples[rng.randrange(len(tuples))]
                     j_t = tuples[rng.randrange(len(tuples))]
                     if i_t != action_on_tuples(g, j_t, cosets):
-                        val = theta.entry(g, i_t, j_t)
+                        assert (i_t, j_t) not in mat
+                        val = nested_theta_entry(cosets, g, i_t, j_t)
                         assert val.is_zero()
-                        assert val == nested_theta_entry(cosets, g, i_t, j_t)
 
 
 def test_theta_production_path_never_reaches_the_nested_route(monkeypatch):
@@ -152,8 +157,11 @@ def test_theta_production_path_never_reaches_the_nested_route(monkeypatch):
             theta = ThetaMap(cosets, k)
             for g in G.generators:
                 for (i_t, j_t), val in theta.matrix(g).items():
-                    assert theta.entry(g, i_t, j_t) == val
+                    w = (theta.rep_product(i_t) * g
+                         * theta.rep_product(j_t).inv())
+                    assert val == GroupAlgebraElement.from_perm(G, w)
                     assert action_on_tuples(g, j_t, cosets, k) == i_t
+        induced_theta(G, case.subgroup)
 
 
 def test_theta_is_multiplicative():
@@ -178,7 +186,7 @@ def test_theta_rejects_bad_input():
     cosets = right_coset_data(case.group, case.subgroup)
     g = perm(3, "(0 1)")
     with pytest.raises(PreconditionError):
-        ThetaMap(cosets, 2).entry(g, (0, 0), (1,))
+        action_on_tuples(g, (0,), cosets, 2)
     with pytest.raises(PreconditionError):
         action_on_tuples(g, (99,), cosets)
     case = case_by_name("a4-v4")
@@ -487,6 +495,25 @@ def test_graphs_match_the_pairwise_reference(pair):
         graph = build(G, H)
         assert graph == pairwise_graph(G, H, kind)
         assert graph.norm_squared == G.order // H.order
+
+
+def test_dual_graph_checks_the_subgroup_once_per_pair(monkeypatch):
+    # restrict runs once per character of S5, but the subgroup check goes
+    # with the class fusion, which is kept per (G, H): the graph's own
+    # check and the fusion's make two, whatever the number of characters
+    S5 = symmetric_group(5)
+    S4 = S5.subgroup([perm(5, "(0 1 2 3)"), perm(5, "(0 1)")])
+    calls = []
+    is_subgroup_of = PermGroup.is_subgroup_of
+
+    def counted(self, other):
+        calls.append((self.order, other.order))
+        return is_subgroup_of(self, other)
+
+    monkeypatch.setattr(PermGroup, "is_subgroup_of", counted)
+    dual_principal_graph(S5, S4)
+    assert len(character_table(S5).characters) == 7
+    assert calls == [(24, 120), (24, 120)]
 
 
 def test_norm_certificate_rejects_a_raised_edge():
