@@ -19,44 +19,60 @@ preconditions, 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 
-from .chartab import character_table
-from .cocycle import subfactor_report_from_out
 from .config import Config, DEFAULT, config_fields
-from .corpus import case_names, case_by_name, require_order_cap
 from .errors import ParseError, PreconditionError, SfwError
-from .formats import (
-    canonical_json,
-    chartab_to_json,
-    complex_pair,
-    extension_to_json,
-    graph_to_dot,
-    graph_to_json,
-    group_from_json,
-    parse_json_text,
-    rounded,
+
+# Every other module of the package.  Importing cli registers each one
+# in sys.modules without running it (importlib.util.LazyLoader); its
+# body runs on the first attribute access, so a subcommand executes only
+# the modules it reaches.  `from sfw.x import y` still imports x as usual.
+LAZY_MODULES = ("chartab", "cocycle", "corpus", "formats", "groupalgebra",
+                "indexarith", "permgroup", "standard_invariant", "verify")
+
+# The built-in case names (corpus.case_names()) and the verify suites
+# (verify.SUITES) that the parser lists, spelled out here so that
+# building it runs neither module; tests/test_cli.py holds them equal.
+CASE_NAMES = ("s3-flip", "s3-a3", "s4-s3", "s4-d4", "a4-v4", "wr2x3-base")
+SUITE_NAMES = ("theta", "graphs", "cocycles", "extensions", "arithmetic")
+
+
+def _register_lazily(name: str) -> None:
+    """Put sfw.<name> in sys.modules, to be run on first attribute access.
+
+    The recipe of the importlib docs ("Implementing lazy imports").  The
+    module is bound on the package as an eager import would bind it, so
+    that `from . import name` finds it there without running it.  A
+    module that is already imported is left as it is.
+    """
+    full = "%s.%s" % (__package__, name)
+    if full in sys.modules:
+        return
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+
+
+for _name in LAZY_MODULES:
+    _register_lazily(_name)
+
+# bound to the registered modules, none of which has run yet
+from . import (
+    chartab,
+    cocycle,
+    corpus,
+    formats,
+    indexarith,
+    permgroup,
+    standard_invariant,
+    verify,
 )
-from .indexarith import (
-    VirtualEmbeddingSpec,
-    jones_spectrum_query,
-    virtual_index,
-)
-from .permgroup import (
-    automorphism_group,
-    double_coset_data,
-    parse_cycle_string,
-    right_coset_data,
-)
-from .standard_invariant import (
-    IN_GROUP,
-    IN_SUBGROUP,
-    dual_principal_graph,
-    induced_theta,
-    principal_graph,
-    relative_commutant_dim,
-)
-from .verify import SUITES, run_suite
+
 
 def _build_config(args) -> Config:
     cfg = DEFAULT
@@ -88,16 +104,16 @@ def _load_group_file(path: str, config: Config):
             text = fh.read()
     except OSError as e:
         raise ParseError("cannot read %s: %s" % (path, e)) from None
-    return group_from_json(parse_json_text(text), config)
+    return formats.group_from_json(formats.parse_json_text(text), config)
 
 
 def _load_case(name: str, config: Config):
     """A built-in case, held to the same order cap as a group file."""
     try:
-        case = case_by_name(name)
+        case = corpus.case_by_name(name)
     except KeyError as e:
         raise ParseError(str(e.args[0])) from None
-    return require_order_cap(case, config)
+    return corpus.require_order_cap(case, config)
 
 
 def _load_inclusion(args, config: Config):
@@ -130,12 +146,14 @@ def _emit(args, text: str) -> None:
 def cmd_index(args) -> int:
     cfg = _build_config(args)
     name, G, H = _load_inclusion(args, cfg)
-    cosets = right_coset_data(G, H)
-    dc = double_coset_data(G, H)
-    dims = {IN_SUBGROUP: {}, IN_GROUP: {}}
+    cosets = permgroup.right_coset_data(G, H)
+    dc = permgroup.double_coset_data(G, H)
+    in_h, in_g = standard_invariant.SIDES
+    dims = {in_h: {}, in_g: {}}
     for k in range(1, cfg.theta_k_cap + 1):
-        for side in (IN_SUBGROUP, IN_GROUP):
-            dims[side][k] = relative_commutant_dim(G, H, H, k, side, cfg)
+        for side in (in_h, in_g):
+            dims[side][k] = standard_invariant.relative_commutant_dim(
+                G, H, H, k, side, cfg)
     if args.json:
         payload = {
             "name": name,
@@ -147,16 +165,15 @@ def cmd_index(args) -> int:
             "commutant_dims": {side: {str(k): v for k, v in table.items()}
                                for side, table in dims.items()},
         }
-        _emit(args, canonical_json(payload))
+        _emit(args, formats.canonical_json(payload))
         return 0
     lines = ["inclusion: %s" % name,
              "group order: %d, subgroup order: %d" % (G.order, H.order),
              "index: %d" % cosets.index,
              "double cosets: %d" % dc.count]
-    for k in sorted(dims[IN_SUBGROUP]):
+    for k in sorted(dims[in_h]):
         lines.append("relative commutants k=%d: %s=%d %s=%d"
-                     % (k, IN_SUBGROUP, dims[IN_SUBGROUP][k],
-                        IN_GROUP, dims[IN_GROUP][k]))
+                     % (k, in_h, dims[in_h][k], in_g, dims[in_g][k]))
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -164,12 +181,13 @@ def cmd_index(args) -> int:
 def cmd_graph(args) -> int:
     cfg = _build_config(args)
     name, G, H = _load_inclusion(args, cfg)
-    build = principal_graph if args.kind == "principal" else dual_principal_graph
+    build = (standard_invariant.principal_graph if args.kind == "principal"
+             else standard_invariant.dual_principal_graph)
     graph = build(G, H, cfg)
     if args.format == "dot":
-        _emit(args, graph_to_dot(graph, "%s_%s" % (args.kind, name)))
+        _emit(args, formats.graph_to_dot(graph, "%s_%s" % (args.kind, name)))
     else:
-        _emit(args, canonical_json(graph_to_json(graph)))
+        _emit(args, formats.canonical_json(formats.graph_to_json(graph)))
     return 0
 
 
@@ -177,9 +195,9 @@ def cmd_chartab(args) -> int:
     cfg = _build_config(args)
     name, G, H = _load_inclusion(args, cfg)
     target = H if args.member == "subgroup" else G
-    table = character_table(target)
+    table = chartab.character_table(target)
     if args.json:
-        _emit(args, canonical_json(chartab_to_json(table)))
+        _emit(args, formats.canonical_json(formats.chartab_to_json(table)))
         return 0
     lines = ["group of order %d, %d conjugacy classes"
              % (target.order, table.classes.count),
@@ -191,7 +209,7 @@ def cmd_chartab(args) -> int:
     for i, chi in enumerate(table.characters):
         cells = []
         for z in chi.values:
-            re, im = rounded(z.real, 6), rounded(z.imag, 6)
+            re, im = formats.rounded(z.real, 6), formats.rounded(z.imag, 6)
             if abs(z.imag) < 1e-9:
                 cells.append("%g" % re)
             else:
@@ -209,7 +227,7 @@ def cmd_extend(args) -> int:
         G = _load_group_file(args.group, cfg)
     else:
         raise ParseError("need --case or --group")
-    auts = automorphism_group(G, cfg)
+    auts = permgroup.automorphism_group(G, cfg)
     available = auts.out_cosets.index - 1
     if args.out_classes == "all":
         picks = list(range(1, auts.out_cosets.index))
@@ -226,12 +244,12 @@ def cmd_extend(args) -> int:
                 raise ParseError("outer class %d out of range, have 1..%d"
                                  % (p, available))
     outs = [auts.out_cosets.reps[p] for p in picks]
-    result, report = subfactor_report_from_out(G, outs, cfg)
+    result, report = cocycle.subfactor_report_from_out(G, outs, cfg)
     if args.json:
-        payload = extension_to_json(result)
+        payload = formats.extension_to_json(result)
         payload["relations_ok"] = report.ok
         payload["outer_lifts"] = report.outer_count
-        _emit(args, canonical_json(payload))
+        _emit(args, formats.canonical_json(payload))
         return 0 if report.ok else 1
     lines = ["base order: %d" % result.base.order,
              "extension order: %d" % result.ambient.order,
@@ -248,13 +266,13 @@ def cmd_extend(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = _build_config(args)
-    verdict = jones_spectrum_query(args.value, config=cfg)
+    verdict = indexarith.jones_spectrum_query(args.value, config=cfg)
     if args.json:
         payload = {"value": verdict.value, "kind": verdict.kind,
                    "residual": verdict.residual}
         if verdict.n is not None:
             payload["n"] = verdict.n
-        _emit(args, canonical_json(payload))
+        _emit(args, formats.canonical_json(payload))
         return 0
     if verdict.kind == "discrete":
         _emit(args, "discrete point 4cos^2(pi/%d), residual %.2e\n"
@@ -277,14 +295,14 @@ def cmd_vindex(args) -> int:
             parts.append(tuple(int(b) for b in bits))
         except ValueError:
             raise ParseError("part entries must be integers") from None
-    spec = VirtualEmbeddingSpec.make(args.total, parts)
-    value = virtual_index(spec)
+    spec = indexarith.VirtualEmbeddingSpec.make(args.total, parts)
+    value = indexarith.virtual_index(spec)
     if args.json:
         payload = {"t": spec.t,
                    "parts": [[p.s, p.index_G_K, p.index_H_gammaK]
                              for p in spec.parts],
                    "virtual_index": value}
-        _emit(args, canonical_json(payload))
+        _emit(args, formats.canonical_json(payload))
     else:
         _emit(args, "virtual index: %d\n" % value)
     return 0
@@ -293,11 +311,11 @@ def cmd_vindex(args) -> int:
 def cmd_induce(args) -> int:
     cfg = _build_config(args)
     name, G, K = _load_inclusion(args, cfg)
-    theta = induced_theta(G, K)
+    theta = standard_invariant.induced_theta(G, K)
     degree = theta.cosets.index
     elements = []
     if args.element:
-        elements.append(parse_cycle_string(G.degree, args.element))
+        elements.append(permgroup.parse_cycle_string(G.degree, args.element))
     else:
         elements.extend(G.generators)
     for g in elements:
@@ -312,12 +330,12 @@ def cmd_induce(args) -> int:
                 for p, z in sorted(el.coeffs.items(),
                                    key=lambda kv: kv[0].images):
                     entries.append({"row": r, "col": c,
-                                    "coeff": complex_pair(z),
+                                    "coeff": formats.complex_pair(z),
                                     "support": p.cycle_string()})
             blocks.append({"element": g.cycle_string(), "entries": entries})
         payload = {"name": name, "degree": degree,
                    "target_order": K.order, "matrices": blocks}
-        _emit(args, canonical_json(payload))
+        _emit(args, formats.canonical_json(payload))
         return 0
     lines = ["inclusion: %s" % name,
              "block matrix degree: %d over group of order %d"
@@ -335,9 +353,10 @@ def cmd_induce(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _build_config(args)
-    report = run_suite(args.suite, corpus_dir=args.corpus_dir, config=cfg)
+    report = verify.run_suite(args.suite, corpus_dir=args.corpus_dir,
+                              config=cfg)
     if args.json:
-        _emit(args, canonical_json(report.to_json()))
+        _emit(args, formats.canonical_json(report.to_json()))
         return 0 if report.ok else 1
     lines = []
     for case in report.cases:
@@ -362,7 +381,7 @@ def _add_common(sub, inclusion=False, group_only=False):
         sub.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
     if inclusion or group_only:
         sub.add_argument("--case", help="built-in case: %s"
-                         % ", ".join(case_names()))
+                         % ", ".join(CASE_NAMES))
         sub.add_argument("--group", help="JSON file with the group")
     if inclusion:
         sub.add_argument("--subgroup", help="JSON file with the subgroup")
@@ -417,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run consistency suites")
     _add_common(p)
-    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
+    p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p.add_argument("--corpus-dir",
                    help="directory of inclusion JSON files replacing the "
                         "built-in corpus")

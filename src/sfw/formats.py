@@ -2,19 +2,24 @@
 
 All writers produce plain dicts of JSON-safe values; canonical_json
 renders them byte-deterministically (sorted keys, fixed indentation,
-trailing newline) so repeated runs diff clean.
+trailing newline) so repeated runs diff clean.  Only the readers build
+objects of the package, so they import permgroup and standard_invariant
+when called, and writing JSON runs no other module of it.
 """
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .chartab import CharacterTable
 from .config import Config, DEFAULT
-from .cocycle import Cocycle2, ExtensionResult
 from .errors import ParseError
-from .permgroup import Perm, PermGroup, parse_cycle_string
-from .standard_invariant import BipartiteMultiGraph, GraphVertex
+
+if TYPE_CHECKING:
+    from .chartab import CharacterTable
+    from .cocycle import Cocycle2, ExtensionResult
+    from .permgroup import PermGroup
+    from .standard_invariant import BipartiteMultiGraph, GraphVertex
 
 CONVENTION = "rightmost-first"
 
@@ -51,6 +56,7 @@ def group_to_json(G: PermGroup) -> dict:
 
 
 def group_from_json(obj, config: Config = DEFAULT) -> PermGroup:
+    from .permgroup import Perm, PermGroup, parse_cycle_string
     degree = _require(obj, "degree", int, "group")
     if degree < 1:
         raise ParseError("degree must be at least 1")
@@ -101,6 +107,7 @@ def _vertex_to_json(v: GraphVertex) -> dict:
             "irrep": v.irrep_index, "degree": v.degree}
 
 def _vertex_from_json(obj, where) -> GraphVertex:
+    from .standard_invariant import GraphVertex
     return GraphVertex(
         _require(obj, "label", str, where),
         _require(obj, "group", int, where),
@@ -120,6 +127,7 @@ def graph_to_json(g: BipartiteMultiGraph) -> dict:
 
 
 def graph_from_json(obj) -> BipartiteMultiGraph:
+    from .standard_invariant import BipartiteMultiGraph
     even = tuple(_vertex_from_json(v, "even vertex")
                  for v in _require(obj, "even", list, "graph"))
     odd = tuple(_vertex_from_json(v, "odd vertex")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .config import Config, DEFAULT
 from .errors import (
@@ -20,7 +20,9 @@ from .errors import (
     PreconditionError,
     SubgroupError,
 )
-from .permgroup import Perm, PermGroup
+
+if TYPE_CHECKING:
+    from .permgroup import Perm, PermGroup
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .chartab import character_table, multiplicity, restrict
+# reached through their modules, so that under sfw.cli's lazy
+# registration they run only when a table or an algebra element is
+# built: `index` needs neither
+from . import chartab, groupalgebra
 from .config import Config, DEFAULT
 from .errors import (
     CapExceededError,
@@ -40,7 +43,6 @@ from .errors import (
     PreconditionError,
     SubgroupError,
 )
-from .groupalgebra import GroupAlgebraElement, conditional_expectation
 from .permgroup import (
     CosetData,
     Perm,
@@ -48,6 +50,9 @@ from .permgroup import (
     double_coset_data,
     right_coset_data,
 )
+
+if TYPE_CHECKING:
+    from .groupalgebra import GroupAlgebraElement
 
 IN_SUBGROUP = "in-L(H)"
 IN_GROUP = "in-L(G)"
@@ -69,14 +74,24 @@ class ThetaMap:
         _check_k(k, config)
         self.cosets = cosets
         self.k = k
-        self.config = config
         self.tuples = tuple(itertools.product(range(cosets.index), repeat=k))
         self._prod = {}
+        self._prod_inv = {}
+        # the cosets of a tuple's suffix products, last one first, fix
+        # the tuple; matrix looks its rows up by them
+        self._suffix_cosets = []
+        self._by_suffix_cosets = {}
         for tu in self.tuples:
             p = cosets.group.identity
-            for i in tu:
-                p = p * cosets.reps[i]
+            suffix_cosets = []
+            for i in reversed(tu):
+                p = cosets.reps[i] * p
+                suffix_cosets.append(cosets.coset_index(p))
+            suffix_cosets = tuple(suffix_cosets)
             self._prod[tu] = p
+            self._prod_inv[tu] = p.inv()
+            self._suffix_cosets.append(suffix_cosets)
+            self._by_suffix_cosets[suffix_cosets] = tu
 
     def rep_product(self, tu) -> Perm:
         return self._prod[tuple(tu)]
@@ -89,13 +104,30 @@ class ThetaMap:
         bijection of the tuples, and the entry is u_{prod_i * g * prod_j^-1}.
         Every other entry is zero.  nested_theta_entry computes any entry
         by nested conditional expectations and serves as the reference.
+
+        With p_l(j) = g_{j_l} * ... * g_{j_k} the suffix products of j,
+        the tuple action (action_on_tuples) gives the row i with
+        H p_l(i) = H p_l(j) g^-1 for every l, and the suffix cosets fix
+        a tuple.  So the row is looked up from the moved suffix cosets
+        of j, at one product per coset for the whole matrix, and the
+        entry takes two products per column.  An entry outside H is a
+        fault of this code, not of the input.
         """
-        H = self.cosets.subgroup
+        cosets = self.cosets
+        if g not in cosets.group:
+            raise PreconditionError("element is outside the ambient group")
+        H = cosets.subgroup
+        ginv = g.inv()
+        moved = [cosets.coset_index(rep * ginv) for rep in cosets.reps]
         out = {}
-        for j in self.tuples:
-            i = action_on_tuples(g, j, self.cosets, self.k, self.config)
-            w = self._prod[i] * g * self._prod[j].inv()
-            out[(i, j)] = GroupAlgebraElement.from_perm(H, w)
+        for j, suffix_cosets in zip(self.tuples, self._suffix_cosets):
+            i = self._by_suffix_cosets[tuple(moved[c] for c in suffix_cosets)]
+            w = self._prod[i] * g * self._prod_inv[j]
+            if w not in H:
+                raise InvariantViolationError(
+                    "theta entry (%r, %r) of %r lies outside the subgroup"
+                    % (i, j, g))
+            out[(i, j)] = groupalgebra.GroupAlgebraElement.from_perm(H, w)
         return out
 
 
@@ -125,7 +157,7 @@ def _check_on_generators(theta: ThetaMap) -> None:
     """theta(g) theta(h) = theta(gh) and theta(g) theta(g)* = 1 on generators."""
     gens = theta.cosets.group.generators
     mats = {g: theta.matrix(g) for g in gens}
-    one = GroupAlgebraElement.one(theta.cosets.subgroup)
+    one = groupalgebra.GroupAlgebraElement.one(theta.cosets.subgroup)
     identity = {(tu, tu): one for tu in theta.tuples}
     for g in gens:
         for h in gens:
@@ -273,11 +305,12 @@ def nested_theta_entry(cosets: CosetData, g: Perm, i_tuple,
     G = cosets.group
     H = cosets.subgroup
     reps = cosets.reps
-    y = GroupAlgebraElement.from_perm(G, g)
+    from_perm = groupalgebra.GroupAlgebraElement.from_perm
+    y = from_perm(G, g)
     for l in range(len(i_tuple) - 1, -1, -1):
-        left = GroupAlgebraElement.from_perm(G, reps[i_tuple[l]])
-        right = GroupAlgebraElement.from_perm(G, reps[j_tuple[l]].inv())
-        y = conditional_expectation(left * y * right, H)
+        left = from_perm(G, reps[i_tuple[l]])
+        right = from_perm(G, reps[j_tuple[l]].inv())
+        y = groupalgebra.conditional_expectation(left * y * right, H)
     return y
 
 
@@ -334,6 +367,7 @@ def brute_force_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
             "oracle size %d exceeds cap %d" % (size, config.oracle_cap))
     theta = ThetaMap(cosets, k, config)
     tuples = theta.tuples
+    from_perm = groupalgebra.GroupAlgebraElement.from_perm
     unknown = {}
     entry_perm = {}
     for a in tuples:
@@ -354,16 +388,14 @@ def brute_force_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
                 expr = {}
                 kk = act[b]
                 if (a, kk) in unknown:
-                    val = (GroupAlgebraElement.from_perm(G, entry_perm[(a, kk)])
-                           * mat[(kk, b)])
+                    val = from_perm(G, entry_perm[(a, kk)]) * mat[(kk, b)]
                     for p, c in val.coeffs.items():
                         expr.setdefault(p, {})[unknown[(a, kk)]] = \
                             expr.get(p, {}).get(unknown[(a, kk)], Fraction(0)) \
                             + Fraction(c.real)
                 ll = inv_act[a]
                 if (ll, b) in unknown:
-                    val = (mat[(a, ll)]
-                           * GroupAlgebraElement.from_perm(G, entry_perm[(ll, b)]))
+                    val = mat[(a, ll)] * from_perm(G, entry_perm[(ll, b)])
                     for p, c in val.coeffs.items():
                         cur = expr.setdefault(p, {})
                         cur[unknown[(ll, b)]] = \
@@ -485,9 +517,9 @@ def _restriction_edges(big_table, small_table) -> list:
     small = small_table.group
     edges = []
     for b, chi in enumerate(big_table.characters):
-        res = restrict(chi, small)
+        res = chartab.restrict(chi, small)
         for s, psi in enumerate(small_table.characters):
-            m = multiplicity(res, psi)
+            m = chartab.multiplicity(res, psi)
             if m:
                 edges.append((b, s, m))
     return edges
@@ -506,11 +538,11 @@ def principal_graph(G: PermGroup, H: PermGroup,
     config is accepted for callers that pass one.
     """
     dc = double_coset_data(G, H)
-    h_tab = character_table(H)
+    h_tab = chartab.character_table(H)
     even = []
     edges = []
     for i, K in enumerate(dc.stabilizers):
-        k_tab = character_table(K)
+        k_tab = chartab.character_table(K)
         offset = len(even)
         even.extend(_vertices(k_tab, "K%d" % (i + 1), i))
         edges.extend((offset + s, b, m)
@@ -533,8 +565,8 @@ def dual_principal_graph(G: PermGroup, H: PermGroup,
     """
     if not H.is_subgroup_of(G):
         raise SubgroupError("need H <= G")
-    g_tab = character_table(G)
-    h_tab = character_table(H)
+    g_tab = chartab.character_table(G)
+    h_tab = chartab.character_table(H)
     return _assemble_graph(_vertices(g_tab, "G", 0), _vertices(h_tab, "H", 0),
                            _restriction_edges(g_tab, h_tab),
                            g_tab.trivial_index(), h_tab.trivial_index(),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -12,10 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from sfw import cli
+from sfw import cli, verify
 from sfw.config import Config, config_fields
 from sfw.corpus import case_by_name, case_names
 from sfw.formats import canonical_json, graph_from_json, group_to_json
+from sfw.permgroup import CosetData
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, argv):
@@ -24,6 +28,14 @@ def run(capsys, argv):
     except SystemExit as e:
         rc = e.code
     return rc, capsys.readouterr().out
+
+
+def child_env() -> dict:
+    """The environment for a child process that imports sfw from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def write_group(path, G):
@@ -146,10 +158,7 @@ def test_spectrum_command(capsys):
 def test_spectrum_nan_exits_2():
     # NaN fails every comparison of the spectrum scan; run in a child
     # process so that a scan that never ends fails the test on timeout
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = child_env()
     proc = subprocess.run([sys.executable, "-m", "sfw.cli", "spectrum", "nan"],
                           env=env, capture_output=True, text=True, timeout=30)
     assert proc.returncode == 2
@@ -170,10 +179,7 @@ def test_spectrum_infinite_value_exits_2(capsys, value):
 def test_spectrum_next_to_four_returns_promptly():
     # the discrete points accumulate at 4: the largest float below 4 sits
     # beyond n = 10^8, so a walk over the points would run for minutes
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = child_env()
     proc = subprocess.run([sys.executable, "-m", "sfw.cli", "spectrum",
                            "3.9999999999999996", "--tol-spectrum", "0",
                            "--json"],
@@ -339,6 +345,26 @@ def test_bad_cycle_string_exits_2(capsys):
 def test_bad_suite_is_an_argparse_error(capsys):
     rc, _ = run(capsys, ["verify", "--suite", "bogus"])
     assert rc == 2
+
+
+def test_parser_lists_the_builtin_cases_and_the_verify_suites():
+    # spelled out in cli so that building the parser runs neither module
+    assert cli.CASE_NAMES == case_names()
+    assert cli.SUITE_NAMES == verify.SUITES
+
+
+def test_theta_entry_outside_the_subgroup_exits_1(capsys, monkeypatch):
+    # a fault only sfw can make: relabelled cosets that keep the old labels
+    relabel = CosetData.with_reps
+
+    def unmapped(self, reps):
+        return dataclasses.replace(relabel(self, reps), coset_of=self.coset_of)
+
+    monkeypatch.setattr(CosetData, "with_reps", unmapped)
+    rc = cli.main(["induce", "--case", "a4-v4"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "lies outside the subgroup" in captured.err
 
 
 def test_config_file_settings_apply(capsys, tmp_path):
@@ -526,10 +552,7 @@ for n, argv in enumerate(commands):
 
 
 def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = child_env()
     children = []
     for seed in ("0", "1"):
         out = tmp_path / seed
@@ -578,12 +601,54 @@ def test_commands_run_without_numpy(tmp_path):
         # the one built-in group with a centre has no extension
         if name != "wr2x3-base":
             commands.append(["extend", "--case", name])
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = child_env()
     child = subprocess.run(
         [sys.executable, "-c", _NO_NUMPY_CHILD, str(tmp_path),
          json.dumps(commands)],
         env=env, capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
+
+
+# The child imports sfw.cli, runs the command it is given, if any, and
+# prints which modules of the package have run.  One that cli registered
+# lazily and that has not run yet is not a plain module object; reading
+# any attribute of it would run it.
+_EXECUTED_CHILD = """
+import json, os, sys, types
+from sfw import cli
+if len(sys.argv) > 1 and cli.main(sys.argv[1:] + ["--out", os.devnull]):
+    sys.exit("%r failed" % (sys.argv[1:],))
+print(json.dumps({name: type(module) is types.ModuleType
+                  for name, module in sys.modules.items()
+                  if name == "sfw" or name.startswith("sfw.")}))
+"""
+
+
+def executed_modules(*argv) -> dict:
+    """{module: has run} over sfw's modules in a fresh process."""
+    child = subprocess.run(
+        [sys.executable, "-c", _EXECUTED_CHILD] + list(argv),
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+def test_importing_cli_runs_only_cli_config_and_errors():
+    executed = executed_modules()
+    modules = {"sfw"} | {"sfw." + path.stem
+                         for path in (SRC / "sfw").glob("*.py")
+                         if path.stem != "__init__"}
+    assert set(executed) == modules
+    assert sorted(name for name, ran in executed.items() if ran) == [
+        "sfw", "sfw.cli", "sfw.config", "sfw.errors"]
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["vindex", "--total", "1", "--part", "1:1:1"], ["permgroup"]),
+    (["spectrum", "4.0"], ["permgroup"]),
+    (["index", "--case", "s4-s3", "--json"],
+     ["chartab", "cocycle", "indexarith", "verify"]),
+])
+def test_a_subcommand_runs_only_the_modules_it_uses(argv, unused):
+    executed = executed_modules(*argv)
+    assert [name for name in unused if executed["sfw." + name]] == []

@@ -4,7 +4,9 @@ A public module-level function or class that no command, verify suite or
 other package code refers to is either dead or a test oracle, and
 belongs in tests/.  The only exceptions are the file-format functions
 that README's *Library entry points* names for callers of the library.
-The same holds for the public methods of every class in src/sfw.
+The same holds for the public methods of every class in src/sfw.  And
+cli registers every other module by name, so that table must name
+exactly the modules of the package.
 """
 
 from __future__ import annotations
@@ -74,3 +76,11 @@ def test_format_api_is_named_in_the_readme():
     section = readme.split("## Library entry points", 1)[1].split("\n## ")[0]
     for name in sorted(FORMAT_API):
         assert "`%s`" % name in section, name
+
+
+def test_cli_registers_every_other_module_lazily():
+    # a misspelt entry would otherwise fail only at its first use
+    from sfw import cli
+    stems = {stem for stem, _ in package_trees()}
+    assert sorted(cli.LAZY_MODULES) == sorted(
+        stems - {"__init__", "cli", "config", "errors"})

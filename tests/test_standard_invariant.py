@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from sfw import standard_invariant
+from sfw import groupalgebra, standard_invariant
 from sfw.chartab import character_table, multiplicity, restrict
 from sfw.config import DEFAULT
 from sfw.corpus import builtin_cases, case_by_name
@@ -19,6 +19,7 @@ from sfw.errors import (
 )
 from sfw.groupalgebra import GroupAlgebraElement
 from sfw.permgroup import (
+    Perm,
     PermGroup,
     double_coset_data,
     parse_cycle_string,
@@ -148,8 +149,8 @@ def test_theta_production_path_never_reaches_the_nested_route(monkeypatch):
         raise AssertionError("production path reached the nested route")
 
     monkeypatch.setattr(standard_invariant, "nested_theta_entry", forbidden)
-    monkeypatch.setattr(standard_invariant, "conditional_expectation",
-                        forbidden)
+    # standard_invariant reaches it as groupalgebra.conditional_expectation
+    monkeypatch.setattr(groupalgebra, "conditional_expectation", forbidden)
     for case in builtin_cases():
         G = case.group
         cosets = right_coset_data(G, case.subgroup)
@@ -162,6 +163,28 @@ def test_theta_production_path_never_reaches_the_nested_route(monkeypatch):
                     assert val == GroupAlgebraElement.from_perm(G, w)
                     assert action_on_tuples(g, j_t, cosets, k) == i_t
         induced_theta(G, case.subgroup)
+
+
+def test_theta_matrix_takes_three_products_per_column(monkeypatch):
+    # S6 > <(0 1)> has t = 360 cosets.  One product per coset moves the
+    # suffix cosets for the whole matrix and each entry takes two; a
+    # tuple action per column took six, 43,200 products for these 20.
+    G = symmetric_group(6)
+    H = PermGroup(6, [parse_cycle_string(6, "(0 1)")])
+    theta = ThetaMap(right_coset_data(G, H), 1)
+    elements = G.elements[:20]
+    products = 0
+    mul = Perm.__mul__
+
+    def counted(p, q):
+        nonlocal products
+        products += 1
+        return mul(p, q)
+
+    monkeypatch.setattr(Perm, "__mul__", counted)
+    for g in elements:
+        theta.matrix(g)
+    assert products <= 3 * theta.cosets.index * len(elements)
 
 
 def test_theta_is_multiplicative():
