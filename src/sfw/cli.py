@@ -325,13 +325,12 @@ def cmd_induce(args) -> int:
     if args.json:
         blocks = []
         for g in elements:
-            entries = []
-            for ((r,), (c,)), el in sorted(theta.matrix(g).items()):
-                for p, z in sorted(el.coeffs.items(),
-                                   key=lambda kv: kv[0].images):
-                    entries.append({"row": r, "col": c,
-                                    "coeff": formats.complex_pair(z),
-                                    "support": p.cycle_string()})
+            entries = [{"row": r, "col": c,
+                        "coeff": formats.complex_pair(1 + 0j),
+                        "support": w.cycle_string()}
+                       for r, c, w in sorted(
+                           (r, c, w)
+                           for c, (r, w) in enumerate(theta.matrix(g)))]
             blocks.append({"element": g.cycle_string(), "entries": entries})
         payload = {"name": name, "degree": degree,
                    "target_order": K.order, "matrices": blocks}
@@ -343,8 +342,8 @@ def cmd_induce(args) -> int:
     for g in elements:
         lines.append("element %s:" % g.cycle_string())
         rows = [["0"] * degree for _ in range(degree)]
-        for ((r,), (c,)), el in theta.matrix(g).items():
-            rows[r][c] = repr(el)
+        for c, (r, w) in enumerate(theta.matrix(g)):
+            rows[r][c] = "(%s)*u[%s]" % (1 + 0j, w.cycle_string())
         for row in rows:
             lines.append("  [" + ", ".join(row) + "]")
     _emit(args, "\n".join(lines) + "\n")

@@ -22,7 +22,6 @@ from .errors import (
     PreconditionError,
     SubgroupError,
 )
-from .groupalgebra import GroupAlgebraElement
 from .permgroup import (
     CosetData,
     Perm,
@@ -395,26 +394,21 @@ def subfactor_report_from_out(G: PermGroup, out_auts: Sequence,
                 False, result.index, outer_count, 0,
                 "lift of a nonidentity class is inner", (g,))
         outer_count += 1
-    u = {h: GroupAlgebraElement.from_perm(result.ambient, h)
-         for h in result.ambient.elements}
+    lifts, embedding = result.lifts, result.embedding
     pairs = 0
     for g1 in Q.elements:
         for g2 in Q.elements:
-            lhs = u[result.lifts[g1]] * u[result.lifts[g2]]
-            w = result.embedding[result.cocycle.value(g1, g2)]
-            rhs = u[w] * u[result.lifts[g1 * g2]]
-            if lhs != rhs:
+            w = embedding[result.cocycle.value(g1, g2)]
+            if lifts[g1] * lifts[g2] != w * lifts[g1 * g2]:
                 return result, SubfactorExtensionReport(
                     False, result.index, outer_count, pairs,
                     "twisted product relation fails", (g1, g2))
             pairs += 1
     for g in Q.elements:
-        v = u[result.lifts[g]]
+        v = lifts[g]
         for s in G.generators:
-            lhs = v * u[result.embedding[s]] * v.star()
             image = result.cocycle.apply_alpha(g, s)
-            rhs = u[result.embedding[image]]
-            if lhs != rhs:
+            if v * embedding[s] * v.inv() != embedding[image]:
                 return result, SubfactorExtensionReport(
                     False, result.index, outer_count, pairs,
                     "conjugation relation fails", (g, s))

@@ -1,14 +1,21 @@
 """Elements of a complex group algebra and expansion over coset bases.
 
 An element is a finitely supported complex coefficient function on a
-permutation group.  Products, the star operation and the restriction to a
-subgroup only shuffle coefficients between disjoint supports, so equality
-tests on expand/reassemble round trips are exact even in floating point.
+permutation group.  Products and the restriction to a subgroup only
+shuffle coefficients between disjoint supports, so equality tests on
+expand/reassemble round trips are exact even in floating point.
+
+Only `verify` and the tests compute here.  An amplified matrix is a
+monomial matrix with entries in the subgroup, so its products are
+products of group elements (standard_invariant.ThetaMap.matrix), and
+the relations of an extension are identities in the group (cocycle).
+This module serves the references those are held to: the nested
+conditional expectations of the theta entries, the brute-force
+commutant dimensions and the Pimsner-Popa round trip.
 """
 
 from __future__ import annotations
 
-from numbers import Complex
 from typing import Mapping
 
 from .errors import PreconditionError
@@ -41,13 +48,6 @@ class GroupAlgebraElement:
     def zero(cls, group: PermGroup) -> "GroupAlgebraElement":
         return cls(group, {})
 
-    @classmethod
-    def one(cls, group: PermGroup) -> "GroupAlgebraElement":
-        return cls(group, {group.identity: 1.0})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def _carrier(self, other: "GroupAlgebraElement") -> PermGroup:
         """Carrier group for a binary operation: the larger of the two.
 
@@ -67,16 +67,7 @@ class GroupAlgebraElement:
             out[p] = out.get(p, 0.0) + c
         return GroupAlgebraElement(carrier, out)
 
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + other.scale(-1.0)
-
-    def scale(self, scalar: complex) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(
-            self.group, {p: scalar * c for p, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Complex):
-            return self.scale(other)
+    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         carrier = self._carrier(other)
         out = {}
         for p, c in self.coeffs.items():
@@ -85,31 +76,12 @@ class GroupAlgebraElement:
                 out[r] = out.get(r, 0.0) + c * d
         return GroupAlgebraElement(carrier, out)
 
-    def __rmul__(self, scalar):
-        if isinstance(scalar, Complex):
-            return self.scale(scalar)
-        return NotImplemented
-
-    def star(self) -> "GroupAlgebraElement":
-        """Adjoint: coefficient of g becomes conj(coeff of g^-1)."""
-        return GroupAlgebraElement(
-            self.group,
-            {p.inv(): complex(c).conjugate() for p, c in self.coeffs.items()})
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupAlgebraElement)
                 and self.group.degree == other.group.degree
                 and self.coeffs == other.coeffs)
 
     __hash__ = None
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for p in sorted(self.coeffs, key=lambda q: q.images):
-            parts.append("(%s)*u[%s]" % (self.coeffs[p], p.cycle_string()))
-        return " + ".join(parts)
 
 
 def conditional_expectation(x: GroupAlgebraElement,

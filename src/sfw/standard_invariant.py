@@ -81,7 +81,7 @@ class ThetaMap:
         # the tuple; matrix looks its rows up by them
         self._suffix_cosets = []
         self._by_suffix_cosets = {}
-        for tu in self.tuples:
+        for position, tu in enumerate(self.tuples):
             p = cosets.group.identity
             suffix_cosets = []
             for i in reversed(tu):
@@ -91,26 +91,30 @@ class ThetaMap:
             self._prod[tu] = p
             self._prod_inv[tu] = p.inv()
             self._suffix_cosets.append(suffix_cosets)
-            self._by_suffix_cosets[suffix_cosets] = tu
+            self._by_suffix_cosets[suffix_cosets] = position
 
     def rep_product(self, tu) -> Perm:
         return self._prod[tuple(tu)]
 
-    def matrix(self, g: Perm) -> dict:
-        """Nonzero entries as {(i_tuple, j_tuple): element}.
+    def matrix(self, g: Perm) -> tuple:
+        """theta(g) as an element of H wr Sym(tuples): one (row, w) per column.
 
-        Exactly one nonzero entry per row and per column: the row index
-        is the image of the column index under the tuple action, a
-        bijection of the tuples, and the entry is u_{prod_i * g * prod_j^-1}.
-        Every other entry is zero.  nested_theta_entry computes any entry
-        by nested conditional expectations and serves as the reference.
+        Column n holds its one nonzero entry u_w in row `row`, both
+        positions in self.tuples: the row tuple i is the image of the
+        column tuple j under the tuple action, a bijection of the
+        tuples, and w = prod_i * g * prod_j^-1 lies in H.  Every other
+        entry is zero.  A monomial matrix with entries in H is exactly
+        this pair of a permutation and its labels, the
+        Kaloujnine-Krasner form; theta_matrix_product composes two.
+        nested_theta_entry computes any entry by nested conditional
+        expectations and serves as the reference.
 
         With p_l(j) = g_{j_l} * ... * g_{j_k} the suffix products of j,
         the tuple action (action_on_tuples) gives the row i with
         H p_l(i) = H p_l(j) g^-1 for every l, and the suffix cosets fix
         a tuple.  So the row is looked up from the moved suffix cosets
         of j, at one product per coset for the whole matrix, and the
-        entry takes two products per column.  An entry outside H is a
+        label takes two products per column.  A label outside H is a
         fault of this code, not of the input.
         """
         cosets = self.cosets
@@ -119,16 +123,18 @@ class ThetaMap:
         H = cosets.subgroup
         ginv = g.inv()
         moved = [cosets.coset_index(rep * ginv) for rep in cosets.reps]
-        out = {}
+        out = []
         for j, suffix_cosets in zip(self.tuples, self._suffix_cosets):
-            i = self._by_suffix_cosets[tuple(moved[c] for c in suffix_cosets)]
+            row = self._by_suffix_cosets[
+                tuple(moved[c] for c in suffix_cosets)]
+            i = self.tuples[row]
             w = self._prod[i] * g * self._prod_inv[j]
             if w not in H:
                 raise InvariantViolationError(
                     "theta entry (%r, %r) of %r lies outside the subgroup"
                     % (i, j, g))
-            out[(i, j)] = groupalgebra.GroupAlgebraElement.from_perm(H, w)
-        return out
+            out.append((row, w))
+        return tuple(out)
 
 
 def induced_theta(G: PermGroup, K: PermGroup) -> ThetaMap:
@@ -140,8 +146,9 @@ def induced_theta(G: PermGroup, K: PermGroup) -> ThetaMap:
     a_l^-1, and entry (m, l) of theta(g) is u_c with
     c = a_m^-1 g a_l in K (the Kaloujnine-Krasner embedding of G into
     K wr Sym(t)).  The map takes the default config, so theta_k_cap
-    does not bind it.  Multiplicativity and unitarity are checked on
-    the generators of G before it is returned.
+    does not bind it.  Multiplicativity, and that the rows of each
+    matrix are a permutation of its columns, are checked on the
+    generators of G before it is returned.
     """
     cosets = right_coset_data(G, K)
     # the left coset x K is the inverse of the right coset K x^-1
@@ -154,18 +161,20 @@ def induced_theta(G: PermGroup, K: PermGroup) -> ThetaMap:
 
 
 def _check_on_generators(theta: ThetaMap) -> None:
-    """theta(g) theta(h) = theta(gh) and theta(g) theta(g)* = 1 on generators."""
+    """theta(g) theta(h) = theta(gh), and theta(g) is invertible, on generators.
+
+    A monomial matrix with entries in H is unitary exactly when its rows,
+    one per column, are a permutation of the columns.
+    """
     gens = theta.cosets.group.generators
     mats = {g: theta.matrix(g) for g in gens}
-    one = groupalgebra.GroupAlgebraElement.one(theta.cosets.subgroup)
-    identity = {(tu, tu): one for tu in theta.tuples}
+    columns = list(range(len(theta.tuples)))
     for g in gens:
         for h in gens:
             if theta_matrix_product(mats[g], mats[h]) != theta.matrix(g * h):
                 raise InvariantViolationError(
                     "theta is not multiplicative at (%r, %r)" % (g, h))
-        star = {(j, i): v.star() for (i, j), v in mats[g].items()}
-        if theta_matrix_product(mats[g], star) != identity:
+        if sorted(row for row, _ in mats[g]) != columns:
             raise InvariantViolationError(
                 "theta of %r is not unitary" % (g,))
 
@@ -204,22 +213,15 @@ def action_on_tuples(g: Perm, j_tuple, cosets: CosetData,
     return tuple(out)
 
 
-def theta_matrix_product(m1: dict, m2: dict) -> dict:
-    """Product of two sparse amplified matrices ({(i, j): element})."""
-    by_row = {}
-    for (i, j), v in m2.items():
-        by_row.setdefault(i, []).append((j, v))
-    out = {}
-    for (i, j), v in m1.items():
-        for (jj, w) in by_row.get(j, []):
-            prod = v * w
-            if (i, jj) in out:
-                prod = out[(i, jj)] + prod
-            if prod.is_zero():
-                out.pop((i, jj), None)
-            else:
-                out[(i, jj)] = prod
-    return out
+def theta_matrix_product(m1: tuple, m2: tuple) -> tuple:
+    """Product of two amplified matrices in ThetaMap.matrix form.
+
+    Composition of the row permutations, and in each column the product
+    of the two labels met on the way: column c of m2 has its entry w in
+    row r, and column r of m1 has its entry v in row m1[r][0], so the
+    product has v * w there.
+    """
+    return tuple((m1[r][0], m1[r][1] * w) for r, w in m2)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +381,11 @@ def brute_force_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
             unknown[(a, b)] = len(unknown)
     rows = []
     for g0 in G0.generators:
-        mat = theta.matrix(g0)
-        act = {j: i for (i, j) in mat}
-        inv_act = {i: j for (i, j) in mat}
+        act, inv_act, mat = {}, {}, {}
+        for j, (row, w) in zip(tuples, theta.matrix(g0)):
+            i = tuples[row]
+            act[j], inv_act[i] = i, j
+            mat[(i, j)] = from_perm(H, w)
         for a in tuples:
             for b in tuples:
                 # coefficient function of (x * Theta(g0) - Theta(g0) * x)_(a, b)

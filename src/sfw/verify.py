@@ -136,15 +136,17 @@ def _suite_theta(cases, config: Config) -> list:
                 continue
             theta = ThetaMap(cosets, k, config)
 
-            def entries_consistent(theta=theta, G=G, rng=rng,
+            def entries_consistent(theta=theta, G=G, H=H, rng=rng,
                                    cosets=cosets):
                 count = 0
                 for g in _sample_elements(G, rng, 4):
                     m = theta.matrix(g)
-                    if len({i for (i, j) in m}) != len(m):
+                    if len({row for row, _ in m}) != len(m):
                         raise AssertionError("duplicate row in amplified "
                                              "matrix")
-                    for (i, j), value in m.items():
+                    for j, (row, w) in zip(theta.tuples, m):
+                        i = theta.tuples[row]
+                        value = GroupAlgebraElement.from_perm(H, w)
                         if value != nested_theta_entry(cosets, g, i, j):
                             raise AssertionError(
                                 "entry at (%r, %r) disagrees with nested "
@@ -160,10 +162,10 @@ def _suite_theta(cases, config: Config) -> list:
                 h = G.elements[rng.randrange(G.order)]
                 lhs = theta_matrix_product(theta.matrix(g), theta.matrix(h))
                 rhs = theta.matrix(g * h)
-                if set(lhs) != set(rhs):
-                    raise AssertionError("product support mismatch")
-                for key in rhs:
-                    if lhs[key] != rhs[key]:
+                for (row, w), (want_row, want_w) in zip(lhs, rhs):
+                    if row != want_row:
+                        raise AssertionError("product support mismatch")
+                    if w != want_w:
                         raise AssertionError("product entry mismatch")
                 return "checked one random product"
 

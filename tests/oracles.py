@@ -6,13 +6,17 @@ tests, of the exact restriction multiplicities and of the
 character-table route to relative commutant dimensions.  The left cosets
 by a direct loop and the block monomial matrices built on them are the
 references of the map that `induce` prints, and trace reads the
-canonical trace of a group algebra element.
+canonical trace of a group algebra element.  sparse_theta and
+sparse_theta_product read an amplified matrix as a sparse matrix over the
+group algebra and multiply two of them there, the reference of the
+wreath-product form that ThetaMap.matrix returns.
 """
 
 from __future__ import annotations
 
 from sfw.chartab import ClassFunction, conjugacy_classes
 from sfw.errors import PreconditionError, SubgroupError
+from sfw.groupalgebra import GroupAlgebraElement
 from sfw.permgroup import Perm, verify_action_table
 
 
@@ -110,4 +114,29 @@ def induced_monomials(G, K):
         for l, a in enumerate(reps):
             m = coset_of[g * a]
             matrix[(m, l)] = reps[m].inv() * g * a
+    return out
+
+
+def sparse_theta(theta, m):
+    """ThetaMap.matrix form as {(i_tuple, j_tuple): u_w}, over L(H)."""
+    H = theta.cosets.subgroup
+    return {(theta.tuples[row], j): GroupAlgebraElement.from_perm(H, w)
+            for j, (row, w) in zip(theta.tuples, m)}
+
+
+def sparse_theta_product(m1, m2):
+    """Product of two sparse amplified matrices ({(i, j): element})."""
+    by_row = {}
+    for (i, j), v in m2.items():
+        by_row.setdefault(i, []).append((j, v))
+    out = {}
+    for (i, j), v in m1.items():
+        for (jj, w) in by_row.get(j, []):
+            prod = v * w
+            if (i, jj) in out:
+                prod = out[(i, jj)] + prod
+            if prod.coeffs:
+                out[(i, jj)] = prod
+            else:
+                out.pop((i, jj), None)
     return out

@@ -648,6 +648,9 @@ def test_importing_cli_runs_only_cli_config_and_errors():
     (["spectrum", "4.0"], ["permgroup"]),
     (["index", "--case", "s4-s3", "--json"],
      ["chartab", "cocycle", "indexarith", "verify"]),
+    # theta and the extension relations are products in the group
+    (["induce", "--case", "s4-d4", "--json"], ["groupalgebra", "verify"]),
+    (["extend", "--case", "a4-v4", "--json"], ["groupalgebra", "verify"]),
 ])
 def test_a_subcommand_runs_only_the_modules_it_uses(argv, unused):
     executed = executed_modules(*argv)

@@ -21,7 +21,6 @@ from sfw.errors import (
     PreconditionError,
     SubgroupError,
 )
-from sfw.groupalgebra import GroupAlgebraElement
 from sfw.indexarith import (
     SpectrumVerdict,
     VirtualEmbeddingSpec,
@@ -252,12 +251,11 @@ def left_transversal(theta):
 
 
 def dense(theta, g):
-    """theta(g) at k = 1 as a list of rows, zero off the support."""
+    """theta(g) at k = 1 as rows of labels in K, None off the support."""
     t = theta.cosets.index
-    zero = GroupAlgebraElement.zero(theta.cosets.subgroup)
-    rows = [[zero] * t for _ in range(t)]
-    for ((i,), (j,)), value in theta.matrix(g).items():
-        rows[i][j] = value
+    rows = [[None] * t for _ in range(t)]
+    for j, (i, w) in enumerate(theta.matrix(g)):
+        rows[i][j] = w
     return rows
 
 
@@ -293,15 +291,8 @@ def test_induced_theta_matches_the_monomial_reference(pair):
     G, K = pair
     theta = induced_theta(G, K)
     for g, monomial in induced_monomials(G, K).items():
-        got = {(i, j): value for ((i,), (j,)), value
-               in theta.matrix(g).items()}
-        want = {key: GroupAlgebraElement.from_perm(K, c)
-                for key, c in monomial.items()}
-        assert got == want
-
-
-def u(G, text):
-    return GroupAlgebraElement.from_perm(G, perm(G.degree, text))
+        got = {(i, j): w for j, (i, w) in enumerate(theta.matrix(g))}
+        assert got == monomial
 
 
 def test_induced_map_for_s3_over_a3():
@@ -311,30 +302,25 @@ def test_induced_map_for_s3_over_a3():
     assert theta.cosets.index == 2
 
     m_id = dense(theta, perm(3, "()"))
-    assert m_id[0][0] == u(A3, "()") and m_id[1][1] == u(A3, "()")
-    assert m_id[0][1].is_zero() and m_id[1][0].is_zero()
+    assert m_id[0][0] == perm(3, "()") and m_id[1][1] == perm(3, "()")
+    assert m_id[0][1] is None and m_id[1][0] is None
 
     m_flip = dense(theta, perm(3, "(0 1)"))
-    assert m_flip[0][0].is_zero() and m_flip[1][1].is_zero()
-    assert m_flip[0][1] == u(A3, "()") and m_flip[1][0] == u(A3, "()")
+    assert m_flip[0][0] is None and m_flip[1][1] is None
+    assert m_flip[0][1] == perm(3, "()") and m_flip[1][0] == perm(3, "()")
 
     m_rot = dense(theta, perm(3, "(0 1 2)"))
-    assert m_rot[0][0] == u(A3, "(0 1 2)")
-    assert m_rot[1][1] == u(A3, "(0 2 1)")
-    assert m_rot[0][1].is_zero() and m_rot[1][0].is_zero()
+    assert m_rot[0][0] == perm(3, "(0 1 2)")
+    assert m_rot[1][1] == perm(3, "(0 2 1)")
+    assert m_rot[0][1] is None and m_rot[1][0] is None
 
 
 def block_mul(a, b):
+    """Product of two label matrices; each entry lists its nonzero terms."""
     n = len(a)
-    zero = a[0][0].zero(a[0][0].group)
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = zero
-            for l in range(n):
-                acc = acc + a[i][l] * b[l][j]
-            out[i][j] = acc
-    return out
+    return [[[a[i][l] * b[l][j] for l in range(n)
+              if a[i][l] is not None and b[l][j] is not None]
+             for j in range(n)] for i in range(n)]
 
 
 def test_induced_map_is_multiplicative_everywhere():
@@ -344,23 +330,22 @@ def test_induced_map_is_multiplicative_everywhere():
     for g in S3.elements:
         for h in S3.elements:
             lhs = block_mul(dense(theta, g), dense(theta, h))
-            rhs = dense(theta, g * h)
-            for row_l, row_r in zip(lhs, rhs):
-                for x, y in zip(row_l, row_r):
-                    assert x == y
+            rhs = [[[] if w is None else [w] for w in row]
+                   for row in dense(theta, g * h)]
+            assert lhs == rhs
 
 
 def test_induced_map_is_unitary():
+    # u_w* = u_(w^-1), so theta(g)* is the transpose with inverted labels
     S3 = symmetric_group(3)
     A3 = S3.subgroup([perm(3, "(0 1 2)")])
     theta = induced_theta(S3, A3)
     for g in S3.elements:
         m = dense(theta, g)
         minv = dense(theta, g.inv())
-        star = [[m[i][j].star() for i in range(len(m))] for j in range(len(m))]
-        for row_s, row_i in zip(star, minv):
-            for x, y in zip(row_s, row_i):
-                assert x == y
+        star = [[None if m[i][j] is None else m[i][j].inv()
+                 for i in range(len(m))] for j in range(len(m))]
+        assert star == minv
 
 
 def test_induced_map_rejects_bad_data():

@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from sfw import groupalgebra, standard_invariant
 from sfw.chartab import character_table, multiplicity, restrict
@@ -17,7 +17,6 @@ from sfw.errors import (
     InvariantViolationError,
     PreconditionError,
 )
-from sfw.groupalgebra import GroupAlgebraElement
 from sfw.permgroup import (
     Perm,
     PermGroup,
@@ -41,12 +40,22 @@ from sfw.standard_invariant import (
     stabilizer_matches_intersection,
     theta_matrix_product,
 )
-from oracles import inner_product, permutation_character
+from oracles import (
+    inner_product,
+    permutation_character,
+    sparse_theta,
+    sparse_theta_product,
+)
 from test_permgroup import inclusions
 
 
 def perm(degree, text):
     return parse_cycle_string(degree, text)
+
+
+def vanishes(x):
+    """x is the zero element of the group algebra."""
+    return not x.coeffs
 
 
 def all_tuples(n, k):
@@ -71,18 +80,18 @@ def test_theta_values_by_hand():
     case = case_by_name("s3-flip")
     cosets = right_coset_data(case.group, case.subgroup)
     g = perm(3, "(0 1)")
-    depth_one = ThetaMap(cosets, 1).matrix(g)
-    hit = depth_one[((2,), (1,))]
-    assert hit == GroupAlgebraElement.from_perm(case.group, perm(3, "(0 1)"))
-    assert ((0,), (1,)) not in depth_one
-    assert nested_theta_entry(cosets, g, (0,), (1,)).is_zero()
+    theta = ThetaMap(cosets, 1)
+    row, w = theta.matrix(g)[theta.tuples.index((1,))]
+    assert theta.tuples[row] == (2,)
+    assert w == perm(3, "(0 1)")
+    assert vanishes(nested_theta_entry(cosets, g, (0,), (1,)))
     # Depth two: representative products telescope, the survivor at
     # ((2, 2), (1, 1)) is again (0 1).
-    depth_two = ThetaMap(cosets, 2).matrix(g)
-    hit2 = depth_two[((2, 2), (1, 1))]
-    assert hit2 == GroupAlgebraElement.from_perm(case.group, perm(3, "(0 1)"))
-    assert ((0, 0), (1, 1)) not in depth_two
-    assert nested_theta_entry(cosets, g, (0, 0), (1, 1)).is_zero()
+    theta = ThetaMap(cosets, 2)
+    row, w = theta.matrix(g)[theta.tuples.index((1, 1))]
+    assert theta.tuples[row] == (2, 2)
+    assert w == perm(3, "(0 1)")
+    assert vanishes(nested_theta_entry(cosets, g, (0, 0), (1, 1)))
 
 
 def test_action_identity_and_composition():
@@ -126,14 +135,15 @@ def test_theta_matrix_shape_and_consistency():
                 continue
             theta = ThetaMap(cosets, k)
             tuples = all_tuples(len(cosets.reps), k)
+            assert list(theta.tuples) == tuples
             for _ in range(50):
                 g = G.elements[rng.randrange(G.order)]
-                mat = theta.matrix(g)
+                mat = sparse_theta(theta, theta.matrix(g))
                 assert len(mat) == len(tuples)
                 for (i_t, j_t), val in mat.items():
                     assert i_t == action_on_tuples(g, j_t, cosets)
                     assert val == nested_theta_entry(cosets, g, i_t, j_t)
-                    assert not val.is_zero()
+                    assert not vanishes(val)
                 # A sample of off-pattern entries vanish.
                 for _ in range(5):
                     i_t = tuples[rng.randrange(len(tuples))]
@@ -141,7 +151,7 @@ def test_theta_matrix_shape_and_consistency():
                     if i_t != action_on_tuples(g, j_t, cosets):
                         assert (i_t, j_t) not in mat
                         val = nested_theta_entry(cosets, g, i_t, j_t)
-                        assert val.is_zero()
+                        assert vanishes(val)
 
 
 def test_theta_production_path_never_reaches_the_nested_route(monkeypatch):
@@ -157,10 +167,10 @@ def test_theta_production_path_never_reaches_the_nested_route(monkeypatch):
         for k in (1, 2):
             theta = ThetaMap(cosets, k)
             for g in G.generators:
-                for (i_t, j_t), val in theta.matrix(g).items():
-                    w = (theta.rep_product(i_t) * g
-                         * theta.rep_product(j_t).inv())
-                    assert val == GroupAlgebraElement.from_perm(G, w)
+                for j_t, (row, w) in zip(theta.tuples, theta.matrix(g)):
+                    i_t = theta.tuples[row]
+                    assert w == (theta.rep_product(i_t) * g
+                                 * theta.rep_product(j_t).inv())
                     assert action_on_tuples(g, j_t, cosets, k) == i_t
         induced_theta(G, case.subgroup)
 
@@ -204,6 +214,30 @@ def test_theta_is_multiplicative():
                 assert prod == theta.matrix(g * h)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(inclusions(), st.data())
+def test_wreath_form_matches_the_sparse_group_algebra_reference(pair, data):
+    G, H = pair
+    cosets = right_coset_data(G, H)
+    pick = st.integers(0, G.order - 1)
+    g, h = (G.elements[data.draw(pick)] for _ in range(2))
+    for k in (1, 2):
+        # the nested reference takes k expectations per column
+        if cosets.index ** k > 400:
+            continue
+        theta = ThetaMap(cosets, k)
+        mg, mh = theta.matrix(g), theta.matrix(h)
+        want = {(action_on_tuples(g, j, cosets), j):
+                nested_theta_entry(cosets, g,
+                                   action_on_tuples(g, j, cosets), j)
+                for j in theta.tuples}
+        assert sparse_theta(theta, mg) == want
+        product = sparse_theta(theta, theta_matrix_product(mg, mh))
+        assert product == sparse_theta_product(sparse_theta(theta, mg),
+                                               sparse_theta(theta, mh))
+        assert product == sparse_theta(theta, theta.matrix(g * h))
+
+
 def test_theta_rejects_bad_input():
     case = case_by_name("s3-flip")
     cosets = right_coset_data(case.group, case.subgroup)
@@ -230,7 +264,7 @@ def test_theta_matrix_honours_a_raised_k_cap():
     k = DEFAULT.theta_k_cap + 1
     theta = ThetaMap(cosets, k, DEFAULT.replace(theta_k_cap=k))
     g = perm(3, "(0 1)")
-    mat = theta.matrix(g)
+    mat = sparse_theta(theta, theta.matrix(g))
     assert len(mat) == 2 ** k
     for (i_t, j_t), val in mat.items():
         assert val == nested_theta_entry(cosets, g, i_t, j_t)
