@@ -87,7 +87,7 @@ class CharacterTable:
         for i, chi in enumerate(self.characters):
             if all(v == 1 for v in chi.values):
                 return i
-        raise PreconditionError("no trivial character found")
+        raise InvariantViolationError("no trivial character found")
 
 
 # ---------------------------------------------------------------------------

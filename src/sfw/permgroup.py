@@ -26,6 +26,7 @@ from .config import Config, DEFAULT
 from .errors import (
     CapExceededError,
     InvalidActionError,
+    InvariantViolationError,
     NotNormalError,
     ParseError,
     PreconditionError,
@@ -427,7 +428,7 @@ def _right_cosets(G: PermGroup, H: PermGroup) -> CosetData:
             assigned[h * g] = idx
     index = len(reps)
     if index * H.order != G.order:
-        raise PreconditionError(
+        raise InvariantViolationError(
             "coset partition inconsistent: %d cosets of size %d in order %d"
             % (index, H.order, G.order))
     return CosetData(G, H, tuple(reps), index, assigned)
@@ -502,20 +503,21 @@ def _double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetData:
         ginv = g.inv()
         for x in K.elements:
             if x not in H or g * x * ginv not in H:
-                raise PreconditionError(
+                raise InvariantViolationError(
                     "stabilizer element %r is outside the intersection" % x)
         if len(orbit) * K.order != H.order:
-            raise PreconditionError(
+            raise InvariantViolationError(
                 "orbit of length %d and stabilizer of order %d violate "
                 "|H| = %d" % (len(orbit), K.order, H.order))
         dc_reps.append(g)
         sizes.append(len(orbit) * H.order)
         stabs.append(K)
     if sum(sizes) != G.order:
-        raise PreconditionError("double cosets do not partition the group")
+        raise InvariantViolationError(
+            "double cosets do not partition the group")
     for size, K in zip(sizes, stabs):
         if size * K.order != H.order * H.order:
-            raise PreconditionError(
+            raise InvariantViolationError(
                 "double coset size %d inconsistent with |H|=%d, |K|=%d"
                 % (size, H.order, K.order))
     coset_of = {x: orbit_of[i] for x, i in coset_of.items()}
@@ -536,7 +538,8 @@ def normal_core(G: PermGroup, H: PermGroup) -> PermGroup:
     K = PermGroup(G.degree, _generating_subset(kernel, len(kernel)),
                   Config(order_cap=len(kernel)))
     if K.order != len(kernel):
-        raise PreconditionError("core is not closed; subgroup data corrupt")
+        raise InvariantViolationError(
+            "core is not closed; subgroup data corrupt")
     for g in G.generators:
         ginv = g.inv()
         if any(g * x * ginv not in K for x in K.generators):
@@ -678,10 +681,11 @@ def automorphism_group(G: PermGroup, config: Config = DEFAULT) -> AutomorphismDa
             found.append(automorphism_perm(G, phi))
     aut = PermGroup(G.order, sorted(found, key=lambda p: p.images), config)
     if aut.order != len(found):
-        raise PreconditionError("automorphism set is not closed")
+        raise InvariantViolationError("automorphism set is not closed")
     inner = PermGroup(G.order, [conjugation_perm(G, g) for g in gens], config)
     if inner.order * len(G.center()) != G.order:
-        raise PreconditionError("inner automorphism count violates |G/Z(G)|")
+        raise InvariantViolationError(
+            "inner automorphism count violates |G/Z(G)|")
     out = right_coset_data(aut, inner)
     return AutomorphismData(G, aut, inner, out)
 

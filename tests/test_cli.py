@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from sfw import cli, verify
+from sfw import chartab, cli, verify
 from sfw.config import Config, config_fields
 from sfw.corpus import case_by_name, case_names
 from sfw.formats import canonical_json, graph_from_json, group_to_json
@@ -365,6 +365,26 @@ def test_theta_entry_outside_the_subgroup_exits_1(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert rc == 1
     assert "lies outside the subgroup" in captured.err
+
+
+def test_a_table_without_its_trivial_character_exits_1(capsys, monkeypatch):
+    # a fault only sfw can make: a character table that lost its trivial
+    # character
+    build = chartab.character_table
+
+    def faulty(G):
+        table = build(G)
+        kept = [n for n, chi in enumerate(table.characters)
+                if not all(v == 1 for v in chi.values)]
+        return dataclasses.replace(
+            table, characters=tuple(table.characters[n] for n in kept),
+            degrees=tuple(table.degrees[n] for n in kept))
+
+    monkeypatch.setattr(chartab, "character_table", faulty)
+    rc = cli.main(["graph", "--case", "s3-a3", "--kind", "dual"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "no trivial character" in captured.err
 
 
 def test_config_file_settings_apply(capsys, tmp_path):

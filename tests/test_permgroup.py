@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from sfw.chartab import character_table
 from sfw.config import Config
-from sfw.errors import (CapExceededError, InvalidActionError, ParseError,
+from sfw import permgroup
+from sfw.errors import (CapExceededError, InvalidActionError,
+                        InvariantViolationError, ParseError,
                         PreconditionError, SubgroupError)
 from sfw.permgroup import (
     Perm,
@@ -509,3 +511,108 @@ def test_verify_wreath_like_single_copy():
              for g in G.elements}
     report = verify_wreath_like(G, [V4], kappa, B)
     assert report.ok, report.reason
+
+
+# ---------------------------------------------------- internal consistency
+#
+# Each check below can fail only through a fault in sfw, so it raises
+# InvariantViolationError (exit 1), not an input error.  A fault is
+# injected into fresh groups, so no cached data of other tests is touched.
+
+
+def s4_over_s3():
+    G = symmetric_group(4)
+    return G, G.subgroup([perm(4, "(0 1)"), perm(4, "(0 1 2)")])
+
+
+def test_a_corrupt_subgroup_order_breaks_the_coset_partition(monkeypatch):
+    G, H = s4_over_s3()
+    monkeypatch.setattr(H, "order", H.order + 1)
+    with pytest.raises(InvariantViolationError, match="coset partition"):
+        right_coset_data(G, H)
+
+
+def stabilizers_built_as(monkeypatch, make):
+    """Double cosets whose stabilizers K_i, i > 1, come from make(K_i)."""
+    build = PermGroup
+
+    def faulty(degree, generators, config):
+        return make(build(degree, generators, config))
+
+    monkeypatch.setattr(permgroup, "PermGroup", faulty)
+
+
+def test_a_stabilizer_outside_the_intersection_is_a_fault(monkeypatch):
+    G, H = s4_over_s3()
+    stabilizers_built_as(monkeypatch, lambda K: G)
+    with pytest.raises(InvariantViolationError,
+                       match="outside the intersection"):
+        double_coset_data(G, H)
+
+
+def test_a_stabilizer_of_the_wrong_order_is_a_fault(monkeypatch):
+    G, H = s4_over_s3()
+    trivial = PermGroup(4, ())
+    stabilizers_built_as(monkeypatch, lambda K: trivial)
+    with pytest.raises(InvariantViolationError, match="violate"):
+        double_coset_data(G, H)
+
+
+def test_double_cosets_that_miss_the_group_order_are_a_fault(monkeypatch):
+    G, H = s4_over_s3()
+    right_coset_data(G, H)  # kept in G's cache before the fault
+    monkeypatch.setattr(G, "order", G.order + 1)
+    with pytest.raises(InvariantViolationError, match="do not partition"):
+        double_coset_data(G, H)
+
+
+class DriftingOrder:
+    """A group whose order reads right once and one too large afterwards."""
+
+    def __init__(self, group):
+        self.group, self.reads = group, 0
+
+    def __getattr__(self, name):
+        return getattr(self.group, name)
+
+    @property
+    def order(self):
+        self.reads += 1
+        return self.group.order + (self.reads > 1)
+
+
+def test_a_double_coset_size_off_its_stabilizer_is_a_fault(monkeypatch):
+    # the orbit check reads |K| first, the size check reads it again
+    G, H = s4_over_s3()
+    stabilizers_built_as(monkeypatch, DriftingOrder)
+    with pytest.raises(InvariantViolationError, match="double coset size"):
+        double_coset_data(G, H)
+
+
+def test_a_core_not_closed_is_a_fault(monkeypatch):
+    # the core of D4 in S4 is V4; generating it from its identity alone
+    # leaves a group of order 1
+    G = symmetric_group(4)
+    D4 = G.subgroup([perm(4, "(0 1 2 3)"), perm(4, "(0 2)")])
+    monkeypatch.setattr(permgroup, "_generating_subset",
+                        lambda elements, order: list(elements[:1]))
+    with pytest.raises(InvariantViolationError, match="core is not closed"):
+        normal_core(G, D4)
+
+
+def test_an_automorphism_set_not_closed_is_a_fault(monkeypatch):
+    # every automorphism found is encoded as the identity
+    G = symmetric_group(3)
+    monkeypatch.setattr(permgroup, "automorphism_perm",
+                        lambda group, phi: Perm.identity(group.order))
+    with pytest.raises(InvariantViolationError, match="not closed"):
+        automorphism_group(G)
+
+
+def test_an_inner_automorphism_count_off_the_centre_is_a_fault(monkeypatch):
+    # every inner automorphism is encoded as the identity
+    G = symmetric_group(3)
+    monkeypatch.setattr(permgroup, "conjugation_perm",
+                        lambda group, g: Perm.identity(group.order))
+    with pytest.raises(InvariantViolationError, match="inner automorphism"):
+        automorphism_group(G)
