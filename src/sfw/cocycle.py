@@ -5,7 +5,8 @@ choice of coset lifts, an outer action of the quotient on G together
 with a G-valued 2-cocycle twisting the multiplication.  This module
 extracts that data from outer automorphisms or from an explicit normal
 inclusion, verifies the cocycle axioms, and checks the twisted crossed
-product relations inside the group algebra.
+product relations as identities in the group, where the unitaries u_h
+multiply.
 """
 
 from __future__ import annotations
@@ -362,7 +363,7 @@ def crossed_product_check(G: PermGroup, K: PermGroup,
 
 
 # ---------------------------------------------------------------------------
-# crossed relations inside the group algebra
+# crossed relations between the lifts, as identities in the extension
 
 @dataclass(frozen=True)
 class SubfactorExtensionReport:
@@ -376,12 +377,12 @@ class SubfactorExtensionReport:
 
 def subfactor_report_from_out(G: PermGroup, out_auts: Sequence,
                               config: Config = DEFAULT):
-    """Extend G by outer automorphisms and check the algebra relations.
+    """Extend G by outer automorphisms and check the crossed relations.
 
     Verifies that every nonidentity quotient element lifts to an outer
-    automorphism and that, inside the group algebra of the extension,
-    the lifts multiply by the cocycle twist and conjugate the embedded
-    base like the outer action prescribes.
+    automorphism and that the lifts multiply by the cocycle twist and
+    conjugate the embedded base like the outer action prescribes.  As
+    u_a u_b = u_ab, each relation is checked in the extension itself.
     """
     result = extension_from_out(G, out_auts, config)
     Q = result.quotient

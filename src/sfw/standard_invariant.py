@@ -2,17 +2,18 @@
 
 Given H <= G with right coset representatives g_1 = e, ..., g_t, every
 element of the group algebra of G amplifies to a t^k x t^k matrix over the
-algebra of H, indexed by k-tuples of coset indices.  This module computes
-those matrices (the support is the graph of the induced action of G on
-index tuples, and each nonzero entry has a closed form), relative
+algebra of H, indexed by k-tuples of coset indices.  The image of u_g is
+monomial, an element of H wr Sym(t^k): the action of G on the tuples
+with a label in H per column, so products compose the actions and
+multiply the labels.  This module computes those matrices, relative
 commutant dimensions, and the principal and dual principal graphs with
 their operator norms.  At k = 1 on the inverted left transversal (see
 induced_theta, built with CosetData.with_reps) the amplification is
 the block monomial embedding of G into t x t matrices over the algebra
-of H that `induce` prints; it is checked on the generators of G with
-sparse matrix products on every call.  Both graphs take their edges
-from one builder that restricts each character of the larger group
-once, with exact integer multiplicities (chartab.multiplicity).  The squared norm of a
+of H that `induce` prints; it is checked on the generators of G on
+every call.  Both graphs take their edges from one builder
+that restricts each character of the larger group once, with exact
+integer multiplicities (chartab.multiplicity).  The squared norm of a
 graph is the index [G:H], certified in integers by a positive Perron
 eigenvector (the odd vertex degrees); no eigen-solve runs.  Commutant
 dimensions are exact orbit counts (Burnside's lemma over one histogram
@@ -20,7 +21,7 @@ of fixed cosets per (G0, H)); no character table or float enters them.
 Exact brute-force references for the entries (nested conditional
 expectations) and for the dimensions (rational linear algebra) are kept
 for the theta and graphs verify suites, which compare them with the
-closed forms, and for the tests; no other path calls them.
+closed forms, and for the tests; no other path calls them or groupalgebra.
 
 Tuples are 0-based index vectors ordered lexicographically.
 """
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING, Optional
 
 # reached through their modules, so that under sfw.cli's lazy
 # registration they run only when a table or an algebra element is
-# built: `index` needs neither
+# built: `index` needs neither, and only the oracles build elements
 from . import chartab, groupalgebra
 from .config import Config, DEFAULT
 from .errors import (
@@ -97,17 +98,14 @@ class ThetaMap:
         return self._prod[tuple(tu)]
 
     def matrix(self, g: Perm) -> tuple:
-        """theta(g) as an element of H wr Sym(tuples): one (row, w) per column.
+        """theta(g) in H wr Sym(tuples): a (row, w) pair per column.
 
-        Column n holds its one nonzero entry u_w in row `row`, both
-        positions in self.tuples: the row tuple i is the image of the
-        column tuple j under the tuple action, a bijection of the
-        tuples, and w = prod_i * g * prod_j^-1 lies in H.  Every other
-        entry is zero.  A monomial matrix with entries in H is exactly
-        this pair of a permutation and its labels, the
-        Kaloujnine-Krasner form; theta_matrix_product composes two.
-        nested_theta_entry computes any entry by nested conditional
-        expectations and serves as the reference.
+        Column n, the tuple j = self.tuples[n], holds its one nonzero
+        entry u_w in row `row`, a position in self.tuples too: the row
+        tuple i is the image of j under the tuple action, a bijection of
+        the tuples, and w = prod_i * g * prod_j^-1 lies in H.  Every
+        other entry is zero.  nested_theta_entry computes any entry by
+        nested conditional expectations and serves as the reference.
 
         With p_l(j) = g_{j_l} * ... * g_{j_k} the suffix products of j,
         the tuple action (action_on_tuples) gives the row i with
@@ -124,9 +122,8 @@ class ThetaMap:
         ginv = g.inv()
         moved = [cosets.coset_index(rep * ginv) for rep in cosets.reps]
         out = []
-        for j, suffix_cosets in zip(self.tuples, self._suffix_cosets):
-            row = self._by_suffix_cosets[
-                tuple(moved[c] for c in suffix_cosets)]
+        for j, suffix in zip(self.tuples, self._suffix_cosets):
+            row = self._by_suffix_cosets[tuple(moved[c] for c in suffix)]
             i = self.tuples[row]
             w = self._prod[i] * g * self._prod_inv[j]
             if w not in H:
@@ -146,9 +143,8 @@ def induced_theta(G: PermGroup, K: PermGroup) -> ThetaMap:
     a_l^-1, and entry (m, l) of theta(g) is u_c with
     c = a_m^-1 g a_l in K (the Kaloujnine-Krasner embedding of G into
     K wr Sym(t)).  The map takes the default config, so theta_k_cap
-    does not bind it.  Multiplicativity, and that the rows of each
-    matrix are a permutation of its columns, are checked on the
-    generators of G before it is returned.
+    does not bind it.  Multiplicativity and unitarity are checked on
+    the generators of G before it is returned.
     """
     cosets = right_coset_data(G, K)
     # the left coset x K is the inverse of the right coset K x^-1
@@ -161,20 +157,16 @@ def induced_theta(G: PermGroup, K: PermGroup) -> ThetaMap:
 
 
 def _check_on_generators(theta: ThetaMap) -> None:
-    """theta(g) theta(h) = theta(gh), and theta(g) is invertible, on generators.
-
-    A monomial matrix with entries in H is unitary exactly when its rows,
-    one per column, are a permutation of the columns.
-    """
+    """theta(g) theta(h) = theta(gh) and theta(g) theta(g)* = 1 on generators."""
     gens = theta.cosets.group.generators
     mats = {g: theta.matrix(g) for g in gens}
-    columns = list(range(len(theta.tuples)))
     for g in gens:
         for h in gens:
             if theta_matrix_product(mats[g], mats[h]) != theta.matrix(g * h):
                 raise InvariantViolationError(
                     "theta is not multiplicative at (%r, %r)" % (g, h))
-        if sorted(row for row, _ in mats[g]) != columns:
+        # a monomial matrix over H is unitary when its rows permute its columns
+        if sorted(row for row, _ in mats[g]) != list(range(len(mats[g]))):
             raise InvariantViolationError(
                 "theta of %r is not unitary" % (g,))
 
@@ -214,12 +206,10 @@ def action_on_tuples(g: Perm, j_tuple, cosets: CosetData,
 
 
 def theta_matrix_product(m1: tuple, m2: tuple) -> tuple:
-    """Product of two amplified matrices in ThetaMap.matrix form.
+    """Product of two matrices in ThetaMap.matrix form.
 
-    Composition of the row permutations, and in each column the product
-    of the two labels met on the way: column c of m2 has its entry w in
-    row r, and column r of m1 has its entry v in row m1[r][0], so the
-    product has v * w there.
+    Column c of m2 has w in row r, and column r of m1 has v in row
+    m1[r][0], where the product has v * w.
     """
     return tuple((m1[r][0], m1[r][1] * w) for r, w in m2)
 
