@@ -40,9 +40,8 @@ class GroupAlgebraElement:
         self.coeffs = clean
 
     @classmethod
-    def from_perm(cls, group: PermGroup, p: Perm,
-                  coeff: complex = 1.0) -> "GroupAlgebraElement":
-        return cls(group, {p: coeff})
+    def from_perm(cls, group: PermGroup, p: Perm) -> "GroupAlgebraElement":
+        return cls(group, {p: 1.0})
 
     @classmethod
     def zero(cls, group: PermGroup) -> "GroupAlgebraElement":
