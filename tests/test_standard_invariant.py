@@ -227,10 +227,9 @@ def test_wreath_form_matches_the_sparse_group_algebra_reference(pair, data):
             continue
         theta = ThetaMap(cosets, k)
         mg, mh = theta.matrix(g), theta.matrix(h)
-        want = {(action_on_tuples(g, j, cosets), j):
-                nested_theta_entry(cosets, g,
-                                   action_on_tuples(g, j, cosets), j)
-                for j in theta.tuples}
+        rows = {j: action_on_tuples(g, j, cosets) for j in theta.tuples}
+        want = {(i, j): nested_theta_entry(cosets, g, i, j)
+                for j, i in rows.items()}
         assert sparse_theta(theta, mg) == want
         product = sparse_theta(theta, theta_matrix_product(mg, mh))
         assert product == sparse_theta_product(sparse_theta(theta, mg),
