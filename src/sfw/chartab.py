@@ -45,9 +45,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .config import Config, DEFAULT
 from .errors import InvariantViolationError, PreconditionError, SubgroupError
@@ -57,8 +56,7 @@ from .permgroup import ConjClassData, PermGroup, conjugacy_classes
 CLASS_CAP = 64
 
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(NamedTuple):
     """A class function, with a flag marking genuine characters.
 
     The characters of a table and their restrictions also carry
@@ -72,8 +70,7 @@ class ClassFunction:
     spectra: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     group: PermGroup
     classes: ConjClassData
     characters: tuple  # of ClassFunction, sorted by (degree, values)

@@ -286,6 +286,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_vindex(args) -> int:
+    # no setting bounds this computation, but a bad one is still an error
+    _build_config(args)
     parts = []
     for raw in args.part:
         bits = raw.split(":")

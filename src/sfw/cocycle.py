@@ -11,8 +11,7 @@ multiply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .config import Config, DEFAULT
 from .errors import (
@@ -34,8 +33,7 @@ from .permgroup import (
 )
 
 
-@dataclass(frozen=True)
-class Cocycle2:
+class Cocycle2(NamedTuple):
     """Quotient-indexed 2-cocycle with values in a base group.
 
     values maps pairs of quotient elements to base elements, alpha maps
@@ -61,8 +59,7 @@ class Cocycle2:
         return self.values[(one, one)] == self.base.identity
 
 
-@dataclass(frozen=True)
-class CocycleReport:
+class CocycleReport(NamedTuple):
     ok: bool
     reason: str = ""
     witness: Optional[tuple] = None
@@ -147,8 +144,7 @@ def _quotient_action_perm(cosets, h: Perm) -> Perm:
     return Perm([cosets.coset_index(r * hinv) for r in cosets.reps])
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     """A group generated over the inner automorphisms by chosen outer ones.
 
     ambient acts on base element indices; inner is the image of the
@@ -232,8 +228,7 @@ def extension_from_out(G: PermGroup, out_auts: Sequence,
 # ---------------------------------------------------------------------------
 # crossed product decomposition of a group over a normal subgroup
 
-@dataclass(frozen=True)
-class CrossedProductReport:
+class CrossedProductReport(NamedTuple):
     ok: bool
     reason: str = ""
     witness: Optional[tuple] = None
@@ -365,8 +360,7 @@ def crossed_product_check(G: PermGroup, K: PermGroup,
 # ---------------------------------------------------------------------------
 # crossed relations between the lifts, as identities in the extension
 
-@dataclass(frozen=True)
-class SubfactorExtensionReport:
+class SubfactorExtensionReport(NamedTuple):
     ok: bool
     index: int
     outer_count: int

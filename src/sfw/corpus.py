@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .config import Config
 from .errors import CapExceededError, PreconditionError
@@ -17,8 +17,7 @@ from .permgroup import (
 )
 
 
-@dataclass(frozen=True)
-class InclusionCase:
+class InclusionCase(NamedTuple):
     name: str
     group: PermGroup
     subgroup: PermGroup

@@ -8,9 +8,7 @@ The block monomial map of G into matrices over a subgroup algebra that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .config import Config, DEFAULT
 from .errors import (
@@ -25,8 +23,7 @@ if TYPE_CHECKING:
     from .permgroup import Perm, PermGroup
 
 
-@dataclass(frozen=True)
-class SpectrumVerdict:
+class SpectrumVerdict(NamedTuple):
     """Membership verdict for the admissible index value set.
 
     kind is one of "discrete" (value is 4 cos^2(pi/n), n recorded),
@@ -114,8 +111,7 @@ def jones_spectrum_query(x: float, tol: float = None,
     return SpectrumVerdict("not-in-spectrum", x, None, min(lower, point - x))
 
 
-@dataclass(frozen=True)
-class VirtualPart:
+class VirtualPart(NamedTuple):
     """One summand of a virtual embedding: multiplicity s and two indices."""
 
     s: int
@@ -123,8 +119,7 @@ class VirtualPart:
     index_H_gammaK: int
 
 
-@dataclass(frozen=True)
-class VirtualEmbeddingSpec:
+class VirtualEmbeddingSpec(NamedTuple):
     t: int
     parts: tuple
 
@@ -192,6 +187,7 @@ def local_index_combine(parts: Sequence) -> float:
     parts: (tr_p, local_index_p) pairs with the tr_p summing to 1.
     Fractions are accepted and kept exact until the final conversion.
     """
+    from fractions import Fraction
     if not parts:
         raise PreconditionError("need at least one trace block")
     traces = []

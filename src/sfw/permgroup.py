@@ -19,8 +19,14 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import (
+    Callable,
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from .config import Config, DEFAULT
 from .errors import (
@@ -303,8 +309,7 @@ def cyclic_group(n: int, config: Config = DEFAULT) -> PermGroup:
     return PermGroup(n, [Perm.from_cycles(n, [list(range(n))])], config)
 
 
-@dataclass(frozen=True)
-class ConjClassData:
+class ConjClassData(NamedTuple):
     """Conjugacy classes: canonical reps, sizes, and element -> class map.
 
     Classes are sorted by (size, least element by images), and each rep
@@ -367,8 +372,7 @@ def _require_subgroup(G: PermGroup, H: PermGroup) -> None:
             % (H.degree, H.order, G.degree, G.order))
 
 
-@dataclass(frozen=True)
-class CosetData:
+class CosetData(NamedTuple):
     """Right cosets H\\G.  reps[0] is the identity; index = [G:H]."""
 
     group: PermGroup
@@ -434,8 +438,7 @@ def _right_cosets(G: PermGroup, H: PermGroup) -> CosetData:
     return CosetData(G, H, tuple(reps), index, assigned)
 
 
-@dataclass(frozen=True)
-class DoubleCosetData:
+class DoubleCosetData(NamedTuple):
     """Double cosets H\\G/H with stabilizers K_i = H  *intersect*  g_i^-1 H g_i."""
 
     group: PermGroup
@@ -550,8 +553,7 @@ def normal_core(G: PermGroup, H: PermGroup) -> PermGroup:
 # ---------------------------------------------------------------------------
 # automorphisms
 
-@dataclass(frozen=True)
-class AutomorphismData:
+class AutomorphismData(NamedTuple):
     """Aut(G) acting on the element list of G.
 
     aut.degree == G.order; automorphism p sends G.elements[i] to
@@ -693,8 +695,7 @@ def automorphism_group(G: PermGroup, config: Config = DEFAULT) -> AutomorphismDa
 # ---------------------------------------------------------------------------
 # wreath-like products
 
-@dataclass(frozen=True)
-class WreathData:
+class WreathData(NamedTuple):
     """A wreath product A wr B realized on len(I) * deg(A) points.
 
     Block i occupies points [i*deg(A), (i+1)*deg(A)).  kappa maps each
@@ -784,8 +785,7 @@ def wreath_product(A: PermGroup, B: PermGroup,
     return WreathData(G, A, copies, B, dict(action), kappa)
 
 
-@dataclass(frozen=True)
-class WreathReport:
+class WreathReport(NamedTuple):
     ok: bool
     reason: str = ""
     witness: tuple = ()

@@ -29,9 +29,7 @@ Tuples are 0-based index vectors ordered lexicographically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 # reached through their modules, so that under sfw.cli's lazy
 # registration they run only when a table or an algebra element is
@@ -311,6 +309,7 @@ def _rational_rank(rows) -> int:
 
     rows: iterable of {column: Fraction}.
     """
+    from fractions import Fraction
     pivots = {}
     rank = 0
     for row in rows:
@@ -345,6 +344,7 @@ def brute_force_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
     expanded with honest group-algebra products and solved by exact
     rational elimination.
     """
+    from fractions import Fraction
     if side not in SIDES:
         raise PreconditionError("side must be one of %r" % (SIDES,))
     _check_k(k, config)
@@ -405,8 +405,7 @@ def brute_force_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
 # ---------------------------------------------------------------------------
 # principal graphs
 
-@dataclass(frozen=True)
-class GraphVertex:
+class GraphVertex(NamedTuple):
     """A vertex labeled by an irreducible character of a finite group."""
 
     label: str
@@ -415,8 +414,7 @@ class GraphVertex:
     degree: int
 
 
-@dataclass(frozen=True)
-class BipartiteMultiGraph:
+class BipartiteMultiGraph(NamedTuple):
     """Connected bipartite multigraph with a designated even vertex.
 
     edges are (even_index, odd_index, multiplicity) triples.  The odd

@@ -20,8 +20,8 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chartab import character_table
 from .cocycle import crossed_product_check, subfactor_report_from_out, \
@@ -61,15 +61,13 @@ from .standard_invariant import (
 SUITES = ("theta", "graphs", "cocycles", "extensions", "arithmetic")
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case_id: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     suite: str
     cases: tuple
     wall_time: float

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -14,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from sfw import chartab, cli, verify
-from sfw.config import Config, config_fields
+from sfw.config import DEFAULT, Config, config_fields
 from sfw.corpus import case_by_name, case_names
 from sfw.formats import canonical_json, graph_from_json, group_to_json
 from sfw.permgroup import CosetData
@@ -202,6 +201,32 @@ def test_vindex_constraint_violation_exits_3(capsys):
     assert rc == 3
 
 
+VINDEX = ["vindex", "--total", "1", "--part", "1:1:1"]
+
+
+def test_vindex_rejects_an_unknown_env_variable(capsys, monkeypatch):
+    monkeypatch.setenv("SFW_BOGUS", "1")
+    rc = cli.main(VINDEX)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == \
+        "error: bad environment setting: unknown variables: SFW_BOGUS\n"
+
+
+def test_vindex_rejects_a_missing_config_file(capsys, tmp_path):
+    rc = cli.main(VINDEX + ["--config", str(tmp_path / "missing.json")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: cannot read config")
+
+
+def test_vindex_rejects_a_bad_flag_value(capsys):
+    rc = cli.main(VINDEX + ["--order-cap", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: bad option")
+
+
 def test_extend_command(capsys):
     rc, out = run(capsys, ["extend", "--case", "a4-v4", "--json"])
     assert rc == 0
@@ -358,7 +383,7 @@ def test_theta_entry_outside_the_subgroup_exits_1(capsys, monkeypatch):
     relabel = CosetData.with_reps
 
     def unmapped(self, reps):
-        return dataclasses.replace(relabel(self, reps), coset_of=self.coset_of)
+        return relabel(self, reps)._replace(coset_of=self.coset_of)
 
     monkeypatch.setattr(CosetData, "with_reps", unmapped)
     rc = cli.main(["induce", "--case", "a4-v4"])
@@ -376,8 +401,8 @@ def test_a_table_without_its_trivial_character_exits_1(capsys, monkeypatch):
         table = build(G)
         kept = [n for n, chi in enumerate(table.characters)
                 if not all(v == 1 for v in chi.values)]
-        return dataclasses.replace(
-            table, characters=tuple(table.characters[n] for n in kept),
+        return table._replace(
+            characters=tuple(table.characters[n] for n in kept),
             degrees=tuple(table.degrees[n] for n in kept))
 
     monkeypatch.setattr(chartab, "character_table", faulty)
@@ -513,16 +538,37 @@ def test_removed_character_tolerances_exit_2(capsys, tmp_path, name):
 
 
 def test_config_validates_on_construction():
+    # replace() makes a Config too, and must not skip the checks
     for bad in ({"order_cap": 0}, {"aut_cap": 2.0}, {"oracle_cap": True},
                 {"theta_k_cap": -1}, {"tol_spectrum": float("nan")},
                 {"tol_spectrum": -1e-12}, {"tol_spectrum": "1e-6"}):
         with pytest.raises(ValueError):
             Config(**bad)
+        with pytest.raises(ValueError):
+            DEFAULT.replace(**bad)
+    with pytest.raises(TypeError):
+        DEFAULT.replace(order_cpa=1)
     edge = Config(order_cap=1, aut_cap=1, theta_k_cap=0, oracle_cap=1,
                   tol_spectrum=0.0)
     assert edge.theta_k_cap == 0 and edge.tol_spectrum == 0
-    assert [name for name, _ in config_fields()] == [
-        "order_cap", "aut_cap", "theta_k_cap", "oracle_cap", "tol_spectrum"]
+    assert config_fields() == (
+        ("order_cap", int), ("aut_cap", int), ("theta_k_cap", int),
+        ("oracle_cap", int), ("tol_spectrum", float))
+
+
+def test_config_is_an_immutable_value():
+    with pytest.raises(AttributeError):
+        DEFAULT.order_cap = 1
+    with pytest.raises(AttributeError):
+        del DEFAULT.order_cap
+    assert (DEFAULT.order_cap, DEFAULT.aut_cap, DEFAULT.theta_k_cap,
+            DEFAULT.oracle_cap, DEFAULT.tol_spectrum) == (
+        5000, 300, 3, 20000, 1e-9)
+    changed = DEFAULT.replace(aut_cap=7)
+    assert changed == Config(aut_cap=7)
+    assert hash(changed) == hash(Config(aut_cap=7))
+    assert changed != DEFAULT and changed.aut_cap == 7
+    assert DEFAULT.replace() == DEFAULT == Config()
 
 
 @pytest.mark.parametrize("argv, enough", [
@@ -630,31 +676,36 @@ def test_commands_run_without_numpy(tmp_path):
 
 
 # The child imports sfw.cli, runs the command it is given, if any, and
-# prints which modules of the package have run.  One that cli registered
+# prints which modules of the package have run, and which other modules
+# that import and the command loaded.  A module that cli registered
 # lazily and that has not run yet is not a plain module object; reading
 # any attribute of it would run it.
 _EXECUTED_CHILD = """
 import json, os, sys, types
+before = set(sys.modules)
 from sfw import cli
 if len(sys.argv) > 1 and cli.main(sys.argv[1:] + ["--out", os.devnull]):
     sys.exit("%r failed" % (sys.argv[1:],))
-print(json.dumps({name: type(module) is types.ModuleType
-                  for name, module in sys.modules.items()
-                  if name == "sfw" or name.startswith("sfw.")}))
+ours = {name: type(module) is types.ModuleType
+        for name, module in sys.modules.items()
+        if name == "sfw" or name.startswith("sfw.")}
+print(json.dumps({"sfw": ours,
+                  "loaded": sorted(set(sys.modules) - before - set(ours))}))
 """
 
 
-def executed_modules(*argv) -> dict:
-    """{module: has run} over sfw's modules in a fresh process."""
+def executed_modules(*argv) -> tuple:
+    """({sfw module: has run}, {other module loaded}) in a fresh process."""
     child = subprocess.run(
         [sys.executable, "-c", _EXECUTED_CHILD] + list(argv),
         env=child_env(), capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
-    return json.loads(child.stdout)
+    result = json.loads(child.stdout)
+    return result["sfw"], set(result["loaded"])
 
 
 def test_importing_cli_runs_only_cli_config_and_errors():
-    executed = executed_modules()
+    executed, _ = executed_modules()
     modules = {"sfw"} | {"sfw." + path.stem
                          for path in (SRC / "sfw").glob("*.py")
                          if path.stem != "__init__"}
@@ -671,7 +722,20 @@ def test_importing_cli_runs_only_cli_config_and_errors():
     # theta and the extension relations are products in the group
     (["induce", "--case", "s4-d4", "--json"], ["groupalgebra", "verify"]),
     (["extend", "--case", "a4-v4", "--json"], ["groupalgebra", "verify"]),
+    (["graph", "--case", "s4-s3"],
+     ["cocycle", "groupalgebra", "indexarith", "verify"]),
+    (["chartab", "--case", "s4-s3"],
+     ["cocycle", "groupalgebra", "indexarith", "standard_invariant",
+      "verify"]),
 ])
 def test_a_subcommand_runs_only_the_modules_it_uses(argv, unused):
-    executed = executed_modules(*argv)
+    executed, loaded = executed_modules(*argv)
     assert [name for name in unused if executed["sfw." + name]] == []
+    # record classes are NamedTuples, which generate no code when their
+    # module runs, and only the oracles need exact rationals
+    assert sorted(loaded & {"dataclasses", "fractions"}) == []
+
+
+def test_verify_does_not_import_dataclasses():
+    _, loaded = executed_modules("verify", "--suite", "all")
+    assert "dataclasses" not in loaded

@@ -6,7 +6,9 @@ belongs in tests/.  The only exceptions are the file-format functions
 that README's *Library entry points* names for callers of the library.
 The same holds for the public methods of every class in src/sfw.  And
 cli registers every other module by name, so that table must name
-exactly the modules of the package.
+exactly the modules of the package.  Finally, no module imports
+dataclasses, and only verify imports fractions at the top: each costs
+every command that runs the module its start-up time.
 """
 
 from __future__ import annotations
@@ -58,6 +60,35 @@ def unreferenced_public_methods() -> list:
                 attributes.add(node.attr)
     return sorted("%s.%s" % (cls, name) for cls, name in methods
                   if name not in attributes)
+
+
+def importers(module: str, top_level_only: bool = False) -> list:
+    """The modules of src/sfw with an import statement naming `module`."""
+    found = []
+    for stem, tree in package_trees():
+        nodes = tree.body if top_level_only else ast.walk(tree)
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == module for name in names):
+                found.append(stem)
+                break
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    # record classes are NamedTuples; dataclasses costs every command
+    # its import and the code it generates per class
+    assert importers("dataclasses") == []
+
+
+def test_only_verify_imports_fractions_at_the_top():
+    # elsewhere only the oracle functions use Fraction, and import it
+    assert importers("fractions", top_level_only=True) == ["verify"]
 
 
 def test_every_public_method_is_referenced_in_the_package():
