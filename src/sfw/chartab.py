@@ -30,11 +30,13 @@ the others are float sums of roots of unity.  Row and column
 orthogonality mod p, the sum of the squared degrees and 0 <= m_j <= d
 are checked before a table is returned.
 
-Besides the table, the module holds what the graph builders use:
-restriction to a subgroup, and restriction multiplicities, which are
-computed from the spectra in GF(q) and are exact integers.  Induction
-and the float inner product are not needed by any command; the tests
-keep references for them.
+Besides the table, the module holds what the graph builders use: the
+restriction matrix from a table to the table of a subgroup, whose
+entries are the multiplicities <chi|K, psi>.  They are computed from
+the spectra in GF(q), with one prime q per pair of tables, and are
+exact integers.  Induction, restriction as a class function and the
+float inner product are not needed by any command; the tests keep
+references for them.
 
 Conjugacy classes come from permgroup.conjugacy_classes, which this
 module re-exports; the class cap applies only to the table.
@@ -49,19 +51,22 @@ from operator import mul
 from typing import NamedTuple, Optional
 
 from .config import Config, DEFAULT
-from .errors import InvariantViolationError, PreconditionError, SubgroupError
+from .errors import CapExceededError, InvariantViolationError, SubgroupError
 from .permgroup import ConjClassData, PermGroup, conjugacy_classes
 
-# bounds the r x r class matrices and the r^3 orthogonality checks
+# The most conjugacy classes a table is computed for.  It bounds the
+# time of one table: with it lifted, C2^8 (256 classes) took 7.1 s,
+# C2^9 45 s and C256 378 s on a 2-core Xeon VM, where order_cap admits
+# groups of order up to 5000.  A larger table exits 4.
 CLASS_CAP = 64
 
 
 class ClassFunction(NamedTuple):
     """A class function, with a flag marking genuine characters.
 
-    The characters of a table and their restrictions also carry
-    spectra: per class, the multiplicities m_j of the eigenvalues
-    exp(2 pi i j / o), o the order of the class's elements.
+    The characters of a table also carry spectra: per class, the
+    multiplicities m_j of the eigenvalues exp(2 pi i j / o), o the
+    order of the class's elements.
     """
 
     group: PermGroup
@@ -364,7 +369,7 @@ def _character_table(G: PermGroup) -> CharacterTable:
     classes = conjugacy_classes(G)
     r = classes.count
     if r > CLASS_CAP:
-        raise PreconditionError(
+        raise CapExceededError(
             "group has %d conjugacy classes, cap is %d" % (r, CLASS_CAP))
     order, sizes = G.order, classes.sizes
     powers = [_power_classes(rep, classes.class_of) for rep in classes.reps]
@@ -442,64 +447,58 @@ def _check_orthogonality(table: list, sizes: tuple, inverse: list,
 
 
 # ---------------------------------------------------------------------------
-# restriction and multiplicities
+# restriction
 
-def multiplicity(chi: ClassFunction, irr: ClassFunction) -> int:
-    """<chi, irr> = |G|^-1 sum_k |C_k| chi(g_k) conj(irr(g_k)), exactly.
+def restrict(table: CharacterTable, sub_table: CharacterTable) -> tuple:
+    """The restriction matrix from a table to the table of a subgroup K.
 
-    Both class functions must carry spectra.  The product is a
-    non-negative integer n with n irr(1) <= chi(1).  It is evaluated in
-    GF(q), q the least prime = 1 modulo the exponent of the group with
-    q > chi(1), with each exp(2 pi i j / o) sent to the matching power
-    of one primitive root; the residue is then n itself.
+    Entry (b, s) is <chi_b|K, psi_s> = |K|^-1 sum_c |C_c| chi_b(k_c)
+    conj(psi_s(k_c)) over the classes of K, an exact non-negative
+    integer n with n psi_s(1) <= chi_b(1).  It is evaluated in GF(q),
+    q the least prime = 1 modulo the exponent of K with q > chi(1) for
+    every chi of the table, with each exp(2 pi i j / o) sent to the
+    matching power of one primitive root; the residue is then n itself.
+    The class fusion and the subgroup check run once, each character's
+    spectra are reduced mod q once, and the matrix is kept in the big
+    group's cache keyed by K.
     """
-    if chi.group != irr.group:
-        raise PreconditionError("class functions live on different groups")
-    if chi.spectra is None or irr.spectra is None:
-        raise PreconditionError(
-            "multiplicity requires two characters with spectra")
-    G = chi.group
-    degree = chi.spectra[0][0]
-    e = math.lcm(*map(len, chi.spectra))
-    q, z = _modulus(e, degree * degree)
-    total = 0
-    for size, a, b in zip(conjugacy_classes(G).sizes, chi.spectra,
-                          irr.spectra):
-        w = pow(z, e // len(a), q)
-        w_inv = pow(w, -1, q)
-        x = y = 0
-        for ma, mb in zip(reversed(a), reversed(b)):
-            x = (x * w + ma) % q
-            y = (y * w_inv + mb) % q
-        total += size * x * y
-    n = total * pow(G.order, -1, q) % q
-    if n * irr.spectra[0][0] > degree:
-        raise InvariantViolationError(
-            "multiplicity %d of a degree-%d character in one of degree %d"
-            % (n, irr.spectra[0][0], degree))
-    return n
+    G, K = table.group, sub_table.group
 
-
-def restrict(chi: ClassFunction, H: PermGroup) -> ClassFunction:
-    """Restriction of a class function on G to a subgroup H."""
-    at = _class_fusion(chi.group, H)
-    spectra = (None if chi.spectra is None
-               else tuple(chi.spectra[k] for k in at))
-    return ClassFunction(H, tuple(chi.values[k] for k in at),
-                         chi.is_character, spectra)
-
-
-def _class_fusion(G: PermGroup, H: PermGroup) -> tuple:
-    """The class of G holding each class representative of H.
-
-    The graph builders restrict every character of one table to the
-    same subgroup, so the fusion, and the subgroup check with it, is
-    computed once and kept in G's cache keyed by H.
-    """
     def compute():
-        if not H.is_subgroup_of(G):
+        if not K.is_subgroup_of(G):
             raise SubgroupError("restriction target is not a subgroup")
-        g_classes = conjugacy_classes(G)
-        return tuple(g_classes.class_index(rep)
-                     for rep in conjugacy_classes(H).reps)
-    return G.cached(("class_fusion", H), compute)
+        at = [table.classes.class_index(rep)
+              for rep in sub_table.classes.reps]
+        orders = [len(s) for s in sub_table.characters[0].spectra]
+        e = math.lcm(*orders)
+        q, z = _modulus(e, max(table.degrees) ** 2)
+        # the image of exp(2 pi i / o) on each class of K, and of its inverse
+        roots = [pow(z, e // o, q) for o in orders]
+        inv_roots = [pow(w, -1, q) for w in roots]
+        inv_order = pow(K.order, -1, q)
+
+        def residues(spectra, ws):
+            out = []
+            for spectrum, w in zip(spectra, ws):
+                x = 0
+                for m in reversed(spectrum):
+                    x = (x * w + m) % q
+                out.append(x)
+            return out
+
+        columns = [residues(psi.spectra, inv_roots)
+                   for psi in sub_table.characters]
+        matrix = []
+        for chi, degree in zip(table.characters, table.degrees):
+            x = residues([chi.spectra[k] for k in at], roots)
+            weighted = [size * v * inv_order % q
+                        for size, v in zip(sub_table.classes.sizes, x)]
+            row = tuple(sum(map(mul, weighted, y)) % q for y in columns)
+            for n, d in zip(row, sub_table.degrees):
+                if n * d > degree:
+                    raise InvariantViolationError(
+                        "multiplicity %d of a degree-%d character in one "
+                        "of degree %d" % (n, d, degree))
+            matrix.append(row)
+        return tuple(matrix)
+    return G.cached(("restriction", K), compute)

@@ -462,9 +462,10 @@ def double_coset_data(G: PermGroup, H: PermGroup) -> DoubleCosetData:
     the whole double coset.  The stabilizer of coset i is generated by
     the Schreier generators u_j s u_{j.s}^-1 of its orbit (Seress,
     Permutation Group Algorithms, 2003, ch. 4), where u_j in H carries
-    coset i to coset j and s runs over the generators of H.  K_1, the
-    stabilizer of H itself, is H, so data already cached on H (its
-    character table) is reused.  Every stabilizer is checked to lie in
+    coset i to coset j and s runs over the generators of H.  K_1 is H,
+    and equal stabilizers are one object (H when they equal H), so data
+    cached on a stabilizer (its character table) is computed once per
+    distinct group.  Every stabilizer is checked to lie in
     H  *intersect*  g_i^-1 H g_i, and orbit-stabilizer then shows it is
     the whole intersection.  The result is kept in G's cache, keyed by H.
     """
@@ -478,6 +479,7 @@ def _double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetData:
     orbit_of = [None] * cosets.index
     cap = Config(order_cap=H.order)
     dc_reps, sizes, stabs = [], [], []
+    interned = {H: H}
     for start in range(cosets.index):
         if orbit_of[start] is not None:
             continue
@@ -502,6 +504,7 @@ def _double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetData:
             K = H
         else:
             K = PermGroup(G.degree, tuple(schreier.values()), cap)
+            K = interned.setdefault(K, K)
         g = reps[start]
         ginv = g.inv()
         for x in K.elements:

@@ -11,13 +11,15 @@ their operator norms.  At k = 1 on the inverted left transversal (see
 induced_theta, built with CosetData.with_reps) the amplification is
 the block monomial embedding of G into t x t matrices over the algebra
 of H that `induce` prints; it is checked on the generators of G on
-every call.  Both graphs take their edges from one builder
-that restricts each character of the larger group once, with exact
-integer multiplicities (chartab.multiplicity).  The squared norm of a
-graph is the index [G:H], certified in integers by a positive Perron
-eigenvector (the odd vertex degrees); no eigen-solve runs.  Commutant
-dimensions are exact orbit counts (Burnside's lemma over one histogram
-of fixed cosets per (G0, H)); no character table or float enters them.
+every call.  Both graphs take their edges from one builder that reads
+the exact integer restriction matrix of a pair of character tables
+(chartab.restrict), computed once per pair of groups; equal double
+coset stabilizers are one group, so they share one table and one
+matrix.  The squared norm of a graph is the index [G:H], certified in
+integers by a positive Perron eigenvector (the odd vertex degrees); no
+eigen-solve runs.  Commutant dimensions are exact orbit counts
+(Burnside's lemma over one histogram of fixed cosets per (G0, H)); no
+character table or float enters them.
 Exact brute-force references for the entries (nested conditional
 expectations) and for the dimensions (rational linear algebra) are kept
 for the theta and graphs verify suites, which compare them with the
@@ -504,17 +506,11 @@ def _restriction_edges(big_table, small_table) -> list:
     """Edges (b, s, m) from a group's character table to a subgroup's.
 
     m > 0 is the multiplicity of the subgroup's irreducible s in the
-    restriction of the group's irreducible b; each b is restricted once.
+    restriction of the group's irreducible b.
     """
-    small = small_table.group
-    edges = []
-    for b, chi in enumerate(big_table.characters):
-        res = chartab.restrict(chi, small)
-        for s, psi in enumerate(small_table.characters):
-            m = chartab.multiplicity(res, psi)
-            if m:
-                edges.append((b, s, m))
-    return edges
+    return [(b, s, m)
+            for b, row in enumerate(chartab.restrict(big_table, small_table))
+            for s, m in enumerate(row) if m]
 
 
 def principal_graph(G: PermGroup, H: PermGroup,

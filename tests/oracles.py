@@ -1,15 +1,15 @@
 """Direct references that no sfw command needs.
 
-Induction, permutation characters and the float inner product stay
-here, outside the package, as the references of the Frobenius-reciprocity
-tests, of the exact restriction multiplicities and of the
-character-table route to relative commutant dimensions.  The left cosets
-by a direct loop and the block monomial matrices built on them are the
-references of the map that `induce` prints, and trace reads the
-canonical trace of a group algebra element.  sparse_theta and
-sparse_theta_product read an amplified matrix as a sparse matrix over the
-group algebra and multiply two of them there, the reference of the
-wreath-product form that ThetaMap.matrix returns.
+Restriction and induction of class functions, permutation characters and
+the float inner product stay here, outside the package, as the
+references of the Frobenius-reciprocity tests, of the exact restriction
+matrices and of the character-table route to relative commutant
+dimensions.  The left cosets by a direct loop and the block monomial
+matrices built on them are the references of the map that `induce`
+prints, and trace reads the canonical trace of a group algebra element.
+sparse_theta and sparse_theta_product read an amplified matrix as a
+sparse matrix over the group algebra and multiply two of them there, the
+reference of the wreath-product form that ThetaMap.matrix returns.
 """
 
 from __future__ import annotations
@@ -40,6 +40,20 @@ def inner_product(chi, psi):
         assert abs(total - n) <= TOL_MULTIPLICITY and n >= 0, total
         return int(n)
     return total
+
+
+def restrict(chi, H):
+    """Restriction of a class function on G to a subgroup H.
+
+    Each class representative of H is looked up among the classes of G
+    directly; no class fusion is cached.
+    """
+    if not H.is_subgroup_of(chi.group):
+        raise SubgroupError("restriction target is not a subgroup")
+    g_classes = conjugacy_classes(chi.group)
+    return ClassFunction(H, tuple(chi.values[g_classes.class_index(rep)]
+                                  for rep in conjugacy_classes(H).reps),
+                         chi.is_character)
 
 
 def induce(chi, G):

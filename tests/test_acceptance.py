@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from sfw.chartab import character_table, restrict
+from sfw.chartab import character_table
 from sfw.cocycle import (
     crossed_product_check,
     subfactor_report_from_out,
@@ -51,7 +51,7 @@ from sfw.standard_invariant import (
     relative_commutant_dim,
 )
 from sfw.verify import run_suite
-from oracles import induce, inner_product, sparse_theta
+from oracles import induce, inner_product, restrict, sparse_theta
 
 TOL_MULT = 1e-6
 TOL_ORTHO = 1e-9

@@ -16,7 +16,7 @@ from sfw import chartab, cli, verify
 from sfw.config import DEFAULT, Config, config_fields
 from sfw.corpus import case_by_name, case_names
 from sfw.formats import canonical_json, graph_from_json, group_to_json
-from sfw.permgroup import CosetData
+from sfw.permgroup import CosetData, cyclic_group
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -360,6 +360,16 @@ def test_order_cap_exits_4(capsys, tmp_path):
     h = write_group(tmp_path / "h.json", case_by_name("s3-a3").subgroup)
     rc, _ = run(capsys, ["index", "--group", g, "--subgroup", h, "--order-cap", "3"])
     assert rc == 4
+
+
+def test_chartab_past_the_class_cap_exits_4(capsys, tmp_path):
+    # C65 has one conjugacy class more than the table cap admits
+    g = write_group(tmp_path / "c65.json",
+                    cyclic_group(chartab.CLASS_CAP + 1))
+    rc = cli.main(["chartab", "--group", g, "--subgroup", g])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert "65 conjugacy classes, cap is 64" in captured.err
 
 
 def test_bad_cycle_string_exits_2(capsys):

@@ -215,6 +215,16 @@ def inclusions(draw):
     return G, H
 
 
+def test_stabilizers_of_a_normal_subgroup_are_the_subgroup():
+    # H = C2^3 is normal in C2 wr S3, so all six stabilizers equal H and
+    # are interned as H itself
+    G = wreath_product(cyclic_group(2), symmetric_group(3)).group
+    H = G.subgroup([perm(6, "(0 1)"), perm(6, "(2 3)"), perm(6, "(4 5)")])
+    stabs = double_coset_data(G, H).stabilizers
+    assert len(stabs) == 6
+    assert all(K is H for K in stabs)
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(inclusions())
 def test_double_cosets_match_oracle_on_random_subgroups(pair):
@@ -229,6 +239,9 @@ def test_double_cosets_match_oracle_on_random_subgroups(pair):
         assert size == len(cell_of[r])
         conj = {r.inv() * h * r for h in H.elements}
         assert set(K.elements) == {h for h in H.elements if h in conj}
+        # equal stabilizers are one object, and one equal to H is H
+        assert all(L is K for L in dc.stabilizers if L == K)
+        assert K is H or K != H
     assert dc.stabilizers[0] is H
     assert set(dc.coset_of) == set(G.elements)
     for x, i in dc.coset_of.items():

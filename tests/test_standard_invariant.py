@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfw import groupalgebra, standard_invariant
-from sfw.chartab import character_table, multiplicity, restrict
+from sfw.chartab import character_table
 from sfw.config import DEFAULT
 from sfw.corpus import builtin_cases, case_by_name
 from sfw.errors import (
@@ -43,6 +43,7 @@ from sfw.standard_invariant import (
 from oracles import (
     inner_product,
     permutation_character,
+    restrict,
     sparse_theta,
     sparse_theta_product,
 )
@@ -509,7 +510,8 @@ def test_graph_dimension_bookkeeping():
 
 
 def pairwise_graph(G, H, kind):
-    """A graph built pair by pair: one restriction per (even, odd) pair.
+    """A graph built pair by pair, by the float inner product of an
+    oracle restriction.
 
     Vertices and edges are laid out as principal_graph and
     dual_principal_graph lay them out, and the same component and norm
@@ -522,7 +524,7 @@ def pairwise_graph(G, H, kind):
         g_tab = character_table(G)
         even = [standard_invariant.GraphVertex("G:chi%d" % j, 0, j, d)
                 for j, d in enumerate(g_tab.degrees)]
-        edges = [(e, o, multiplicity(restrict(chi, H), psi))
+        edges = [(e, o, inner_product(restrict(chi, H), psi))
                  for e, chi in enumerate(g_tab.characters)
                  for o, psi in enumerate(h_tab.characters)]
         designated = g_tab.trivial_index()
@@ -533,7 +535,8 @@ def pairwise_graph(G, H, kind):
             for j, rho in enumerate(k_tab.characters):
                 if i == 0 and j == k_tab.trivial_index():
                     designated = len(even)
-                edges += [(len(even), o, multiplicity(restrict(psi, K), rho))
+                edges += [(len(even), o,
+                           inner_product(restrict(psi, K), rho))
                           for o, psi in enumerate(h_tab.characters)]
                 even.append(standard_invariant.GraphVertex(
                     "K%d:chi%d" % (i + 1, j), i, j, k_tab.degrees[j]))
@@ -554,9 +557,9 @@ def test_graphs_match_the_pairwise_reference(pair):
 
 
 def test_dual_graph_checks_the_subgroup_once_per_pair(monkeypatch):
-    # restrict runs once per character of S5, but the subgroup check goes
-    # with the class fusion, which is kept per (G, H): the graph's own
-    # check and the fusion's make two, whatever the number of characters
+    # the restriction matrix, and the subgroup check with it, is kept
+    # per (G, H): the graph's own check and the matrix's make two,
+    # whatever the number of characters
     S5 = symmetric_group(5)
     S4 = S5.subgroup([perm(5, "(0 1 2 3)"), perm(5, "(0 1)")])
     calls = []
