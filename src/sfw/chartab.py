@@ -47,12 +47,18 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections import Counter
 from operator import mul
 from typing import NamedTuple, Optional
 
 from .config import Config, DEFAULT
 from .errors import CapExceededError, InvariantViolationError, SubgroupError
-from .permgroup import ConjClassData, PermGroup, conjugacy_classes
+from .permgroup import (
+    ConjClassData,
+    PermGroup,
+    conjugacy_classes,
+    right_mul,
+)
 
 # The most conjugacy classes a table is computed for.  It bounds the
 # time of one table: with it lifted, C2^8 (256 classes) took 7.1 s,
@@ -274,10 +280,12 @@ def character_table(G: PermGroup, config: Config = DEFAULT) -> CharacterTable:
 def _power_classes(g, class_of) -> tuple:
     """Class indices of g^0, g^1, ..., g^(o-1), o the order of g."""
     out = [0]  # the identity's class is first
+    identity = tuple(range(len(g)))
+    times_g = right_mul(g)
     x = g
-    while not x.is_identity():
+    while x != identity:
         out.append(class_of[x])
-        x = x * g
+        x = times_g(x)
     return tuple(out)
 
 
@@ -298,7 +306,7 @@ def _split(basis: list, pivot_rows: list, p: int) -> list:
     for lam in _roots(_charpoly(A, p), p):
         shifted = [[(a - lam) % p if i == j else a
                     for j, a in enumerate(row)] for i, row in enumerate(A)]
-        vectors = [[sum(c * v for c, v in zip(x, column)) % p
+        vectors = [[sum(map(mul, x, column)) % p
                     for column in zip(*basis)]
                    for x in _kernel(shifted, p)]
         spaces.append(_echelon(vectors, p)[0])
@@ -319,11 +327,8 @@ def _common_lines(classes: ConjClassData, p: int) -> list:
 
     def row(i, j):
         if (i, j) not in rows:
-            counts = {}
-            gj = classes.reps[j]
-            for x in members[i]:
-                k = class_of[x * gj]
-                counts[k] = counts.get(k, 0) + 1
+            products = map(right_mul(classes.reps[j]), members[i])
+            counts = Counter(map(class_of.__getitem__, products))
             rows[i, j] = tuple(counts.items())
         return rows[i, j]
 

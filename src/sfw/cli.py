@@ -388,66 +388,101 @@ def _add_common(sub, inclusion=False, group_only=False):
         sub.add_argument("--subgroup", help="JSON file with the subgroup")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sfw", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("index", help="index and commutant dimensions")
+def _index_arguments(p):
     _add_common(p, inclusion=True)
-    p.set_defaults(func=cmd_index)
 
-    p = subs.add_parser("graph", help="principal or dual principal graph")
+
+def _graph_arguments(p):
     _add_common(p, inclusion=True)
     p.add_argument("--kind", choices=("principal", "dual"),
                    default="principal")
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=cmd_graph)
 
-    p = subs.add_parser("chartab", help="character table")
+
+def _chartab_arguments(p):
     _add_common(p, inclusion=True)
     p.add_argument("--member", choices=("group", "subgroup"),
                    default="group")
-    p.set_defaults(func=cmd_chartab)
 
-    p = subs.add_parser("extend", help="extension by outer automorphisms")
+
+def _extend_arguments(p):
     _add_common(p, group_only=True)
     p.add_argument("--out-classes", default="all",
                    help="comma list of outer class indices, or 'all'")
-    p.set_defaults(func=cmd_extend)
 
-    p = subs.add_parser("spectrum", help="admissible index spectrum lookup")
+
+def _spectrum_arguments(p):
     _add_common(p)
     p.add_argument("value", type=float)
-    p.set_defaults(func=cmd_spectrum)
 
-    p = subs.add_parser("vindex", help="virtual embedding index")
+
+def _vindex_arguments(p):
     _add_common(p)
     p.add_argument("--total", type=int, required=True,
                    help="row count t of the virtual embedding")
     p.add_argument("--part", action="append", required=True,
                    help="s:indexGK:indexHK, repeatable")
-    p.set_defaults(func=cmd_vindex)
 
-    p = subs.add_parser("induce", help="induced block matrix homomorphism")
+
+def _induce_arguments(p):
     _add_common(p, inclusion=True)
     p.add_argument("--element", help="cycle notation for one group element")
-    p.set_defaults(func=cmd_induce)
 
-    p = subs.add_parser("verify", help="run consistency suites")
+
+def _verify_arguments(p):
     _add_common(p)
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p.add_argument("--corpus-dir",
                    help="directory of inclusion JSON files replacing the "
                         "built-in corpus")
-    p.set_defaults(func=cmd_verify)
+
+
+# (name, help, command, adder of the subcommand's arguments), in the
+# order `sfw --help` lists them
+SUBCOMMANDS = (
+    ("index", "index and commutant dimensions", cmd_index,
+     _index_arguments),
+    ("graph", "principal or dual principal graph", cmd_graph,
+     _graph_arguments),
+    ("chartab", "character table", cmd_chartab, _chartab_arguments),
+    ("extend", "extension by outer automorphisms", cmd_extend,
+     _extend_arguments),
+    ("spectrum", "admissible index spectrum lookup", cmd_spectrum,
+     _spectrum_arguments),
+    ("vindex", "virtual embedding index", cmd_vindex, _vindex_arguments),
+    ("induce", "induced block matrix homomorphism", cmd_induce,
+     _induce_arguments),
+    ("verify", "run consistency suites", cmd_verify, _verify_arguments),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The sfw parser, with the arguments of the subcommand argv names.
+
+    Every subcommand is registered with its name and help, so the top
+    level usage, help and "invalid choice" read the same whatever argv
+    is.  When argv[0] names a subcommand, only that one gets its
+    arguments; otherwise every subcommand does.
+    """
+    wanted = argv[0] if argv else None
+    if wanted not in {name for name, _, _, _ in SUBCOMMANDS}:
+        wanted = None
+    parser = argparse.ArgumentParser(
+        prog="sfw", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, func, add_arguments in SUBCOMMANDS:
+        p = subs.add_parser(name, help=help_text)
+        if wanted is None or wanted == name:
+            add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except SfwError as e:

@@ -24,51 +24,58 @@ class InclusionCase(NamedTuple):
     index: int
 
 
-@lru_cache(maxsize=1)
-def builtin_cases() -> tuple:
-    """Six inclusions of index 2 to 4 with varied shapes."""
-    cases = []
+@lru_cache(maxsize=None)
+def _symmetric(n: int) -> PermGroup:
+    # S3 and S4 each serve two cases, which share one group and its caches
+    return symmetric_group(n)
 
-    S3 = symmetric_group(3)
-    flip = PermGroup(3, [parse_cycle_string(3, "(0 1)")])
-    cases.append(InclusionCase("s3-flip", S3, flip, 3))
-    cases.append(InclusionCase("s3-a3", S3, alternating_group(3), 2))
 
-    S4 = symmetric_group(4)
-    S3_in_S4 = PermGroup(
-        4, [parse_cycle_string(4, "(0 1)"), parse_cycle_string(4, "(0 1 2)")])
-    cases.append(InclusionCase("s4-s3", S4, S3_in_S4, 4))
-    D4 = PermGroup(
-        4, [parse_cycle_string(4, "(0 1 2 3)"), parse_cycle_string(4, "(0 2)")])
-    cases.append(InclusionCase("s4-d4", S4, D4, 3))
+def _generated(degree: int, *cycles: str) -> PermGroup:
+    return PermGroup(degree, [parse_cycle_string(degree, c) for c in cycles])
 
-    A4 = alternating_group(4)
-    V4 = PermGroup(
-        4, [parse_cycle_string(4, "(0 1)(2 3)"),
-            parse_cycle_string(4, "(0 2)(1 3)")])
-    cases.append(InclusionCase("a4-v4", A4, V4, 3))
 
+def _wreath_base() -> tuple:
     wr = wreath_product(cyclic_group(2), cyclic_group(3))
     base_gens = [g for copy in wr.base_copies for g in copy.generators]
-    base = PermGroup(wr.group.degree, base_gens)
-    cases.append(InclusionCase("wr2x3-base", wr.group, base, 3))
+    return wr.group, PermGroup(wr.group.degree, base_gens)
 
-    for c in cases:
-        if c.group.order != c.index * c.subgroup.order:
-            raise PreconditionError("corpus index bookkeeping is wrong")
-    return tuple(cases)
+
+# name -> (index, builder of (group, subgroup)), in the order of
+# builtin_cases: six inclusions of index 2 to 4 with varied shapes
+_BUILDERS = {
+    "s3-flip": (3, lambda: (_symmetric(3), _generated(3, "(0 1)"))),
+    "s3-a3": (2, lambda: (_symmetric(3), alternating_group(3))),
+    "s4-s3": (4, lambda: (_symmetric(4),
+                          _generated(4, "(0 1)", "(0 1 2)"))),
+    "s4-d4": (3, lambda: (_symmetric(4),
+                          _generated(4, "(0 1 2 3)", "(0 2)"))),
+    "a4-v4": (3, lambda: (alternating_group(4),
+                          _generated(4, "(0 1)(2 3)", "(0 2)(1 3)"))),
+    "wr2x3-base": (3, _wreath_base),
+}
+
+
+def builtin_cases() -> tuple:
+    """Six inclusions of index 2 to 4 with varied shapes."""
+    return tuple(case_by_name(name) for name in _BUILDERS)
 
 
 def case_names() -> tuple:
-    return tuple(c.name for c in builtin_cases())
+    return tuple(_BUILDERS)
 
 
+@lru_cache(maxsize=None)
 def case_by_name(name: str) -> InclusionCase:
-    for c in builtin_cases():
-        if c.name == name:
-            return c
-    raise KeyError("unknown case %r, have %s"
-                   % (name, ", ".join(case_names())))
+    """The named built-in case; only its own groups are built."""
+    try:
+        index, build = _BUILDERS[name]
+    except KeyError:
+        raise KeyError("unknown case %r, have %s"
+                       % (name, ", ".join(case_names()))) from None
+    group, subgroup = build()
+    if group.order != index * subgroup.order:
+        raise PreconditionError("corpus index bookkeeping is wrong")
+    return InclusionCase(name, group, subgroup, index)
 
 
 def require_order_cap(case: InclusionCase, config: Config) -> InclusionCase:

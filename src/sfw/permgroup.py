@@ -3,10 +3,14 @@
 Conventions used throughout the package:
 
 - Points are 0-based: a permutation of degree n acts on {0, ..., n-1}.
-- A permutation is stored by its images tuple, images[x] = image of x.
+- A permutation is the tuple of its images: Perm is a tuple subclass,
+  and p[x] is the image of x.  Hashing, equality and ordering are the
+  tuple's own, in C.  The hot loops compose image tuples through
+  operator.itemgetter (right_mul, conjugator) and never call Perm
+  methods per element.
 - Composition is rightmost-first: (a * b)(x) == a(b(x)).
-- Group elements are enumerated in lexicographic order of their images
-  tuples, so the identity is always element 0.
+- Group elements are enumerated in lexicographic order of their
+  images, so the identity is always element 0.
 - Coset and double coset representatives are chosen canonically: the
   minimum of the coset under the key (number of moved points, moved
   points, images).  Under this key the identity is the global minimum,
@@ -18,7 +22,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
+from operator import itemgetter
 from typing import (
     Callable,
     Iterable,
@@ -40,12 +46,17 @@ from .errors import (
 )
 
 
-class Perm:
-    """An element of a finite symmetric group, stored by its images."""
+class Perm(tuple):
+    """An element of a finite symmetric group: the tuple of its images.
 
-    __slots__ = ("images",)
+    p[x] is the image of x.  Being a tuple, a Perm hashes, compares and
+    sorts by its images in C, and a plain tuple of the same images is an
+    equal dictionary key.
+    """
 
-    def __init__(self, images: Sequence[int]):
+    __slots__ = ()
+
+    def __new__(cls, images: Iterable[int]) -> "Perm":
         images = tuple(images)
         n = len(images)
         seen = [False] * n
@@ -53,7 +64,7 @@ class Perm:
             if not isinstance(x, int) or not 0 <= x < n or seen[x]:
                 raise ValueError("not a bijection on 0..%d: %r" % (n - 1, images))
             seen[x] = True
-        object.__setattr__(self, "images", images)
+        return _perm(images)
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
@@ -75,48 +86,49 @@ class Perm:
         return result
 
     @property
+    def images(self) -> tuple:
+        return tuple(self)
+
+    @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def __call__(self, x: int) -> int:
-        return self.images[x]
+        return self[x]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        if len(self.images) != len(other.images):
-            raise ValueError("degree mismatch: %d vs %d" % (len(self.images), len(other.images)))
-        simg = self.images
-        p = Perm.__new__(Perm)
-        object.__setattr__(p, "images", tuple(simg[x] for x in other.images))
-        return p
+        if not isinstance(other, Perm):
+            return NotImplemented
+        if len(self) != len(other):
+            raise ValueError("degree mismatch: %d vs %d" % (len(self), len(other)))
+        if len(other) < 2:
+            return self  # both are the identity
+        return _perm(itemgetter(*other)(self))
+
+    def __rmul__(self, other):
+        # a tuple would repeat itself: 2 * p is no product
+        return NotImplemented
+
+    def __add__(self, other):
+        # nor is p + q a concatenation
+        return NotImplemented
 
     def inv(self) -> "Perm":
-        images = self.images
-        out = [0] * len(images)
-        for x, y in enumerate(images):
+        out = [0] * len(self)
+        for x, y in enumerate(self):
             out[y] = x
-        p = Perm.__new__(Perm)
-        object.__setattr__(p, "images", tuple(out))
-        return p
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __lt__(self, other: "Perm") -> bool:
-        return self.images < other.images
+        return _perm(out)
 
     def is_identity(self) -> bool:
-        return all(i == x for x, i in enumerate(self.images))
+        return all(i == x for x, i in enumerate(self))
 
     def support(self) -> tuple:
-        return tuple(x for x, i in enumerate(self.images) if i != x)
+        return tuple(x for x, i in enumerate(self) if i != x)
 
     def sort_key(self):
         """Canonical key for representative selection; identity is minimal."""
         moved = self.support()
-        return (len(moved), moved, self.images)
+        return (len(moved), moved, self)
 
     def order(self) -> int:
         n = 1
@@ -130,16 +142,16 @@ class Perm:
         """Disjoint cycles of length >= 2, each starting at its least point."""
         seen = set()
         out = []
-        for start in range(len(self.images)):
-            if start in seen or self.images[start] == start:
+        for start in range(len(self)):
+            if start in seen or self[start] == start:
                 continue
             cyc = [start]
             seen.add(start)
-            x = self.images[start]
+            x = self[start]
             while x != start:
                 cyc.append(x)
                 seen.add(x)
-                x = self.images[x]
+                x = self[x]
             out.append(tuple(cyc))
         return out
 
@@ -151,6 +163,32 @@ class Perm:
 
     def __repr__(self) -> str:
         return "Perm[%s]" % self.cycle_string()
+
+
+# A Perm from images known to be a bijection, without the check.
+_perm = functools.partial(tuple.__new__, Perm)
+
+
+def right_mul(g: Perm) -> Callable[[tuple], tuple]:
+    """The map p -> p * g on image tuples, as one C call.
+
+    itemgetter(*g)(p) is the tuple of p[g[x]], that is p * g.  Given one
+    index, itemgetter returns a scalar, so for degree 1 (where g is the
+    identity) the map is tuple.  The result is a plain tuple, which looks
+    up the Perm with the same images in any dict or set.
+    """
+    return itemgetter(*g) if len(g) > 1 else tuple
+
+
+def conjugator(g: Perm) -> Callable[[tuple], tuple]:
+    """The map x -> g * x * g^-1 on image tuples.
+
+    x * g^-1 is one precomputed itemgetter; g * y is itemgetter(*y)(g).
+    """
+    if len(g) < 2:
+        return tuple
+    after = itemgetter(*g.inv())
+    return lambda x: itemgetter(*after(x))(g)
 
 
 def parse_cycle_string(degree: int, text: str) -> Perm:
@@ -178,29 +216,32 @@ def parse_cycle_string(degree: int, text: str) -> Perm:
 
 
 def mulclose(generators: Sequence[Perm], cap: int) -> list:
-    """BFS closure of the generators under multiplication.
+    """Breadth-first closure of the generators under multiplication.
 
     Raises CapExceededError as soon as more than cap elements appear.
+    Products are image tuples composed by right_mul; the elements come
+    back as Perms, in the order found.
     """
     if not generators:
         raise ValueError("mulclose needs at least one element")
     degree = generators[0].degree
-    identity = Perm.identity(degree)
-    seen = {identity.images: identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in generators:
-                q = p * g
-                if q.images not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError(
-                            "group order exceeds cap %d" % cap)
-                    seen[q.images] = q
-                    new.append(q)
-        frontier = new
-    return list(seen.values())
+    if any(len(g) != degree for g in generators):
+        raise ValueError("mulclose needs generators of one degree")
+    steps = [right_mul(g) for g in generators]
+    identity = tuple(range(degree))
+    seen = {identity}
+    found = [identity]
+    # found grows while it is read, one level after the other
+    for p in found:
+        for step in steps:
+            q = step(p)
+            if q not in seen:
+                if len(seen) >= cap:
+                    raise CapExceededError(
+                        "group order exceeds cap %d" % cap)
+                seen.add(q)
+                found.append(q)
+    return list(map(_perm, found))
 
 
 class PermGroup:
@@ -216,12 +257,12 @@ class PermGroup:
                     % (g.degree, degree))
         gens = tuple(g for g in generators if not g.is_identity())
         elements = mulclose(gens or (Perm.identity(degree),), config.order_cap)
-        elements.sort(key=lambda p: p.images)
+        elements.sort()
         self.degree = degree
         self.generators = gens if gens else (Perm.identity(degree),)
         self.elements = tuple(elements)
         self.order = len(elements)
-        self._index = {p: i for i, p in enumerate(elements)}
+        self._index = dict(zip(elements, range(len(elements))))
         # elements never change, so the hash is computed once
         self._hash = hash((degree, self.elements))
         self._cache = {}
@@ -338,7 +379,7 @@ def _conjugacy_classes(G: PermGroup) -> ConjClassData:
     # elements run in images order, so each orbit is found from its least
     # element and the orbit number n grows with that element: sorting on
     # (size, n) sorts on (size, least element)
-    pairs = [(g, g.inv()) for g in G.generators]
+    conjugates = [conjugator(g) for g in G.generators if not g.is_identity()]
     orbit_of = {}
     reps, sizes = [], []
     for p in G.elements:
@@ -350,8 +391,8 @@ def _conjugacy_classes(G: PermGroup) -> ConjClassData:
         size = 1
         while frontier:
             x = frontier.pop()
-            for g, ginv in pairs:
-                y = g * x * ginv
+            for conj in conjugates:
+                y = conj(x)
                 if y not in orbit_of:
                     orbit_of[y] = n
                     frontier.append(y)
@@ -360,7 +401,8 @@ def _conjugacy_classes(G: PermGroup) -> ConjClassData:
         sizes.append(size)
     order = sorted(range(len(reps)), key=lambda n: (sizes[n], n))
     rank = {n: i for i, n in enumerate(order)}
-    class_of = {x: rank[n] for x, n in orbit_of.items()}
+    # keyed by the elements themselves, not by the image tuples found
+    class_of = {x: rank[orbit_of[x]] for x in G.elements}
     return ConjClassData(G, tuple(reps[n] for n in order),
                          tuple(sizes[n] for n in order), class_of)
 
@@ -386,8 +428,7 @@ class CosetData(NamedTuple):
 
     def coset_elements(self, i: int) -> list:
         rep = self.reps[i]
-        return sorted((h * rep for h in self.subgroup.elements),
-                      key=lambda p: p.images)
+        return sorted(h * rep for h in self.subgroup.elements)
 
     def with_reps(self, reps: Sequence[Perm]) -> "CosetData":
         """The same cosets, represented by reps and listed in their order.
@@ -426,16 +467,17 @@ def _right_cosets(G: PermGroup, H: PermGroup) -> CosetData:
     for g in sorted(G.elements, key=Perm.sort_key):
         if g in assigned:
             continue
-        idx = len(reps)
+        assigned.update(dict.fromkeys(map(right_mul(g), H.elements),
+                                      len(reps)))
         reps.append(g)
-        for h in H.elements:
-            assigned[h * g] = idx
     index = len(reps)
     if index * H.order != G.order:
         raise InvariantViolationError(
             "coset partition inconsistent: %d cosets of size %d in order %d"
             % (index, H.order, G.order))
-    return CosetData(G, H, tuple(reps), index, assigned)
+    # keyed by the elements of G, in their order, not by image tuples
+    return CosetData(G, H, tuple(reps), index,
+                     {g: assigned[g] for g in G.elements})
 
 
 class DoubleCosetData(NamedTuple):
@@ -480,6 +522,8 @@ def _double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetData:
     cap = Config(order_cap=H.order)
     dc_reps, sizes, stabs = [], [], []
     interned = {H: H}
+    in_h = H._index
+    steps = [right_mul(s) for s in H.generators]
     for start in range(cosets.index):
         if orbit_of[start] is not None:
             continue
@@ -489,28 +533,32 @@ def _double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetData:
         schreier = {}
         for j in orbit:
             u = transversal[j]
-            for s in H.generators:
-                image = coset_of[reps[j] * s]
-                us = u * s
+            rep = reps[j]
+            for step in steps:
+                image = coset_of[step(rep)]
+                us = _perm(step(u))
                 if image not in transversal:
                     transversal[image] = us
                     orbit_of[image] = orbit_of[start]
                     orbit.append(image)
-                elif start:
+                else:
                     x = us * transversal[image].inv()
                     if not x.is_identity():
-                        schreier[x.images] = x
-        if start == 0:
+                        schreier[x] = None
+        if len(orbit) == 1:
+            # K <= H and |K| = |H| / 1 by orbit-stabilizer: K is H, and
+            # the checks below still run over its elements
             K = H
         else:
-            K = PermGroup(G.degree, tuple(schreier.values()), cap)
+            K = PermGroup(G.degree, tuple(schreier), cap)
             K = interned.setdefault(K, K)
         g = reps[start]
-        ginv = g.inv()
+        conj = conjugator(g)
         for x in K.elements:
-            if x not in H or g * x * ginv not in H:
+            if x not in H or conj(x) not in in_h:
                 raise InvariantViolationError(
-                    "stabilizer element %r is outside the intersection" % x)
+                    "stabilizer element %r is outside the intersection"
+                    % (x,))
         if len(orbit) * K.order != H.order:
             raise InvariantViolationError(
                 "orbit of length %d and stabilizer of order %d violate "
@@ -540,7 +588,8 @@ def normal_core(G: PermGroup, H: PermGroup) -> PermGroup:
     reps = cosets.reps
     coset_of = cosets.coset_of
     kernel = [h for h in H.elements
-              if all(coset_of[r * h] == i for i, r in enumerate(reps))]
+              if all(coset_of[x] == i
+                     for i, x in enumerate(map(right_mul(h), reps)))]
     K = PermGroup(G.degree, _generating_subset(kernel, len(kernel)),
                   Config(order_cap=len(kernel)))
     if K.order != len(kernel):
@@ -684,7 +733,7 @@ def automorphism_group(G: PermGroup, config: Config = DEFAULT) -> AutomorphismDa
                 break
         if ok:
             found.append(automorphism_perm(G, phi))
-    aut = PermGroup(G.order, sorted(found, key=lambda p: p.images), config)
+    aut = PermGroup(G.order, sorted(found), config)
     if aut.order != len(found):
         raise InvariantViolationError("automorphism set is not closed")
     inner = PermGroup(G.order, [conjugation_perm(G, g) for g in gens], config)
@@ -726,7 +775,8 @@ def verify_action_table(B: PermGroup, action: Mapping[Perm, Sequence[int]],
         raise InvalidActionError("action table must cover exactly the acting group")
     for b, img in action.items():
         if len(img) != size or sorted(img) != list(range(size)):
-            raise InvalidActionError("action of %r is not a bijection on the index set" % b)
+            raise InvalidActionError(
+                "action of %r is not a bijection on the index set" % (b,))
     id_img = tuple(range(size))
     if tuple(action[B.identity]) != id_img:
         raise InvalidActionError("identity must act trivially")
@@ -832,8 +882,7 @@ def verify_wreath_like(G: PermGroup, copies: Sequence[PermGroup],
             return WreathReport(False, "copy is not a subgroup")
     gen_union = [g for A in copies for g in A.generators]
     D = PermGroup(G.degree, gen_union, Config(order_cap=G.order + 1))
-    kernel = sorted((g for g in G.elements if kappa[g].is_identity()),
-                    key=lambda p: p.images)
+    kernel = sorted(g for g in G.elements if kappa[g].is_identity())
     if list(D.elements) != kernel:
         return WreathReport(False, "kernel of kappa differs from the span of the copies")
     prod_order = 1

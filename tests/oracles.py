@@ -1,5 +1,8 @@
 """Direct references that no sfw command needs.
 
+closure and conjugacy_cells build a group and its classes from plain
+Perm products, the references of mulclose and of conjugacy_classes,
+whose loops compose image tuples instead.
 Restriction and induction of class functions, permutation characters and
 the float inner product stay here, outside the package, as the
 references of the Frobenius-reciprocity tests, of the exact restriction
@@ -18,6 +21,28 @@ from sfw.chartab import ClassFunction, conjugacy_classes
 from sfw.errors import PreconditionError, SubgroupError
 from sfw.groupalgebra import GroupAlgebraElement
 from sfw.permgroup import Perm, verify_action_table
+
+
+def closure(generators):
+    """The set of all products of the generators, by Perm.__mul__ alone."""
+    found = {Perm.identity(generators[0].degree)}
+    frontier = found
+    while frontier:
+        frontier = {p * g for p in frontier for g in generators} - found
+        found |= frontier
+    return found
+
+
+def conjugacy_cells(G):
+    """The classes of G as sets, each found by conjugating by every element."""
+    cells = []
+    covered = set()
+    for p in G.elements:
+        if p not in covered:
+            cell = frozenset(x * p * x.inv() for x in G.elements)
+            covered |= cell
+            cells.append(cell)
+    return cells
 
 
 # how far a float inner product of two characters may sit from its integer

@@ -14,7 +14,7 @@ import pytest
 
 from sfw import chartab, cli, verify
 from sfw.config import DEFAULT, Config, config_fields
-from sfw.corpus import case_by_name, case_names
+from sfw.corpus import builtin_cases, case_by_name, case_names
 from sfw.formats import canonical_json, graph_from_json, group_to_json
 from sfw.permgroup import CosetData, cyclic_group
 
@@ -388,6 +388,55 @@ def test_parser_lists_the_builtin_cases_and_the_verify_suites():
     assert cli.SUITE_NAMES == verify.SUITES
 
 
+def subcommand_help(parser, name, capsys):
+    with pytest.raises(SystemExit):
+        parser.parse_args([name, "--help"])
+    return capsys.readouterr().out
+
+
+def test_the_parser_adds_arguments_only_for_the_named_subcommand(capsys):
+    full = cli.build_parser()
+    names = [name for name, _, _, _ in cli.SUBCOMMANDS]
+    for name in names:
+        narrow = cli.build_parser([name, "--json"])
+        assert narrow.format_help() == full.format_help()
+        assert (subcommand_help(narrow, name, capsys)
+                == subcommand_help(full, name, capsys))
+        for other in names:
+            if other != name:
+                assert "--json" not in subcommand_help(narrow, other, capsys)
+    # no subcommand named: every subcommand gets its arguments
+    for argv in ([], ["--help"], ["bogus"]):
+        parser = cli.build_parser(argv)
+        assert all("--json" in subcommand_help(parser, name, capsys)
+                   for name in names)
+
+
+def test_a_case_builds_only_its_own_groups():
+    # a fresh interpreter, so that no case is cached yet
+    code = "\n".join([
+        "from sfw import corpus",
+        "def refuse(*args, **kwargs):",
+        "    raise AssertionError('built the wreath product')",
+        "corpus.wreath_product = refuse",
+        "case = corpus.case_by_name('s4-d4')",
+        "print(case.group.order, case.subgroup.order, case.index)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "24 8 3\n"
+
+
+def test_the_cases_are_listed_in_order_and_built_once():
+    cases = builtin_cases()
+    assert tuple(c.name for c in cases) == case_names()
+    assert all(case_by_name(c.name) is c for c in cases)
+    # S3 and S4 each serve two cases as one group
+    assert cases[0].group is cases[1].group
+    assert cases[2].group is cases[3].group
+
+
 def test_theta_entry_outside_the_subgroup_exits_1(capsys, monkeypatch):
     # a fault only sfw can make: relabelled cosets that keep the old labels
     relabel = CosetData.with_reps
@@ -402,9 +451,15 @@ def test_theta_entry_outside_the_subgroup_exits_1(capsys, monkeypatch):
     assert "lies outside the subgroup" in captured.err
 
 
-def test_a_table_without_its_trivial_character_exits_1(capsys, monkeypatch):
+def test_a_table_without_its_trivial_character_exits_1(capsys, monkeypatch,
+                                                      tmp_path):
     # a fault only sfw can make: a character table that lost its trivial
-    # character
+    # character.  It runs on groups read from files, so the restriction
+    # matrix built from the faulty table is cached on groups of its own,
+    # not on the built-in case that later tests read.
+    case = case_by_name("s3-a3")
+    g = write_group(tmp_path / "g.json", case.group)
+    h = write_group(tmp_path / "h.json", case.subgroup)
     build = chartab.character_table
 
     def faulty(G):
@@ -416,7 +471,7 @@ def test_a_table_without_its_trivial_character_exits_1(capsys, monkeypatch):
             degrees=tuple(table.degrees[n] for n in kept))
 
     monkeypatch.setattr(chartab, "character_table", faulty)
-    rc = cli.main(["graph", "--case", "s3-a3", "--kind", "dual"])
+    rc = cli.main(["graph", "--group", g, "--subgroup", h, "--kind", "dual"])
     captured = capsys.readouterr()
     assert rc == 1
     assert "no trivial character" in captured.err

@@ -34,6 +34,8 @@ from sfw.permgroup import (
 from sfw.standard_invariant import (IN_SUBGROUP, principal_graph,
                                     relative_commutant_dim)
 
+import oracles
+
 
 def perm(degree, text):
     return parse_cycle_string(degree, text)
@@ -71,6 +73,64 @@ def test_cycle_string_roundtrip_random():
         rng.shuffle(images)
         p = Perm(images)
         assert parse_cycle_string(6, p.cycle_string()) == p
+
+
+def test_hash_equality_and_order_are_those_of_the_images():
+    rng = random.Random(11)
+    perms = []
+    for _ in range(60):
+        images = list(range(5))
+        rng.shuffle(images)
+        perms.append(Perm(images))
+    for p in perms:
+        assert hash(p) == hash(p.images)
+        assert p.images == tuple(p[x] for x in range(5))
+        assert type(p.images) is tuple
+        for q in perms:
+            assert (p == q) == (p.images == q.images)
+            assert (p != q) == (p.images != q.images)
+            assert (p < q) == (p.images < q.images)
+    assert sorted(perms) == sorted(perms, key=lambda p: p.images)
+    assert len(set(perms)) == len({p.images for p in perms})
+
+
+def test_products_are_only_between_perms():
+    p = perm(3, "(0 1 2)")
+    for make in (lambda: p * 2, lambda: 2 * p, lambda: p + p):
+        with pytest.raises(TypeError):
+            make()
+    with pytest.raises(ValueError, match="degree mismatch"):
+        p * Perm.identity(4)
+
+
+def test_a_perm_is_one_operand_of_percent_formatting():
+    # a tuple right of % would be spread over the conversions
+    B = symmetric_group(3)
+    action = natural_action(B)
+    bad = B.generators[0]
+    action[bad] = (0, 1)
+    with pytest.raises(InvalidActionError,
+                       match=r"action of Perm\[.*\] is not a bijection"):
+        permgroup.verify_action_table(B, action, 3)
+
+
+def test_degree_one_groups():
+    # itemgetter with one index returns a scalar; degree 1 must not use it
+    one = Perm((0,))
+    assert permgroup.right_mul(one)(one) == one
+    assert permgroup.conjugator(one)(one) == one
+    assert [tuple(p) for p in permgroup.mulclose([one], 1)] == [(0,)]
+    for G in (symmetric_group(1), cyclic_group(1), PermGroup(1, [one])):
+        assert G.elements == (one,) and G.generators == (one,)
+        H = G.subgroup([one])
+        assert right_coset_data(G, H).reps == (one,)
+        dc = double_coset_data(G, H)
+        assert dc.reps == (one,) and dc.stabilizers == (H,)
+        classes = conjugacy_classes(G)
+        assert classes.reps == (one,) and classes.sizes == (1,)
+        assert character_table(G).degrees == (1,)
+        assert normal_core(G, H).order == 1
+        assert len(principal_graph(G, H).even) == 1
 
 
 def test_group_orders():
@@ -225,6 +285,55 @@ def test_stabilizers_of_a_normal_subgroup_are_the_subgroup():
     assert all(K is H for K in stabs)
 
 
+def count_stabilizer_closures(monkeypatch):
+    """A list that gets one entry per PermGroup built by permgroup."""
+    built, build = [], PermGroup
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(permgroup, "PermGroup", counting)
+    return built
+
+
+def test_an_orbit_of_one_coset_closes_no_stabilizer(monkeypatch):
+    # every orbit of a normal subgroup on its cosets is one coset long,
+    # which proves its stabilizer is the subgroup: nothing is closed
+    G = wreath_product(cyclic_group(2), symmetric_group(3)).group
+    H = G.subgroup([perm(6, "(0 1)"), perm(6, "(2 3)"), perm(6, "(4 5)")])
+    right_coset_data(G, H)
+    built = count_stabilizer_closures(monkeypatch)
+    assert double_coset_data(G, H).stabilizers == (H,) * 6
+    assert built == []
+
+
+def test_a_longer_orbit_closes_its_stabilizer(monkeypatch):
+    G, H = s4_over_s3()
+    right_coset_data(G, H)
+    built = count_stabilizer_closures(monkeypatch)
+    # S3 fixes the coset of S3 and moves the other three together
+    dc = double_coset_data(G, H)
+    assert [K.order for K in dc.stabilizers] == [6, 2]
+    assert len(built) == 1
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(inclusions())
+def test_closures_match_plain_products_on_random_subgroups(pair):
+    for X in pair:
+        elements = permgroup.mulclose(X.generators, X.order)
+        assert len(elements) == X.order
+        assert set(elements) == oracles.closure(X.generators)
+        assert all(type(p) is Perm for p in elements)
+        assert list(X.elements) == sorted(elements)
+        assert all(X.element_index(p) == i for i, p in enumerate(X))
+    G = pair[0]
+    if G.order > 1:
+        with pytest.raises(CapExceededError):
+            permgroup.mulclose(G.generators, G.order - 1)
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(inclusions())
 def test_double_cosets_match_oracle_on_random_subgroups(pair):
@@ -243,6 +352,7 @@ def test_double_cosets_match_oracle_on_random_subgroups(pair):
         assert all(L is K for L in dc.stabilizers if L == K)
         assert K is H or K != H
     assert dc.stabilizers[0] is H
+    assert list(right_coset_data(G, H).coset_of) == list(G.elements)
     assert set(dc.coset_of) == set(G.elements)
     for x, i in dc.coset_of.items():
         assert x in cell_of[dc.reps[i]]
@@ -351,24 +461,12 @@ def test_conjugacy_partition_s4():
     assert classes.reps[0] == G.identity and classes.sizes[0] == 1
 
 
-def _conjugacy_oracle(G):
-    """The classes of G as sets, each found by conjugating by every element."""
-    cells = []
-    covered = set()
-    for p in G.elements:
-        if p not in covered:
-            cell = frozenset(x * p * x.inv() for x in G.elements)
-            covered |= cell
-            cells.append(cell)
-    return cells
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(inclusions())
 def test_conjugacy_classes_match_oracle_on_random_subgroups(pair):
     for X in pair:
         classes = conjugacy_classes(X)
-        cells = _conjugacy_oracle(X)
+        cells = oracles.conjugacy_cells(X)
         cell_of = {x: cell for cell in cells for x in cell}
         assert {cell_of[r] for r in classes.reps} == set(cells)
         assert classes.count == len(cells)
@@ -379,8 +477,9 @@ def test_conjugacy_classes_match_oracle_on_random_subgroups(pair):
                                                     classes.sizes)]
         assert keys == sorted(keys)
         assert classes.reps[0] == X.identity
-        assert set(classes.class_of) == set(X.elements)
+        assert list(classes.class_of) == list(X.elements)
         for x, i in classes.class_of.items():
+            assert type(x) is Perm
             assert x in cell_of[classes.reps[i]]
 
 
