@@ -143,8 +143,7 @@ def _emit(args, text: str) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_index(args) -> int:
-    cfg = _build_config(args)
+def cmd_index(args, cfg: Config) -> int:
     name, G, H = _load_inclusion(args, cfg)
     cosets = permgroup.right_coset_data(G, H)
     dc = permgroup.double_coset_data(G, H)
@@ -178,8 +177,7 @@ def cmd_index(args) -> int:
     return 0
 
 
-def cmd_graph(args) -> int:
-    cfg = _build_config(args)
+def cmd_graph(args, cfg: Config) -> int:
     name, G, H = _load_inclusion(args, cfg)
     build = (standard_invariant.principal_graph if args.kind == "principal"
              else standard_invariant.dual_principal_graph)
@@ -191,8 +189,7 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def cmd_chartab(args) -> int:
-    cfg = _build_config(args)
+def cmd_chartab(args, cfg: Config) -> int:
     name, G, H = _load_inclusion(args, cfg)
     target = H if args.member == "subgroup" else G
     table = chartab.character_table(target)
@@ -219,8 +216,7 @@ def cmd_chartab(args) -> int:
     return 0
 
 
-def cmd_extend(args) -> int:
-    cfg = _build_config(args)
+def cmd_extend(args, cfg: Config) -> int:
     if args.case:
         G = _load_case(args.case, cfg).group
     elif args.group:
@@ -264,8 +260,7 @@ def cmd_extend(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_spectrum(args) -> int:
-    cfg = _build_config(args)
+def cmd_spectrum(args, cfg: Config) -> int:
     verdict = indexarith.jones_spectrum_query(args.value, config=cfg)
     if args.json:
         payload = {"value": verdict.value, "kind": verdict.kind,
@@ -285,9 +280,7 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def cmd_vindex(args) -> int:
-    # no setting bounds this computation, but a bad one is still an error
-    _build_config(args)
+def cmd_vindex(args, cfg: Config) -> int:
     parts = []
     for raw in args.part:
         bits = raw.split(":")
@@ -310,8 +303,7 @@ def cmd_vindex(args) -> int:
     return 0
 
 
-def cmd_induce(args) -> int:
-    cfg = _build_config(args)
+def cmd_induce(args, cfg: Config) -> int:
     name, G, K = _load_inclusion(args, cfg)
     theta = standard_invariant.induced_theta(G, K)
     degree = theta.cosets.index
@@ -352,8 +344,7 @@ def cmd_induce(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = _build_config(args)
+def cmd_verify(args, cfg: Config) -> int:
     report = verify.run_suite(args.suite, corpus_dir=args.corpus_dir,
                               config=cfg)
     if args.json:
@@ -484,7 +475,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _build_config(args))
     except SfwError as e:
         print("error: %s" % e, file=sys.stderr)
         return e.exit_code

@@ -6,7 +6,11 @@ with a G-valued 2-cocycle twisting the multiplication.  This module
 extracts that data from outer automorphisms or from an explicit normal
 inclusion, verifies the cocycle axioms, and checks the twisted crossed
 product relations as identities in the group, where the unitaries u_h
-multiply.
+multiply.  Both sources go through one decomposition of a group over a
+normal subgroup (_decompose): the quotient acting on the coset indices
+by right translation, one lift per quotient element, the product table
+of the cosets and the defects of the lifts.  An extension decomposes
+over its inner automorphisms and pulls the defects back to G.
 """
 
 from __future__ import annotations
@@ -126,22 +130,39 @@ def _coerce_automorphism(G: PermGroup, item) -> Perm:
     return a
 
 
-def _inner_lookup(G: PermGroup) -> Mapping[Perm, Perm]:
-    """Invert x -> Ad(x); requires a trivial centre for uniqueness."""
-    table = {}
-    for x in G.elements:
-        table[conjugation_perm(G, x)] = x
-    return table
+def _decompose(cosets: CosetData, config: Config):
+    """A group over a normal subgroup, from the cosets of the subgroup.
 
-
-def _quotient_action_perm(cosets, h: Perm) -> Perm:
-    """Permutation of coset indices induced by right translation.
-
-    Sending each coset of index i to the coset of reps[i] * h^-1 makes
-    the assignment multiplicative for the rightmost-first convention.
+    cosets.reps[0] must be the identity.  Each reps[i] gives the quotient
+    element k -> coset of reps[k] * reps[i]^-1 on the coset indices; right
+    translation makes the assignment multiplicative for the rightmost-first
+    convention.  Returns that quotient, the lift of each quotient element
+    (keyed in the order of reps), the product table coset_of[reps[i] *
+    reps[j]], and the defects reps[i] * reps[j] * reps[table[i][j]]^-1
+    keyed by pairs of quotient elements, each checked to lie in the
+    normal subgroup.
     """
-    hinv = h.inv()
-    return Perm([cosets.coset_index(r * hinv) for r in cosets.reps])
+    reps, coset_of, K = cosets.reps, cosets.coset_of, cosets.subgroup
+    inverses = [r.inv() for r in reps]
+    elements = [Perm([coset_of[r * rinv] for r in reps]) for rinv in inverses]
+    quotient = PermGroup(cosets.index, elements, config)
+    if quotient.order != cosets.index:
+        raise InvariantViolationError("quotient order mismatch")
+    lifts = dict(zip(elements, reps))
+    if len(lifts) != quotient.order:
+        raise InvariantViolationError("coset representatives do not separate")
+    if lifts[quotient.identity] != cosets.group.identity:
+        raise InvariantViolationError("identity coset lift is not trivial")
+    table = [[coset_of[ri * rj] for rj in reps] for ri in reps]
+    defects = {}
+    for gi, ri, row in zip(elements, reps, table):
+        for gj, rj, k in zip(elements, reps, row):
+            w = ri * rj * inverses[k]
+            if w not in K:
+                raise InvariantViolationError(
+                    "coset defect landed outside the normal subgroup")
+            defects[(gi, gj)] = w
+    return quotient, lifts, table, defects
 
 
 class ExtensionResult(NamedTuple):
@@ -188,32 +209,11 @@ def extension_from_out(G: PermGroup, out_auts: Sequence,
     ambient = PermGroup(G.order, inner_gens + outs, config)
     if not inner.is_subgroup_of(ambient):
         raise InvariantViolationError("inner subgroup escaped the ambient")
-    cosets = right_coset_data(ambient, inner)
-    quotient_of = {}
-    for h in ambient.elements:
-        quotient_of[h] = _quotient_action_perm(cosets, h)
-    qgens = [quotient_of[g] for g in ambient.generators]
-    quotient = PermGroup(cosets.index, qgens, config)
-    if quotient.order != cosets.index:
-        raise InvariantViolationError("quotient order mismatch")
-    lifts = {}
-    for rep in cosets.reps:
-        lifts[quotient_of[rep]] = rep
-    if len(lifts) != quotient.order:
-        raise InvariantViolationError("coset representatives do not separate")
-    if lifts[quotient.identity] != ambient.identity:
-        raise InvariantViolationError("identity coset lift is not trivial")
-    inner_of = _inner_lookup(G)
-    values = {}
-    for g1 in quotient.elements:
-        for g2 in quotient.elements:
-            w = lifts[g1] * lifts[g2] * lifts[g1 * g2].inv()
-            if w not in inner_of:
-                raise InvariantViolationError(
-                    "lift defect is not an inner automorphism")
-            values[(g1, g2)] = inner_of[w]
-    alpha = {g: lifts[g] for g in quotient.elements}
-    cocycle = Cocycle2(G, quotient, values, alpha)
+    quotient, lifts, _, defects = _decompose(
+        right_coset_data(ambient, inner), config)
+    base_of = {a: x for x, a in embedding.items()}
+    values = {pair: base_of[w] for pair, w in defects.items()}
+    cocycle = Cocycle2(G, quotient, values, lifts)
     report = verify_cocycle(cocycle)
     if not report.ok:
         raise InvariantViolationError(
@@ -269,35 +269,20 @@ def _crossed_reps(G: PermGroup, K: PermGroup, H_mid: PermGroup,
 def _crossed_product_data(G: PermGroup, K: PermGroup, H_mid: PermGroup,
                           rule: str, config: Config):
     cosets = _crossed_reps(G, K, H_mid, rule)
-    reps, coset_of = cosets.reps, cosets.coset_of
-    q = len(reps)
-    table = [[coset_of[reps[i] * reps[j]] for j in range(q)]
-             for i in range(q)]
-    qperms = [Perm([table[i][j] for j in range(q)]) for i in range(q)]
-    quotient = PermGroup(q, qperms, config)
-    if quotient.order != q:
-        raise InvariantViolationError("quotient regular image is too small")
-    values = {}
+    quotient, lifts, table, values = _decompose(cosets, config)
     alpha = {}
-    for i, gi in enumerate(qperms):
+    for g, r in lifts.items():
+        rinv = r.inv()
         mapping = {}
-        ri = reps[i]
-        riinv = ri.inv()
         for x in K.elements:
-            y = ri * x * riinv
+            y = r * x * rinv
             if y not in K:
                 raise NotNormalError("conjugation left the subgroup")
             mapping[x] = y
-        alpha[gi] = automorphism_perm(K, mapping)
-        for j, gj in enumerate(qperms):
-            w = reps[i] * reps[j] * reps[table[i][j]].inv()
-            if w not in K:
-                raise InvariantViolationError(
-                    "coset defect landed outside the normal subgroup")
-            values[(gi, gj)] = w
+        alpha[g] = automorphism_perm(K, mapping)
     cocycle = Cocycle2(K, quotient, values, alpha)
-    middle = tuple(sorted(j for j, r in enumerate(reps) if r in H_mid))
-    return reps, table, qperms, cocycle, middle
+    middle = tuple(j for j, r in enumerate(cosets.reps) if r in H_mid)
+    return cosets.reps, table, list(lifts), cocycle, middle
 
 
 def crossed_product_check(G: PermGroup, K: PermGroup,

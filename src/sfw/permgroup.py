@@ -488,7 +488,6 @@ class DoubleCosetData(NamedTuple):
     reps: tuple
     sizes: tuple
     stabilizers: tuple
-    coset_of: Mapping[Perm, int]
 
     @property
     def count(self) -> int:
@@ -574,9 +573,7 @@ def _double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetData:
             raise InvariantViolationError(
                 "double coset size %d inconsistent with |H|=%d, |K|=%d"
                 % (size, H.order, K.order))
-    coset_of = {x: orbit_of[i] for x, i in coset_of.items()}
-    return DoubleCosetData(G, H, tuple(dc_reps), tuple(sizes), tuple(stabs),
-                           coset_of)
+    return DoubleCosetData(G, H, tuple(dc_reps), tuple(sizes), tuple(stabs))
 
 
 def normal_core(G: PermGroup, H: PermGroup) -> PermGroup:
@@ -646,7 +643,9 @@ def is_automorphism_perm(G: PermGroup, a: Perm) -> bool:
 def _generating_subset(candidates: Sequence[Perm], order: int) -> list:
     """The candidates that enlarge the group generated by those before.
 
-    Stops once that group has the given order.
+    Stops once that group has the given order.  Candidates that generate
+    more than order elements are a fault of the caller's data, not a
+    resource cap, and raise InvariantViolationError.
     """
     kept = []
     known = set()
@@ -654,7 +653,12 @@ def _generating_subset(candidates: Sequence[Perm], order: int) -> list:
         if g in known or g.is_identity():
             continue
         kept.append(g)
-        known = set(mulclose(kept, order + 1))
+        try:
+            known = set(mulclose(kept, order))
+        except CapExceededError:
+            raise InvariantViolationError(
+                "the set is not closed: it generates more than %d elements"
+                % order) from None
         if len(known) == order:
             break
     return kept
@@ -733,8 +737,8 @@ def automorphism_group(G: PermGroup, config: Config = DEFAULT) -> AutomorphismDa
                 break
         if ok:
             found.append(automorphism_perm(G, phi))
-    aut = PermGroup(G.order, sorted(found), config)
-    if aut.order != len(found):
+    aut = PermGroup(G.order, _generating_subset(found, len(found)), config)
+    if aut.elements != tuple(sorted(found)):
         raise InvariantViolationError("automorphism set is not closed")
     inner = PermGroup(G.order, [conjugation_perm(G, g) for g in gens], config)
     if inner.order * len(G.center()) != G.order:

