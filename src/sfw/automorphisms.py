@@ -1,0 +1,197 @@
+"""Automorphisms of a finite permutation group, and normal cores.
+
+Aut(G) is found by a constrained search over the images of a reduced
+generating set and acts on the element list of G (AutomorphismData).
+The normal core is the kernel of a group acting on the cosets of a
+subgroup.  Only `extend`, the cocycle checks and the verify suites
+reach this module; `index`, `graph`, `chartab` and `induce` never run
+it.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Mapping, NamedTuple, Sequence
+
+from .config import Config, DEFAULT
+from .errors import CapExceededError, InvariantViolationError, NotNormalError
+from .permgroup import (
+    CosetData,
+    Perm,
+    PermGroup,
+    conjugacy_classes,
+    mulclose,
+    right_coset_data,
+    right_mul,
+)
+
+
+class AutomorphismData(NamedTuple):
+    """Aut(G) acting on the element list of G.
+
+    aut.degree == G.order; automorphism p sends G.elements[i] to
+    G.elements[p(i)].  inner is the subgroup of conjugations, and
+    out_cosets decomposes aut by inner, one coset per outer class.
+    """
+
+    group: PermGroup
+    aut: PermGroup
+    inner: PermGroup
+    out_cosets: CosetData
+
+
+def automorphism_perm(G: PermGroup, mapping: Mapping[Perm, Perm]) -> Perm:
+    """Encode a bijection G -> G as a permutation of element indices."""
+    return Perm([G.element_index(mapping[p]) for p in G.elements])
+
+
+def conjugation_perm(G: PermGroup, g: Perm) -> Perm:
+    ginv = g.inv()
+    return Perm([G.element_index(g * p * ginv) for p in G.elements])
+
+
+def is_automorphism_perm(G: PermGroup, a: Perm) -> bool:
+    """Check that index permutation a respects the multiplication of G."""
+    if a.degree != G.order:
+        return False
+    elems = G.elements
+    idx = G.element_index
+    for i, x in enumerate(elems):
+        ax = elems[a(i)]
+        for s in G.generators:
+            if elems[a(idx(x * s))] != ax * elems[a(idx(s))]:
+                return False
+    return True
+
+
+def _generating_subset(candidates: Sequence[Perm], order: int) -> list:
+    """The candidates that enlarge the group generated by those before.
+
+    Stops once that group has the given order.  Candidates that generate
+    more than order elements are a fault of the caller's data, not a
+    resource cap, and raise InvariantViolationError.
+    """
+    kept = []
+    known = set()
+    for g in candidates:
+        if g in known or g.is_identity():
+            continue
+        kept.append(g)
+        try:
+            known = set(mulclose(kept, order))
+        except CapExceededError:
+            raise InvariantViolationError(
+                "the set is not closed: it generates more than %d elements"
+                % order) from None
+        if len(known) == order:
+            break
+    return kept
+
+
+def _reduced_generators(G: PermGroup) -> list:
+    return _generating_subset(G.generators, G.order) or [G.identity]
+
+
+def automorphism_group(G: PermGroup, config: Config = DEFAULT) -> AutomorphismData:
+    """Aut(G) by constrained search over generator images.
+
+    Candidate images of a generator are limited to elements with the same
+    order and conjugacy class size.  Every candidate tuple is checked to
+    define a bijective homomorphism, so the result is exhaustive.
+    """
+    if G.order > config.aut_cap:
+        raise CapExceededError(
+            "automorphism search capped at order %d, group has order %d"
+            % (config.aut_cap, G.order))
+    gens = _reduced_generators(G)
+    classes = conjugacy_classes(G)
+    class_size = {p: classes.sizes[i] for p, i in classes.class_of.items()}
+    orders = {p: p.order() for p in G.elements}
+    candidates = []
+    for g in gens:
+        pool = [p for p in G.elements
+                if orders[p] == orders[g] and class_size[p] == class_size[g]]
+        candidates.append(pool)
+    total = 1
+    for pool in candidates:
+        total *= len(pool)
+    if total > 200000:
+        raise CapExceededError(
+            "automorphism candidate space too large (%d tuples)" % total)
+
+    # express every element as parent * generator so candidate maps extend
+    # to all of G in one pass
+    derivation = {G.identity: None}
+    frontier = [G.identity]
+    while frontier:
+        new = []
+        for p in frontier:
+            for gi, g in enumerate(gens):
+                q = p * g
+                if q not in derivation:
+                    derivation[q] = (p, gi)
+                    new.append(q)
+        frontier = new
+
+    elems = G.elements
+    idx = G.element_index
+    found = []
+    for images in itertools.product(*candidates):
+        phi = {G.identity: G.identity}
+        ok = True
+        for p in elems:
+            if p in phi:
+                continue
+            chain = []
+            q = p
+            while q not in phi:
+                chain.append(q)
+                q = derivation[q][0]
+            for q in reversed(chain):
+                phi[q] = phi[derivation[q][0]] * images[derivation[q][1]]
+        if len({phi[p] for p in elems}) != G.order:
+            continue
+        for p in elems:
+            pp = phi[p]
+            for gi, g in enumerate(gens):
+                if phi[p * g] != pp * images[gi]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            found.append(automorphism_perm(G, phi))
+    aut = PermGroup(G.order, _generating_subset(found, len(found)), config)
+    if aut.elements != tuple(sorted(found)):
+        raise InvariantViolationError("automorphism set is not closed")
+    inner = PermGroup(G.order, [conjugation_perm(G, g) for g in gens], config)
+    if inner.order * len(G.center()) != G.order:
+        raise InvariantViolationError(
+            "inner automorphism count violates |G/Z(G)|")
+    out = right_coset_data(aut, inner)
+    return AutomorphismData(G, aut, inner, out)
+
+
+
+def normal_core(G: PermGroup, H: PermGroup) -> PermGroup:
+    """The largest normal subgroup of G contained in H.
+
+    It is the kernel of H acting on H\\G by right multiplication.
+    """
+    cosets = right_coset_data(G, H)
+    reps = cosets.reps
+    coset_of = cosets.coset_of
+    kernel = [h for h in H.elements
+              if all(coset_of[x] == i
+                     for i, x in enumerate(map(right_mul(h), reps)))]
+    K = PermGroup(G.degree, _generating_subset(kernel, len(kernel)),
+                  Config(order_cap=len(kernel)))
+    if K.order != len(kernel):
+        raise InvariantViolationError(
+            "core is not closed; subgroup data corrupt")
+    for g in G.generators:
+        ginv = g.inv()
+        if any(g * x * ginv not in K for x in K.generators):
+            raise NotNormalError("computed core is not normal")
+    return K
+

@@ -29,8 +29,9 @@ from .errors import ParseError, PreconditionError, SfwError
 # in sys.modules without running it (importlib.util.LazyLoader); its
 # body runs on the first attribute access, so a subcommand executes only
 # the modules it reaches.  `from sfw.x import y` still imports x as usual.
-LAZY_MODULES = ("chartab", "cocycle", "corpus", "formats", "groupalgebra",
-                "indexarith", "permgroup", "standard_invariant", "verify")
+LAZY_MODULES = ("automorphisms", "chartab", "cocycle", "corpus", "formats",
+                "groupalgebra", "indexarith", "permgroup",
+                "standard_invariant", "theta", "verify", "wreath")
 
 # The built-in case names (corpus.case_names()) and the verify suites
 # (verify.SUITES) that the parser lists, spelled out here so that
@@ -63,6 +64,7 @@ for _name in LAZY_MODULES:
 
 # bound to the registered modules, none of which has run yet
 from . import (
+    automorphisms,
     chartab,
     cocycle,
     corpus,
@@ -70,6 +72,7 @@ from . import (
     indexarith,
     permgroup,
     standard_invariant,
+    theta,
     verify,
 )
 
@@ -223,7 +226,7 @@ def cmd_extend(args, cfg: Config) -> int:
         G = _load_group_file(args.group, cfg)
     else:
         raise ParseError("need --case or --group")
-    auts = permgroup.automorphism_group(G, cfg)
+    auts = automorphisms.automorphism_group(G, cfg)
     available = auts.out_cosets.index - 1
     if args.out_classes == "all":
         picks = list(range(1, auts.out_cosets.index))
@@ -305,8 +308,8 @@ def cmd_vindex(args, cfg: Config) -> int:
 
 def cmd_induce(args, cfg: Config) -> int:
     name, G, K = _load_inclusion(args, cfg)
-    theta = standard_invariant.induced_theta(G, K)
-    degree = theta.cosets.index
+    induced = theta.induced_theta(G, K)
+    degree = induced.cosets.index
     elements = []
     if args.element:
         elements.append(permgroup.parse_cycle_string(G.degree, args.element))
@@ -324,7 +327,7 @@ def cmd_induce(args, cfg: Config) -> int:
                         "support": w.cycle_string()}
                        for r, c, w in sorted(
                            (r, c, w)
-                           for c, (r, w) in enumerate(theta.matrix(g)))]
+                           for c, (r, w) in enumerate(induced.matrix(g)))]
             blocks.append({"element": g.cycle_string(), "entries": entries})
         payload = {"name": name, "degree": degree,
                    "target_order": K.order, "matrices": blocks}
@@ -336,7 +339,7 @@ def cmd_induce(args, cfg: Config) -> int:
     for g in elements:
         lines.append("element %s:" % g.cycle_string())
         rows = [["0"] * degree for _ in range(degree)]
-        for c, (r, w) in enumerate(theta.matrix(g)):
+        for c, (r, w) in enumerate(induced.matrix(g)):
             rows[r][c] = "(%s)*u[%s]" % (1 + 0j, w.cycle_string())
         for row in rows:
             lines.append("  [" + ", ".join(row) + "]")

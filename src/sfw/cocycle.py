@@ -17,6 +17,11 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 
+from .automorphisms import (
+    automorphism_perm,
+    conjugation_perm,
+    is_automorphism_perm,
+)
 from .config import Config, DEFAULT
 from .errors import (
     HomomorphismError,
@@ -30,10 +35,9 @@ from .permgroup import (
     CosetData,
     Perm,
     PermGroup,
-    automorphism_perm,
-    conjugation_perm,
-    is_automorphism_perm,
+    _perm,
     right_coset_data,
+    right_mul,
 )
 
 
@@ -188,6 +192,29 @@ class ExtensionResult(NamedTuple):
         return self.ambient.element_order_histogram()
 
 
+def _inner_embedding(G: PermGroup) -> dict:
+    """x -> conjugation_perm(G, x) for every x in G, in the order of G.
+
+    Conjugation is a homomorphism, c(x * s) = c(x) * c(s), so one
+    breadth-first pass from the identity over the generators s builds
+    every c(x) from the c(s), composing image tuples with right_mul at
+    one C call per element and generator.
+    """
+    steps = [(right_mul(s), right_mul(conjugation_perm(G, s)))
+             for s in G.generators]
+    images = {G.identity: tuple(range(G.order))}
+    # reached grows while it is read, one level after the other
+    reached = [G.identity]
+    for x in reached:
+        cx = images[x]
+        for step, compose in steps:
+            y = step(x)
+            if y not in images:
+                images[y] = compose(cx)
+                reached.append(y)
+    return {x: _perm(images[x]) for x in G.elements}
+
+
 def extension_from_out(G: PermGroup, out_auts: Sequence,
                        config: Config = DEFAULT) -> ExtensionResult:
     """Build the extension of G by the chosen outer automorphisms.
@@ -201,7 +228,7 @@ def extension_from_out(G: PermGroup, out_auts: Sequence,
         raise NontrivialCenterError(
             "base group must have trivial centre")
     outs = [_coerce_automorphism(G, a) for a in out_auts]
-    embedding = {x: conjugation_perm(G, x) for x in G.elements}
+    embedding = _inner_embedding(G)
     inner_gens = [embedding[x] for x in G.generators]
     inner = PermGroup(G.order, inner_gens, config)
     if inner.order != G.order:

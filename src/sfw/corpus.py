@@ -13,7 +13,6 @@ from .permgroup import (
     cyclic_group,
     parse_cycle_string,
     symmetric_group,
-    wreath_product,
 )
 
 
@@ -35,6 +34,8 @@ def _generated(degree: int, *cycles: str) -> PermGroup:
 
 
 def _wreath_base() -> tuple:
+    # imported here, so that no other case runs sfw.wreath
+    from .wreath import wreath_product
     wr = wreath_product(cyclic_group(2), cyclic_group(3))
     base_gens = [g for copy in wr.base_copies for g in copy.generators]
     return wr.group, PermGroup(wr.group.degree, base_gens)

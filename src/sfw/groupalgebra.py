@@ -7,7 +7,7 @@ expand/reassemble round trips are exact even in floating point.
 
 Only `verify` and the tests compute here.  An amplified matrix is a
 monomial matrix with entries in the subgroup, so its products are
-products of group elements (standard_invariant.ThetaMap.matrix), and
+products of group elements (theta.ThetaMap.matrix), and
 the relations of an extension are identities in the group (cocycle).
 This module serves the references those are held to: the nested
 conditional expectations of the theta entries, the brute-force

@@ -2,7 +2,7 @@
 index values, local index combination and chain inequalities.
 
 The block monomial map of G into matrices over a subgroup algebra that
-`induce` prints is theta at k = 1 (standard_invariant.induced_theta).
+`induce` prints is theta at k = 1 (theta.induced_theta).
 """
 
 from __future__ import annotations

@@ -18,28 +18,24 @@ Conventions used throughout the package:
   representative is the identity.  CosetData.with_reps relabels those
   cosets by another transversal, in another order; the theta map of
   `induce` and the crossed product decomposition take theirs that way.
+
+This module holds what every group command runs: permutations, group
+closure, cosets, double cosets and conjugacy classes.  Automorphisms
+and normal cores (sfw.automorphisms) and wreath products (sfw.wreath)
+build on it in modules of their own, which only `extend`, the
+`wr2x3-base` case and `verify` run.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from operator import itemgetter
-from typing import (
-    Callable,
-    Iterable,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Sequence,
-)
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .config import Config, DEFAULT
 from .errors import (
     CapExceededError,
-    InvalidActionError,
     InvariantViolationError,
-    NotNormalError,
     ParseError,
     PreconditionError,
     SubgroupError,
@@ -574,344 +570,4 @@ def _double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetData:
                 "double coset size %d inconsistent with |H|=%d, |K|=%d"
                 % (size, H.order, K.order))
     return DoubleCosetData(G, H, tuple(dc_reps), tuple(sizes), tuple(stabs))
-
-
-def normal_core(G: PermGroup, H: PermGroup) -> PermGroup:
-    """The largest normal subgroup of G contained in H.
-
-    It is the kernel of H acting on H\\G by right multiplication.
-    """
-    cosets = right_coset_data(G, H)
-    reps = cosets.reps
-    coset_of = cosets.coset_of
-    kernel = [h for h in H.elements
-              if all(coset_of[x] == i
-                     for i, x in enumerate(map(right_mul(h), reps)))]
-    K = PermGroup(G.degree, _generating_subset(kernel, len(kernel)),
-                  Config(order_cap=len(kernel)))
-    if K.order != len(kernel):
-        raise InvariantViolationError(
-            "core is not closed; subgroup data corrupt")
-    for g in G.generators:
-        ginv = g.inv()
-        if any(g * x * ginv not in K for x in K.generators):
-            raise NotNormalError("computed core is not normal")
-    return K
-
-
-# ---------------------------------------------------------------------------
-# automorphisms
-
-class AutomorphismData(NamedTuple):
-    """Aut(G) acting on the element list of G.
-
-    aut.degree == G.order; automorphism p sends G.elements[i] to
-    G.elements[p(i)].  inner is the subgroup of conjugations, and
-    out_cosets decomposes aut by inner, one coset per outer class.
-    """
-
-    group: PermGroup
-    aut: PermGroup
-    inner: PermGroup
-    out_cosets: CosetData
-
-
-def automorphism_perm(G: PermGroup, mapping: Mapping[Perm, Perm]) -> Perm:
-    """Encode a bijection G -> G as a permutation of element indices."""
-    return Perm([G.element_index(mapping[p]) for p in G.elements])
-
-
-def conjugation_perm(G: PermGroup, g: Perm) -> Perm:
-    ginv = g.inv()
-    return Perm([G.element_index(g * p * ginv) for p in G.elements])
-
-
-def is_automorphism_perm(G: PermGroup, a: Perm) -> bool:
-    """Check that index permutation a respects the multiplication of G."""
-    if a.degree != G.order:
-        return False
-    elems = G.elements
-    idx = G.element_index
-    for i, x in enumerate(elems):
-        ax = elems[a(i)]
-        for s in G.generators:
-            if elems[a(idx(x * s))] != ax * elems[a(idx(s))]:
-                return False
-    return True
-
-
-def _generating_subset(candidates: Sequence[Perm], order: int) -> list:
-    """The candidates that enlarge the group generated by those before.
-
-    Stops once that group has the given order.  Candidates that generate
-    more than order elements are a fault of the caller's data, not a
-    resource cap, and raise InvariantViolationError.
-    """
-    kept = []
-    known = set()
-    for g in candidates:
-        if g in known or g.is_identity():
-            continue
-        kept.append(g)
-        try:
-            known = set(mulclose(kept, order))
-        except CapExceededError:
-            raise InvariantViolationError(
-                "the set is not closed: it generates more than %d elements"
-                % order) from None
-        if len(known) == order:
-            break
-    return kept
-
-
-def _reduced_generators(G: PermGroup) -> list:
-    return _generating_subset(G.generators, G.order) or [G.identity]
-
-
-def automorphism_group(G: PermGroup, config: Config = DEFAULT) -> AutomorphismData:
-    """Aut(G) by constrained search over generator images.
-
-    Candidate images of a generator are limited to elements with the same
-    order and conjugacy class size.  Every candidate tuple is checked to
-    define a bijective homomorphism, so the result is exhaustive.
-    """
-    if G.order > config.aut_cap:
-        raise CapExceededError(
-            "automorphism search capped at order %d, group has order %d"
-            % (config.aut_cap, G.order))
-    gens = _reduced_generators(G)
-    classes = conjugacy_classes(G)
-    class_size = {p: classes.sizes[i] for p, i in classes.class_of.items()}
-    orders = {p: p.order() for p in G.elements}
-    candidates = []
-    for g in gens:
-        pool = [p for p in G.elements
-                if orders[p] == orders[g] and class_size[p] == class_size[g]]
-        candidates.append(pool)
-    total = 1
-    for pool in candidates:
-        total *= len(pool)
-    if total > 200000:
-        raise CapExceededError(
-            "automorphism candidate space too large (%d tuples)" % total)
-
-    # express every element as parent * generator so candidate maps extend
-    # to all of G in one pass
-    derivation = {G.identity: None}
-    frontier = [G.identity]
-    while frontier:
-        new = []
-        for p in frontier:
-            for gi, g in enumerate(gens):
-                q = p * g
-                if q not in derivation:
-                    derivation[q] = (p, gi)
-                    new.append(q)
-        frontier = new
-
-    elems = G.elements
-    idx = G.element_index
-    found = []
-    for images in itertools.product(*candidates):
-        phi = {G.identity: G.identity}
-        ok = True
-        for p in elems:
-            if p in phi:
-                continue
-            chain = []
-            q = p
-            while q not in phi:
-                chain.append(q)
-                q = derivation[q][0]
-            for q in reversed(chain):
-                phi[q] = phi[derivation[q][0]] * images[derivation[q][1]]
-        if len({phi[p] for p in elems}) != G.order:
-            continue
-        for p in elems:
-            pp = phi[p]
-            for gi, g in enumerate(gens):
-                if phi[p * g] != pp * images[gi]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(automorphism_perm(G, phi))
-    aut = PermGroup(G.order, _generating_subset(found, len(found)), config)
-    if aut.elements != tuple(sorted(found)):
-        raise InvariantViolationError("automorphism set is not closed")
-    inner = PermGroup(G.order, [conjugation_perm(G, g) for g in gens], config)
-    if inner.order * len(G.center()) != G.order:
-        raise InvariantViolationError(
-            "inner automorphism count violates |G/Z(G)|")
-    out = right_coset_data(aut, inner)
-    return AutomorphismData(G, aut, inner, out)
-
-
-# ---------------------------------------------------------------------------
-# wreath-like products
-
-class WreathData(NamedTuple):
-    """A wreath product A wr B realized on len(I) * deg(A) points.
-
-    Block i occupies points [i*deg(A), (i+1)*deg(A)).  kappa maps each
-    element of the product onto the acting group B; its kernel is the
-    direct sum of the base copies.
-    """
-
-    group: PermGroup
-    base: PermGroup
-    base_copies: tuple
-    acting: PermGroup
-    action: Mapping[Perm, tuple]
-    kappa: Mapping[Perm, Perm]
-
-
-def natural_action(B: PermGroup) -> dict:
-    """B acting on its own points, as an action table."""
-    return {b: b.images for b in B.elements}
-
-
-def verify_action_table(B: PermGroup, action: Mapping[Perm, Sequence[int]],
-                        size: int) -> None:
-    """Raise InvalidActionError unless action is a homomorphism B -> Sym(size)."""
-    if set(action) != set(B.elements):
-        raise InvalidActionError("action table must cover exactly the acting group")
-    for b, img in action.items():
-        if len(img) != size or sorted(img) != list(range(size)):
-            raise InvalidActionError(
-                "action of %r is not a bijection on the index set" % (b,))
-    id_img = tuple(range(size))
-    if tuple(action[B.identity]) != id_img:
-        raise InvalidActionError("identity must act trivially")
-    for b1 in B.elements:
-        a1 = action[b1]
-        for b2 in B.generators:
-            a2 = action[b2]
-            composed = tuple(a1[x] for x in a2)
-            if tuple(action[b1 * b2]) != composed:
-                raise InvalidActionError("action table is not a homomorphism")
-
-
-def wreath_product(A: PermGroup, B: PermGroup,
-                   action: Optional[Mapping[Perm, tuple]] = None,
-                   config: Config = DEFAULT) -> WreathData:
-    """Wreath-like product of A by B along a faithful action of B on I.
-
-    Returns the product group together with the base copies and the
-    quotient map kappa recovered from the block structure.
-    """
-    if action is None:
-        action = natural_action(B)
-    size = len(next(iter(action.values())))
-    verify_action_table(B, action, size)
-    by_image = {}
-    for b, img in action.items():
-        key = tuple(img)
-        if key in by_image:
-            raise InvalidActionError(
-                "action must be faithful so the quotient map is recoverable")
-        by_image[key] = b
-    dA = A.degree
-    degree = size * dA
-    gens = []
-    copy_gens = [[] for _ in range(size)]
-    for i in range(size):
-        for a in A.generators:
-            images = list(range(degree))
-            for x in range(dA):
-                images[i * dA + x] = i * dA + a(x)
-            p = Perm(images)
-            gens.append(p)
-            copy_gens[i].append(p)
-    for b in B.generators:
-        img = action[b]
-        images = [0] * degree
-        for i in range(size):
-            for x in range(dA):
-                images[i * dA + x] = img[i] * dA + x
-        gens.append(Perm(images))
-    G = PermGroup(degree, gens, config)
-    copies = tuple(PermGroup(degree, cg, config) for cg in copy_gens)
-    kappa = {}
-    for g in G.elements:
-        key = tuple(g(i * dA) // dA for i in range(size))
-        if key not in by_image:
-            raise InvalidActionError("element does not permute blocks per the action")
-        kappa[g] = by_image[key]
-    return WreathData(G, A, copies, B, dict(action), kappa)
-
-
-class WreathReport(NamedTuple):
-    ok: bool
-    reason: str = ""
-    witness: tuple = ()
-
-
-def verify_wreath_like(G: PermGroup, copies: Sequence[PermGroup],
-                       kappa: Mapping[Perm, Perm], B: PermGroup,
-                       action: Optional[Mapping[Perm, tuple]] = None) -> WreathReport:
-    """Check the defining properties of a wreath-like decomposition.
-
-    kappa must be a surjective homomorphism G -> B whose kernel is the
-    internal direct sum of the copies, and conjugation must permute the
-    copies according to the action of kappa(g) on the index set.
-    """
-    copies = tuple(copies)
-    n = len(copies)
-    if action is None:
-        if n == 1:
-            action = {b: (0,) for b in B.elements}
-        elif B.degree == n:
-            action = natural_action(B)
-        else:
-            raise InvalidActionError(
-                "no action given and the acting group degree does not match "
-                "the number of copies")
-    try:
-        verify_action_table(B, action, n)
-    except InvalidActionError as exc:
-        return WreathReport(False, "bad action table: %s" % exc)
-    if set(kappa) != set(G.elements):
-        return WreathReport(False, "kappa is not a total map on the group")
-    for g in sorted(G.elements, key=Perm.sort_key):
-        for s in G.generators:
-            if kappa[g * s] != kappa[g] * kappa[s]:
-                return WreathReport(False, "kappa is not a homomorphism",
-                                    (g, s))
-    if {kappa[g] for g in G.elements} != set(B.elements):
-        return WreathReport(False, "kappa is not surjective")
-    for A in copies:
-        if not A.is_subgroup_of(G):
-            return WreathReport(False, "copy is not a subgroup")
-    gen_union = [g for A in copies for g in A.generators]
-    D = PermGroup(G.degree, gen_union, Config(order_cap=G.order + 1))
-    kernel = sorted(g for g in G.elements if kappa[g].is_identity())
-    if list(D.elements) != kernel:
-        return WreathReport(False, "kernel of kappa differs from the span of the copies")
-    prod_order = 1
-    for A in copies:
-        prod_order *= A.order
-    if prod_order != D.order:
-        return WreathReport(False,
-                            "copies are not in direct sum: orders %d vs %d"
-                            % (prod_order, D.order))
-    for a, A in enumerate(copies):
-        for b in range(a + 1, n):
-            for x in A.generators:
-                for y in copies[b].generators:
-                    if x * y != y * x:
-                        return WreathReport(False, "copies do not commute",
-                                            (x, y))
-    elem_sets = [set(A.elements) for A in copies]
-    for g in G.generators:
-        ginv = g.inv()
-        img = action[kappa[g]]
-        for i in range(n):
-            conj = {g * x * ginv for x in copies[i].elements}
-            if conj != elem_sets[img[i]]:
-                return WreathReport(
-                    False, "conjugation does not permute copies per kappa",
-                    (g, i))
-    return WreathReport(True)
 

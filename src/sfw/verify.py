@@ -23,40 +23,23 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chartab import character_table
-from .cocycle import crossed_product_check, subfactor_report_from_out, \
-    verify_cocycle
+# reached through their modules, so that under sfw.cli's lazy
+# registration a suite runs only the modules it uses
+from . import (
+    automorphisms,
+    chartab,
+    cocycle,
+    corpus,
+    formats,
+    groupalgebra,
+    indexarith,
+    permgroup,
+    standard_invariant,
+    theta,
+    wreath,
+)
 from .config import Config, DEFAULT
-from .corpus import InclusionCase, builtin_cases, require_order_cap
 from .errors import CapExceededError, ParseError, SfwError, SubgroupError
-from .formats import group_from_json, parse_json_text
-from .groupalgebra import GroupAlgebraElement, pimsner_popa_expand, \
-    pimsner_popa_reassemble
-from .indexarith import index_chain_check, jones_spectrum_query, \
-    local_index_combine, commutant_bound_check, virtual_index_concrete
-from .permgroup import (
-    PermGroup,
-    alternating_group,
-    cyclic_group,
-    normal_core,
-    parse_cycle_string,
-    right_coset_data,
-    symmetric_group,
-    verify_wreath_like,
-    wreath_product,
-)
-from .standard_invariant import (
-    IN_SUBGROUP,
-    SIDES,
-    ThetaMap,
-    brute_force_commutant_dim,
-    dual_principal_graph,
-    nested_theta_entry,
-    principal_graph,
-    relative_commutant_dim,
-    stabilizer_matches_intersection,
-    theta_matrix_product,
-)
 
 SUITES = ("theta", "graphs", "cocycles", "extensions", "arithmetic")
 
@@ -127,25 +110,26 @@ def _suite_theta(cases, config: Config) -> list:
     rec = _Recorder()
     for n, case in enumerate(cases):
         G, H = case.group, case.subgroup
-        cosets = right_coset_data(G, H)
+        cosets = permgroup.right_coset_data(G, H)
         rng = random.Random(91100 + 13 * n)
         for k in (1, 2):
             if G.order * cosets.index ** k > config.oracle_cap:
                 continue
-            theta = ThetaMap(cosets, k, config)
+            amplified = theta.ThetaMap(cosets, k, config)
 
-            def entries_consistent(theta=theta, G=G, H=H, rng=rng,
+            def entries_consistent(amplified=amplified, G=G, H=H, rng=rng,
                                    cosets=cosets):
                 count = 0
                 for g in _sample_elements(G, rng, 4):
-                    m = theta.matrix(g)
+                    m = amplified.matrix(g)
                     if len({row for row, _ in m}) != len(m):
                         raise AssertionError("duplicate row in amplified "
                                              "matrix")
-                    for j, (row, w) in zip(theta.tuples, m):
-                        i = theta.tuples[row]
-                        value = GroupAlgebraElement.from_perm(H, w)
-                        if value != nested_theta_entry(cosets, g, i, j):
+                    for j, (row, w) in zip(amplified.tuples, m):
+                        i = amplified.tuples[row]
+                        value = groupalgebra.GroupAlgebraElement.from_perm(
+                            H, w)
+                        if value != theta.nested_theta_entry(cosets, g, i, j):
                             raise AssertionError(
                                 "entry at (%r, %r) disagrees with nested "
                                 "expectations" % (i, j))
@@ -155,11 +139,12 @@ def _suite_theta(cases, config: Config) -> list:
             rec.run("theta:%s:k%d:entries" % (case.name, k),
                     entries_consistent)
 
-            def multiplicative(theta=theta, G=G, rng=rng):
+            def multiplicative(amplified=amplified, G=G, rng=rng):
                 g = G.elements[rng.randrange(G.order)]
                 h = G.elements[rng.randrange(G.order)]
-                lhs = theta_matrix_product(theta.matrix(g), theta.matrix(h))
-                rhs = theta.matrix(g * h)
+                lhs = theta.theta_matrix_product(amplified.matrix(g),
+                                                 amplified.matrix(h))
+                rhs = amplified.matrix(g * h)
                 for (row, w), (want_row, want_w) in zip(lhs, rhs):
                     if row != want_row:
                         raise AssertionError("product support mismatch")
@@ -176,9 +161,9 @@ def _suite_theta(cases, config: Config) -> list:
                 coeffs = {}
                 for p in support:
                     coeffs[p] = complex(rng.randint(-3, 3), rng.randint(-3, 3))
-                x = GroupAlgebraElement(G, coeffs)
-                parts = pimsner_popa_expand(x, cosets)
-                back = pimsner_popa_reassemble(parts, cosets)
+                x = groupalgebra.GroupAlgebraElement(G, coeffs)
+                parts = groupalgebra.pimsner_popa_expand(x, cosets)
+                back = groupalgebra.pimsner_popa_reassemble(parts, cosets)
                 if back != x:
                     raise AssertionError("expansion did not reassemble")
             return "5 random elements"
@@ -186,7 +171,7 @@ def _suite_theta(cases, config: Config) -> list:
         rec.run("theta:%s:expansion" % case.name, pp_round_trip)
 
         def stab(G=G, H=H):
-            if not stabilizer_matches_intersection(G, H):
+            if not theta.stabilizer_matches_intersection(G, H):
                 raise AssertionError("stabilizer mismatch")
             return ""
 
@@ -228,7 +213,7 @@ def _suite_graphs(cases, config: Config) -> list:
         G, H = case.group, case.subgroup
 
         def principal(G=G, H=H, case=case):
-            graph = principal_graph(G, H, config)
+            graph = standard_invariant.principal_graph(G, H, config)
             if graph.norm_squared != case.index:
                 raise AssertionError(
                     "norm squared %r is not the index %d"
@@ -239,7 +224,7 @@ def _suite_graphs(cases, config: Config) -> list:
         rec.run("graphs:%s:principal" % case.name, principal)
 
         def dual(G=G, H=H, case=case):
-            graph = dual_principal_graph(G, H, config)
+            graph = standard_invariant.dual_principal_graph(G, H, config)
             if graph.norm_squared != case.index:
                 raise AssertionError(
                     "norm squared %r is not the index %d"
@@ -253,23 +238,25 @@ def _suite_graphs(cases, config: Config) -> list:
             compared = 0
             for k in (1, 2):
                 for G0 in (H, G):
-                    for side in SIDES:
+                    for side in standard_invariant.SIDES:
                         try:
-                            want = brute_force_commutant_dim(
-                                G, G0, H, k, side, config)
+                            want = (standard_invariant
+                                    .brute_force_commutant_dim(
+                                        G, G0, H, k, side, config))
                         except CapExceededError:
                             # too large for oracle_cap or theta_k_cap
                             continue
-                        dim = relative_commutant_dim(G, G0, H, k, side,
-                                                     config)
+                        dim = standard_invariant.relative_commutant_dim(
+                            G, G0, H, k, side, config)
                         if dim != want:
                             raise AssertionError(
                                 "k=%d %s over %s: orbit count %d, oracle %d"
                                 % (k, side, "H" if G0 is H else "G", dim,
                                    want))
                         compared += 1
-            d1 = relative_commutant_dim(G, H, H, 1, IN_SUBGROUP, config)
-            if not commutant_bound_check(d1, case.index):
+            d1 = standard_invariant.relative_commutant_dim(
+                G, H, H, 1, standard_invariant.IN_SUBGROUP, config)
+            if not indexarith.commutant_bound_check(d1, case.index):
                 raise AssertionError("first commutant exceeds index + 1")
             return "%d tower entries match the oracle" % compared
 
@@ -277,7 +264,7 @@ def _suite_graphs(cases, config: Config) -> list:
 
         def char_table_laws(G=G, H=H):
             for grp in (G, H):
-                tab = character_table(grp)
+                tab = chartab.character_table(grp)
                 total = sum(d * d for d in tab.degrees)
                 if total != grp.order:
                     raise AssertionError("degree squares do not sum")
@@ -293,12 +280,13 @@ def _normal_triples(cases, config: Config):
     The groups are built under the run's config, outside any recorded
     case, so one above order_cap ends the run with CapExceededError.
     """
-    S4 = symmetric_group(4, config)
-    A4 = alternating_group(4, config)
-    V4 = PermGroup(4, [parse_cycle_string(4, "(0 1)(2 3)"),
-                       parse_cycle_string(4, "(0 2)(1 3)")], config)
-    S3 = symmetric_group(3, config)
-    A3 = alternating_group(3, config)
+    S4 = permgroup.symmetric_group(4, config)
+    A4 = permgroup.alternating_group(4, config)
+    V4 = permgroup.PermGroup(
+        4, [permgroup.parse_cycle_string(4, "(0 1)(2 3)"),
+            permgroup.parse_cycle_string(4, "(0 2)(1 3)")], config)
+    S3 = permgroup.symmetric_group(3, config)
+    A3 = permgroup.alternating_group(3, config)
     triples = [("s4-v4-a4", S4, V4, A4),
                ("a4-v4", A4, V4, V4),
                ("s3-a3", S3, A3, A3)]
@@ -314,11 +302,11 @@ def _suite_cocycles(cases, config: Config) -> list:
     for name, G, K, mid in _normal_triples(cases, config):
 
         def crossed(G=G, K=K, mid=mid):
-            report = crossed_product_check(G, K, mid, config)
+            report = cocycle.crossed_product_check(G, K, mid, config)
             if not report.ok:
                 raise AssertionError("%s at %r"
                                      % (report.reason, report.witness))
-            inner = verify_cocycle(report.cocycle)
+            inner = cocycle.verify_cocycle(report.cocycle)
             if not inner.ok:
                 raise AssertionError("cocycle axioms: %s" % inner.reason)
             return "quotient order %d" % report.quotient_order
@@ -331,18 +319,19 @@ def _suite_extensions(cases, config: Config) -> list:
     rec = _Recorder()
     # built outside the recorded cases, so a group above order_cap ends
     # the run with CapExceededError instead of failing one case
-    A4 = alternating_group(4, config)
-    S3 = symmetric_group(3, config)
-    S3xS3 = PermGroup(
-        6, [parse_cycle_string(6, text)
+    A4 = permgroup.alternating_group(4, config)
+    S3 = permgroup.symmetric_group(3, config)
+    S3xS3 = permgroup.PermGroup(
+        6, [permgroup.parse_cycle_string(6, text)
             for text in ("(0 1)", "(0 1 2)", "(3 4)", "(3 4 5)")], config)
-    wr = wreath_product(cyclic_group(2, config), cyclic_group(3, config),
-                        config=config)
+    wr = wreath.wreath_product(permgroup.cyclic_group(2, config),
+                               permgroup.cyclic_group(3, config),
+                               config=config)
 
     def a4_out(config=config):
-        t = parse_cycle_string(4, "(0 1)")
+        t = permgroup.parse_cycle_string(4, "(0 1)")
         out = {x: t * x * t.inv() for x in A4.elements}
-        result, report = subfactor_report_from_out(A4, [out], config)
+        result, report = cocycle.subfactor_report_from_out(A4, [out], config)
         if not report.ok:
             raise AssertionError("%s at %r" % (report.reason, report.witness))
         hist = dict(result.fingerprint())
@@ -354,7 +343,7 @@ def _suite_extensions(cases, config: Config) -> list:
     rec.run("extensions:a4-out", a4_out)
 
     def s3_trivial_out(config=config):
-        result, report = subfactor_report_from_out(S3, [], config)
+        result, report = cocycle.subfactor_report_from_out(S3, [], config)
         if not report.ok:
             raise AssertionError(report.reason)
         if result.index != 1:
@@ -364,9 +353,10 @@ def _suite_extensions(cases, config: Config) -> list:
     rec.run("extensions:s3-trivial", s3_trivial_out)
 
     def s3xs3_swap(config=config):
-        swap = parse_cycle_string(6, "(0 3)(1 4)(2 5)")
+        swap = permgroup.parse_cycle_string(6, "(0 3)(1 4)(2 5)")
         out = {x: swap * x * swap.inv() for x in S3xS3.elements}
-        result, report = subfactor_report_from_out(S3xS3, [out], config)
+        result, report = cocycle.subfactor_report_from_out(S3xS3, [out],
+                                                           config)
         if not report.ok:
             raise AssertionError("%s at %r" % (report.reason, report.witness))
         if result.index != 2 or result.ambient.order != 72:
@@ -376,7 +366,7 @@ def _suite_extensions(cases, config: Config) -> list:
     rec.run("extensions:s3xs3-swap", s3xs3_swap)
 
     def wreath_like(wr=wr):
-        report = verify_wreath_like(wr.group, wr.base_copies, wr.kappa,
+        report = wreath.verify_wreath_like(wr.group, wr.base_copies, wr.kappa,
                                     wr.acting, wr.action)
         if not report.ok:
             raise AssertionError("%s at %r" % (report.reason, report.witness))
@@ -394,12 +384,12 @@ def _suite_arithmetic(cases, config: Config) -> list:
         import math
         for n in range(3, 9):
             point = 4.0 * math.cos(math.pi / n) ** 2
-            verdict = jones_spectrum_query(point, config=config)
+            verdict = indexarith.jones_spectrum_query(point, config=config)
             if verdict.kind != "discrete" or verdict.n != n:
                 raise AssertionError("point for n=%d misclassified" % n)
         for x, kind in ((3.5, "not-in-spectrum"), (4.0, "continuous"),
                         (6.25, "continuous")):
-            verdict = jones_spectrum_query(x, config=config)
+            verdict = indexarith.jones_spectrum_query(x, config=config)
             if verdict.kind != kind:
                 raise AssertionError("%r should be %s" % (x, kind))
         return "6 discrete points, 3 off-lattice values"
@@ -410,16 +400,16 @@ def _suite_arithmetic(cases, config: Config) -> list:
         # G >= H >= core_G(H), all indices integers
         for case in cases:
             G, H = case.group, case.subgroup
-            K = normal_core(G, H)
+            K = automorphisms.normal_core(G, H)
             a = G.order // K.order
             c = H.order // K.order
             if a != case.index * c:
                 raise AssertionError("index tower is not multiplicative "
                                      "on %s" % case.name)
-            if not index_chain_check(a, case.index, c):
+            if not indexarith.index_chain_check(a, case.index, c):
                 raise AssertionError("chain bounds violated on %s"
                                      % case.name)
-        if index_chain_check(2.0, 2.0, 3.0):
+        if indexarith.index_chain_check(2.0, 2.0, 3.0):
             raise AssertionError("impossible chain accepted")
         return "%d towers over the normal core" % len(cases)
 
@@ -427,10 +417,10 @@ def _suite_arithmetic(cases, config: Config) -> list:
 
     def bounds(cases=cases):
         for case in cases:
-            dim = relative_commutant_dim(case.group, case.subgroup,
-                                         case.subgroup, 1, IN_SUBGROUP,
-                                         config)
-            if not commutant_bound_check(dim, float(case.index)):
+            dim = standard_invariant.relative_commutant_dim(
+                case.group, case.subgroup, case.subgroup, 1,
+                standard_invariant.IN_SUBGROUP, config)
+            if not indexarith.commutant_bound_check(dim, float(case.index)):
                 raise AssertionError("bound fails on %s" % case.name)
         return "%d inclusions" % len(cases)
 
@@ -442,7 +432,8 @@ def _suite_arithmetic(cases, config: Config) -> list:
         for case in cases:
             G, H, t = case.group, case.subgroup, case.index
             inclusion = {x: x for x in H.elements}
-            value = virtual_index_concrete(G, G, t, [(1, H, inclusion)])
+            value = indexarith.virtual_index_concrete(G, G, t,
+                                                      [(1, H, inclusion)])
             if value != t * t:
                 raise AssertionError("virtual index %d on %s, want %d"
                                      % (value, case.name, t * t))
@@ -451,11 +442,12 @@ def _suite_arithmetic(cases, config: Config) -> list:
     rec.run("arithmetic:virtual", virtual)
 
     def combination(config=config):
-        value = local_index_combine([(Fraction(1, 2), 2), (Fraction(1, 2), 2)])
+        value = indexarith.local_index_combine([(Fraction(1, 2), 2),
+                                                (Fraction(1, 2), 2)])
         if abs(value - 8.0) > 1e-12:
             raise AssertionError("halved pair should combine to 8")
-        value = local_index_combine([(Fraction(1, 3), 1),
-                                     (Fraction(2, 3), 2)])
+        value = indexarith.local_index_combine([(Fraction(1, 3), 1),
+                                                (Fraction(2, 3), 2)])
         if abs(value - 6.0) > 1e-12:
             raise AssertionError("weighted pair should combine to 6")
         return ""
@@ -485,17 +477,17 @@ def load_corpus_dir(path: str, config: Config = DEFAULT) -> tuple:
         raise ParseError("no .json corpus files in %r" % path)
     for fn in names:
         with open(os.path.join(path, fn), "r", encoding="utf-8") as fh:
-            obj = parse_json_text(fh.read())
+            obj = formats.parse_json_text(fh.read())
         if not isinstance(obj, dict):
             raise ParseError("%s: corpus entry must be an object" % fn)
         name = obj.get("name") or os.path.splitext(fn)[0]
-        G = group_from_json(obj.get("group"), config)
-        H = group_from_json(obj.get("subgroup"), config)
+        G = formats.group_from_json(obj.get("group"), config)
+        H = formats.group_from_json(obj.get("subgroup"), config)
         if not H.is_subgroup_of(G):
             raise SubgroupError("%s: subgroup entry is not contained" % fn)
         if G.order % H.order:
             raise SubgroupError("%s: order does not divide" % fn)
-        cases.append(InclusionCase(name, G, H, G.order // H.order))
+        cases.append(corpus.InclusionCase(name, G, H, G.order // H.order))
     return tuple(cases)
 
 
@@ -504,8 +496,8 @@ def run_suite(suite: str, cases=None, corpus_dir=None,
     """Run one named suite, or every suite with "all"."""
     if cases is None:
         cases = (load_corpus_dir(corpus_dir, config) if corpus_dir
-                 else tuple(require_order_cap(case, config)
-                            for case in builtin_cases()))
+                 else tuple(corpus.require_order_cap(case, config)
+                            for case in corpus.builtin_cases()))
     start = time.perf_counter()
     if suite == "all":
         results = []

@@ -20,7 +20,8 @@ from __future__ import annotations
 from sfw.chartab import ClassFunction, conjugacy_classes
 from sfw.errors import PreconditionError, SubgroupError
 from sfw.groupalgebra import GroupAlgebraElement
-from sfw.permgroup import Perm, verify_action_table
+from sfw.permgroup import Perm
+from sfw.wreath import verify_action_table
 
 
 def closure(generators):

@@ -32,23 +32,25 @@ from sfw.indexarith import (
     jones_spectrum_query,
     virtual_index,
 )
+from sfw.automorphisms import normal_core
 from sfw.permgroup import (
     alternating_group,
-    normal_core,
     parse_cycle_string,
     right_coset_data,
 )
 from sfw.standard_invariant import (
     IN_GROUP,
     IN_SUBGROUP,
-    ThetaMap,
-    action_on_tuples,
     brute_force_commutant_dim,
     dual_principal_graph,
-    induced_theta,
-    nested_theta_entry,
     principal_graph,
     relative_commutant_dim,
+)
+from sfw.theta import (
+    ThetaMap,
+    action_on_tuples,
+    induced_theta,
+    nested_theta_entry,
 )
 from sfw.verify import run_suite
 from oracles import induce, inner_product, restrict, sparse_theta

@@ -19,11 +19,11 @@ from sfw.errors import (
     NotNormalError,
     SubgroupError,
 )
+from sfw.automorphisms import automorphism_group, conjugation_perm
 from sfw.permgroup import (
     Perm,
     PermGroup,
     alternating_group,
-    automorphism_group,
     cyclic_group,
     parse_cycle_string,
     symmetric_group,
@@ -97,6 +97,20 @@ def test_s3_times_s3_with_swap():
     assert report.ok, report.reason
     assert res.index == 2
     assert res.ambient.order == 72
+
+
+@pytest.mark.parametrize("degree, generators", [
+    (4, ("(0 1 2)", "(1 2 3)")),
+    (4, ("(0 1 2 3)", "(0 1)")),
+    (6, ("(0 1 2)", "(3 4 5)", "(1 2)(4 5)")),
+])
+def test_the_embedding_is_conjugation_by_every_element(degree, generators):
+    # A4, S4 and C3^2 x| C2: the embedding is composed from the images
+    # of the generators, and must agree with conjugation computed anew
+    G = PermGroup(degree, [perm(degree, text) for text in generators])
+    res = extension_from_out(G, [])
+    assert list(res.embedding) == list(G.elements)
+    assert res.embedding == {x: conjugation_perm(G, x) for x in G.elements}
 
 
 def test_extension_requires_a_trivial_centre():

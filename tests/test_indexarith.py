@@ -1,7 +1,7 @@
 """Jones spectrum queries, virtual indices, chains, and the induced map.
 
 The block monomial map that `induce` prints is theta at k = 1 on the
-inverted left transversal (standard_invariant.induced_theta); its tests
+inverted left transversal (theta.induced_theta); its tests
 stay here, next to the rest of the index arithmetic.
 """
 
@@ -38,7 +38,7 @@ from sfw.permgroup import (
     parse_cycle_string,
     symmetric_group,
 )
-from sfw.standard_invariant import induced_theta
+from sfw.theta import induced_theta
 from oracles import induced_monomials, left_cosets
 from test_permgroup import inclusions
 

@@ -9,9 +9,10 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sfw.automorphisms import automorphism_group, normal_core
 from sfw.chartab import character_table
 from sfw.config import Config
-from sfw import permgroup
+from sfw import automorphisms, permgroup, wreath
 from sfw.errors import (CapExceededError, InvalidActionError,
                         InvariantViolationError, ParseError,
                         PreconditionError, SubgroupError)
@@ -19,20 +20,16 @@ from sfw.permgroup import (
     Perm,
     PermGroup,
     alternating_group,
-    automorphism_group,
     conjugacy_classes,
     cyclic_group,
     double_coset_data,
-    natural_action,
-    normal_core,
     parse_cycle_string,
     right_coset_data,
     symmetric_group,
-    verify_wreath_like,
-    wreath_product,
 )
 from sfw.standard_invariant import (IN_SUBGROUP, principal_graph,
                                     relative_commutant_dim)
+from sfw.wreath import natural_action, verify_wreath_like, wreath_product
 
 import oracles
 
@@ -111,7 +108,7 @@ def test_a_perm_is_one_operand_of_percent_formatting():
     action[bad] = (0, 1)
     with pytest.raises(InvalidActionError,
                        match=r"action of Perm\[.*\] is not a bijection"):
-        permgroup.verify_action_table(B, action, 3)
+        wreath.verify_action_table(B, action, 3)
 
 
 def test_degree_one_groups():
@@ -491,7 +488,7 @@ def test_center():
 
 def _aut_order_oracle(G):
     """Count all homomorphic bijections by unconstrained generator images."""
-    from sfw.permgroup import _reduced_generators
+    from sfw.automorphisms import _reduced_generators
 
     gens = _reduced_generators(G)
     count = 0
@@ -703,7 +700,7 @@ def test_a_core_not_closed_is_a_fault(monkeypatch):
     # leaves a group of order 1
     G = symmetric_group(4)
     D4 = G.subgroup([perm(4, "(0 1 2 3)"), perm(4, "(0 2)")])
-    monkeypatch.setattr(permgroup, "_generating_subset",
+    monkeypatch.setattr(automorphisms, "_generating_subset",
                         lambda elements, order: list(elements[:1]))
     with pytest.raises(InvariantViolationError, match="core is not closed"):
         normal_core(G, D4)
@@ -712,7 +709,7 @@ def test_a_core_not_closed_is_a_fault(monkeypatch):
 def test_an_automorphism_set_not_closed_is_a_fault(monkeypatch):
     # every automorphism found is encoded as the identity
     G = symmetric_group(3)
-    monkeypatch.setattr(permgroup, "automorphism_perm",
+    monkeypatch.setattr(automorphisms, "automorphism_perm",
                         lambda group, phi: Perm.identity(group.order))
     with pytest.raises(InvariantViolationError, match="not closed"):
         automorphism_group(G)
@@ -722,7 +719,7 @@ def test_an_automorphism_set_generating_more_is_a_fault(monkeypatch):
     # the second automorphism found is encoded as a swap that moves the
     # identity, so the found set generates a group larger than itself
     G = symmetric_group(3)
-    encode = permgroup.automorphism_perm
+    encode = automorphisms.automorphism_perm
     calls = []
 
     def encode_one_wrongly(group, phi):
@@ -731,7 +728,7 @@ def test_an_automorphism_set_generating_more_is_a_fault(monkeypatch):
             return Perm((1, 0) + tuple(range(2, group.order)))
         return encode(group, phi)
 
-    monkeypatch.setattr(permgroup, "automorphism_perm", encode_one_wrongly)
+    monkeypatch.setattr(automorphisms, "automorphism_perm", encode_one_wrongly)
     with pytest.raises(InvariantViolationError, match="not closed"):
         automorphism_group(G)
 
@@ -739,7 +736,7 @@ def test_an_automorphism_set_generating_more_is_a_fault(monkeypatch):
 def test_an_inner_automorphism_count_off_the_centre_is_a_fault(monkeypatch):
     # every inner automorphism is encoded as the identity
     G = symmetric_group(3)
-    monkeypatch.setattr(permgroup, "conjugation_perm",
+    monkeypatch.setattr(automorphisms, "conjugation_perm",
                         lambda group, g: Perm.identity(group.order))
     with pytest.raises(InvariantViolationError, match="inner automorphism"):
         automorphism_group(G)

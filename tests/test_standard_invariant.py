@@ -29,14 +29,16 @@ from sfw.standard_invariant import (
     IN_GROUP,
     IN_SUBGROUP,
     SIDES,
-    ThetaMap,
-    action_on_tuples,
     brute_force_commutant_dim,
     dual_principal_graph,
-    induced_theta,
-    nested_theta_entry,
     principal_graph,
     relative_commutant_dim,
+)
+from sfw.theta import (
+    ThetaMap,
+    action_on_tuples,
+    induced_theta,
+    nested_theta_entry,
     stabilizer_matches_intersection,
     theta_matrix_product,
 )
@@ -159,8 +161,8 @@ def test_theta_production_path_never_reaches_the_nested_route(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("production path reached the nested route")
 
-    monkeypatch.setattr(standard_invariant, "nested_theta_entry", forbidden)
-    # standard_invariant reaches it as groupalgebra.conditional_expectation
+    monkeypatch.setattr("sfw.theta.nested_theta_entry", forbidden)
+    # theta reaches it as groupalgebra.conditional_expectation
     monkeypatch.setattr(groupalgebra, "conditional_expectation", forbidden)
     for case in builtin_cases():
         G = case.group
