@@ -1,0 +1,49 @@
+"""sfw index: Jones index, coset counts and relative commutant dimensions.
+
+The dimensions are the orbit counts of sfw.commutant; this command runs
+no graph, character table or theta code.
+"""
+
+from __future__ import annotations
+
+from .. import commutant, formats, permgroup
+from ..config import Config
+from . import _add_common, _emit, _load_inclusion
+
+
+def add_arguments(p):
+    _add_common(p, inclusion=True)
+
+
+def run(args, cfg: Config) -> int:
+    name, G, H = _load_inclusion(args, cfg)
+    cosets = permgroup.right_coset_data(G, H)
+    dc = permgroup.double_coset_data(G, H)
+    in_h, in_g = commutant.SIDES
+    dims = {in_h: {}, in_g: {}}
+    for k in range(1, cfg.theta_k_cap + 1):
+        for side in (in_h, in_g):
+            dims[side][k] = commutant.relative_commutant_dim(
+                G, H, H, k, side, cfg)
+    if args.json:
+        payload = {
+            "name": name,
+            "group_order": G.order,
+            "subgroup_order": H.order,
+            "index": cosets.index,
+            "right_cosets": cosets.index,
+            "double_cosets": dc.count,
+            "commutant_dims": {side: {str(k): v for k, v in table.items()}
+                               for side, table in dims.items()},
+        }
+        _emit(args, formats.canonical_json(payload))
+        return 0
+    lines = ["inclusion: %s" % name,
+             "group order: %d, subgroup order: %d" % (G.order, H.order),
+             "index: %d" % cosets.index,
+             "double cosets: %d" % dc.count]
+    for k in sorted(dims[in_h]):
+        lines.append("relative commutants k=%d: %s=%d %s=%d"
+                     % (k, in_h, dims[in_h][k], in_g, dims[in_g][k]))
+    _emit(args, "\n".join(lines) + "\n")
+    return 0

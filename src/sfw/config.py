@@ -14,7 +14,6 @@ setting cannot be dropped without a word.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import os
@@ -96,6 +95,7 @@ class Config:
     @classmethod
     def from_file(cls, path: str, base: "Config" = None) -> "Config":
         base = base if base is not None else cls()
+        import json  # only a config file needs it
         with open(path) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):

@@ -1,10 +1,14 @@
-"""JSON and DOT serialization for groups, graphs, tables, and cocycles.
+"""JSON serialization for groups and graphs, and the JSON readers.
 
 All writers produce plain dicts of JSON-safe values; canonical_json
 renders them byte-deterministically (sorted keys, fixed indentation,
 trailing newline) so repeated runs diff clean.  Only the readers build
 objects of the package, so they import permgroup and standard_invariant
-when called, and writing JSON runs no other module of it.
+when called, and writing JSON runs no other module of it.  The writers
+of formats that no reader reads back (character tables, extensions and
+cocycles, DOT graphs) live with the one command that prints them, in
+sfw.commands.  A field that must be an integer rejects JSON true and
+false, which Python counts as the integers 1 and 0.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from .config import Config, DEFAULT
 from .errors import ParseError
 
 if TYPE_CHECKING:
-    from .chartab import CharacterTable
-    from .cocycle import Cocycle2, ExtensionResult
     from .permgroup import PermGroup
     from .standard_invariant import BipartiteMultiGraph, GraphVertex
 
@@ -36,11 +38,31 @@ def parse_json_text(text: str):
                          % (e.lineno, e.colno, e.msg)) from None
 
 
+def read_json_file(path: str):
+    """The JSON value held in a UTF-8 file.
+
+    A file that cannot be opened, or whose bytes are not UTF-8, is a
+    ParseError like malformed JSON is.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError("cannot read %s: %s" % (path, e)) from None
+    return parse_json_text(text)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(obj, key, kind, where):
+    # no field is a boolean, and a bool is an int to isinstance
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError("missing key %r in %s" % (key, where))
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (isinstance(value, bool)
+                             or not isinstance(value, kind)):
         raise ParseError("key %r in %s has the wrong type" % (key, where))
     return value
 
@@ -81,7 +103,7 @@ def group_from_json(obj, config: Config = DEFAULT) -> PermGroup:
         if "images" in entry:
             images = entry["images"]
             if (not isinstance(images, list)
-                    or not all(isinstance(x, int) for x in images)):
+                    or not all(_is_int(x) for x in images)):
                 raise ParseError("%s images must be a list of ints" % where)
             if len(images) != degree:
                 raise ParseError("%s images must have length %d"
@@ -135,7 +157,7 @@ def graph_from_json(obj) -> BipartiteMultiGraph:
     edges = []
     for entry in _require(obj, "edges", list, "graph"):
         if (not isinstance(entry, list) or len(entry) != 3
-                or not all(isinstance(x, int) for x in entry)):
+                or not all(_is_int(x) for x in entry)):
             raise ParseError("graph edges must be [even, odd, mult] triples")
         e, o, m = entry
         if not (0 <= e < len(even) and 0 <= o < len(odd) and m >= 1):
@@ -152,31 +174,8 @@ def graph_from_json(obj) -> BipartiteMultiGraph:
                                marked, norm)
 
 
-def graph_to_dot(g: BipartiteMultiGraph, name: str = "principal") -> str:
-    lines = ["graph %s {" % name,
-             "  rankdir=LR;",
-             "  node [shape=circle];"]
-    for i, v in enumerate(g.even):
-        style = ', style=filled, fillcolor="#c8d8f0"'
-        shape = "doublecircle" if v.label == g.designated else "circle"
-        lines.append('  e%d [label="%s", shape=%s%s];'
-                     % (i, v.label, shape, style))
-    for i, v in enumerate(g.odd):
-        shape = "doublecircle" if v.label == g.marked_odd else "circle"
-        lines.append('  o%d [label="%s", shape=%s];' % (i, v.label, shape))
-    lines.append("  { rank=same; %s }"
-                 % "; ".join("e%d" % i for i in range(len(g.even))))
-    lines.append("  { rank=same; %s }"
-                 % "; ".join("o%d" % i for i in range(len(g.odd))))
-    for e, o, m in sorted(g.edges):
-        attr = ' [label="%d"]' % m if m > 1 else ""
-        lines.append("  e%d -- o%d%s;" % (e, o, attr))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
-# character tables
+# numbers
 
 def rounded(x: float, places: int) -> float:
     """x rounded to the given decimal places, with -0.0 read as 0.0.
@@ -191,46 +190,3 @@ def rounded(x: float, places: int) -> float:
 
 def complex_pair(z: complex) -> list:
     return [rounded(z.real, 12), rounded(z.imag, 12)]
-
-
-def chartab_to_json(table: CharacterTable) -> dict:
-    classes = [{"representative": rep.cycle_string(), "size": size}
-               for rep, size in zip(table.classes.reps, table.classes.sizes)]
-    values = [[complex_pair(chi.values[j])
-               for j in range(table.classes.count)]
-              for chi in table.characters]
-    return {
-        "group_order": table.group.order,
-        "degree": table.group.degree,
-        "classes": classes,
-        "degrees": list(table.degrees),
-        "values": values,
-    }
-
-
-# ---------------------------------------------------------------------------
-# cocycles and extensions
-
-def cocycle_to_json(c: Cocycle2) -> dict:
-    index_of = {g: i for i, g in enumerate(c.quotient.elements)}
-    triples = []
-    for (g1, g2), w in c.values.items():
-        triples.append([index_of[g1], index_of[g2], w.cycle_string()])
-    triples.sort()
-    return {
-        "base_degree": c.base.degree,
-        "quotient_order": c.quotient.order,
-        "values": triples,
-    }
-
-
-def extension_to_json(result: ExtensionResult) -> dict:
-    fingerprint = {str(k): v
-                   for k, v in sorted(result.fingerprint().items())}
-    return {
-        "base_order": result.base.order,
-        "ambient_order": result.ambient.order,
-        "index": result.index,
-        "fingerprint": fingerprint,
-        "cocycle": cocycle_to_json(result.cocycle),
-    }

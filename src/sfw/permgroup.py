@@ -57,7 +57,8 @@ class Perm(tuple):
         n = len(images)
         seen = [False] * n
         for x in images:
-            if not isinstance(x, int) or not 0 <= x < n or seen[x]:
+            if (not isinstance(x, int) or isinstance(x, bool)
+                    or not 0 <= x < n or seen[x]):
                 raise ValueError("not a bijection on 0..%d: %r" % (n - 1, images))
             seen[x] = True
         return _perm(images)

@@ -27,10 +27,10 @@ from typing import TYPE_CHECKING, Optional
 # reached through its module, so that under sfw.cli's lazy registration
 # it runs only when the reference entry builds an algebra element
 from . import groupalgebra
+from .commutant import _check_k
 from .config import Config, DEFAULT
 from .errors import InvariantViolationError, PreconditionError
 from .permgroup import CosetData, Perm, PermGroup, right_coset_data
-from .standard_invariant import _check_k
 
 if TYPE_CHECKING:
     from .groupalgebra import GroupAlgebraElement

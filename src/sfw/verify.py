@@ -469,15 +469,19 @@ def load_corpus_dir(path: str, config: Config = DEFAULT) -> tuple:
     """Read inclusion cases from JSON files in a directory.
 
     Each file holds {"name": ..., "group": {...}, "subgroup": {...}};
-    the subgroup is validated against the group.
+    the subgroup is validated against the group.  A directory or file
+    that cannot be read is a ParseError.
     """
     cases = []
-    names = sorted(fn for fn in os.listdir(path) if fn.endswith(".json"))
+    try:
+        listed = os.listdir(path)
+    except OSError as e:
+        raise ParseError("cannot read %s: %s" % (path, e)) from None
+    names = sorted(fn for fn in listed if fn.endswith(".json"))
     if not names:
         raise ParseError("no .json corpus files in %r" % path)
     for fn in names:
-        with open(os.path.join(path, fn), "r", encoding="utf-8") as fh:
-            obj = formats.parse_json_text(fh.read())
+        obj = formats.read_json_file(os.path.join(path, fn))
         if not isinstance(obj, dict):
             raise ParseError("%s: corpus entry must be an object" % fn)
         name = obj.get("name") or os.path.splitext(fn)[0]

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from sfw import chartab, cli, verify
+from sfw.commands import CASE_NAMES
+from sfw.commands.verify import SUITE_NAMES
 from sfw.config import DEFAULT, Config, config_fields
 from sfw.corpus import builtin_cases, case_by_name, case_names
 from sfw.formats import canonical_json, graph_from_json, group_to_json
@@ -377,15 +379,64 @@ def test_bad_cycle_string_exits_2(capsys):
     assert rc == 2
 
 
+def test_a_group_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    bad = tmp_path / "g.json"
+    bad.write_bytes(b"\xff\xfe\x00")
+    rc = cli.main(["index", "--group", str(bad), "--subgroup", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: cannot read %s: " % bad)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["missing", "file", "not-utf8"])
+def test_an_unreadable_corpus_dir_exits_2(capsys, tmp_path, kind):
+    path = tmp_path / "corpus"
+    unreadable = path
+    if kind == "file":
+        path.write_text("{}")
+    elif kind == "not-utf8":
+        path.mkdir()
+        unreadable = path / "case.json"
+        unreadable.write_bytes(b"\xff\xfe\x00")
+    rc = cli.main(["verify", "--suite", "graphs", "--corpus-dir", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: cannot read %s: " % unreadable)
+    assert captured.out == ""
+
+
+def test_a_boolean_degree_exits_2(capsys, tmp_path):
+    g = tmp_path / "g.json"
+    g.write_text('{"degree": true, "generators": []}')
+    rc = cli.main(["index", "--group", str(g), "--subgroup", str(g)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "key 'degree' in group has the wrong type" in captured.err
+    assert captured.out == ""
+
+
+def test_boolean_images_exit_2(capsys, tmp_path):
+    g = tmp_path / "g.json"
+    g.write_text('{"degree": 3, "generators": [{"images": [true, false, 2]}]}')
+    rc = cli.main(["induce", "--group", str(g), "--subgroup", str(g),
+                   "--json"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "generator 0 images must be a list of ints" in captured.err
+    assert captured.out == ""
+
+
 def test_bad_suite_is_an_argparse_error(capsys):
     rc, _ = run(capsys, ["verify", "--suite", "bogus"])
     assert rc == 2
 
 
 def test_parser_lists_the_builtin_cases_and_the_verify_suites():
-    # spelled out in cli so that building the parser runs neither module
-    assert cli.CASE_NAMES == case_names()
-    assert cli.SUITE_NAMES == verify.SUITES
+    # spelled out in sfw.commands so that building the parser runs
+    # neither module
+    assert CASE_NAMES == case_names()
+    assert SUITE_NAMES == verify.SUITES
 
 
 def subcommand_help(parser, name, capsys):
@@ -396,7 +447,7 @@ def subcommand_help(parser, name, capsys):
 
 def test_the_parser_adds_arguments_only_for_the_named_subcommand(capsys):
     full = cli.build_parser()
-    names = [name for name, _, _, _ in cli.SUBCOMMANDS]
+    names = [name for name, _ in cli.SUBCOMMANDS]
     for name in names:
         narrow = cli.build_parser([name, "--json"])
         assert narrow.format_help() == full.format_help()
@@ -783,7 +834,8 @@ def test_importing_cli_runs_only_cli_config_and_errors():
     (["vindex", "--total", "1", "--part", "1:1:1"], ["permgroup"]),
     (["spectrum", "4.0"], ["permgroup"]),
     (["index", "--case", "s4-s3", "--json"],
-     ["chartab", "cocycle", "indexarith", "verify"]),
+     ["chartab", "cocycle", "indexarith", "standard_invariant", "theta",
+      "verify"]),
     # theta and the extension relations are products in the group
     (["induce", "--case", "s4-d4", "--json"], ["groupalgebra", "verify"]),
     (["extend", "--case", "a4-v4", "--json"], ["groupalgebra", "verify"]),
@@ -801,37 +853,98 @@ def test_a_subcommand_runs_only_the_modules_it_uses(argv, unused):
     assert sorted(loaded & {"dataclasses", "fractions"}) == []
 
 
-# The modules whose bodies each command runs, besides sfw, cli, config and
-# errors: index runs no automorphism, wreath-product, theta, character
-# table, cocycle or group algebra code, and graph and chartab none of the
-# automorphism, wreath-product or theta code.  Only the wr2x3-base case
-# builds a wreath product.
+# The modules whose bodies each command runs, besides sfw, cli, config,
+# errors and the package sfw.commands: its own command module, and index
+# no graph, oracle, automorphism, wreath-product, theta, character table,
+# cocycle or group algebra code, graph and chartab none of the
+# automorphism, wreath-product or theta code, and induce no graph or
+# oracle code.  Only the wr2x3-base case builds a wreath product, and a
+# group file runs no corpus code.  "F" stands for a file holding S4.
 @pytest.mark.parametrize("argv, runs", [
     (["index", "--case", "s4-s3", "--json"],
-     ["corpus", "formats", "permgroup", "standard_invariant"]),
+     ["commands.index", "commutant", "corpus", "formats", "permgroup"]),
     (["graph", "--case", "s4-s3"],
-     ["chartab", "corpus", "formats", "permgroup", "standard_invariant"]),
+     ["chartab", "commands.graph", "commutant", "corpus", "formats",
+      "permgroup", "standard_invariant"]),
     (["graph", "--case", "s4-s3", "--kind", "dual"],
-     ["chartab", "corpus", "formats", "permgroup", "standard_invariant"]),
+     ["chartab", "commands.graph", "commutant", "corpus", "formats",
+      "permgroup", "standard_invariant"]),
     (["chartab", "--case", "s4-s3"],
-     ["chartab", "corpus", "formats", "permgroup"]),
+     ["chartab", "commands.chartab", "corpus", "formats", "permgroup"]),
     (["induce", "--case", "s4-d4", "--json"],
-     ["corpus", "formats", "permgroup", "standard_invariant", "theta"]),
+     ["commands.induce", "commutant", "corpus", "formats", "permgroup",
+      "theta"]),
     (["extend", "--case", "a4-v4", "--json"],
-     ["automorphisms", "cocycle", "corpus", "formats", "permgroup"]),
-    (["vindex", "--total", "1", "--part", "1:1:1"], ["indexarith"]),
-    (["spectrum", "4.0"], ["indexarith"]),
+     ["automorphisms", "cocycle", "commands.extend", "corpus", "formats",
+      "permgroup"]),
+    (["vindex", "--total", "1", "--part", "1:1:1"],
+     ["commands.vindex", "indexarith"]),
+    (["spectrum", "4.0"], ["commands.spectrum", "indexarith"]),
     (["index", "--case", "wr2x3-base"],
-     ["corpus", "permgroup", "standard_invariant", "wreath"]),
+     ["commands.index", "commutant", "corpus", "permgroup", "wreath"]),
     (["verify", "--suite", "arithmetic"],
-     ["automorphisms", "corpus", "indexarith", "permgroup",
-      "standard_invariant", "verify", "wreath"]),
+     ["automorphisms", "commands.verify", "commutant", "corpus",
+      "indexarith", "permgroup", "standard_invariant", "verify", "wreath"]),
+    (["index", "--group", "F", "--subgroup", "F", "--json"],
+     ["commands.index", "commutant", "formats", "permgroup"]),
+    (["graph", "--group", "F", "--subgroup", "F", "--json"],
+     ["chartab", "commands.graph", "commutant", "formats", "permgroup",
+      "standard_invariant"]),
+    (["chartab", "--group", "F", "--subgroup", "F", "--json"],
+     ["chartab", "commands.chartab", "formats", "permgroup"]),
 ])
-def test_each_command_runs_exactly_the_modules_it_reaches(argv, runs):
+def test_each_command_runs_exactly_the_modules_it_reaches(argv, runs,
+                                                          tmp_path):
+    group_file = write_group(tmp_path / "s4.json",
+                             case_by_name("s4-s3").group)
+    argv = [group_file if arg == "F" else arg for arg in argv]
     executed, _ = executed_modules(*argv)
     assert sorted(name for name, ran in executed.items() if ran) == sorted(
-        ["sfw", "sfw.cli", "sfw.config", "sfw.errors"]
+        ["sfw", "sfw.cli", "sfw.config", "sfw.errors", "sfw.commands"]
         + ["sfw." + name for name in runs])
+
+
+# `python -m sfw.cli` runs cli as __main__; a module importing sfw.cli by
+# name would run its body a second time, under that name
+_AS_MAIN_CHILD = """
+import runpy, sys
+sys.argv = ["sfw"] + sys.argv[1:]
+try:
+    runpy.run_module("sfw.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    if e.code:
+        raise
+if "sfw.cli" in sys.modules:
+    sys.exit("sfw.cli was imported by name")
+"""
+
+
+def test_running_cli_as_main_never_imports_it_by_name():
+    child = subprocess.run(
+        [sys.executable, "-c", _AS_MAIN_CHILD, "index", "--case", "s4-s3",
+         "--json"],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout)["index"] == 4
+
+
+# the no-op command of the benchmark's setup: a config file is the only
+# reader of JSON that it could reach
+_NO_JSON_CHILD = """
+import sys
+from sfw import cli
+if cli.main(["vindex", "--total", "1", "--part", "1:1:1"]) != 0:
+    sys.exit("vindex failed")
+print("json" in sys.modules)
+"""
+
+
+def test_a_command_without_json_io_loads_no_json():
+    child = subprocess.run(
+        [sys.executable, "-c", _NO_JSON_CHILD], env=child_env(),
+        capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "virtual index: 1\nFalse\n"
 
 
 def test_verify_does_not_import_dataclasses():

@@ -5,14 +5,14 @@ from __future__ import annotations
 import pytest
 
 from sfw.chartab import character_table
+from sfw.commands.chartab import chartab_to_json
+from sfw.commands.graph import graph_to_dot
 from sfw.config import DEFAULT
 from sfw.corpus import builtin_cases, case_by_name
 from sfw.errors import CapExceededError, ParseError
 from sfw.formats import (
     canonical_json,
-    chartab_to_json,
     graph_from_json,
-    graph_to_dot,
     graph_to_json,
     group_from_json,
     group_to_json,
@@ -57,6 +57,14 @@ def test_group_json_validation():
         group_from_json(dict(base, degree=None))
     with pytest.raises(ParseError):
         group_from_json([1, 2, 3])
+
+
+def test_group_json_rejects_booleans_as_integers():
+    with pytest.raises(ParseError, match="'degree' in group"):
+        group_from_json({"degree": True, "generators": []})
+    with pytest.raises(ParseError, match="images must be a list of ints"):
+        group_from_json({"degree": 3,
+                         "generators": [{"images": [True, False, 2]}]})
 
 
 def test_group_json_respects_the_order_cap():
@@ -112,6 +120,23 @@ def test_graph_json_validation():
     bad = dict(obj, edges=[[0, 0, 0]])
     with pytest.raises(ParseError):
         graph_from_json(bad)
+
+
+def test_graph_json_rejects_booleans_as_integers():
+    case = case_by_name("s3-flip")
+    obj = graph_to_json(principal_graph(case.group, case.subgroup))
+    assert graph_from_json(obj).edges
+    even = obj["even"]
+    for key in ("group", "irrep", "degree"):
+        bad = dict(obj, even=[dict(even[0], **{key: True})] + even[1:])
+        with pytest.raises(ParseError, match="'%s' in even vertex" % key):
+            graph_from_json(bad)
+    e, o, m = obj["edges"][0]
+    for edge in ([e, o, True], [False, o, m]):
+        with pytest.raises(ParseError, match="triples"):
+            graph_from_json(dict(obj, edges=[edge] + obj["edges"][1:]))
+    with pytest.raises(ParseError, match="'norm_squared' in graph"):
+        graph_from_json(dict(obj, norm_squared=True))
 
 
 def test_dot_output_mentions_every_vertex():

@@ -5,10 +5,12 @@ other package code refers to is either dead or a test oracle, and
 belongs in tests/.  The only exceptions are the file-format functions
 that README's *Library entry points* names for callers of the library.
 The same holds for the public methods of every class in src/sfw.  And
-cli registers every other module by name, so that table must name
-exactly the modules of the package.  Finally, no module imports
-dataclasses, and only verify imports fractions at the top: each costs
-every command that runs the module its start-up time.
+cli registers every other module by name, except the subcommand modules
+of sfw.commands, so that table must name exactly the other modules of
+the package.  No module imports cli: under `python -m sfw.cli` it runs
+as __main__, and an import by name would run it again.  Finally, no
+module imports dataclasses, and only verify imports fractions at the
+top: each costs every command that runs the module its start-up time.
 """
 
 from __future__ import annotations
@@ -20,10 +22,19 @@ ROOT = Path(__file__).resolve().parents[1]
 FORMAT_API = {"group_to_json", "graph_from_json"}
 
 
+def module_name(path: Path) -> str:
+    """The dotted name of a module of src/sfw below sfw, as "commands.index".
+
+    A package's __init__ keeps that stem: "__init__", "commands.__init__".
+    """
+    relative = path.relative_to(ROOT / "src" / "sfw").with_suffix("")
+    return ".".join(relative.parts)
+
+
 def package_trees() -> list:
     """(module name, parsed tree) for every module of src/sfw."""
-    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
-            for path in sorted((ROOT / "src" / "sfw").glob("*.py"))]
+    return [(module_name(path), ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted((ROOT / "src" / "sfw").rglob("*.py"))]
 
 
 def unreached_public_names() -> dict:
@@ -110,8 +121,52 @@ def test_format_api_is_named_in_the_readme():
 
 
 def test_cli_registers_every_other_module_lazily():
-    # a misspelt entry would otherwise fail only at its first use
+    # a misspelt entry would otherwise fail only at its first use; the
+    # subcommand modules are imported when one is dispatched instead
     from sfw import cli
-    stems = {stem for stem, _ in package_trees()}
+    stems = {stem for stem, _ in package_trees() if "." not in stem}
+    assert "commutant" in stems
     assert sorted(cli.LAZY_MODULES) == sorted(
         stems - {"__init__", "cli", "config", "errors"})
+    commands = {stem for stem, _ in package_trees()
+                if stem.startswith("commands.")}
+    assert commands == {"commands.__init__"} | {
+        "commands." + name for name, _ in cli.SUBCOMMANDS}
+
+
+def imported_modules(stem: str, tree) -> set:
+    """The absolute names below sfw that a module's imports name.
+
+    `from . import x` names x itself, and `from .x import y` names x.
+    """
+    package = stem.split(".")[:-1]
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = package[:len(package) - node.level + 1]
+                base = ".".join(["sfw"] + base)
+            else:
+                base = ""
+            module = ".".join(filter(None, [base, node.module]))
+            found.add(module)
+            found.update("%s.%s" % (module, alias.name)
+                         for alias in node.names)
+    return {name[len("sfw."):] for name in found
+            if name.startswith("sfw.")}
+
+
+def test_no_module_imports_cli():
+    importing = sorted(stem for stem, tree in package_trees()
+                       if "cli" in imported_modules(stem, tree))
+    assert importing == []
+    # the check reads every spelling that names the module
+    for text in ("from . import cli", "from .cli import main",
+                 "import sfw.cli", "from sfw import cli"):
+        assert "cli" in imported_modules("verify", ast.parse(text))
+    for text in ("from .. import cli", "from ..cli import main"):
+        assert "cli" in imported_modules("commands.index", ast.parse(text))
+    assert "cli" not in imported_modules(
+        "commands.index", ast.parse("from . import cli"))

@@ -63,6 +63,14 @@ def test_perm_basics():
         parse_cycle_string(3, "0 1)")
 
 
+def test_a_perm_rejects_boolean_images():
+    # True and False are the ints 1 and 0 to isinstance
+    with pytest.raises(ValueError):
+        Perm((True, False, 2))
+    with pytest.raises(ValueError):
+        Perm((False,))
+
+
 def test_cycle_string_roundtrip_random():
     rng = random.Random(7)
     for _ in range(200):
