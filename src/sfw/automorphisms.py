@@ -2,6 +2,10 @@
 
 Aut(G) is found by a constrained search over the images of a reduced
 generating set and acts on the element list of G (AutomorphismData).
+Each candidate tuple of images is extended to a map on G, or rejected,
+by one closure of the graph it generates
+(permgroup.homomorphism_from_images), and is kept when that map is a
+bijection.
 The normal core is the kernel of a group acting on the cosets of a
 subgroup.  Only `extend`, the cocycle checks and the verify suites
 reach this module; `index`, `graph`, `chartab` and `induce` never run
@@ -14,12 +18,13 @@ import itertools
 from typing import Mapping, NamedTuple, Sequence
 
 from .config import Config, DEFAULT
-from .errors import CapExceededError, InvariantViolationError, NotNormalError
+from .errors import CapExceededError, InvariantViolationError
 from .permgroup import (
     CosetData,
     Perm,
     PermGroup,
     conjugacy_classes,
+    homomorphism_from_images,
     mulclose,
     right_coset_data,
     right_mul,
@@ -51,17 +56,19 @@ def conjugation_perm(G: PermGroup, g: Perm) -> Perm:
 
 
 def is_automorphism_perm(G: PermGroup, a: Perm) -> bool:
-    """Check that index permutation a respects the multiplication of G."""
+    """Check that index permutation a respects the multiplication of G.
+
+    The images of the generators define at most one homomorphism, and a
+    must be it.
+    """
     if a.degree != G.order:
         return False
     elems = G.elements
-    idx = G.element_index
-    for i, x in enumerate(elems):
-        ax = elems[a(i)]
-        for s in G.generators:
-            if elems[a(idx(x * s))] != ax * elems[a(idx(s))]:
-                return False
-    return True
+    phi = homomorphism_from_images(
+        G.generators, [elems[a[G.element_index(s)]] for s in G.generators],
+        G.order)
+    return phi is not None and all(
+        phi[x] == elems[i] for x, i in zip(elems, a))
 
 
 def _generating_subset(candidates: Sequence[Perm], order: int) -> list:
@@ -97,7 +104,8 @@ def automorphism_group(G: PermGroup, config: Config = DEFAULT) -> AutomorphismDa
 
     Candidate images of a generator are limited to elements with the same
     order and conjugacy class size.  Every candidate tuple is checked to
-    define a bijective homomorphism, so the result is exhaustive.
+    define a homomorphism (homomorphism_from_images) that is a bijection,
+    so the result is exhaustive.
     """
     if G.order > config.aut_cap:
         raise CapExceededError(
@@ -119,47 +127,10 @@ def automorphism_group(G: PermGroup, config: Config = DEFAULT) -> AutomorphismDa
         raise CapExceededError(
             "automorphism candidate space too large (%d tuples)" % total)
 
-    # express every element as parent * generator so candidate maps extend
-    # to all of G in one pass
-    derivation = {G.identity: None}
-    frontier = [G.identity]
-    while frontier:
-        new = []
-        for p in frontier:
-            for gi, g in enumerate(gens):
-                q = p * g
-                if q not in derivation:
-                    derivation[q] = (p, gi)
-                    new.append(q)
-        frontier = new
-
-    elems = G.elements
-    idx = G.element_index
     found = []
     for images in itertools.product(*candidates):
-        phi = {G.identity: G.identity}
-        ok = True
-        for p in elems:
-            if p in phi:
-                continue
-            chain = []
-            q = p
-            while q not in phi:
-                chain.append(q)
-                q = derivation[q][0]
-            for q in reversed(chain):
-                phi[q] = phi[derivation[q][0]] * images[derivation[q][1]]
-        if len({phi[p] for p in elems}) != G.order:
-            continue
-        for p in elems:
-            pp = phi[p]
-            for gi, g in enumerate(gens):
-                if phi[p * g] != pp * images[gi]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        phi = homomorphism_from_images(gens, images, G.order)
+        if phi is not None and len(set(phi.values())) == G.order:
             found.append(automorphism_perm(G, phi))
     aut = PermGroup(G.order, _generating_subset(found, len(found)), config)
     if aut.elements != tuple(sorted(found)):
@@ -192,6 +163,6 @@ def normal_core(G: PermGroup, H: PermGroup) -> PermGroup:
     for g in G.generators:
         ginv = g.inv()
         if any(g * x * ginv not in K for x in K.generators):
-            raise NotNormalError("computed core is not normal")
+            raise InvariantViolationError("computed core is not normal")
     return K
 

@@ -10,7 +10,9 @@ multiply.  Both sources go through one decomposition of a group over a
 normal subgroup (_decompose): the quotient acting on the coset indices
 by right translation, one lift per quotient element, the product table
 of the cosets and the defects of the lifts.  An extension decomposes
-over its inner automorphisms and pulls the defects back to G.
+over its inner automorphisms, which extend the conjugations by the
+generators (permgroup.homomorphism_from_images), and pulls the defects
+back to G.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ from .permgroup import (
     CosetData,
     Perm,
     PermGroup,
-    _perm,
+    homomorphism_from_images,
     right_coset_data,
-    right_mul,
 )
 
 
@@ -195,24 +196,17 @@ class ExtensionResult(NamedTuple):
 def _inner_embedding(G: PermGroup) -> dict:
     """x -> conjugation_perm(G, x) for every x in G, in the order of G.
 
-    Conjugation is a homomorphism, c(x * s) = c(x) * c(s), so one
-    breadth-first pass from the identity over the generators s builds
-    every c(x) from the c(s), composing image tuples with right_mul at
-    one C call per element and generator.
+    Conjugation is a homomorphism, c(x * s) = c(x) * c(s), so the images
+    c(s) of the generators determine it: homomorphism_from_images
+    extends them over G in one closure of the graph, without a
+    conjugation per element.
     """
-    steps = [(right_mul(s), right_mul(conjugation_perm(G, s)))
-             for s in G.generators]
-    images = {G.identity: tuple(range(G.order))}
-    # reached grows while it is read, one level after the other
-    reached = [G.identity]
-    for x in reached:
-        cx = images[x]
-        for step, compose in steps:
-            y = step(x)
-            if y not in images:
-                images[y] = compose(cx)
-                reached.append(y)
-    return {x: _perm(images[x]) for x in G.elements}
+    phi = homomorphism_from_images(
+        G.generators, [conjugation_perm(G, s) for s in G.generators],
+        G.order)
+    if phi is None:
+        raise InvariantViolationError("conjugation is not a homomorphism")
+    return {x: phi[x] for x in G.elements}
 
 
 def extension_from_out(G: PermGroup, out_auts: Sequence,
@@ -304,7 +298,7 @@ def _crossed_product_data(G: PermGroup, K: PermGroup, H_mid: PermGroup,
         for x in K.elements:
             y = r * x * rinv
             if y not in K:
-                raise NotNormalError("conjugation left the subgroup")
+                raise InvariantViolationError("conjugation left the subgroup")
             mapping[x] = y
         alpha[g] = automorphism_perm(K, mapping)
     cocycle = Cocycle2(K, quotient, values, alpha)

@@ -45,7 +45,7 @@ def _first_stop(x: float, tol: float) -> int:
     """First n >= 3 whose discrete point lies within tol of x or above x + tol.
 
     The points increase with n, so the condition turns true once and
-    stays true.  It is false for points below y = x - |tol|, and the
+    stays true.  It is false for points below y = x - tol, and the
     closed form n(y) = pi / arccos(sqrt(y) / 2), evaluated as
     pi / arcsin(sqrt(4 - y) / 2) to keep its precision near 4, guesses
     the first n with a point of at least y.  The guess is bracketed by
@@ -57,7 +57,7 @@ def _first_stop(x: float, tol: float) -> int:
         point = _discrete_point(n)
         return abs(x - point) <= tol or point > x + tol
 
-    y = x - abs(tol)
+    y = x - tol
     guess = 3
     if y > 1.0:
         root = math.sqrt(4.0 - y) / 2.0
@@ -82,19 +82,20 @@ def _first_stop(x: float, tol: float) -> int:
     return hi
 
 
-def jones_spectrum_query(x: float, tol: float = None,
+def jones_spectrum_query(x: float,
                          config: Config = DEFAULT) -> SpectrumVerdict:
     """Locate x in {4 cos^2(pi/n) : n >= 3} union [4, inf).
 
-    Values within tol of 4 or above are reported continuous; this takes
-    precedence over the accumulating discrete points just below 4.
-    Otherwise the verdict is read at the first point that lies within
-    tol of x (discrete) or above x + tol (not in the spectrum, with the
-    distance to the nearer of that point and the one before it).
+    tol is config.tol_spectrum.  Values within tol of 4 or above are
+    reported continuous; this takes precedence over the accumulating
+    discrete points just below 4.  Otherwise the verdict is read at the
+    first point that lies within tol of x (discrete) or above x + tol
+    (not in the spectrum, with the distance to the nearer of that point
+    and the one before it).
     """
     x = float(x)
-    tol = config.tol_spectrum if tol is None else float(tol)
-    if not (math.isfinite(x) and math.isfinite(tol)):
+    tol = config.tol_spectrum
+    if not math.isfinite(x):
         # NaN fails every comparison below, so the search would never end,
         # and an infinite value has no JSON form
         raise ParseError("spectrum query needs finite numbers, got value "
@@ -167,12 +168,14 @@ def virtual_index_concrete(G: PermGroup, H: PermGroup, t: int,
 
 def _verified_injective_hom(K: PermGroup, H: PermGroup,
                             gamma: Mapping[Perm, Perm]) -> set:
+    # imported here, so that vindex and spectrum never run sfw.permgroup
+    from .permgroup import homomorphism_from_images
     if set(gamma) != set(K.elements):
         raise HomomorphismError("mapping must be total on the subgroup")
-    for x in K.elements:
-        for s in K.generators:
-            if gamma[x * s] != gamma[x] * gamma[s]:
-                raise HomomorphismError("mapping is not a homomorphism")
+    phi = homomorphism_from_images(
+        K.generators, [gamma[s] for s in K.generators], K.order)
+    if phi is None or any(phi[x] != gamma[x] for x in K.elements):
+        raise HomomorphismError("mapping is not a homomorphism")
     image = {gamma[x] for x in K.elements}
     if len(image) != K.order:
         raise HomomorphismError("mapping is not injective")
@@ -211,16 +214,14 @@ def local_index_combine(parts: Sequence) -> float:
     return float(sum(float(x) / float(tr) for x, tr in zip(locals_, traces)))
 
 
-def index_chain_check(index_outer: float, index_top: float,
-                      index_bottom: float, tol: float = 1e-12) -> bool:
-    """max of the two factors <= composite <= product, within tol."""
-    lower = max(index_top, index_bottom)
-    return (index_outer >= lower - tol
-            and index_outer <= index_top * index_bottom + tol)
+def index_chain_check(index_outer: int, index_top: int,
+                      index_bottom: int) -> bool:
+    """max of the two factors <= composite <= product, exactly."""
+    return (max(index_top, index_bottom) <= index_outer
+            <= index_top * index_bottom)
 
 
-def commutant_bound_check(commutant_dim: int, index: float,
-                          tol: float = 1e-12) -> bool:
+def commutant_bound_check(commutant_dim: int, index: int) -> bool:
     """Relative commutant dimension is at most index + 1."""
-    return commutant_dim <= index + 1.0 + tol
+    return commutant_dim <= index + 1
 

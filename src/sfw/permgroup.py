@@ -20,7 +20,8 @@ Conventions used throughout the package:
   `induce` and the crossed product decomposition take theirs that way.
 
 This module holds what every group command runs: permutations, group
-closure, cosets, double cosets and conjugacy classes.  Automorphisms
+closure, cosets, double cosets and conjugacy classes, and the one test
+that generator images define a homomorphism.  Automorphisms
 and normal cores (sfw.automorphisms) and wreath products (sfw.wreath)
 build on it in modules of their own, which only `extend`, the
 `wr2x3-base` case and `verify` run.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import functools
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .config import Config, DEFAULT
 from .errors import (
@@ -239,6 +240,29 @@ def mulclose(generators: Sequence[Perm], cap: int) -> list:
                 seen.add(q)
                 found.append(q)
     return list(map(_perm, found))
+
+
+def homomorphism_from_images(gens: Sequence[Perm], images: Sequence[Perm],
+                             order: int) -> Optional[dict]:
+    """The homomorphism sending each generator to its image, or None.
+
+    gens generate a group of the given order and each image is a Perm,
+    all of one degree m.  A map given on generators extends to a
+    homomorphism exactly when the pairs (g, phi(g)) generate its graph
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    2005): a group that projects onto <gens> one to one.  Each
+    pair is one image tuple on n + m points, g's images and then phi(g)'s
+    shifted by n, and mulclose capped at order closes them; a map that
+    is not well defined makes the closure larger, and the cap stops it
+    at order + 1.  Returns {x: phi(x)} for every x in the group.
+    """
+    n = gens[0].degree
+    pairs = [_perm((*g, *map(n.__add__, a))) for g, a in zip(gens, images)]
+    try:
+        graph = mulclose(pairs, order)
+    except CapExceededError:
+        return None
+    return {_perm(p[:n]): _perm(map(n.__rsub__, p[n:])) for p in graph}
 
 
 class PermGroup:

@@ -12,7 +12,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .config import Config, DEFAULT
 from .errors import InvalidActionError
-from .permgroup import Perm, PermGroup
+from .permgroup import Perm, PermGroup, homomorphism_from_images
 
 
 class WreathData(NamedTuple):
@@ -45,16 +45,12 @@ def verify_action_table(B: PermGroup, action: Mapping[Perm, Sequence[int]],
         if len(img) != size or sorted(img) != list(range(size)):
             raise InvalidActionError(
                 "action of %r is not a bijection on the index set" % (b,))
-    id_img = tuple(range(size))
-    if tuple(action[B.identity]) != id_img:
+    if tuple(action[B.identity]) != tuple(range(size)):
         raise InvalidActionError("identity must act trivially")
-    for b1 in B.elements:
-        a1 = action[b1]
-        for b2 in B.generators:
-            a2 = action[b2]
-            composed = tuple(a1[x] for x in a2)
-            if tuple(action[b1 * b2]) != composed:
-                raise InvalidActionError("action table is not a homomorphism")
+    phi = homomorphism_from_images(
+        B.generators, [Perm(action[b]) for b in B.generators], B.order)
+    if phi is None or any(phi[b] != tuple(img) for b, img in action.items()):
+        raise InvalidActionError("action table is not a homomorphism")
 
 
 def wreath_product(A: PermGroup, B: PermGroup,
@@ -138,11 +134,13 @@ def verify_wreath_like(G: PermGroup, copies: Sequence[PermGroup],
         return WreathReport(False, "bad action table: %s" % exc)
     if set(kappa) != set(G.elements):
         return WreathReport(False, "kappa is not a total map on the group")
+    phi = homomorphism_from_images(
+        G.generators, [kappa[s] for s in G.generators], G.order)
+    if phi is None:
+        return WreathReport(False, "kappa is not a homomorphism")
     for g in sorted(G.elements, key=Perm.sort_key):
-        for s in G.generators:
-            if kappa[g * s] != kappa[g] * kappa[s]:
-                return WreathReport(False, "kappa is not a homomorphism",
-                                    (g, s))
+        if phi[g] != kappa[g]:
+            return WreathReport(False, "kappa is not a homomorphism", (g,))
     if {kappa[g] for g in G.elements} != set(B.elements):
         return WreathReport(False, "kappa is not surjective")
     for A in copies:

@@ -51,12 +51,15 @@ RUNGS = (
 )
 
 
-# C3^2 x| C2, the inversion acting on both factors: centerless, with
+# (name, degree, generators, outer class selections) for `extend`.
+# C3^2 x| C2, the inversion acting on both factors, is centerless with
 # Out = S4, so `extend` meets quotients of order 3 and 4 as well as 2.
-# Its points are kept as listed: relabelled is a bijection only on odd
-# degrees.
+# A5 (Out = C2) and S5 (Out = 1) run the automorphism search on groups
+# of order 60 and 120.  Their points are kept as listed.
 EXTEND_GROUPS = (
-    ("c3sq-c2", 6, ("(0 1 2)", "(3 4 5)", "(1 2)(4 5)")),
+    ("c3sq-c2", 6, ("(0 1 2)", "(3 4 5)", "(1 2)(4 5)"), ("all", "16")),
+    ("a5", 5, ("(0 1 2 3 4)", "(0 1 2)"), ("all",)),
+    ("s5", 5, ("(0 1 2 3 4)", "(0 1)"), ("all",)),
 )
 
 
@@ -81,7 +84,7 @@ def group_files() -> dict:
             files["@%s.%s" % (name, tag)] = {
                 "degree": degree,
                 "generators": [relabelled(degree, g) for g in gens]}
-    for name, degree, group in EXTEND_GROUPS:
+    for name, degree, group, _ in EXTEND_GROUPS:
         files["@%s.G" % name] = {"degree": degree, "generators": list(group)}
     return files
 
@@ -139,9 +142,10 @@ def _commands() -> list:
         cmds.append(["graph"] + files + ["--kind", "dual"])
         cmds.append(["chartab"] + files + ["--json"])
         cmds.append(["induce"] + files + ["--json"])
-    # every outer class (quotient S4), and class 16 alone (quotient C4)
-    for name, _, _ in EXTEND_GROUPS:
-        for classes in ("all", "16"):
+    # every outer class, and for C3^2 x| C2 (quotient S4) class 16 alone
+    # (quotient C4)
+    for name, _, _, selections in EXTEND_GROUPS:
+        for classes in selections:
             for fmt in ([], ["--json"]):
                 cmds.append(["extend", "--group", "@%s.G" % name,
                              "--out-classes", classes] + fmt)

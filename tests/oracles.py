@@ -2,7 +2,10 @@
 
 closure and conjugacy_cells build a group and its classes from plain
 Perm products, the references of mulclose and of conjugacy_classes,
-whose loops compose image tuples instead.
+whose loops compose image tuples instead.  homomorphism_by_words
+extends generator images along words and checks every relation
+phi(x * s) = phi(x) * phi(s), the reference of
+homomorphism_from_images, which closes the graph of the map instead.
 Restriction and induction of class functions, permutation characters and
 the float inner product stay here, outside the package, as the
 references of the Frobenius-reciprocity tests, of the exact restriction
@@ -32,6 +35,33 @@ def closure(generators):
         frontier = {p * g for p in frontier for g in generators} - found
         found |= frontier
     return found
+
+
+def homomorphism_by_words(generators, images):
+    """The map generators -> images extended to a homomorphism, or None.
+
+    Each element is first met as x * s, with x met before and s a
+    generator, and is sent to phi(x) * phi(s).  The map is a
+    homomorphism exactly when phi(x * s) = phi(x) * phi(s) holds for
+    every element x and generator s; None when one relation fails.
+    """
+    phi = {Perm.identity(generators[0].degree):
+           Perm.identity(images[0].degree)}
+    frontier = list(phi)
+    while frontier:
+        new = []
+        for x in frontier:
+            for s, a in zip(generators, images):
+                y = x * s
+                if y not in phi:
+                    phi[y] = phi[x] * a
+                    new.append(y)
+        frontier = new
+    for x in phi:
+        for s, a in zip(generators, images):
+            if phi[x * s] != phi[x] * a:
+                return None
+    return phi
 
 
 def conjugacy_cells(G):

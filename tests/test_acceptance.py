@@ -18,6 +18,7 @@ from sfw.cocycle import (
     subfactor_report_from_out,
     verify_cocycle,
 )
+from sfw.config import Config
 from sfw.corpus import builtin_cases, case_by_name
 from sfw.errors import CapExceededError, ConstraintError
 from sfw.groupalgebra import (
@@ -57,7 +58,7 @@ from oracles import induce, inner_product, restrict, sparse_theta
 
 TOL_MULT = 1e-6
 TOL_ORTHO = 1e-9
-TOL_SPECTRUM = 1e-9
+SPECTRUM = Config(tol_spectrum=1e-9)
 
 
 def criterion(number, label):
@@ -197,9 +198,9 @@ def test_criterion_06_crossed_products():
 @criterion(7, "index arithmetic")
 def test_criterion_07_index_arithmetic():
     for x, n in ((1.0, 3), (2.0, 4), (3.0, 6)):
-        verdict = jones_spectrum_query(x, tol=TOL_SPECTRUM)
+        verdict = jones_spectrum_query(x, config=SPECTRUM)
         assert verdict.kind == "discrete" and verdict.n == n
-    assert jones_spectrum_query(3.5, tol=TOL_SPECTRUM).kind == "not-in-spectrum"
+    assert jones_spectrum_query(3.5, config=SPECTRUM).kind == "not-in-spectrum"
 
     assert virtual_index(VirtualEmbeddingSpec.make(1, [VirtualPart(1, 1, 1)])) == 1
     assert virtual_index(VirtualEmbeddingSpec.make(2, [VirtualPart(1, 2, 5)])) == 10

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from sfw import cocycle
 from sfw.cocycle import (
     Cocycle2,
     _crossed_product_data,
@@ -15,6 +16,7 @@ from sfw.cocycle import (
 from sfw.config import DEFAULT
 from sfw.errors import (
     HomomorphismError,
+    InvariantViolationError,
     NontrivialCenterError,
     NotNormalError,
     SubgroupError,
@@ -239,3 +241,45 @@ def test_crossed_product_middle_must_sit_between():
     stray = S4.subgroup([perm(4, "(0 1)")])
     with pytest.raises(SubgroupError):
         crossed_product_check(S4, V4, stray)
+
+
+# ---------------------------------------------------- internal consistency
+#
+# Each check below can fail only through a fault in sfw, so it raises
+# InvariantViolationError (exit 1), not an input error.
+
+
+def test_a_lift_that_moves_the_normal_subgroup_is_a_fault(monkeypatch):
+    # the normal subgroup <(0 1)> of <(0 1), (2 3)> is conjugated by
+    # (1 2), from outside the group, to <(0 2)>
+    G = PermGroup(4, [perm(4, "(0 1)"), perm(4, "(2 3)")])
+    K = G.subgroup([perm(4, "(0 1)")])
+    decompose = cocycle._decompose
+
+    def stray_lifts(cosets, config):
+        quotient, lifts, table, defects = decompose(cosets, config)
+        lifts = {g: r if g == quotient.identity else perm(4, "(1 2)")
+                 for g, r in lifts.items()}
+        return quotient, lifts, table, defects
+
+    monkeypatch.setattr(cocycle, "_decompose", stray_lifts)
+    with pytest.raises(InvariantViolationError,
+                       match="conjugation left the subgroup"):
+        crossed_product_check(G, K)
+
+
+def test_an_inner_embedding_that_is_no_homomorphism_is_a_fault(monkeypatch):
+    # the 3-cycle of S3 sent to the conjugation by a transposition, of
+    # order 2, and the transposition to the identity
+    S3 = symmetric_group(3)
+    flip = perm(3, "(0 1)")
+
+    def swapped(G, g):
+        if g.order() == 3:
+            return conjugation_perm(G, flip)
+        return Perm.identity(G.order)
+
+    monkeypatch.setattr(cocycle, "conjugation_perm", swapped)
+    with pytest.raises(InvariantViolationError,
+                       match="conjugation is not a homomorphism"):
+        extension_from_out(S3, [])

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from sfw.config import DEFAULT
+from sfw.config import Config, DEFAULT
 from sfw.corpus import builtin_cases
 from sfw.errors import (
     ConstraintError,
@@ -72,7 +72,8 @@ def test_spectrum_tolerance_behaviour():
     # barely perturbed discrete point still resolves to its integer label.
     assert jones_spectrum_query(4 - 1e-10).kind == "continuous"
     assert jones_spectrum_query(1 + 1e-12).n == 3
-    assert jones_spectrum_query(3.5, tol=1.0).kind != "not-in-spectrum"
+    assert jones_spectrum_query(
+        3.5, config=Config(tol_spectrum=1.0)).kind != "not-in-spectrum"
 
 
 def test_spectrum_points_increase_with_n():
@@ -123,17 +124,20 @@ def test_spectrum_matches_the_scan():
         for d in (0.0, 1e-12, 1e-9, 5e-10, 1e-6, 1e-3):
             values += [point - d, point + d]
     values += [4.0 - 1e-5, 4.0 - 1e-6, 4.0 - 1e-8, 3.9999]
-    for tol in (0.0, 1e-12, 5e-10, default, 1e-6, 1e-3, 0.05, 0.5, 2.0,
-                -1e-9):
+    for tol in (0.0, 1e-12, 5e-10, default, 1e-6, 1e-3, 0.05, 0.5, 2.0):
         cases += [(x, tol) for x in values if x < 4.0]
     for x, tol in cases:
+        config = Config(tol_spectrum=tol)
         try:
             want = scan_spectrum_query(x, tol)
         except PreconditionError:
             with pytest.raises(PreconditionError):
-                jones_spectrum_query(x, tol)
+                jones_spectrum_query(x, config=config)
             continue
-        assert jones_spectrum_query(x, tol) == want, (x, tol)
+        assert jones_spectrum_query(x, config=config) == want, (x, tol)
+    # the tolerance comes from a Config, which holds no negative one
+    with pytest.raises(ValueError):
+        Config(tol_spectrum=-1e-9)
 
 
 # ------------------------------------------------------------ virtual index
@@ -182,8 +186,21 @@ def test_virtual_index_concrete_validates_the_embedding():
     S4 = symmetric_group(4)
     A4 = alternating_group(4)
     collapse = {x: A4.elements[0] for x in A4.elements}
-    with pytest.raises(HomomorphismError):
+    with pytest.raises(HomomorphismError, match="not injective"):
         virtual_index_concrete(S4, S4, 2, [(1, A4, collapse)])
+    # the inclusion, but two elements of order 3 that are no generators
+    # swapped
+    x, y = [x for x in A4.elements
+            if x.order() == 3 and x not in A4.generators][:2]
+    swapped = {x: x for x in A4.elements}
+    swapped[x], swapped[y] = y, x
+    with pytest.raises(HomomorphismError, match="not a homomorphism"):
+        virtual_index_concrete(S4, S4, 2, [(1, A4, swapped)])
+    # a generator of order 3 sent to a transposition
+    bent = {x: x for x in A4.elements}
+    bent[A4.generators[0]] = perm(4, "(0 1)")
+    with pytest.raises(HomomorphismError, match="not a homomorphism"):
+        virtual_index_concrete(S4, S4, 2, [(1, A4, bent)])
 
 
 # ----------------------------------------------------- combination formulas

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 import weakref
 
@@ -339,6 +340,61 @@ def test_closures_match_plain_products_on_random_subgroups(pair):
             permgroup.mulclose(G.generators, G.order - 1)
 
 
+@st.composite
+def generator_images(draw):
+    """A random group G of degree 1 to 5 and an image of each generator.
+
+    The images are random permutations of one random degree, or the
+    conjugates of the generators by a random element of G, or their
+    conjugation perms of degree |G|.  The last two always define a
+    homomorphism; random images mostly do not.
+    """
+    n = draw(st.integers(1, 5))
+    G = PermGroup(n, draw(st.lists(st.permutations(range(n)).map(Perm),
+                                   min_size=1, max_size=3)))
+    gens = G.generators
+    kind = draw(st.sampled_from(("random", "inner", "embedding")))
+    if kind == "random":
+        m = draw(st.integers(1, 4))
+        images = draw(st.lists(st.permutations(range(m)).map(Perm),
+                               min_size=len(gens), max_size=len(gens)))
+    elif kind == "inner":
+        g = G.elements[draw(st.integers(0, G.order - 1))]
+        images = [g * s * g.inv() for s in gens]
+    else:
+        images = [automorphisms.conjugation_perm(G, s) for s in gens]
+    return G, images
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(generator_images())
+def test_homomorphisms_match_the_word_extension(drawn):
+    G, images = drawn
+    got = permgroup.homomorphism_from_images(G.generators, images, G.order)
+    want = oracles.homomorphism_by_words(G.generators, images)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got == want
+        assert all(type(x) is Perm and type(y) is Perm
+                   for x, y in got.items())
+
+
+def test_homomorphisms_on_one_point_and_on_the_trivial_group():
+    one, swap = Perm((0,)), Perm((1, 0))
+    hom = permgroup.homomorphism_from_images
+    assert hom([one], [one], 1) == {one: one}
+    assert hom([one], [swap], 1) is None
+    trivial = PermGroup(3, ())
+    assert hom(trivial.generators, [Perm.identity(5)], 1) == {
+        trivial.identity: Perm.identity(5)}
+    assert hom(trivial.generators, [perm(5, "(0 1)")], 1) is None
+    # the sign of S3, on two points
+    S3 = symmetric_group(3)
+    sign = hom(S3.generators, [Perm((0, 1)), swap], S3.order)
+    assert [sign[g] == swap for g in S3] == [
+        sum(len(c) - 1 for c in g.cycles()) % 2 == 1 for g in S3]
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(inclusions())
 def test_double_cosets_match_oracle_on_random_subgroups(pair):
@@ -563,6 +619,14 @@ def test_automorphism_cap():
         automorphism_group(symmetric_group(4), Config(aut_cap=10))
 
 
+def test_is_automorphism_perm_accepts_exactly_the_automorphisms():
+    G = symmetric_group(3)
+    auts = set(automorphism_group(G).aut.elements)
+    for a in map(Perm, itertools.permutations(range(G.order))):
+        assert automorphisms.is_automorphism_perm(G, a) == (a in auts)
+    assert not automorphisms.is_automorphism_perm(G, Perm.identity(5))
+
+
 # -- wreath products --------------------------------------------------------
 
 def test_wreath_z2_z3():
@@ -603,6 +667,41 @@ def test_verify_wreath_like_detects_bad_labeling():
                                 data.acting, data.action)
     assert not report.ok
     assert "conjugation" in report.reason
+
+
+def test_an_action_table_off_a_homomorphism_is_rejected():
+    B = symmetric_group(3)
+    swap, left, right = (perm(3, c) for c in ("(0 1)", "(0 2)", "(1 2)"))
+    assert swap in B.generators
+    # right on the generators, wrong on two transpositions they generate
+    action = natural_action(B)
+    action[left], action[right] = action[right], action[left]
+    with pytest.raises(InvalidActionError, match="not a homomorphism"):
+        wreath.verify_action_table(B, action, 3)
+    # a transposition acting as a 3-cycle: no homomorphism at all
+    action = natural_action(B)
+    action[swap] = (1, 2, 0)
+    with pytest.raises(InvalidActionError, match="not a homomorphism"):
+        wreath.verify_action_table(B, action, 3)
+
+
+def test_verify_wreath_like_detects_a_kappa_off_a_homomorphism():
+    data = wreath_product(cyclic_group(2), cyclic_group(3))
+    G, B = data.group, data.acting
+    turn = B.generators[0]
+    # an element of the base, no generator, sent off the kernel
+    g = next(g for g in sorted(G.elements, key=Perm.sort_key)
+             if g not in G.generators and not g.is_identity()
+             and data.kappa[g].is_identity())
+    kappa = dict(data.kappa)
+    kappa[g] = turn
+    report = verify_wreath_like(G, data.base_copies, kappa, B, data.action)
+    assert report == (False, "kappa is not a homomorphism", (g,))
+    # a base generator of order 2 sent to the 3-cycle
+    kappa = dict(data.kappa)
+    kappa[G.generators[0]] = turn
+    report = verify_wreath_like(G, data.base_copies, kappa, B, data.action)
+    assert report == (False, "kappa is not a homomorphism", ())
 
 
 def test_verify_wreath_like_single_copy():
@@ -711,6 +810,18 @@ def test_a_core_not_closed_is_a_fault(monkeypatch):
     monkeypatch.setattr(automorphisms, "_generating_subset",
                         lambda elements, order: list(elements[:1]))
     with pytest.raises(InvariantViolationError, match="core is not closed"):
+        normal_core(G, D4)
+
+
+def test_a_core_not_normal_is_a_fault(monkeypatch):
+    # against the one coset of S4 itself every element of D4 fixes every
+    # coset, so the kernel is D4, closed but not normal in S4
+    G = symmetric_group(4)
+    D4 = G.subgroup([perm(4, "(0 1 2 3)"), perm(4, "(0 2)")])
+    monkeypatch.setattr(automorphisms, "right_coset_data",
+                        lambda group, sub: right_coset_data(group, group))
+    with pytest.raises(InvariantViolationError,
+                       match="computed core is not normal"):
         normal_core(G, D4)
 
 
