@@ -313,9 +313,22 @@ def crossed_product_check(G: PermGroup, K: PermGroup,
 
     K must be normal in G; H_mid, when given, must sit between them and
     is checked to be the restriction of the decomposition to a subgroup
-    of the quotient.  The multiplication law
-    (a r_i)(b r_j) = a alpha_i(b) w(i,j) r_{ij} is checked on every
-    pair of basis elements, for two different representative choices.
+    of the quotient.  Everything is checked for two different
+    representative choices: the cocycle axioms, that the a r_i with a
+    in K are the elements of G once each, and the multiplication law
+    (a r_i)(b r_j) = a alpha_i(b) w(i,j) r_ij for all a, b in K and all
+    i, j, where r_ij is the representative of the coset of r_i r_j.
+
+    The law is checked at a = 1 on |Q|^2 + |Q|(|K| - 1) points
+    (i, a, j, b): at (i, 1, j, 1) for all i, j, and at (i, 1, e, b) for
+    all i and b, with e the identity class.  These points give it
+    everywhere.  _decompose checked r_e = 1, so r_ie = r_i, and
+    (i, 1, e, 1) reads r_i = alpha_i(1) w(i,e) r_i; verify_cocycle
+    checked first that alpha_i is an automorphism, so w(i,e) = 1.  Then
+    (i, 1, e, b) reads r_i b = alpha_i(b) r_i, and (i, 1, j, 1) reads
+    r_i r_j = w(i,j) r_ij.  So by associativity
+    (a r_i)(b r_j) = a (r_i b) r_j = a alpha_i(b) r_i r_j
+                   = a alpha_i(b) w(i,j) r_ij.
     """
     _check_normal(G, K)
     if H_mid is None:
@@ -337,17 +350,20 @@ def crossed_product_check(G: PermGroup, K: PermGroup,
         if len(seen) != G.order:
             return CrossedProductReport(False, "basis is not a bijection",
                                         None, len(reps), cocycle, middle)
-        for i, gi in enumerate(qperms):
-            for a in K.elements:
-                for j, gj in enumerate(qperms):
-                    for b in K.elements:
-                        lhs = (a * reps[i]) * (b * reps[j])
-                        tw = cocycle.apply_alpha(gi, b) * cocycle.value(gi, gj)
-                        rhs = a * tw * reps[table[i][j]]
-                        if lhs != rhs:
-                            return CrossedProductReport(
-                                False, "multiplication law fails",
-                                (i, a, j, b), len(reps), cocycle, middle)
+        one = K.identity
+        points = [(i, j, one) for i in range(len(reps))
+                  for j in range(len(reps))]
+        # class 0, lifted by reps[0] = 1, is e
+        points += [(i, 0, b) for i in range(len(reps))
+                   for b in K.elements[1:]]
+        for i, j, b in points:
+            gi = qperms[i]
+            lhs = reps[i] * (b * reps[j])
+            tw = cocycle.apply_alpha(gi, b) * cocycle.value(gi, qperms[j])
+            if lhs != tw * reps[table[i][j]]:
+                return CrossedProductReport(
+                    False, "multiplication law fails", (i, one, j, b),
+                    len(reps), cocycle, middle)
         closed = all(table[i][j] in middle
                      for i in middle for j in middle)
         if not closed:

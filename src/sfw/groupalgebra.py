@@ -7,11 +7,12 @@ expand/reassemble round trips are exact even in floating point.
 
 Only `verify` and the tests compute here.  An amplified matrix is a
 monomial matrix with entries in the subgroup, so its products are
-products of group elements (theta.ThetaMap.matrix), and
-the relations of an extension are identities in the group (cocycle).
-This module serves the references those are held to: the nested
-conditional expectations of the theta entries, the brute-force
-commutant dimensions and the Pimsner-Popa round trip.
+products of group elements (theta.ThetaMap.matrix), and so are the
+products in the commutant oracle (standard_invariant), whose entries
+are single basis elements; the relations of an extension are
+identities in the group (cocycle).  This module serves the references
+those are held to: the nested conditional expectations of the theta
+entries and the Pimsner-Popa round trip.
 """
 
 from __future__ import annotations

@@ -327,9 +327,15 @@ class PermGroup:
         return "PermGroup(degree=%d, order=%d)" % (self.degree, self.order)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
+        """Whether every element of this group lies in other.
+
+        The elements are the closure of the generators under products,
+        and other is closed under products, so the generators lying in
+        other is as strong as every element lying there.
+        """
         if self.degree != other.degree or self.order > other.order:
             return False
-        return all(p in other for p in self.elements)
+        return all(p in other for p in self.generators)
 
     def subgroup(self, generators: Iterable[Perm],
                  config: Config = DEFAULT) -> "PermGroup":
@@ -528,8 +534,9 @@ def double_coset_data(G: PermGroup, H: PermGroup) -> DoubleCosetData:
     and equal stabilizers are one object (H when they equal H), so data
     cached on a stabilizer (its character table) is computed once per
     distinct group.  Every stabilizer is checked to lie in
-    H  *intersect*  g_i^-1 H g_i, and orbit-stabilizer then shows it is
-    the whole intersection.  The result is kept in G's cache, keyed by H.
+    H  *intersect*  g_i^-1 H g_i, a group, by testing its generators,
+    and orbit-stabilizer then shows it is the whole intersection.  The
+    result is kept in G's cache, keyed by H.
     """
     return G.cached(("double_cosets", H), lambda: _double_cosets(G, H))
 
@@ -567,14 +574,16 @@ def _double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetData:
                         schreier[x] = None
         if len(orbit) == 1:
             # K <= H and |K| = |H| / 1 by orbit-stabilizer: K is H, and
-            # the checks below still run over its elements
+            # the checks below still run on its generators
             K = H
         else:
             K = PermGroup(G.degree, tuple(schreier), cap)
             K = interned.setdefault(K, K)
         g = reps[start]
         conj = conjugator(g)
-        for x in K.elements:
+        # H and g^-1 H g are groups and so is their intersection, so K
+        # lies in it when its generators do
+        for x in K.generators:
             if x not in H or conj(x) not in in_h:
                 raise InvariantViolationError(
                     "stabilizer element %r is outside the intersection"

@@ -8,9 +8,11 @@ matrix.  The squared norm of a graph is the index [G:H], certified in
 integers by a positive Perron eigenvector (the odd vertex degrees); no
 eigen-solve runs.
 An exact brute-force reference for the relative commutant dimensions
-(rational linear algebra over the theta matrices and groupalgebra) is
-kept for the graphs verify suite, which compares it with the orbit
-count of sfw.commutant, and for the tests; no other path calls it.
+(the commutation equations with the theta matrices, expanded over the
+group by products of group elements and ranked by fraction-free
+elimination in integers) is kept for the graphs verify suite, which
+compares it with the orbit count of sfw.commutant, and for the tests;
+no other path calls it.
 The orbit count and its names live in sfw.commutant, so that `index`
 runs neither the graphs nor the oracle; they are imported here too, for
 callers that take them from this module.
@@ -18,12 +20,12 @@ callers that take them from this module.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from math import gcd
+from typing import TYPE_CHECKING, NamedTuple
 
-# reached through their modules, so that under sfw.cli's lazy
-# registration they run only when a table or an algebra element is
-# built: only the oracle builds elements
-from . import chartab, groupalgebra
+# reached through its module, so that under sfw.cli's lazy registration
+# it runs only when a table is built
+from . import chartab
 from .commutant import (
     IN_GROUP,
     IN_SUBGROUP,
@@ -38,38 +40,83 @@ from .errors import (
     PreconditionError,
     SubgroupError,
 )
-from .permgroup import PermGroup, double_coset_data, right_coset_data
+from .permgroup import (
+    PermGroup,
+    double_coset_data,
+    right_coset_data,
+    right_mul,
+)
+
+if TYPE_CHECKING:
+    from .theta import ThetaMap
 
 
 # ---------------------------------------------------------------------------
 # exact brute-force oracle: commutant dimensions
 
-def _rational_rank(rows) -> int:
-    """Rank of a sparse rational matrix, exact Gaussian elimination.
+def _integer_rank(rows) -> int:
+    """Rank of a sparse integer matrix, by fraction-free elimination.
 
-    rows: iterable of {column: Fraction}.
+    rows: iterable of {column: int}.  Each row is divided by the gcd of
+    its entries, so the entries stay small, and reduced at its least
+    column c against the pivot row kept for c, as piv[c] * row -
+    row[c] * piv (over their gcd), which cancels c and leaves the span
+    unchanged since piv[c] is not zero.  A row that reaches a column
+    with no pivot becomes its pivot; the pivots are in echelon form, so
+    their number is the rank.
     """
-    from fractions import Fraction
     pivots = {}
-    rank = 0
     for row in rows:
         row = {c: v for c, v in row.items() if v}
         while row:
+            g = gcd(*row.values())
+            if g != 1:
+                row = {c: v // g for c, v in row.items()}
             c = min(row)
-            if c in pivots:
-                piv = pivots[c]
-                factor = row[c] / piv[c]
-                for cc, vv in piv.items():
-                    nv = row.get(cc, Fraction(0)) - factor * vv
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        row.pop(cc, None)
-            else:
+            piv = pivots.get(c)
+            if piv is None:
                 pivots[c] = row
-                rank += 1
                 break
-    return rank
+            g = gcd(piv[c], row[c])
+            a, b = piv[c] // g, row[c] // g
+            row = {cc: a * v for cc, v in row.items()}
+            for cc, v in piv.items():
+                nv = row.get(cc, 0) - b * v
+                if nv:
+                    row[cc] = nv
+                else:
+                    del row[cc]
+    return len(pivots)
+
+
+class _OracleTables(NamedTuple):
+    """What the oracle needs of (G, H, k), whatever G0 and the side.
+
+    theta amplifies the generators of G0; entries[a][b] is the element
+    g_a-bar * g_b-bar^-1 of the entry (a, b) of x, for tuple positions
+    a and b, and right[a][b] is the map p -> p * entries[a][b].
+    """
+
+    theta: ThetaMap
+    entries: tuple
+    right: tuple
+
+
+def _oracle_tables(G: PermGroup, H: PermGroup, k: int,
+                   config: Config) -> _OracleTables:
+    """The oracle's tables for (G, H, k), kept in G's cache."""
+
+    def build():
+        # imported here, so that the graphs never run sfw.theta
+        from .theta import ThetaMap
+        theta = ThetaMap(right_coset_data(G, H), k, config)
+        prods = [theta.rep_product(tu) for tu in theta.tuples]
+        inverses = [p.inv() for p in prods]
+        entries = tuple(tuple(p * q for q in inverses) for p in prods)
+        right = tuple(tuple(map(right_mul, row)) for row in entries)
+        return _OracleTables(theta, entries, right)
+
+    return G.cached(("commutant_oracle", H, k), build)
 
 
 def brute_force_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
@@ -77,71 +124,70 @@ def brute_force_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
                               config: Config = DEFAULT) -> int:
     """Same dimension as relative_commutant_dim, by literal linear algebra.
 
-    The ambient space consists of tuple-indexed matrices whose (i, j)
-    entry is an unknown scalar times u_{g_i-bar * g_j-bar^-1}; for
+    The ambient space consists of tuple-indexed matrices whose (a, b)
+    entry is an unknown scalar times u_{g_a-bar * g_b-bar^-1}; for
     side IN_SUBGROUP the entry must also land inside the subgroup.  The
     commutation equations against the amplified generators of G0 are
-    expanded with honest group-algebra products and solved by exact
-    rational elimination.
+    expanded over the group: every entry of x and of theta(g0) is one
+    basis element u_w with coefficient 1, so each product of entries
+    is the basis element of the product of the two group elements, and
+    the coefficient of each group element gives one integer equation.
+    Their rank comes from exact fraction-free elimination in integers.
     """
-    from fractions import Fraction
-    # imported here, so that the graphs never run sfw.theta
-    from .theta import ThetaMap
     if side not in SIDES:
         raise PreconditionError("side must be one of %r" % (SIDES,))
     _check_k(k, config)
     if not H.is_subgroup_of(G0) or not G0.is_subgroup_of(G):
         raise SubgroupError("need H <= G0 <= G")
-    cosets = right_coset_data(G, H)
+    index = right_coset_data(G, H).index
     # up to t^(2k) unknowns, one per pair of tuples, and the commutation
     # equations are expanded over the elements of G
-    size = G.order * cosets.index ** (2 * k)
+    size = G.order * index ** (2 * k)
     if size > config.oracle_cap:
         raise CapExceededError(
             "oracle size %d exceeds cap %d" % (size, config.oracle_cap))
-    theta = ThetaMap(cosets, k, config)
-    tuples = theta.tuples
-    from_perm = groupalgebra.GroupAlgebraElement.from_perm
-    unknown = {}
-    entry_perm = {}
-    for a in tuples:
-        for b in tuples:
-            w = theta.rep_product(a) * theta.rep_product(b).inv()
+    theta, entries, right = _oracle_tables(G, H, k, config)
+    positions = range(len(theta.tuples))
+    # unknown[a][b] numbers the unknown of entry (a, b), None where the
+    # entry must vanish
+    count = 0
+    unknown = []
+    for row in entries:
+        numbers = []
+        for w in row:
             if side == IN_SUBGROUP and w not in H:
-                continue
-            entry_perm[(a, b)] = w
-            unknown[(a, b)] = len(unknown)
+                numbers.append(None)
+            else:
+                numbers.append(count)
+                count += 1
+        unknown.append(numbers)
     rows = []
     for g0 in G0.generators:
-        act, inv_act, mat = {}, {}, {}
-        for j, (row, w) in zip(tuples, theta.matrix(g0)):
-            i = tuples[row]
-            act[j], inv_act[i] = i, j
-            mat[(i, j)] = from_perm(H, w)
-        for a in tuples:
-            for b in tuples:
-                # coefficient function of (x * Theta(g0) - Theta(g0) * x)_(a, b)
+        # column n of theta(g0) holds u_{label[n]} in row act[n]
+        act, label = zip(*theta.matrix(g0))
+        inv_act = [0] * len(act)
+        for n, row in enumerate(act):
+            inv_act[row] = n
+        times_label = [right_mul(w) for w in label]
+        for a in positions:
+            # theta(g0)_(a, d) is the one entry of row a
+            d = inv_act[a]
+            left_label = label[d]
+            for b in positions:
+                # (x theta(g0) - theta(g0) x)_(a, b) is
+                # x_(a, c) theta(g0)_(c, b) - theta(g0)_(a, d) x_(d, b):
+                # one equation per group element it has a coefficient at
                 expr = {}
-                kk = act[b]
-                if (a, kk) in unknown:
-                    val = from_perm(G, entry_perm[(a, kk)]) * mat[(kk, b)]
-                    for p, c in val.coeffs.items():
-                        expr.setdefault(p, {})[unknown[(a, kk)]] = \
-                            expr.get(p, {}).get(unknown[(a, kk)], Fraction(0)) \
-                            + Fraction(c.real)
-                ll = inv_act[a]
-                if (ll, b) in unknown:
-                    val = mat[(a, ll)] * from_perm(G, entry_perm[(ll, b)])
-                    for p, c in val.coeffs.items():
-                        cur = expr.setdefault(p, {})
-                        cur[unknown[(ll, b)]] = \
-                            cur.get(unknown[(ll, b)], Fraction(0)) \
-                            - Fraction(c.real)
-                for p, row in expr.items():
-                    row = {c: v for c, v in row.items() if v}
-                    if row:
-                        rows.append(row)
-    return len(unknown) - _rational_rank(rows)
+                c = act[b]
+                u = unknown[a][c]
+                if u is not None:
+                    expr[times_label[b](entries[a][c])] = {u: 1}
+                u = unknown[d][b]
+                if u is not None:
+                    row = expr.setdefault(right[d][b](left_label), {})
+                    row[u] = row.get(u, 0) - 1
+                rows.extend(expr.values())
+    return count - _integer_rank(rows)
 
 
 # ---------------------------------------------------------------------------

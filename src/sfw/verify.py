@@ -7,7 +7,7 @@ corpora still propagate.
 
 The suites hold the fast paths against the exact references kept for
 them: theta entries against nested conditional expectations, commutant
-dimensions against the rational-rank oracle wherever its unknowns fit
+dimensions against the integer-rank oracle wherever its unknowns fit
 under oracle_cap.  They also run what no command reaches: the
 wreath-like axioms on C2 wr C3, index towers over the normal core, and
 virtual indices of concrete embeddings.  The cocycles and extensions
@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from fractions import Fraction
 from typing import NamedTuple
 
 # reached through their modules, so that under sfw.cli's lazy
@@ -442,6 +441,8 @@ def _suite_arithmetic(cases, config: Config) -> list:
     rec.run("arithmetic:virtual", virtual)
 
     def combination(config=config):
+        # the only case that needs exact rationals
+        from fractions import Fraction
         value = indexarith.local_index_combine([(Fraction(1, 2), 2),
                                                 (Fraction(1, 2), 2)])
         if abs(value - 8.0) > 1e-12:

@@ -16,9 +16,13 @@ prints, and trace reads the canonical trace of a group algebra element.
 sparse_theta and sparse_theta_product read an amplified matrix as a
 sparse matrix over the group algebra and multiply two of them there, the
 reference of the wreath-product form that ThetaMap.matrix returns.
+rational_rank eliminates over the rationals with Fraction, the reference
+of the fraction-free integer elimination of the commutant oracle.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from sfw.chartab import ClassFunction, conjugacy_classes
 from sfw.errors import PreconditionError, SubgroupError
@@ -210,3 +214,29 @@ def sparse_theta_product(m1, m2):
             else:
                 out.pop((i, jj), None)
     return out
+
+
+def rational_rank(rows):
+    """Rank of a sparse matrix ({column: number} rows) over the rationals.
+
+    Gaussian elimination with Fraction: each row is reduced at its least
+    column by the pivot row kept for that column, and becomes a pivot
+    row itself when no pivot row is kept there yet.
+    """
+    pivots = {}
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                pivots[c] = row
+                break
+            piv = pivots[c]
+            factor = row[c] / piv[c]
+            for cc, vv in piv.items():
+                nv = row.get(cc, Fraction(0)) - factor * vv
+                if nv:
+                    row[cc] = nv
+                else:
+                    row.pop(cc, None)
+    return len(pivots)

@@ -844,12 +844,18 @@ def test_importing_cli_runs_only_cli_config_and_errors():
     (["chartab", "--case", "s4-s3"],
      ["cocycle", "groupalgebra", "indexarith", "standard_invariant",
       "verify"]),
+    # the commutant oracle multiplies group elements and ranks in integers
+    (["verify", "--suite", "graphs"],
+     ["automorphisms", "cocycle", "groupalgebra"]),
+    (["verify", "--suite", "cocycles"],
+     ["chartab", "groupalgebra", "standard_invariant", "theta"]),
 ])
 def test_a_subcommand_runs_only_the_modules_it_uses(argv, unused):
     executed, loaded = executed_modules(*argv)
     assert [name for name in unused if executed["sfw." + name]] == []
     # record classes are NamedTuples, which generate no code when their
-    # module runs, and only the oracles need exact rationals
+    # module runs, and exact rationals are needed only by the arithmetic
+    # suite's local-index combination
     assert sorted(loaded & {"dataclasses", "fractions"}) == []
 
 

@@ -268,6 +268,53 @@ def test_a_lift_that_moves_the_normal_subgroup_is_a_fault(monkeypatch):
         crossed_product_check(G, K)
 
 
+def test_a_lift_moved_inside_its_coset_breaks_the_multiplication_law(
+        monkeypatch):
+    # A4 over V4: the lift r_1 is replaced by c r_1, c in V4, while the
+    # table, the defects and alpha stay those of r_1.  Then
+    # r_1' r_1' = c alpha_1(c) r_1 r_1, and alpha_1 fixes no c != 1
+    A4 = alternating_group(4)
+    c = perm(4, "(0 1)(2 3)")
+    V4 = A4.subgroup([c, perm(4, "(0 2)(1 3)")])
+    data = cocycle._crossed_product_data
+
+    def moved_lift(G, K, H_mid, rule, config):
+        reps, table, elements, crossed, middle = data(G, K, H_mid, rule,
+                                                      config)
+        reps = (reps[0], c * reps[1]) + tuple(reps[2:])
+        return reps, table, elements, crossed, middle
+
+    monkeypatch.setattr(cocycle, "_crossed_product_data", moved_lift)
+    report = crossed_product_check(A4, V4)
+    assert not report.ok
+    assert report.reason == "multiplication law fails"
+    i, a, j, b = report.witness
+    assert a in V4 and b in V4 and 1 in (i, j)
+
+
+def test_a_trivial_action_breaks_the_multiplication_law(monkeypatch):
+    # S3 over A3 with alpha replaced by the identity: w is trivial, so the
+    # cocycle axioms still hold, but r_1 b = b r_1 fails for the 3-cycles
+    S3 = symmetric_group(3)
+    A3 = S3.subgroup([perm(3, "(0 1 2)")])
+    data = cocycle._crossed_product_data
+
+    def trivial_action(G, K, H_mid, rule, config):
+        reps, table, elements, crossed, middle = data(G, K, H_mid, rule,
+                                                      config)
+        identity = Perm.identity(K.order)
+        crossed = crossed._replace(
+            alpha={g: identity for g in crossed.alpha})
+        return reps, table, elements, crossed, middle
+
+    monkeypatch.setattr(cocycle, "_crossed_product_data", trivial_action)
+    report = crossed_product_check(S3, A3)
+    assert not report.ok
+    assert report.reason == "multiplication law fails"
+    i, a, j, b = report.witness
+    assert a in A3 and b in A3 and b != A3.identity
+
+
 def test_an_inner_embedding_that_is_no_homomorphism_is_a_fault(monkeypatch):
     # the 3-cycle of S3 sent to the conjugation by a transposition, of
     # order 2, and the transposition to the identity

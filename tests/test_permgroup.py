@@ -281,6 +281,17 @@ def inclusions(draw):
     return G, H
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(3, 5).flatmap(lambda n: st.lists(
+    st.lists(st.permutations(range(n)).map(Perm), min_size=1, max_size=2),
+    min_size=2, max_size=2)))
+def test_subgroup_test_on_generators_agrees_with_the_elements(gens):
+    # is_subgroup_of tests only the generators of the smaller group
+    A, B = (PermGroup(g[0].degree, g) for g in gens)
+    assert A.is_subgroup_of(B) == set(A.elements).issubset(B.elements)
+    assert B.is_subgroup_of(A) == set(B.elements).issubset(A.elements)
+
+
 def test_stabilizers_of_a_normal_subgroup_are_the_subgroup():
     # H = C2^3 is normal in C2 wr S3, so all six stabilizers equal H and
     # are interned as H itself

@@ -29,6 +29,7 @@ from sfw.standard_invariant import (
     IN_GROUP,
     IN_SUBGROUP,
     SIDES,
+    _integer_rank,
     brute_force_commutant_dim,
     dual_principal_graph,
     principal_graph,
@@ -45,6 +46,7 @@ from sfw.theta import (
 from oracles import (
     inner_product,
     permutation_character,
+    rational_rank,
     restrict,
     sparse_theta,
     sparse_theta_product,
@@ -304,6 +306,41 @@ def test_commutant_dim_equals_brute_force():
         assert relative_commutant_dim(G, H, H, 2, side) == brute_force_commutant_dim(
             G, H, H, 2, side
         )
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """Rows {column: int} with entries up to 5 in size, zero rows among
+    them, and rows repeated, some scaled, often more rows than columns."""
+    columns = draw(st.integers(1, 6))
+    row = st.dictionaries(st.integers(0, columns - 1), st.integers(-5, 5),
+                          max_size=columns)
+    rows = draw(st.lists(row, max_size=10))
+    if rows:
+        for _ in range(draw(st.integers(0, 4))):
+            again = draw(st.sampled_from(rows))
+            scale = draw(st.sampled_from((1, -1, 2, -3)))
+            rows.append({c: scale * v for c, v in again.items()})
+        rows = draw(st.permutations(rows))
+    return rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sparse_integer_matrices())
+def test_integer_rank_equals_the_rational_rank(rows):
+    assert _integer_rank(rows) == rational_rank(rows)
+
+
+def test_integer_rank_by_hand():
+    assert _integer_rank([]) == 0
+    assert _integer_rank([{}, {0: 0, 3: 0}]) == 0
+    assert _integer_rank([{0: 2, 1: 4}, {0: -3, 1: -6}, {1: 5}]) == 2
+    # rank 2: the third row is the sum of the first two
+    assert _integer_rank([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: -1}]) == 2
+    # 4 x 3 of full column rank, reduced through entries that share no
+    # common factor with the pivots
+    assert _integer_rank([{0: 5, 1: 3}, {0: 3, 2: 4}, {1: 2, 2: -5},
+                          {0: 1, 1: 1, 2: 1}]) == 3
 
 
 def tuple_character(G0, cosets, k):
