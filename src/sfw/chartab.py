@@ -26,9 +26,10 @@ revisited", J. Symb. Comp. 9, 1990:
   irreducible characters, so the sorted table is the true one.
 
 A value that is a rational integer is returned as that integer, exactly;
-the others are float sums of roots of unity.  Row and column
-orthogonality mod p, the sum of the squared degrees and 0 <= m_j <= d
-are checked before a table is returned.
+the others are float sums of roots of unity.  Row orthogonality mod p
+(which gives column orthogonality, see _check_orthogonality), the sum
+of the squared degrees and 0 <= m_j <= d are checked before a table is
+returned.
 
 Besides the table, the module holds what the graph builders use: the
 restriction matrix from a table to the table of a subgroup, whose
@@ -426,12 +427,24 @@ def _character_table(G: PermGroup) -> CharacterTable:
 
 def _check_orthogonality(table: list, sizes: tuple, inverse: list,
                          order: int, p: int) -> None:
-    """Row and column orthogonality of a table of values mod p.
+    """Row orthogonality of a table of values mod p, and so column
+    orthogonality.
 
-    chi(g^-1) is the complex conjugate of chi(g), so the relations read
-    sum_k |C_k| chi_a(g_k) chi_b(g_k^-1) = |G| delta_ab over the classes
-    and sum_chi chi(g_j) chi(g_k^-1) = |G| / |C_j| delta_jk over the
-    characters.
+    chi(g^-1) is the complex conjugate of chi(g), so the row relations
+    read sum_k |C_k| chi_a(g_k) chi_b(g_k^-1) = |G| delta_ab over the
+    classes.  With X the table, D = diag(|C_k|) and P the permutation
+    matrix of k -> k^-1 on the classes, that is X D P X^T = |G| I.
+
+    The column relations sum_chi chi(g_j) chi(g_k^-1) = |G| / |C_j|
+    delta_jk follow, so they are not checked again.  X is square:
+    _common_lines returns r lines, since _split checks that each split
+    keeps the dimension and _common_lines that every space ends a line.
+    p does not divide |G| (_modulus), so |G| and each |C_j| are units
+    mod p, and X has the right inverse D P X^T / |G| over GF(p).  A
+    right inverse of a square matrix over a field is a left inverse
+    too: D P X^T X = |G| I, whose entry (j, k) is |C_j| sum_chi
+    chi(g_j^-1) chi(g_k) = |G| delta_jk.  Putting j^-1 for j and k^-1
+    for k (|C_j^-1| = |C_j|) gives the column relations.
     """
     r = len(sizes)
     for a, chi in enumerate(table):
@@ -441,14 +454,6 @@ def _check_orthogonality(table: list, sizes: tuple, inverse: list,
             if sum(map(mul, weighted, psi)) % p != want:
                 raise InvariantViolationError(
                     "row orthogonality fails mod %d at (%d, %d)" % (p, a, b))
-    columns = list(zip(*table))
-    for j in range(r):
-        for k in range(r):
-            want = order // sizes[j] % p if j == k else 0
-            if sum(map(mul, columns[j], columns[inverse[k]])) % p != want:
-                raise InvariantViolationError(
-                    "column orthogonality fails mod %d at (%d, %d)"
-                    % (p, j, k))
 
 
 # ---------------------------------------------------------------------------

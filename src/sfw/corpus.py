@@ -29,8 +29,9 @@ def _symmetric(n: int) -> PermGroup:
     return symmetric_group(n)
 
 
-def _generated(degree: int, *cycles: str) -> PermGroup:
-    return PermGroup(degree, [parse_cycle_string(degree, c) for c in cycles])
+def _inclusion(G: PermGroup, *cycles: str) -> tuple:
+    """G and its subgroup generated by the cycles, checked to lie in G."""
+    return G, G.subgroup([parse_cycle_string(G.degree, c) for c in cycles])
 
 
 def _wreath_base() -> tuple:
@@ -38,20 +39,18 @@ def _wreath_base() -> tuple:
     from .wreath import wreath_product
     wr = wreath_product(cyclic_group(2), cyclic_group(3))
     base_gens = [g for copy in wr.base_copies for g in copy.generators]
-    return wr.group, PermGroup(wr.group.degree, base_gens)
+    return wr.group, wr.group.subgroup(base_gens)
 
 
 # name -> (index, builder of (group, subgroup)), in the order of
 # builtin_cases: six inclusions of index 2 to 4 with varied shapes
 _BUILDERS = {
-    "s3-flip": (3, lambda: (_symmetric(3), _generated(3, "(0 1)"))),
-    "s3-a3": (2, lambda: (_symmetric(3), alternating_group(3))),
-    "s4-s3": (4, lambda: (_symmetric(4),
-                          _generated(4, "(0 1)", "(0 1 2)"))),
-    "s4-d4": (3, lambda: (_symmetric(4),
-                          _generated(4, "(0 1 2 3)", "(0 2)"))),
-    "a4-v4": (3, lambda: (alternating_group(4),
-                          _generated(4, "(0 1)(2 3)", "(0 2)(1 3)"))),
+    "s3-flip": (3, lambda: _inclusion(_symmetric(3), "(0 1)")),
+    "s3-a3": (2, lambda: _inclusion(_symmetric(3), "(0 1 2)")),
+    "s4-s3": (4, lambda: _inclusion(_symmetric(4), "(0 1)", "(0 1 2)")),
+    "s4-d4": (3, lambda: _inclusion(_symmetric(4), "(0 1 2 3)", "(0 2)")),
+    "a4-v4": (3, lambda: _inclusion(alternating_group(4),
+                                    "(0 1)(2 3)", "(0 2)(1 3)")),
     "wr2x3-base": (3, _wreath_base),
 }
 

@@ -305,9 +305,6 @@ def _suite_cocycles(cases, config: Config) -> list:
             if not report.ok:
                 raise AssertionError("%s at %r"
                                      % (report.reason, report.witness))
-            inner = cocycle.verify_cocycle(report.cocycle)
-            if not inner.ok:
-                raise AssertionError("cocycle axioms: %s" % inner.reason)
             return "quotient order %d" % report.quotient_order
 
         rec.run("cocycles:%s" % name, crossed)

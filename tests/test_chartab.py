@@ -103,6 +103,22 @@ def test_orthogonality_rows():
                 assert got == (1 if a == b else 0)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(inclusions())
+def test_columns_of_random_tables_are_orthogonal(pair):
+    # the table checks its rows alone, which give the columns: sum_chi
+    # chi(g_j) conj(chi(g_k)) = |G| / |C_j| delta_jk
+    for G in pair:
+        tab = character_table(G)
+        sizes = tab.classes.sizes
+        assert len(tab.characters) == len(sizes)
+        for j, size in enumerate(sizes):
+            for k in range(len(sizes)):
+                total = sum(chi.values[j] * chi.values[k].conjugate()
+                            for chi in tab.characters)
+                assert abs(total - (G.order / size if j == k else 0)) < 1e-6
+
+
 def test_restrict_s3_regular_to_a3():
     G = symmetric_group(3)
     A3 = G.subgroup([perm(3, "(0 1 2)")])

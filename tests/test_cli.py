@@ -18,7 +18,7 @@ from sfw.commands.verify import SUITE_NAMES
 from sfw.config import DEFAULT, Config, config_fields
 from sfw.corpus import builtin_cases, case_by_name, case_names
 from sfw.formats import canonical_json, graph_from_json, group_to_json
-from sfw.permgroup import CosetData, cyclic_group
+from sfw.permgroup import CosetData, alternating_group, cyclic_group
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -372,6 +372,20 @@ def test_chartab_past_the_class_cap_exits_4(capsys, tmp_path):
     captured = capsys.readouterr()
     assert rc == 4
     assert "65 conjugacy classes, cap is 64" in captured.err
+
+
+def test_an_automorphism_search_past_its_candidate_bound_exits_4(capsys,
+                                                                 tmp_path):
+    # A6 passes --aut-cap 1000, but its four 3-cycle generators have
+    # 40,960,000 tuples of candidate images, past the bound of 200,000:
+    # the search stops before it tries one
+    g = write_group(tmp_path / "a6.json", alternating_group(6))
+    rc = cli.main(["extend", "--group", g, "--aut-cap", "1000"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.err == ("error: automorphism candidate space too large "
+                            "(40960000 tuples)\n")
+    assert captured.out == ""
 
 
 def test_bad_cycle_string_exits_2(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sfw import cocycle
 from sfw.cocycle import (
@@ -26,6 +27,7 @@ from sfw.permgroup import (
     Perm,
     PermGroup,
     alternating_group,
+    conjugacy_classes,
     cyclic_group,
     parse_cycle_string,
     symmetric_group,
@@ -241,6 +243,89 @@ def test_crossed_product_middle_must_sit_between():
     stray = S4.subgroup([perm(4, "(0 1)")])
     with pytest.raises(SubgroupError):
         crossed_product_check(S4, V4, stray)
+
+
+# -------------------------------------------- facts the construction gives
+#
+# Neither the extension nor the crossed product check re-decides these;
+# the docstrings of extension_from_out, _decompose and
+# crossed_product_check prove them, and random groups test them here.
+
+
+@st.composite
+def outer_data(draw):
+    """A random centreless subgroup G of S3, S4 or S5, with up to two
+    automorphisms of G that conjugate it by elements of its normalizer."""
+    n = draw(st.integers(3, 5))
+    perms = st.permutations(range(n)).map(Perm)
+    G = PermGroup(n, draw(st.lists(perms, min_size=1, max_size=2)))
+    assume(len(G.center()) == 1)
+    normalizer = [t for t in symmetric_group(n).elements
+                  if all(t * g * t.inv() in G for g in G.generators)]
+    # an element outside G is more likely to act by an outer class
+    ts = draw(st.lists(st.sampled_from(
+        [t for t in normalizer if t not in G] or normalizer), max_size=2))
+    return G, [{x: t * x * t.inv() for x in G.elements} for t in ts]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(outer_data())
+def test_extensions_lift_the_identity_first_and_are_normalized(drawn):
+    G, outs = drawn
+    res = extension_from_out(G, outs)
+    identity = res.quotient.identity
+    assert next(iter(res.lifts)) == identity
+    assert res.lifts[identity] == res.ambient.identity
+    assert res.cocycle.is_normalized()
+    assert res.inner.is_subgroup_of(res.ambient)
+
+
+def normal_closure(G, gens):
+    """The least normal subgroup of G holding gens."""
+    K = G.subgroup(gens)
+    while True:
+        conjugates = [g * x * g.inv() for g in G.generators
+                      for x in K.generators]
+        outside = [y for y in conjugates if y not in K]
+        if not outside:
+            return K
+        K = G.subgroup(K.generators + tuple(outside))
+
+
+@st.composite
+def normal_triples(draw):
+    """A random subgroup G of S3, S4 or S5, a normal subgroup K, and a
+    group H_mid between K and G; G/K has order at most 24.
+
+    K is drawn from the normal closures of the conjugacy classes of G,
+    and H_mid is generated over K by a random element.
+    """
+    n = draw(st.integers(3, 5))
+    perms = st.permutations(range(n)).map(Perm)
+    G = PermGroup(n, draw(st.lists(perms, min_size=1, max_size=2)))
+    normal = {normal_closure(G, [x]) for x in conjugacy_classes(G).reps}
+    K = draw(st.sampled_from(sorted(normal, key=lambda N: N.elements)))
+    assume(G.order <= 24 * K.order)
+    H_mid = G.subgroup(K.generators + (draw(st.sampled_from(G.elements)),))
+    return G, K, H_mid
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(normal_triples())
+def test_crossed_product_bases_and_middle_indices_on_random_groups(triple):
+    G, K, H_mid = triple
+    assert crossed_product_check(G, K, H_mid).ok
+    for rule in ("min", "max"):
+        reps, table, elements, crossed, middle = _crossed_product_data(
+            G, K, H_mid, rule, DEFAULT)
+        assert reps[0] == G.identity
+        assert elements[0] == crossed.quotient.identity
+        # the a r_i with a in K are the elements of G once each
+        assert sorted(a * r for r in reps for a in K.elements) == \
+            list(G.elements)
+        # the middle indices are closed and number |H_mid| / |K|
+        assert all(table[i][j] in middle for i in middle for j in middle)
+        assert len(middle) * K.order == H_mid.order
 
 
 # ---------------------------------------------------- internal consistency

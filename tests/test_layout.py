@@ -54,23 +54,35 @@ def unreached_public_names() -> dict:
             if name not in used}
 
 
-def unreferenced_public_methods() -> list:
-    """Class.method for public methods that no attribute access names.
+def is_property(function: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property"
+               for d in function.decorator_list)
 
-    A method is reached only through an attribute, so a name that no
-    `x.name` in src/sfw spells is called from tests alone, or not at all.
+
+def unreferenced_public_methods() -> list:
+    """Class.method for public methods that the package never names.
+
+    A property is reached by any `x.name`.  A method counts as reached
+    only when some call `x.name(...)` spells it: a plain attribute of
+    that name may be a field of another class (several NamedTuples have
+    a `subgroup` field), which would hide a method called from tests
+    alone, or not at all.
     """
-    methods, attributes = [], set()
+    methods, attributes, calls = [], set(), set()
     for _, tree in package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
-                methods.extend((node.name, item.name) for item in node.body
+                methods.extend((node.name, item.name, is_property(item))
+                               for item in node.body
                                if isinstance(item, ast.FunctionDef)
                                and not item.name.startswith("_"))
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
-    return sorted("%s.%s" % (cls, name) for cls, name in methods
-                  if name not in attributes)
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                calls.add(node.func.attr)
+    return sorted("%s.%s" % (cls, name) for cls, name, prop in methods
+                  if name not in (attributes if prop else calls))
 
 
 def importers(module: str, top_level_only: bool = False) -> list:

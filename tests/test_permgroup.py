@@ -415,6 +415,11 @@ def test_double_cosets_match_oracle_on_random_subgroups(pair):
     cell_of = {x: cell for cell in cells for x in cell}
     assert {cell_of[r] for r in dc.reps} == cells
     assert dc.count == len(cells)
+    # _double_cosets leaves these to the checks that decide them: the
+    # coset partition gives the sum, orbit-stabilizer each size
+    assert sum(dc.sizes) == G.order
+    assert all(size * K.order == H.order * H.order
+               for size, K in zip(dc.sizes, dc.stabilizers))
     for r, size, K in zip(dc.reps, dc.sizes, dc.stabilizers):
         assert r == min(cell_of[r], key=Perm.sort_key)
         assert size == len(cell_of[r])
@@ -779,37 +784,6 @@ def test_a_stabilizer_of_the_wrong_order_is_a_fault(monkeypatch):
     trivial = PermGroup(4, ())
     stabilizers_built_as(monkeypatch, lambda K: trivial)
     with pytest.raises(InvariantViolationError, match="violate"):
-        double_coset_data(G, H)
-
-
-def test_double_cosets_that_miss_the_group_order_are_a_fault(monkeypatch):
-    G, H = s4_over_s3()
-    right_coset_data(G, H)  # kept in G's cache before the fault
-    monkeypatch.setattr(G, "order", G.order + 1)
-    with pytest.raises(InvariantViolationError, match="do not partition"):
-        double_coset_data(G, H)
-
-
-class DriftingOrder:
-    """A group whose order reads right once and one too large afterwards."""
-
-    def __init__(self, group):
-        self.group, self.reads = group, 0
-
-    def __getattr__(self, name):
-        return getattr(self.group, name)
-
-    @property
-    def order(self):
-        self.reads += 1
-        return self.group.order + (self.reads > 1)
-
-
-def test_a_double_coset_size_off_its_stabilizer_is_a_fault(monkeypatch):
-    # the orbit check reads |K| first, the size check reads it again
-    G, H = s4_over_s3()
-    stabilizers_built_as(monkeypatch, DriftingOrder)
-    with pytest.raises(InvariantViolationError, match="double coset size"):
         double_coset_data(G, H)
 
 
