@@ -139,11 +139,12 @@ def _decompose(cosets: CosetData, config: Config):
     """A group over a normal subgroup, from the cosets of the subgroup.
 
     cosets.reps[0] must be the identity.  Each reps[i] gives the quotient
-    element k -> coset of reps[k] * reps[i]^-1 on the coset indices; right
-    translation makes the assignment multiplicative for the rightmost-first
+    element cosets.action(reps[i]^-1), k -> coset of reps[k] * reps[i]^-1;
+    the inverse makes the assignment multiplicative for the rightmost-first
     convention.  Returns that quotient, the lift of each quotient element
-    (keyed in the order of reps), the product table coset_of[reps[i] *
-    reps[j]], and the defects reps[i] * reps[j] * reps[table[i][j]]^-1
+    (keyed in the order of reps), the product table
+    table[i][j] = action(reps[j])[i], the coset of reps[i] * reps[j], and
+    the defects reps[i] * reps[j] * reps[table[i][j]]^-1
     keyed by pairs of quotient elements, each checked to lie in the
     normal subgroup.
 
@@ -153,16 +154,16 @@ def _decompose(cosets: CosetData, config: Config):
     gives k -> coset of reps[k] * 1 = k, the identity, and once the
     representatives are checked to separate, no other lift shares it.
     """
-    reps, coset_of, K = cosets.reps, cosets.coset_of, cosets.subgroup
+    reps, K = cosets.reps, cosets.subgroup
     inverses = [r.inv() for r in reps]
-    elements = [Perm([coset_of[r * rinv] for r in reps]) for rinv in inverses]
+    elements = [Perm(cosets.action(rinv)) for rinv in inverses]
     quotient = PermGroup(cosets.index, elements, config)
     if quotient.order != cosets.index:
         raise InvariantViolationError("quotient order mismatch")
     lifts = dict(zip(elements, reps))
     if len(lifts) != quotient.order:
         raise InvariantViolationError("coset representatives do not separate")
-    table = [[coset_of[ri * rj] for rj in reps] for ri in reps]
+    table = list(zip(*map(cosets.action, reps)))
     defects = {}
     for gi, ri, row in zip(elements, reps, table):
         for gj, rj, k in zip(elements, reps, row):
@@ -296,18 +297,15 @@ def _crossed_reps(G: PermGroup, K: PermGroup, H_mid: PermGroup,
 
 def _crossed_product_data(G: PermGroup, K: PermGroup, H_mid: PermGroup,
                           rule: str, config: Config):
+    """The decomposition of G over K by one rule, with alpha_g = Ad(r_g).
+
+    Conjugation by a lift r keeps K in place without a check:
+    crossed_product_check decides that K is normal in G (_check_normal)
+    before it calls this, so r x r^-1 lies in K for every x in K.
+    """
     cosets = _crossed_reps(G, K, H_mid, rule)
     quotient, lifts, table, values = _decompose(cosets, config)
-    alpha = {}
-    for g, r in lifts.items():
-        rinv = r.inv()
-        mapping = {}
-        for x in K.elements:
-            y = r * x * rinv
-            if y not in K:
-                raise InvariantViolationError("conjugation left the subgroup")
-            mapping[x] = y
-        alpha[g] = automorphism_perm(K, mapping)
+    alpha = {g: conjugation_perm(K, r) for g, r in lifts.items()}
     cocycle = Cocycle2(K, quotient, values, alpha)
     middle = tuple(j for j, r in enumerate(cosets.reps) if r in H_mid)
     return cosets.reps, table, list(lifts), cocycle, middle

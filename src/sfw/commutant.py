@@ -79,11 +79,10 @@ def _fixed_point_histogram(G: PermGroup, G0: PermGroup,
     """
     def compute():
         cosets = right_coset_data(G, H)
-        coset_of = cosets.coset_of
+        points = range(cosets.index)
         histogram = {}
         for g in G0.elements:
-            fixed = sum(1 for i, rep in enumerate(cosets.reps)
-                        if coset_of[rep * g] == i)
+            fixed = sum(map(int.__eq__, cosets.action(g), points))
             histogram[fixed] = histogram.get(fixed, 0) + 1
         return histogram
     return G0.cached(("fixed_points", G, H), compute)

@@ -18,6 +18,9 @@ Conventions used throughout the package:
   representative is the identity.  CosetData.with_reps relabels those
   cosets by another transversal, in another order; the theta map of
   `induce` and the crossed product decomposition take theirs that way.
+- G acts on the cosets by CosetData.action(g), i -> coset of reps[i] * g,
+  so action(a * b)[i] == action(b)[action(a)[i]]; other modules move
+  cosets by it and never read the labels coset_of.
 
 This module holds what every group command runs: permutations, group
 closure, cosets, double cosets and conjugacy classes, and the one test
@@ -453,6 +456,16 @@ class CosetData(NamedTuple):
     def coset_index(self, g: Perm) -> int:
         return self.coset_of[g]
 
+    def action(self, g: Perm) -> tuple:
+        """The right action of g on the cosets: i -> coset of reps[i] * g.
+
+        It is a homomorphism for the rightmost-first product,
+        action(a * b)[i] == action(b)[action(a)[i]], and the identity
+        acts as range(index).  One C pass over the representatives.
+        """
+        return tuple(map(self.coset_of.__getitem__,
+                         map(right_mul(g), self.reps)))
+
     def coset_elements(self, i: int) -> list:
         rep = self.reps[i]
         return sorted(h * rep for h in self.subgroup.elements)
@@ -551,14 +564,13 @@ def _double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetData:
     orbit-stabilizer check below gives |orbit| |K| = |H|.
     """
     cosets = right_coset_data(G, H)
-    reps = cosets.reps
-    coset_of = cosets.coset_of
     orbit_of = [None] * cosets.index
     cap = Config(order_cap=H.order)
     dc_reps, sizes, stabs = [], [], []
     interned = {H: H}
     in_h = H._index
-    steps = [right_mul(s) for s in H.generators]
+    # a generator s moves coset j to action(s)[j] and u to u * s
+    steps = [(cosets.action(s), right_mul(s)) for s in H.generators]
     for start in range(cosets.index):
         if orbit_of[start] is not None:
             continue
@@ -568,9 +580,8 @@ def _double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetData:
         schreier = {}
         for j in orbit:
             u = transversal[j]
-            rep = reps[j]
-            for step in steps:
-                image = coset_of[step(rep)]
+            for moved, step in steps:
+                image = moved[j]
                 us = _perm(step(u))
                 if image not in transversal:
                     transversal[image] = us
@@ -587,7 +598,7 @@ def _double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetData:
         else:
             K = PermGroup(G.degree, tuple(schreier), cap)
             K = interned.setdefault(K, K)
-        g = reps[start]
+        g = cosets.reps[start]
         conj = conjugator(g)
         # H and g^-1 H g are groups and so is their intersection, so K
         # lies in it when its generators do

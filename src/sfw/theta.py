@@ -87,8 +87,7 @@ class ThetaMap:
         if g not in cosets.group:
             raise PreconditionError("element is outside the ambient group")
         H = cosets.subgroup
-        ginv = g.inv()
-        moved = [cosets.coset_index(rep * ginv) for rep in cosets.reps]
+        moved = cosets.action(g.inv())
         out = []
         for j, suffix in zip(self.tuples, self._suffix_cosets):
             row = self._by_suffix_cosets[tuple(moved[c] for c in suffix)]

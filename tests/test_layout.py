@@ -11,6 +11,8 @@ the package.  No module imports cli: under `python -m sfw.cli` it runs
 as __main__, and an import by name would run it again.  Finally, no
 module imports dataclasses, and only verify imports fractions at the
 top: each costs every command that runs the module its start-up time.
+And only permgroup reads the coset labels `coset_of`; every other module
+moves cosets by CosetData.action.
 """
 
 from __future__ import annotations
@@ -184,3 +186,22 @@ def test_no_module_imports_cli():
         assert "cli" in imported_modules("commands.index", ast.parse(text))
     assert "cli" not in imported_modules(
         "commands.index", ast.parse("from . import cli"))
+
+
+def reads_attribute(tree, attribute: str) -> bool:
+    """Whether a parsed module reads `x.attribute` anywhere."""
+    return any(isinstance(node, ast.Attribute) and node.attr == attribute
+               for node in ast.walk(tree))
+
+
+def test_only_permgroup_reads_the_coset_labels():
+    # every other module moves cosets by CosetData.action, so how the
+    # cosets are found and labelled can change inside permgroup alone
+    reading = sorted(stem for stem, tree in package_trees()
+                     if reads_attribute(tree, "coset_of"))
+    assert reading == ["permgroup"]
+    for text in ("cosets.coset_of[g]", "c = data.coset_of",
+                 "f(x.coset_of.get)"):
+        assert reads_attribute(ast.parse(text), "coset_of")
+    assert not reads_attribute(ast.parse("cosets.coset_index(g)"),
+                               "coset_of")
