@@ -17,7 +17,7 @@ import json
 from typing import TYPE_CHECKING
 
 from .config import Config, DEFAULT
-from .errors import ParseError
+from .errors import CapExceededError, ParseError
 
 if TYPE_CHECKING:
     from .permgroup import PermGroup
@@ -78,10 +78,18 @@ def group_to_json(G: PermGroup) -> dict:
 
 
 def group_from_json(obj, config: Config = DEFAULT) -> PermGroup:
+    """The declared group, its degree and its order held to order_cap.
+
+    An element costs its degree and the listing holds at most order_cap
+    of them, so one cap on both bounds the listing at order_cap^2 points.
+    """
     from .permgroup import Perm, PermGroup, parse_cycle_string
     degree = _require(obj, "degree", int, "group")
     if degree < 1:
         raise ParseError("degree must be at least 1")
+    if degree > config.order_cap:
+        raise CapExceededError("group degree %d exceeds cap %d"
+                               % (degree, config.order_cap))
     if "convention" in obj and obj["convention"] != CONVENTION:
         raise ParseError("unsupported composition convention %r"
                          % (obj["convention"],))

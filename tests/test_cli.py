@@ -362,6 +362,16 @@ def test_order_cap_exits_4(capsys, tmp_path):
     h = write_group(tmp_path / "h.json", case_by_name("s3-a3").subgroup)
     rc, _ = run(capsys, ["index", "--group", g, "--subgroup", h, "--order-cap", "3"])
     assert rc == 4
+    # C2 on 7 points: order 2, but its degree is above the cap of 6
+    c2 = tmp_path / "c2.json"
+    c2.write_text(canonical_json({"degree": 7, "generators": ["(0 1)"]}))
+    argv = ["index", "--group", str(c2), "--subgroup", str(c2)]
+    rc = cli.main(argv + ["--order-cap", "6"])
+    captured = capsys.readouterr()
+    assert rc == 4 and captured.out == ""
+    assert captured.err.startswith("error: group degree 7 exceeds cap 6")
+    rc, _ = run(capsys, argv + ["--order-cap", "7"])
+    assert rc == 0
 
 
 def test_chartab_past_the_class_cap_exits_4(capsys, tmp_path):

@@ -75,6 +75,12 @@ def test_group_json_respects_the_order_cap():
     }
     with pytest.raises(CapExceededError):
         group_from_json(obj, DEFAULT.replace(order_cap=10))
+    # a C2 on many points has a tiny order but costs its degree per element
+    c2 = {"degree": 11, "generators": ["(0 1)"]}
+    with pytest.raises(CapExceededError, match="degree 11 exceeds cap 10"):
+        group_from_json(c2, DEFAULT.replace(order_cap=10))
+    assert group_from_json(dict(c2, degree=10),
+                           DEFAULT.replace(order_cap=10)).order == 2
 
 
 def test_canonical_json_is_byte_stable():

@@ -111,6 +111,12 @@ def test_no_module_imports_dataclasses():
     assert importers("dataclasses") == []
 
 
+def test_no_module_imports_random():
+    # the verify suites check exhaustively at the size of the generators;
+    # a seeded sample would pass faults at the elements it never draws
+    assert importers("random") == []
+
+
 def test_no_module_imports_fractions_at_the_top():
     # only local_index_combine and the verify case that calls it use
     # Fraction, and they import it when they run
