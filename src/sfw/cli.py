@@ -31,8 +31,8 @@ from .errors import ParseError, SfwError
 # attribute access, so a subcommand executes only the modules it
 # reaches.  `from sfw.x import y` still imports x as usual.
 LAZY_MODULES = ("automorphisms", "chartab", "cocycle", "commutant", "corpus",
-                "formats", "groupalgebra", "indexarith", "permgroup",
-                "standard_invariant", "theta", "verify", "wreath")
+                "formats", "indexarith", "permgroup", "standard_invariant",
+                "theta", "verify", "wreath")
 
 
 def _register_lazily(name: str) -> None:

@@ -28,11 +28,11 @@ def run(args, cfg: Config) -> int:
         return 0 if report.ok else 1
     lines = []
     for case in report.cases:
-        flag = "ok  " if case.ok else "FAIL"
+        flag = "skip" if case.skipped else "ok  " if case.ok else "FAIL"
         detail = " (%s)" % case.detail if case.detail else ""
         lines.append("%s %s%s" % (flag, case.case_id, detail))
-    lines.append("suite=%s cases=%d failures=%d wall=%.2fs"
+    lines.append("suite=%s cases=%d failures=%d skipped=%d wall=%.2fs"
                  % (report.suite, report.cases_run, len(report.failures),
-                    report.wall_time))
+                    len(report.skipped), report.wall_time))
     _emit(args, "\n".join(lines) + "\n")
     return 0 if report.ok else 1

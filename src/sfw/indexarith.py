@@ -1,5 +1,5 @@
 """Index arithmetic: the admissible index spectrum, virtual embedding
-index values, local index combination and chain inequalities.
+index values and chain inequalities.
 
 The block monomial map of G into matrices over a subgroup algebra that
 `induce` prints is theta at k = 1 (theta.induced_theta).
@@ -8,19 +8,10 @@ The block monomial map of G into matrices over a subgroup algebra that
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .config import Config, DEFAULT
-from .errors import (
-    ConstraintError,
-    HomomorphismError,
-    ParseError,
-    PreconditionError,
-    SubgroupError,
-)
-
-if TYPE_CHECKING:
-    from .permgroup import Perm, PermGroup
+from .errors import ConstraintError, ParseError, PreconditionError
 
 
 class SpectrumVerdict(NamedTuple):
@@ -146,72 +137,6 @@ def virtual_index(spec: VirtualEmbeddingSpec) -> int:
         raise ConstraintError(
             "sum s_i [G:K_i] = %d but t = %d" % (total, spec.t))
     return spec.t * sum(p.s * p.index_H_gammaK for p in spec.parts)
-
-
-def virtual_index_concrete(G: PermGroup, H: PermGroup, t: int,
-                           parts: Sequence) -> int:
-    """virtual_index with concrete subgroups and embeddings.
-
-    parts are (s_i, K_i, gamma_i) with K_i <= G and gamma_i a verified
-    injective homomorphism K_i -> H given as a total mapping.  The two
-    index factors are recomputed from the data.
-    """
-    built = []
-    for s, K, gamma in parts:
-        if not K.is_subgroup_of(G):
-            raise SubgroupError("part subgroup is not inside G")
-        image = _verified_injective_hom(K, H, gamma)
-        built.append(VirtualPart(int(s), G.order // K.order,
-                                 H.order // len(image)))
-    return virtual_index(VirtualEmbeddingSpec.make(t, built))
-
-
-def _verified_injective_hom(K: PermGroup, H: PermGroup,
-                            gamma: Mapping[Perm, Perm]) -> set:
-    # imported here, so that vindex and spectrum never run sfw.permgroup
-    from .permgroup import homomorphism_from_images
-    if set(gamma) != set(K.elements):
-        raise HomomorphismError("mapping must be total on the subgroup")
-    phi = homomorphism_from_images(
-        K.generators, [gamma[s] for s in K.generators], K.order)
-    if phi is None or any(phi[x] != gamma[x] for x in K.elements):
-        raise HomomorphismError("mapping is not a homomorphism")
-    image = {gamma[x] for x in K.elements}
-    if len(image) != K.order:
-        raise HomomorphismError("mapping is not injective")
-    if any(y not in H for y in image):
-        raise HomomorphismError("image is not inside the target group")
-    return image
-
-
-def local_index_combine(parts: Sequence) -> float:
-    """Global index sum local_p / tr_p over a trace partition.
-
-    parts: (tr_p, local_index_p) pairs with the tr_p summing to 1.
-    Fractions are accepted and kept exact until the final conversion.
-    """
-    from fractions import Fraction
-    if not parts:
-        raise PreconditionError("need at least one trace block")
-    traces = []
-    for tr, _ in parts:
-        if isinstance(tr, Fraction):
-            traces.append(tr)
-        elif isinstance(tr, int):
-            traces.append(Fraction(tr))
-        else:
-            traces.append(Fraction(tr).limit_denominator(10 ** 12))
-    if any(tr <= 0 or tr > 1 for tr in traces):
-        raise PreconditionError("trace weights must lie in (0, 1]")
-    if any(local < 1 for _, local in parts):
-        raise PreconditionError("local indices must be at least 1")
-    total = sum(traces)
-    if total != 1:
-        raise ConstraintError("trace weights sum to %s, need 1" % total)
-    locals_ = [local for _, local in parts]
-    if all(isinstance(x, (int, Fraction)) for x in locals_):
-        return float(sum(Fraction(x) / tr for x, tr in zip(locals_, traces)))
-    return float(sum(float(x) / float(tr) for x, tr in zip(locals_, traces)))
 
 
 def index_chain_check(index_outer: int, index_top: int,

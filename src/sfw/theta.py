@@ -10,9 +10,10 @@ k = 1 on the inverted left transversal (induced_theta, built with
 CosetData.with_reps) the amplification is the block monomial embedding
 of G into t x t matrices over the algebra of H that `induce` prints; it
 is checked on the generators of G on every call.  nested_theta_entry
-computes any entry by nested conditional expectations, the exact
-reference that the theta verify suite and the tests hold the matrices
-to.
+computes any entry by nested conditional expectations, the reference
+that the theta verify suite holds the matrices to.  Each expectation of
+a single basis element u_x is u_x or zero, so the reference is a chain
+of group products with one membership test in H per level.
 
 Only `induce`, the verify suites and the commutant oracle reach this
 module; `index` and the graphs count commutants without it.  Tuples
@@ -22,18 +23,12 @@ are 0-based index vectors ordered lexicographically.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-# reached through its module, so that under sfw.cli's lazy registration
-# it runs only when the reference entry builds an algebra element
-from . import groupalgebra
 from .commutant import _check_k
 from .config import Config, DEFAULT
 from .errors import InvariantViolationError, PreconditionError
 from .permgroup import CosetData, Perm, PermGroup, right_coset_data
-
-if TYPE_CHECKING:
-    from .groupalgebra import GroupAlgebraElement
 
 
 class ThetaMap:
@@ -76,12 +71,12 @@ class ThetaMap:
         nested conditional expectations and serves as the reference.
 
         With p_l(j) = g_{j_l} * ... * g_{j_k} the suffix products of j,
-        the tuple action (action_on_tuples) gives the row i with
-        H p_l(i) = H p_l(j) g^-1 for every l, and the suffix cosets fix
-        a tuple.  So the row is looked up from the moved suffix cosets
-        of j, at one product per coset for the whole matrix, and the
-        label takes two products per column.  A label outside H is a
-        fault of this code, not of the input.
+        the tuple action gives the row i with H p_l(i) = H p_l(j) g^-1
+        for every l, and the suffix cosets fix a tuple.  So the row is
+        looked up from the moved suffix cosets of j, at one product per
+        coset for the whole matrix, and the label takes two products per
+        column.  A label outside H is a fault of this code, not of the
+        input.
         """
         cosets = self.cosets
         if g not in cosets.group:
@@ -138,40 +133,6 @@ def _check_on_generators(theta: ThetaMap) -> None:
                 "theta of %r is not unitary" % (g,))
 
 
-def action_on_tuples(g: Perm, j_tuple, cosets: CosetData,
-                     k: Optional[int] = None,
-                     config: Config = DEFAULT) -> tuple:
-    """The image tuple i with amplified-u_g entry (i, j) nonzero.
-
-    Left action of G on index tuples: solving coset membership
-    conditions from the last coordinate backwards gives each i_l
-    uniquely.
-    """
-    j_tuple = tuple(j_tuple)
-    if k is None:
-        k = len(j_tuple)
-    _check_k(k, config)
-    if len(j_tuple) != k:
-        raise PreconditionError("tuple length must equal k")
-    for i in j_tuple:
-        if not 0 <= i < cosets.index:
-            raise PreconditionError(
-                "tuple entry %r outside coset range 0..%d" % (i, cosets.index - 1))
-    if g not in cosets.group:
-        raise PreconditionError("element is outside the ambient group")
-    reps = cosets.reps
-    ginv = g.inv()
-    out = [0] * k
-    suffix_j = cosets.group.identity
-    suffix_i = cosets.group.identity
-    for l in range(k - 1, -1, -1):
-        suffix_j = reps[j_tuple[l]] * suffix_j
-        idx = cosets.coset_index(suffix_j * ginv * suffix_i.inv())
-        out[l] = idx
-        suffix_i = reps[idx] * suffix_i
-    return tuple(out)
-
-
 def theta_matrix_product(m1: tuple, m2: tuple) -> tuple:
     """Product of two matrices in ThetaMap.matrix form.
 
@@ -182,33 +143,37 @@ def theta_matrix_product(m1: tuple, m2: tuple) -> tuple:
 
 
 def stabilizer_matches_intersection(G: PermGroup, H: PermGroup) -> bool:
-    """Stab_H(i) under the tuple action equals H intersect g_i^-1 H g_i."""
+    """Stab_H(i) under the coset action equals H intersect g_i^-1 H g_i.
+
+    h fixes the coset H g_i exactly when g_i h g_i^-1 lies in H.
+    """
     cosets = right_coset_data(G, H)
-    for i, rep in enumerate(cosets.reps):
-        stab = {h for h in H.elements
-                if action_on_tuples(h, (i,), cosets) == (i,)}
-        conj = {rep.inv() * h * rep for h in H.elements}
-        if stab != {h for h in H.elements if h in conj}:
-            return False
+    pairs = tuple(enumerate(zip(cosets.reps, map(Perm.inv, cosets.reps))))
+    for h in H.elements:
+        moved = cosets.action(h)
+        for i, (rep, rep_inv) in pairs:
+            if (moved[i] == i) != (rep * h * rep_inv in H):
+                return False
     return True
 
 
 def nested_theta_entry(cosets: CosetData, g: Perm, i_tuple,
-                       j_tuple) -> GroupAlgebraElement:
+                       j_tuple) -> Optional[Perm]:
     """Entry (i_tuple, j_tuple) of the amplified u_g, by nested expectations.
 
-    Reference for ThetaMap.matrix: from the last
-    coordinate backwards, y <- E_H(u_{g_{i_l}} * y * u_{g_{j_l}}^-1),
-    starting from y = u_g, with honest group-algebra products.
+    Reference for ThetaMap.matrix: from the last coordinate backwards,
+    y <- E_H(u_{g_{i_l}} * y * u_{g_{j_l}}^-1), starting from y = u_g.
+    y stays one basis element u_w or zero, so w <- g_{i_l} w g_{j_l}^-1
+    with a membership test in H at each level.  Returns the label w in
+    H of a nonzero entry, or None for a zero one.
     """
-    G = cosets.group
+    if g not in cosets.group:
+        raise PreconditionError("element is outside the ambient group")
     H = cosets.subgroup
     reps = cosets.reps
-    from_perm = groupalgebra.GroupAlgebraElement.from_perm
-    y = from_perm(G, g)
+    w = g
     for l in range(len(i_tuple) - 1, -1, -1):
-        left = from_perm(G, reps[i_tuple[l]])
-        right = from_perm(G, reps[j_tuple[l]].inv())
-        y = groupalgebra.conditional_expectation(left * y * right, H)
-    return y
-
+        w = reps[i_tuple[l]] * w * reps[j_tuple[l]].inv()
+        if w not in H:
+            return None
+    return w

@@ -13,21 +13,31 @@ matrices and of the character-table route to relative commutant
 dimensions.  The left cosets by a direct loop and the block monomial
 matrices built on them are the references of the map that `induce`
 prints, and trace reads the canonical trace of a group algebra element.
-sparse_theta and sparse_theta_product read an amplified matrix as a
-sparse matrix over the group algebra and multiply two of them there, the
-reference of the wreath-product form that ThetaMap.matrix returns.
 rational_rank eliminates over the rationals with Fraction, the reference
 of the fraction-free integer elimination of the commutant oracle.
+
+GroupAlgebraElement is the complex group algebra of a permutation group,
+with the conditional expectation onto a subgroup and the Pimsner-Popa
+expansion over a coset basis.  The package computes every one of these
+as products of group elements, and the algebra is the reference they are
+held to: nested_expectation_entry reads an entry of an amplified matrix
+by honest algebra products, the reference of theta.nested_theta_entry;
+action_on_tuples solves the coset conditions of the tuple action one
+coordinate at a time, the reference of the suffix-coset lookup of
+ThetaMap.matrix; sparse_theta and sparse_theta_product read an amplified
+matrix as a sparse matrix over the group algebra and multiply two of
+them there, the reference of the wreath-product form that
+ThetaMap.matrix returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Mapping
 
 from sfw.chartab import ClassFunction, conjugacy_classes
 from sfw.errors import PreconditionError, SubgroupError
-from sfw.groupalgebra import GroupAlgebraElement
-from sfw.permgroup import Perm
+from sfw.permgroup import CosetData, Perm, PermGroup
 from sfw.wreath import verify_action_table
 
 
@@ -189,6 +199,159 @@ def induced_monomials(G, K):
             m = coset_of[g * a]
             matrix[(m, l)] = reps[m].inv() * g * a
     return out
+
+
+class GroupAlgebraElement:
+    """A finitely supported function group -> C with convolution product.
+
+    Products and the restriction to a subgroup only shuffle coefficients
+    between disjoint supports, so equality tests on expand/reassemble
+    round trips are exact even in floating point.
+    """
+
+    __slots__ = ("group", "coeffs")
+
+    def __init__(self, group: PermGroup, coeffs: Mapping[Perm, complex]):
+        clean = {}
+        for p, c in coeffs.items():
+            if p not in group:
+                raise PreconditionError(
+                    "support element %r is outside the carrier group" % (p,))
+            c = complex(c)
+            if c != 0:
+                clean[p] = c
+        self.group = group
+        self.coeffs = clean
+
+    @classmethod
+    def from_perm(cls, group: PermGroup, p: Perm) -> "GroupAlgebraElement":
+        return cls(group, {p: 1.0})
+
+    @classmethod
+    def zero(cls, group: PermGroup) -> "GroupAlgebraElement":
+        return cls(group, {})
+
+    def _carrier(self, other: "GroupAlgebraElement") -> PermGroup:
+        """Carrier group for a binary operation: the larger of the two.
+
+        The constructor validates that the resulting support fits, so
+        mixing elements of unrelated groups fails loudly.
+        """
+        if self.group is other.group:
+            return self.group
+        if self.group.degree != other.group.degree:
+            raise PreconditionError("degree mismatch between carriers")
+        return self.group if self.group.order >= other.group.order else other.group
+
+    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        carrier = self._carrier(other)
+        out = dict(self.coeffs)
+        for p, c in other.coeffs.items():
+            out[p] = out.get(p, 0.0) + c
+        return GroupAlgebraElement(carrier, out)
+
+    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        carrier = self._carrier(other)
+        out = {}
+        for p, c in self.coeffs.items():
+            for q, d in other.coeffs.items():
+                r = p * q
+                out[r] = out.get(r, 0.0) + c * d
+        return GroupAlgebraElement(carrier, out)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, GroupAlgebraElement)
+                and self.group.degree == other.group.degree
+                and self.coeffs == other.coeffs)
+
+    __hash__ = None
+
+
+def conditional_expectation(x: GroupAlgebraElement,
+                            H: PermGroup) -> GroupAlgebraElement:
+    """Restrict the coefficient function to the subgroup H.
+
+    This is the trace-preserving conditional expectation onto the
+    subalgebra spanned by H.
+    """
+    if H.degree != x.group.degree:
+        raise PreconditionError("subgroup degree does not match the element")
+    return GroupAlgebraElement(H, {p: c for p, c in x.coeffs.items() if p in H})
+
+
+def pimsner_popa_expand(x: GroupAlgebraElement, cosets: CosetData) -> list:
+    """Coefficients E_H(x * u_{g_i}^-1) of x over the coset basis u_{g_i}."""
+    H = cosets.subgroup
+    out = []
+    for rep in cosets.reps:
+        shifted = x * GroupAlgebraElement.from_perm(x.group, rep.inv())
+        out.append(conditional_expectation(shifted, H))
+    return out
+
+
+def pimsner_popa_reassemble(coeffs, cosets: CosetData) -> GroupAlgebraElement:
+    """Sum c_i * u_{g_i}; inverse of pimsner_popa_expand, exactly."""
+    coeffs = list(coeffs)
+    if len(coeffs) != len(cosets.reps):
+        raise PreconditionError(
+            "need one coefficient per coset representative, got %d for %d"
+            % (len(coeffs), len(cosets.reps))
+        )
+    G = cosets.group
+    total = GroupAlgebraElement.zero(G)
+    for c, rep in zip(coeffs, cosets.reps):
+        total = total + c * GroupAlgebraElement.from_perm(G, rep)
+    return total
+
+
+def nested_expectation_entry(cosets, g, i_tuple, j_tuple):
+    """Entry (i_tuple, j_tuple) of the amplified u_g in the group algebra.
+
+    From the last coordinate backwards,
+    y <- E_H(u_{g_{i_l}} * y * u_{g_{j_l}}^-1), starting from y = u_g,
+    with honest group-algebra products.
+    """
+    G = cosets.group
+    H = cosets.subgroup
+    reps = cosets.reps
+    from_perm = GroupAlgebraElement.from_perm
+    y = from_perm(G, g)
+    for l in range(len(i_tuple) - 1, -1, -1):
+        left = from_perm(G, reps[i_tuple[l]])
+        right = from_perm(G, reps[j_tuple[l]].inv())
+        y = conditional_expectation(left * y * right, H)
+    return y
+
+
+def action_on_tuples(g, j_tuple, cosets, k=None):
+    """The image tuple i with amplified-u_g entry (i, j) nonzero.
+
+    Left action of G on index tuples: solving coset membership
+    conditions from the last coordinate backwards gives each i_l
+    uniquely.
+    """
+    j_tuple = tuple(j_tuple)
+    if k is None:
+        k = len(j_tuple)
+    if len(j_tuple) != k:
+        raise PreconditionError("tuple length must equal k")
+    for i in j_tuple:
+        if not 0 <= i < cosets.index:
+            raise PreconditionError(
+                "tuple entry %r outside coset range 0..%d" % (i, cosets.index - 1))
+    if g not in cosets.group:
+        raise PreconditionError("element is outside the ambient group")
+    reps = cosets.reps
+    ginv = g.inv()
+    out = [0] * k
+    suffix_j = cosets.group.identity
+    suffix_i = cosets.group.identity
+    for l in range(k - 1, -1, -1):
+        suffix_j = reps[j_tuple[l]] * suffix_j
+        idx = cosets.coset_index(suffix_j * ginv * suffix_i.inv())
+        out[l] = idx
+        suffix_i = reps[idx] * suffix_i
+    return tuple(out)
 
 
 def sparse_theta(theta, m):

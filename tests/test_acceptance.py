@@ -21,11 +21,6 @@ from sfw.cocycle import (
 from sfw.config import Config
 from sfw.corpus import builtin_cases, case_by_name
 from sfw.errors import CapExceededError, ConstraintError
-from sfw.groupalgebra import (
-    GroupAlgebraElement,
-    pimsner_popa_expand,
-    pimsner_popa_reassemble,
-)
 from sfw.indexarith import (
     VirtualEmbeddingSpec,
     VirtualPart,
@@ -47,14 +42,19 @@ from sfw.standard_invariant import (
     principal_graph,
     relative_commutant_dim,
 )
-from sfw.theta import (
-    ThetaMap,
-    action_on_tuples,
-    induced_theta,
-    nested_theta_entry,
-)
+from sfw.theta import ThetaMap, induced_theta
 from sfw.verify import run_suite
-from oracles import induce, inner_product, restrict, sparse_theta
+from oracles import (
+    GroupAlgebraElement,
+    action_on_tuples,
+    induce,
+    inner_product,
+    nested_expectation_entry,
+    pimsner_popa_expand,
+    pimsner_popa_reassemble,
+    restrict,
+    sparse_theta,
+)
 
 TOL_MULT = 1e-6
 TOL_ORTHO = 1e-9
@@ -105,12 +105,13 @@ def test_criterion_01_theta_consistency():
                 for (i_t, j_t), value in mat.items():
                     assert i_t == action_on_tuples(g, j_t, cosets)
                     assert value.coeffs
-                    assert value == nested_theta_entry(cosets, g, i_t, j_t)
+                    assert value == nested_expectation_entry(cosets, g, i_t,
+                                                             j_t)
                 i_t = theta.tuples[rng.randrange(expected_rows)]
                 j_t = theta.tuples[rng.randrange(expected_rows)]
                 if i_t != action_on_tuples(g, j_t, cosets):
                     assert (i_t, j_t) not in mat
-                    value = nested_theta_entry(cosets, g, i_t, j_t)
+                    value = nested_expectation_entry(cosets, g, i_t, j_t)
                     assert not value.coeffs
     assert time.perf_counter() - started < 30.0
 

@@ -860,26 +860,23 @@ def test_importing_cli_runs_only_cli_config_and_errors():
     (["index", "--case", "s4-s3", "--json"],
      ["chartab", "cocycle", "indexarith", "standard_invariant", "theta",
       "verify"]),
-    # theta and the extension relations are products in the group
-    (["induce", "--case", "s4-d4", "--json"], ["groupalgebra", "verify"]),
-    (["extend", "--case", "a4-v4", "--json"], ["groupalgebra", "verify"]),
-    (["graph", "--case", "s4-s3"],
-     ["cocycle", "groupalgebra", "indexarith", "verify"]),
+    (["induce", "--case", "s4-d4", "--json"], ["verify"]),
+    (["extend", "--case", "a4-v4", "--json"], ["verify"]),
+    (["graph", "--case", "s4-s3"], ["cocycle", "indexarith", "verify"]),
     (["chartab", "--case", "s4-s3"],
-     ["cocycle", "groupalgebra", "indexarith", "standard_invariant",
-      "verify"]),
-    # the commutant oracle multiplies group elements and ranks in integers
-    (["verify", "--suite", "graphs"],
-     ["automorphisms", "cocycle", "groupalgebra"]),
+     ["cocycle", "indexarith", "standard_invariant", "verify"]),
+    (["verify", "--suite", "graphs"], ["automorphisms", "cocycle"]),
     (["verify", "--suite", "cocycles"],
-     ["chartab", "groupalgebra", "standard_invariant", "theta"]),
+     ["chartab", "standard_invariant", "theta"]),
+    (["verify", "--suite", "arithmetic"], ["chartab", "cocycle", "theta"]),
+    (["verify", "--suite", "all"], []),
 ])
 def test_a_subcommand_runs_only_the_modules_it_uses(argv, unused):
     executed, loaded = executed_modules(*argv)
     assert [name for name in unused if executed["sfw." + name]] == []
     # record classes are NamedTuples, which generate no code when their
-    # module runs, and exact rationals are needed only by the arithmetic
-    # suite's local-index combination
+    # module runs, and every count is in integers or group products, so
+    # no command needs exact rationals
     assert sorted(loaded & {"dataclasses", "fractions"}) == []
 
 

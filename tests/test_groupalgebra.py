@@ -8,19 +8,19 @@ import pytest
 
 from sfw.corpus import builtin_cases
 from sfw.errors import PreconditionError
-from sfw.groupalgebra import (
-    GroupAlgebraElement,
-    conditional_expectation,
-    pimsner_popa_expand,
-    pimsner_popa_reassemble,
-)
 from sfw.permgroup import (
     Perm,
     parse_cycle_string,
     right_coset_data,
     symmetric_group,
 )
-from oracles import trace
+from oracles import (
+    GroupAlgebraElement,
+    conditional_expectation,
+    pimsner_popa_expand,
+    pimsner_popa_reassemble,
+    trace,
+)
 
 
 def perm(degree, text):

@@ -8,19 +8,13 @@ stay here, next to the rest of the index arithmetic.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from sfw.config import Config, DEFAULT
 from sfw.corpus import builtin_cases
-from sfw.errors import (
-    ConstraintError,
-    HomomorphismError,
-    PreconditionError,
-    SubgroupError,
-)
+from sfw.errors import ConstraintError, PreconditionError, SubgroupError
 from sfw.indexarith import (
     SpectrumVerdict,
     VirtualEmbeddingSpec,
@@ -28,12 +22,9 @@ from sfw.indexarith import (
     commutant_bound_check,
     index_chain_check,
     jones_spectrum_query,
-    local_index_combine,
     virtual_index,
-    virtual_index_concrete,
 )
 from sfw.permgroup import (
-    Perm,
     alternating_group,
     parse_cycle_string,
     symmetric_group,
@@ -163,64 +154,6 @@ def test_virtual_index_rejects_nonpositive_data():
         VirtualEmbeddingSpec.make(1, [VirtualPart(0, 1, 1)])
     with pytest.raises(PreconditionError):
         VirtualEmbeddingSpec.make(1, [])
-
-
-def test_virtual_index_concrete_identity_embedding():
-    S3 = symmetric_group(3)
-    gamma = {x: x for x in S3.elements}
-    assert virtual_index_concrete(S3, S3, 1, [(1, S3, gamma)]) == 1
-
-
-def test_virtual_index_concrete_subgroup_embedding():
-    # G = H = S4, one part with K = A4 embedded by inclusion: the constraint
-    # forces t = [G:K] = 2 and the result is 2 * [H:K] = 4.
-    S4 = symmetric_group(4)
-    A4 = alternating_group(4)
-    gamma = {x: x for x in A4.elements}
-    assert virtual_index_concrete(S4, S4, 2, [(1, A4, gamma)]) == 4
-    with pytest.raises(ConstraintError):
-        virtual_index_concrete(S4, S4, 1, [(1, A4, gamma)])
-
-
-def test_virtual_index_concrete_validates_the_embedding():
-    S4 = symmetric_group(4)
-    A4 = alternating_group(4)
-    collapse = {x: A4.elements[0] for x in A4.elements}
-    with pytest.raises(HomomorphismError, match="not injective"):
-        virtual_index_concrete(S4, S4, 2, [(1, A4, collapse)])
-    # the inclusion, but two elements of order 3 that are no generators
-    # swapped
-    x, y = [x for x in A4.elements
-            if x.order() == 3 and x not in A4.generators][:2]
-    swapped = {x: x for x in A4.elements}
-    swapped[x], swapped[y] = y, x
-    with pytest.raises(HomomorphismError, match="not a homomorphism"):
-        virtual_index_concrete(S4, S4, 2, [(1, A4, swapped)])
-    # a generator of order 3 sent to a transposition
-    bent = {x: x for x in A4.elements}
-    bent[A4.generators[0]] = perm(4, "(0 1)")
-    with pytest.raises(HomomorphismError, match="not a homomorphism"):
-        virtual_index_concrete(S4, S4, 2, [(1, A4, bent)])
-
-
-# ----------------------------------------------------- combination formulas
-
-
-def test_local_index_combination():
-    assert local_index_combine([(Fraction(1, 2), 2), (Fraction(1, 2), 2)]) == 8.0
-    assert local_index_combine([(Fraction(1, 3), 1), (Fraction(2, 3), 2)]) == 6.0
-    assert local_index_combine([(1, 7)]) == 7.0
-    # Float weights that are exact dyadics follow the same path.
-    assert local_index_combine([(0.5, 2), (0.5, 2)]) == 8.0
-
-
-def test_local_index_combination_validates_weights():
-    with pytest.raises(ConstraintError):
-        local_index_combine([(Fraction(1, 2), 2), (Fraction(1, 3), 2)])
-    with pytest.raises(PreconditionError):
-        local_index_combine([(Fraction(3, 2), 2)])
-    with pytest.raises(PreconditionError):
-        local_index_combine([(Fraction(1, 2), 0.5), (Fraction(1, 2), 2)])
 
 
 def test_index_chain_arithmetic():

@@ -87,12 +87,11 @@ def unreferenced_public_methods() -> list:
                   if name not in (attributes if prop else calls))
 
 
-def importers(module: str, top_level_only: bool = False) -> list:
+def importers(module: str) -> list:
     """The modules of src/sfw with an import statement naming `module`."""
     found = []
     for stem, tree in package_trees():
-        nodes = tree.body if top_level_only else ast.walk(tree)
-        for node in nodes:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -118,10 +117,10 @@ def test_no_module_imports_random():
 
 
 def test_no_module_imports_fractions_at_the_top():
-    # only local_index_combine and the verify case that calls it use
-    # Fraction, and they import it when they run
-    assert importers("fractions", top_level_only=True) == []
-    assert sorted(importers("fractions")) == ["indexarith", "verify"]
+    # no module imports it anywhere: integer counting and group products
+    # leave no exact rationals to compute, and the test-only references
+    # that use Fraction live in tests/oracles.py
+    assert importers("fractions") == []
 
 
 def test_every_public_method_is_referenced_in_the_package():

@@ -399,6 +399,10 @@ def test_homomorphisms_on_one_point_and_on_the_trivial_group():
     assert hom(trivial.generators, [Perm.identity(5)], 1) == {
         trivial.identity: Perm.identity(5)}
     assert hom(trivial.generators, [perm(5, "(0 1)")], 1) is None
+    # a generator of A4 of order 3 sent to a transposition
+    A4 = alternating_group(4)
+    assert hom(A4.generators, [perm(4, "(0 1)"), A4.generators[1]],
+               A4.order) is None
     # the sign of S3, on two points
     S3 = symmetric_group(3)
     sign = hom(S3.generators, [Perm((0, 1)), swap], S3.order)

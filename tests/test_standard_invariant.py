@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfw import groupalgebra, standard_invariant
+from sfw import standard_invariant
 from sfw.chartab import character_table
 from sfw.config import DEFAULT
 from sfw.corpus import builtin_cases, case_by_name
@@ -37,14 +37,15 @@ from sfw.standard_invariant import (
 )
 from sfw.theta import (
     ThetaMap,
-    action_on_tuples,
     induced_theta,
     nested_theta_entry,
     stabilizer_matches_intersection,
     theta_matrix_product,
 )
 from oracles import (
+    action_on_tuples,
     inner_product,
+    nested_expectation_entry,
     permutation_character,
     rational_rank,
     restrict,
@@ -89,14 +90,14 @@ def test_theta_values_by_hand():
     row, w = theta.matrix(g)[theta.tuples.index((1,))]
     assert theta.tuples[row] == (2,)
     assert w == perm(3, "(0 1)")
-    assert vanishes(nested_theta_entry(cosets, g, (0,), (1,)))
+    assert nested_theta_entry(cosets, g, (0,), (1,)) is None
     # Depth two: representative products telescope, the survivor at
     # ((2, 2), (1, 1)) is again (0 1).
     theta = ThetaMap(cosets, 2)
     row, w = theta.matrix(g)[theta.tuples.index((1, 1))]
     assert theta.tuples[row] == (2, 2)
     assert w == perm(3, "(0 1)")
-    assert vanishes(nested_theta_entry(cosets, g, (0, 0), (1, 1)))
+    assert nested_theta_entry(cosets, g, (0, 0), (1, 1)) is None
 
 
 def test_action_identity_and_composition():
@@ -147,7 +148,8 @@ def test_theta_matrix_shape_and_consistency():
                 assert len(mat) == len(tuples)
                 for (i_t, j_t), val in mat.items():
                     assert i_t == action_on_tuples(g, j_t, cosets)
-                    assert val == nested_theta_entry(cosets, g, i_t, j_t)
+                    assert val == nested_expectation_entry(cosets, g, i_t,
+                                                           j_t)
                     assert not vanishes(val)
                 # A sample of off-pattern entries vanish.
                 for _ in range(5):
@@ -155,7 +157,7 @@ def test_theta_matrix_shape_and_consistency():
                     j_t = tuples[rng.randrange(len(tuples))]
                     if i_t != action_on_tuples(g, j_t, cosets):
                         assert (i_t, j_t) not in mat
-                        val = nested_theta_entry(cosets, g, i_t, j_t)
+                        val = nested_expectation_entry(cosets, g, i_t, j_t)
                         assert vanishes(val)
 
 
@@ -164,8 +166,6 @@ def test_theta_production_path_never_reaches_the_nested_route(monkeypatch):
         raise AssertionError("production path reached the nested route")
 
     monkeypatch.setattr("sfw.theta.nested_theta_entry", forbidden)
-    # theta reaches it as groupalgebra.conditional_expectation
-    monkeypatch.setattr(groupalgebra, "conditional_expectation", forbidden)
     for case in builtin_cases():
         G = case.group
         cosets = right_coset_data(G, case.subgroup)
@@ -233,7 +233,7 @@ def test_wreath_form_matches_the_sparse_group_algebra_reference(pair, data):
         theta = ThetaMap(cosets, k)
         mg, mh = theta.matrix(g), theta.matrix(h)
         rows = {j: action_on_tuples(g, j, cosets) for j in theta.tuples}
-        want = {(i, j): nested_theta_entry(cosets, g, i, j)
+        want = {(i, j): nested_expectation_entry(cosets, g, i, j)
                 for j, i in rows.items()}
         assert sparse_theta(theta, mg) == want
         product = sparse_theta(theta, theta_matrix_product(mg, mh))
@@ -271,7 +271,7 @@ def test_theta_matrix_honours_a_raised_k_cap():
     mat = sparse_theta(theta, theta.matrix(g))
     assert len(mat) == 2 ** k
     for (i_t, j_t), val in mat.items():
-        assert val == nested_theta_entry(cosets, g, i_t, j_t)
+        assert val == nested_expectation_entry(cosets, g, i_t, j_t)
 
 
 # ------------------------------------------------- relative commutant sizes
@@ -426,14 +426,15 @@ def path_count_dims(graph, steps):
 def test_commutant_dims_match_graph_path_counts():
     # Walks on the principal graph starting at the base vertex enumerate the
     # tower of relative commutants over the subgroup side; walks on the dual
-    # graph enumerate the tower over the group side.
+    # graph enumerate the tower over the group side.  Both sides are fast
+    # paths, neither is the oracle, so the identity is held up to the
+    # default theta_k_cap: the subgroup tower needs walks of 2k + 1 steps.
+    top = DEFAULT.theta_k_cap
     for case in builtin_cases():
         G, H = case.group, case.subgroup
-        sub_tower = path_count_dims(principal_graph(G, H), 6)
-        grp_tower = path_count_dims(dual_principal_graph(G, H), 6)
-        for k in (1, 2):
-            if not oracle_fits(case, k):
-                continue
+        sub_tower = path_count_dims(principal_graph(G, H), 2 * top + 1)
+        grp_tower = path_count_dims(dual_principal_graph(G, H), 2 * top)
+        for k in range(1, top + 1):
             assert relative_commutant_dim(G, H, H, k, IN_SUBGROUP) == sub_tower[2 * k - 1]
             assert relative_commutant_dim(G, H, H, k, IN_GROUP) == sub_tower[2 * k]
             assert relative_commutant_dim(G, G, H, k, IN_SUBGROUP) == grp_tower[2 * k - 2]

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
+import json
+
 import pytest
 
-from sfw import groupalgebra, theta
-from sfw.corpus import case_by_name
+from sfw import cli, permgroup, theta
+from sfw.config import DEFAULT
+from sfw.corpus import builtin_cases, case_by_name
 from sfw.errors import ParseError, SubgroupError
 from sfw.formats import canonical_json
-from sfw.permgroup import parse_cycle_string
+from sfw.permgroup import CosetData, parse_cycle_string, right_coset_data
 from sfw.verify import SUITES, load_corpus_dir, run_suite
+from oracles import GroupAlgebraElement, nested_expectation_entry
 
 
 def test_every_named_suite_passes_on_the_builtin_corpus():
@@ -111,14 +116,89 @@ def test_theta_entries_catch_a_wrong_label_on_a_generator(monkeypatch):
     assert "theta:s4-s3:k1:entries" in _theta_failures_on_s4_s3()
 
 
-def test_theta_expansion_catches_dropped_imaginary_parts(monkeypatch):
-    real = groupalgebra.pimsner_popa_expand
+def test_theta_expansion_catches_two_reps_in_one_coset(monkeypatch):
+    # the coset of reps[2] loses its representative to the coset of
+    # reps[1], so h * g_i misses one coset and meets another twice
+    case = case_by_name("s4-s3")
+    h = next(x for x in case.subgroup.elements if not x.is_identity())
+    real = permgroup.right_coset_data
 
-    def real_parts(x, cosets):
-        return [groupalgebra.GroupAlgebraElement(
-                    part.group, {g: complex(c.real)
-                                 for g, c in part.coeffs.items()})
-                for part in real(x, cosets)]
+    def doubled(G, H):
+        cosets = real(G, H)
+        reps = cosets.reps
+        return cosets._replace(reps=(reps[:2] + (h * reps[1],) + reps[3:]))
 
-    monkeypatch.setattr(groupalgebra, "pimsner_popa_expand", real_parts)
-    assert "theta:s4-s3:expansion" in _theta_failures_on_s4_s3()
+    monkeypatch.setattr(permgroup, "right_coset_data", doubled)
+    # under this cap only expansion and stabilizers run
+    config = DEFAULT.replace(oracle_cap=case.group.order)
+    report = run_suite("theta", cases=(case,), config=config)
+    assert {c.case_id for c in report.failures} == {
+        "theta:s4-s3:expansion"}
+
+
+def test_theta_stabilizers_catch_a_corrupted_coset_action(monkeypatch):
+    # h is in H, so it fixes the coset H of reps[0]; the corrupted action
+    # moves it to coset 1 and leaves every other point alone
+    case = case_by_name("s4-s3")
+    h = next(x for x in case.subgroup.elements if not x.is_identity())
+    real = CosetData.action
+
+    def action(self, g):
+        moved = real(self, g)
+        return (1,) + moved[1:] if g == h else moved
+
+    monkeypatch.setattr(CosetData, "action", action)
+    assert "theta:s4-s3:stabilizers" in _theta_failures_on_s4_s3()
+
+
+def test_nested_theta_entry_matches_the_group_algebra():
+    # every (g, i, j), on and off the support of the amplified matrices
+    count = 0
+    for case in builtin_cases():
+        G, H = case.group, case.subgroup
+        cosets = right_coset_data(G, H)
+        zero = GroupAlgebraElement.zero(H)
+        for k in (1, 2):
+            tuples = list(itertools.product(range(cosets.index), repeat=k))
+            for g in G.elements:
+                for i in tuples:
+                    for j in tuples:
+                        w = theta.nested_theta_entry(cosets, g, i, j)
+                        want = nested_expectation_entry(cosets, g, i, j)
+                        assert want == (zero if w is None else
+                                        GroupAlgebraElement.from_perm(H, w))
+                        count += 1
+    assert count == 12588
+
+
+def test_a_capped_theta_suite_lists_its_skipped_cases(capsys):
+    # every case appears; the 8 (case, k) pairs over the cap skip their
+    # entries and product cases, and the skips name the cap and its flag
+    argv = ["verify", "--suite", "theta", "--oracle-cap", "50"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("suite=theta cases=36 failures=0 skipped=16 ")
+    skips = [line for line in lines if line.startswith("skip ")]
+    assert len(skips) == 16 and len(lines) == 37
+    assert all(line.endswith("over oracle_cap=50, set by --oracle-cap)")
+               and line.split()[1].split(":")[2] in ("k1", "k2")
+               for line in skips)
+    assert cli.main(argv + ["--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["cases_run"], report["failed"], report["skipped"]) == (
+        36, 0, 16)
+    assert sum(c["skipped"] and not c["ok"] for c in report["cases"]) == 16
+
+
+def test_a_commutants_case_with_every_entry_over_the_cap_is_a_skip():
+    config = DEFAULT.replace(oracle_cap=50)
+    report = run_suite("graphs", config=config)
+    commutants = {c.case_id.split(":")[1]: c for c in report.cases
+                  if c.case_id.endswith(":commutants")}
+    assert not report.failures
+    assert sorted(name for name, c in commutants.items() if c.skipped) == [
+        "a4-v4", "s3-flip", "s4-d4", "s4-s3", "wr2x3-base"]
+    partial = commutants["s3-a3"]
+    assert partial.ok and not partial.skipped
+    assert partial.detail == ("4 tower entries match the oracle, 4 skipped "
+                              "over oracle_cap=50, set by --oracle-cap")
