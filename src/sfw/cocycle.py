@@ -6,13 +6,15 @@ with a G-valued 2-cocycle twisting the multiplication.  This module
 extracts that data from outer automorphisms or from an explicit normal
 inclusion, verifies the cocycle axioms, and checks the twisted crossed
 product relations as identities in the group, where the unitaries u_h
-multiply.  Both sources go through one decomposition of a group over a
-normal subgroup (_decompose): the quotient acting on the coset indices
-by right translation, one lift per quotient element, the product table
-of the cosets and the defects of the lifts.  An extension decomposes
-over its inner automorphisms, which extend the conjugations by the
-generators (permgroup.homomorphism_from_images), and pulls the defects
-back to G.
+multiply.  Each check raises InvariantViolationError at its first
+failure, with the failing point as its witness: on the data this module
+extracts, only a fault of this code can trip one.  Both sources go
+through one decomposition of a group over a normal subgroup
+(_decompose): the quotient acting on the coset indices by right
+translation, one lift per quotient element, the product table of the
+cosets and the defects of the lifts.  An extension decomposes over its
+inner automorphisms, which extend the conjugations by the generators
+(permgroup.homomorphism_from_images), and pulls the defects back to G.
 """
 
 from __future__ import annotations
@@ -68,14 +70,8 @@ class Cocycle2(NamedTuple):
         return self.values[(one, one)] == self.base.identity
 
 
-class CocycleReport(NamedTuple):
-    ok: bool
-    reason: str = ""
-    witness: Optional[tuple] = None
-
-
-def verify_cocycle(c: Cocycle2) -> CocycleReport:
-    """Check the twisted cocycle axioms, reporting the first failure.
+def verify_cocycle(c: Cocycle2) -> None:
+    """Check the twisted cocycle axioms, raising at the first failure.
 
     Axioms: the identity acts trivially, composing two of the
     automorphisms equals conjugation by the cocycle value followed by
@@ -86,34 +82,37 @@ def verify_cocycle(c: Cocycle2) -> CocycleReport:
     B = c.base
     for g in Q.elements:
         if g not in c.alpha:
-            return CocycleReport(False, "missing automorphism", (g,))
+            raise InvariantViolationError("missing automorphism", (g,))
         if not is_automorphism_perm(B, c.alpha[g]):
-            return CocycleReport(False, "value is not an automorphism", (g,))
+            raise InvariantViolationError("value is not an automorphism",
+                                          (g,))
     for g in Q.elements:
         for h in Q.elements:
             if (g, h) not in c.values:
-                return CocycleReport(False, "missing cocycle value", (g, h))
+                raise InvariantViolationError("missing cocycle value",
+                                              (g, h))
             if c.values[(g, h)] not in B:
-                return CocycleReport(False, "cocycle value outside base",
-                                     (g, h))
+                raise InvariantViolationError("cocycle value outside base",
+                                              (g, h))
     one = Q.identity
     if c.alpha[one] != Perm.identity(B.order):
-        return CocycleReport(False, "identity does not act trivially", (one,))
+        raise InvariantViolationError("identity does not act trivially",
+                                      (one,))
     for g in Q.elements:
         for h in Q.elements:
             lhs = c.alpha[g] * c.alpha[h]
             rhs = conjugation_perm(B, c.values[(g, h)]) * c.alpha[g * h]
             if lhs != rhs:
-                return CocycleReport(False, "composition law fails", (g, h))
+                raise InvariantViolationError("composition law fails",
+                                              (g, h))
     for g in Q.elements:
         for h in Q.elements:
             for k in Q.elements:
                 lhs = c.apply_alpha(g, c.values[(h, k)]) * c.values[(g, h * k)]
                 rhs = c.values[(g, h)] * c.values[(g * h, k)]
                 if lhs != rhs:
-                    return CocycleReport(False, "twisted associativity fails",
-                                         (g, h, k))
-    return CocycleReport(True)
+                    raise InvariantViolationError(
+                        "twisted associativity fails", (g, h, k))
 
 
 def _coerce_automorphism(G: PermGroup, item) -> Perm:
@@ -216,12 +215,19 @@ def _inner_embedding(G: PermGroup) -> dict:
 
 def extension_from_out(G: PermGroup, out_auts: Sequence,
                        config: Config = DEFAULT) -> ExtensionResult:
-    """Build the extension of G by the chosen outer automorphisms.
+    """Build the extension of G by the chosen outer automorphisms, checked.
 
     Requires a trivial centre so that G embeds as its own inner
     automorphism group and cocycle values pull back uniquely.  Each
     entry of out_auts is an automorphism given as an element-index
     permutation or as a mapping of group elements.
+
+    The extracted cocycle is verified, and so are the crossed relations:
+    every nonidentity quotient element lifts to an outer automorphism,
+    and the lifts multiply by the cocycle twist and conjugate the
+    embedded base as the outer action prescribes.  As u_a u_b = u_ab,
+    each relation is checked in the extension itself.  The first
+    failure raises InvariantViolationError with its witness.
 
     Two facts follow from the construction.  inner lies in ambient,
     which its generators help generate.  And the cocycle is normalized:
@@ -245,11 +251,24 @@ def extension_from_out(G: PermGroup, out_auts: Sequence,
     base_of = {a: x for x, a in embedding.items()}
     values = {pair: base_of[w] for pair, w in defects.items()}
     cocycle = Cocycle2(G, quotient, values, lifts)
-    report = verify_cocycle(cocycle)
-    if not report.ok:
-        raise InvariantViolationError(
-            "extracted cocycle fails axiom '%s' at %r"
-            % (report.reason, report.witness))
+    verify_cocycle(cocycle)
+    for g in quotient.elements:
+        if g != quotient.identity and lifts[g] in inner:
+            raise InvariantViolationError(
+                "lift of a nonidentity class is inner", (g,))
+    for g1 in quotient.elements:
+        for g2 in quotient.elements:
+            w = embedding[cocycle.value(g1, g2)]
+            if lifts[g1] * lifts[g2] != w * lifts[g1 * g2]:
+                raise InvariantViolationError(
+                    "twisted product relation fails", (g1, g2))
+    for g in quotient.elements:
+        v = lifts[g]
+        for s in G.generators:
+            image = cocycle.apply_alpha(g, s)
+            if v * embedding[s] * v.inv() != embedding[image]:
+                raise InvariantViolationError(
+                    "conjugation relation fails", (g, s))
     return ExtensionResult(G, ambient, inner, embedding, quotient,
                            lifts, cocycle, quotient.order)
 
@@ -257,13 +276,16 @@ def extension_from_out(G: PermGroup, out_auts: Sequence,
 # ---------------------------------------------------------------------------
 # crossed product decomposition of a group over a normal subgroup
 
-class CrossedProductReport(NamedTuple):
-    ok: bool
-    reason: str = ""
-    witness: Optional[tuple] = None
-    quotient_order: int = 0
-    cocycle: Optional[Cocycle2] = None
-    middle_indices: Tuple[int, ...] = ()
+class CrossedProduct(NamedTuple):
+    """The decomposition of G over K that crossed_product_check verified.
+
+    middle_indices are the coset indices whose representatives lie in
+    the middle group.
+    """
+
+    quotient_order: int
+    cocycle: Cocycle2
+    middle_indices: Tuple[int, ...]
 
 
 def _check_normal(G: PermGroup, K: PermGroup) -> None:
@@ -313,7 +335,7 @@ def _crossed_product_data(G: PermGroup, K: PermGroup, H_mid: PermGroup,
 
 def crossed_product_check(G: PermGroup, K: PermGroup,
                           H_mid: Optional[PermGroup] = None,
-                          config: Config = DEFAULT) -> CrossedProductReport:
+                          config: Config = DEFAULT) -> CrossedProduct:
     """Decompose G as a twisted crossed product of K by G/K and verify.
 
     K must be normal in G; H_mid, when given, must sit between them,
@@ -321,7 +343,9 @@ def crossed_product_check(G: PermGroup, K: PermGroup,
     different representative choices, two things are checked: the
     cocycle axioms, and the multiplication law (a r_i)(b r_j) =
     a alpha_i(b) w(i,j) r_ij for all a, b in K and all i, j, where r_ij
-    is the representative of the coset of r_i r_j.
+    is the representative of the coset of r_i r_j.  The first failure
+    raises InvariantViolationError with its witness; on success the
+    decomposition by the second choice is returned.
 
     The rest follows from the construction.  The a r_i with a in K are
     the elements of G once each: with_reps takes one r_i per coset of
@@ -348,14 +372,10 @@ def crossed_product_check(G: PermGroup, K: PermGroup,
         H_mid = K
     if not (K.is_subgroup_of(H_mid) and H_mid.is_subgroup_of(G)):
         raise SubgroupError("middle group must sit between the two")
-    last = None
     for rule in ("min", "max"):
         reps, table, qperms, cocycle, middle = \
             _crossed_product_data(G, K, H_mid, rule, config)
-        report = verify_cocycle(cocycle)
-        if not report.ok:
-            return CrossedProductReport(False, report.reason, report.witness,
-                                        len(reps), cocycle, middle)
+        verify_cocycle(cocycle)
         one = K.identity
         points = [(i, j, one) for i in range(len(reps))
                   for j in range(len(reps))]
@@ -367,64 +387,6 @@ def crossed_product_check(G: PermGroup, K: PermGroup,
             lhs = reps[i] * (b * reps[j])
             tw = cocycle.apply_alpha(gi, b) * cocycle.value(gi, qperms[j])
             if lhs != tw * reps[table[i][j]]:
-                return CrossedProductReport(
-                    False, "multiplication law fails", (i, one, j, b),
-                    len(reps), cocycle, middle)
-        last = CrossedProductReport(True, "", None, len(reps), cocycle,
-                                    middle)
-    return last
-
-
-# ---------------------------------------------------------------------------
-# crossed relations between the lifts, as identities in the extension
-
-class SubfactorExtensionReport(NamedTuple):
-    ok: bool
-    index: int
-    outer_count: int
-    relation_pairs: int
-    reason: str = ""
-    witness: Optional[tuple] = None
-
-
-def subfactor_report_from_out(G: PermGroup, out_auts: Sequence,
-                              config: Config = DEFAULT):
-    """Extend G by outer automorphisms and check the crossed relations.
-
-    Verifies that every nonidentity quotient element lifts to an outer
-    automorphism and that the lifts multiply by the cocycle twist and
-    conjugate the embedded base like the outer action prescribes.  As
-    u_a u_b = u_ab, each relation is checked in the extension itself.
-    """
-    result = extension_from_out(G, out_auts, config)
-    Q = result.quotient
-    outer_count = 0
-    for g in Q.elements:
-        if g == Q.identity:
-            continue
-        if result.lifts[g] in result.inner:
-            return result, SubfactorExtensionReport(
-                False, result.index, outer_count, 0,
-                "lift of a nonidentity class is inner", (g,))
-        outer_count += 1
-    lifts, embedding = result.lifts, result.embedding
-    pairs = 0
-    for g1 in Q.elements:
-        for g2 in Q.elements:
-            w = embedding[result.cocycle.value(g1, g2)]
-            if lifts[g1] * lifts[g2] != w * lifts[g1 * g2]:
-                return result, SubfactorExtensionReport(
-                    False, result.index, outer_count, pairs,
-                    "twisted product relation fails", (g1, g2))
-            pairs += 1
-    for g in Q.elements:
-        v = lifts[g]
-        for s in G.generators:
-            image = result.cocycle.apply_alpha(g, s)
-            if v * embedding[s] * v.inv() != embedding[image]:
-                return result, SubfactorExtensionReport(
-                    False, result.index, outer_count, pairs,
-                    "conjugation relation fails", (g, s))
-            pairs += 1
-    return result, SubfactorExtensionReport(True, result.index, outer_count,
-                                            pairs)
+                raise InvariantViolationError("multiplication law fails",
+                                              (i, one, j, b))
+    return CrossedProduct(len(reps), cocycle, middle)

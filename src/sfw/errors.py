@@ -2,11 +2,13 @@
 
 Each class carries the CLI exit code it maps onto: ParseError 2,
 PreconditionError and its subclasses 3, CapExceededError 4, and every
-other SfwError 1.  Verification failures are data (reports), not
-exceptions, and also exit 1.  InvariantViolationError signals a broken
-internal consistency check and is never expected to fire; the exact
-checks of a character table (orthogonality mod p, the squared degrees,
-the eigenvalue multiplicities) raise it.
+other SfwError 1.  Every check raises at its first failure; none
+returns a verdict.  InvariantViolationError signals a broken internal
+consistency check and is never expected to fire; the exact checks of a
+character table (orthogonality mod p, the squared degrees, the
+eigenvalue multiplicities) raise it, and so do the cocycle,
+crossed-product and wreath-like checks, with the failing point as its
+witness.
 """
 
 
@@ -57,4 +59,14 @@ class CapExceededError(SfwError):
 
 
 class InvariantViolationError(SfwError):
-    """Internal cross-check failed.  Indicates a bug, not bad input."""
+    """Internal cross-check failed.  Indicates a bug, not bad input.
+
+    witness, when given, is the point where the check failed; the
+    message ends with it.
+    """
+
+    def __init__(self, message: str, witness=None):
+        if witness is not None:
+            message = "%s at %r" % (message, witness)
+        super().__init__(message)
+        self.witness = witness

@@ -36,34 +36,18 @@ def _first_stop(x: float, tol: float) -> int:
     """First n >= 3 whose discrete point lies within tol of x or above x + tol.
 
     The points increase with n, so the condition turns true once and
-    stays true.  It is false for points below y = x - tol, and the
-    closed form n(y) = pi / arccos(sqrt(y) / 2), evaluated as
-    pi / arcsin(sqrt(4 - y) / 2) to keep its precision near 4, guesses
-    the first n with a point of at least y.  The guess is bracketed by
-    doubling steps and bisected against the float points themselves:
-    close to 4 a run of millions of n shares one float point, so the
-    rounded points can put the answer far from the exact guess.
+    stays true: doubling brackets the first such n, and bisection finds
+    it.  The caller keeps x + tol below 4, the limit of the points, so
+    the doubling ends.
     """
     def stops(n: int) -> bool:
         point = _discrete_point(n)
         return abs(x - point) <= tol or point > x + tol
 
-    y = x - tol
-    guess = 3
-    if y > 1.0:
-        root = math.sqrt(4.0 - y) / 2.0
-        guess = max(3, math.ceil(math.pi / math.asin(root)))
-    # bracket lo < n <= hi, with lo = 2 standing for "before the first point"
-    step = 1
-    if stops(guess):
-        lo, hi = guess - 1, guess
-        while lo >= 3 and stops(lo):
-            lo, hi, step = lo - step, lo, 2 * step
-        lo = max(lo, 2)
-    else:
-        lo, hi = guess, guess + 1
-        while not stops(hi):
-            lo, hi, step = hi, hi + step, 2 * step
+    # lo < n <= hi, with lo = 2 standing for "before the first point"
+    lo, hi = 2, 3
+    while not stops(hi):
+        lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if stops(mid):

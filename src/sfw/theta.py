@@ -42,7 +42,8 @@ class ThetaMap:
         self._prod = {}
         self._prod_inv = {}
         # the cosets of a tuple's suffix products, last one first, fix
-        # the tuple; matrix looks its rows up by them
+        # the tuple; matrix looks its rows up by them, and finds one for
+        # every tuple of cosets once the t^k of them are distinct
         self._suffix_cosets = []
         self._by_suffix_cosets = {}
         for position, tu in enumerate(self.tuples):
@@ -56,6 +57,10 @@ class ThetaMap:
             self._prod_inv[tu] = p.inv()
             self._suffix_cosets.append(suffix_cosets)
             self._by_suffix_cosets[suffix_cosets] = position
+        if len(self._by_suffix_cosets) != len(self.tuples):
+            raise InvariantViolationError(
+                "two index tuples share their suffix cosets, so the "
+                "representatives do not lie in distinct cosets")
 
     def rep_product(self, tu) -> Perm:
         return self._prod[tuple(tu)]

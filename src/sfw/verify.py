@@ -2,7 +2,10 @@
 
 Each suite runs a list of named cases and reports per-case outcomes;
 a case failure is recorded, not raised, so one bad inclusion does not
-hide the rest.  Precondition and parse errors from malformed custom
+hide the rest.  A case fails by raising AssertionError or any SfwError:
+the cocycle, crossed-product, extension and wreath-like checks raise
+InvariantViolationError themselves, and the case records its message
+with the witness.  Precondition and parse errors from malformed custom
 corpora still propagate.
 
 The suites hold the fast paths against the exact references kept for
@@ -142,15 +145,15 @@ def _suite_theta(cases, config: Config) -> list:
                     rec.skip("theta:%s:k%d:%s" % (case.name, k, check),
                              reason)
                 continue
-            amplified = theta.ThetaMap(cosets, k, config)
 
-            def entries(amplified=amplified, G=G, cosets=cosets):
+            def entries(k=k, G=G, cosets=cosets):
                 """The matrices against nested expectations on e and gens.
 
                 Both are homomorphisms, the matrices by the product case
                 and the reference by construction, and two homomorphisms
                 that agree on generators agree on every product of them.
                 """
+                amplified = theta.ThetaMap(cosets, k, config)
                 count = 0
                 for g in (G.identity,) + tuple(G.generators):
                     m = amplified.matrix(g)
@@ -165,7 +168,7 @@ def _suite_theta(cases, config: Config) -> list:
 
             rec.run("theta:%s:k%d:entries" % (case.name, k), entries)
 
-            def product(amplified=amplified, G=G, H=H):
+            def product(k=k, G=G, H=H, cosets=cosets):
                 """theta(e) = 1 and theta(g s) = theta(g) theta(s) on G x gens.
 
                 Every h in G is a word s_1 ... s_m in the generators
@@ -173,6 +176,7 @@ def _suite_theta(cases, config: Config) -> list:
                 m gives theta(g h) = theta(g s_1 ... s_(m-1)) theta(s_m)
                 = theta(g) theta(h), with theta(e) = 1 for m = 0.
                 """
+                amplified = theta.ThetaMap(cosets, k, config)
                 mats = {g: amplified.matrix(g) for g in G.elements}
                 one = tuple(enumerate([H.identity] * len(amplified.tuples)))
                 if mats[G.identity] != one:
@@ -338,11 +342,8 @@ def _suite_cocycles(cases, config: Config) -> list:
     for name, G, K, mid in _normal_triples(cases, config):
 
         def crossed(G=G, K=K, mid=mid):
-            report = cocycle.crossed_product_check(G, K, mid, config)
-            if not report.ok:
-                raise AssertionError("%s at %r"
-                                     % (report.reason, report.witness))
-            return "quotient order %d" % report.quotient_order
+            decomposition = cocycle.crossed_product_check(G, K, mid, config)
+            return "quotient order %d" % decomposition.quotient_order
 
         rec.run("cocycles:%s" % name, crossed)
     return rec.results
@@ -364,9 +365,7 @@ def _suite_extensions(cases, config: Config) -> list:
     def a4_out(config=config):
         t = permgroup.parse_cycle_string(4, "(0 1)")
         out = {x: t * x * t.inv() for x in A4.elements}
-        result, report = cocycle.subfactor_report_from_out(A4, [out], config)
-        if not report.ok:
-            raise AssertionError("%s at %r" % (report.reason, report.witness))
+        result = cocycle.extension_from_out(A4, [out], config)
         hist = dict(result.fingerprint())
         if hist != {1: 1, 2: 9, 3: 8, 4: 6}:
             raise AssertionError("unexpected extension fingerprint %r" % hist)
@@ -376,9 +375,7 @@ def _suite_extensions(cases, config: Config) -> list:
     rec.run("extensions:a4-out", a4_out)
 
     def s3_trivial_out(config=config):
-        result, report = cocycle.subfactor_report_from_out(S3, [], config)
-        if not report.ok:
-            raise AssertionError(report.reason)
+        result = cocycle.extension_from_out(S3, [], config)
         if result.index != 1:
             raise AssertionError("empty outer data must give index 1")
         return ""
@@ -388,10 +385,7 @@ def _suite_extensions(cases, config: Config) -> list:
     def s3xs3_swap(config=config):
         swap = permgroup.parse_cycle_string(6, "(0 3)(1 4)(2 5)")
         out = {x: swap * x * swap.inv() for x in S3xS3.elements}
-        result, report = cocycle.subfactor_report_from_out(S3xS3, [out],
-                                                           config)
-        if not report.ok:
-            raise AssertionError("%s at %r" % (report.reason, report.witness))
+        result = cocycle.extension_from_out(S3xS3, [out], config)
         if result.index != 2 or result.ambient.order != 72:
             raise AssertionError("swap extension has the wrong size")
         return "index %d" % result.index
@@ -399,10 +393,8 @@ def _suite_extensions(cases, config: Config) -> list:
     rec.run("extensions:s3xs3-swap", s3xs3_swap)
 
     def wreath_like(wr=wr):
-        report = wreath.verify_wreath_like(wr.group, wr.base_copies, wr.kappa,
-                                    wr.acting, wr.action)
-        if not report.ok:
-            raise AssertionError("%s at %r" % (report.reason, report.witness))
+        wreath.verify_wreath_like(wr.group, wr.base_copies, wr.kappa,
+                                  wr.acting, wr.action)
         return "C2 wr C3, order %d, %d copies" % (wr.group.order,
                                                   len(wr.base_copies))
 

@@ -2,7 +2,8 @@
 
 wreath_product realizes A wr B on blocks of points along an action
 table of B, and verify_wreath_like checks the defining properties of a
-decomposition into base copies and a quotient map.  Only the
+decomposition into base copies, a quotient map and an action table,
+raising InvariantViolationError at the first that fails.  Only the
 `wr2x3-base` case and the extensions verify suite reach this module.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .config import Config, DEFAULT
-from .errors import InvalidActionError
+from .errors import InvalidActionError, InvariantViolationError
 from .permgroup import Perm, PermGroup, homomorphism_from_images
 
 
@@ -102,69 +103,56 @@ def wreath_product(A: PermGroup, B: PermGroup,
     return WreathData(G, A, copies, B, dict(action), kappa)
 
 
-class WreathReport(NamedTuple):
-    ok: bool
-    reason: str = ""
-    witness: tuple = ()
-
-
 def verify_wreath_like(G: PermGroup, copies: Sequence[PermGroup],
                        kappa: Mapping[Perm, Perm], B: PermGroup,
-                       action: Optional[Mapping[Perm, tuple]] = None) -> WreathReport:
+                       action: Mapping[Perm, tuple]) -> None:
     """Check the defining properties of a wreath-like decomposition.
 
     kappa must be a surjective homomorphism G -> B whose kernel is the
     internal direct sum of the copies, and conjugation must permute the
-    copies according to the action of kappa(g) on the index set.
+    copies according to the action of kappa(g) on the index set.  The
+    first property that fails raises InvariantViolationError.
     """
     copies = tuple(copies)
     n = len(copies)
-    if action is None:
-        if n == 1:
-            action = {b: (0,) for b in B.elements}
-        elif B.degree == n:
-            action = natural_action(B)
-        else:
-            raise InvalidActionError(
-                "no action given and the acting group degree does not match "
-                "the number of copies")
     try:
         verify_action_table(B, action, n)
     except InvalidActionError as exc:
-        return WreathReport(False, "bad action table: %s" % exc)
+        raise InvariantViolationError("bad action table: %s" % exc) from None
     if set(kappa) != set(G.elements):
-        return WreathReport(False, "kappa is not a total map on the group")
+        raise InvariantViolationError("kappa is not a total map on the group")
     phi = homomorphism_from_images(
         G.generators, [kappa[s] for s in G.generators], G.order)
     if phi is None:
-        return WreathReport(False, "kappa is not a homomorphism")
+        raise InvariantViolationError("kappa is not a homomorphism")
     for g in sorted(G.elements, key=Perm.sort_key):
         if phi[g] != kappa[g]:
-            return WreathReport(False, "kappa is not a homomorphism", (g,))
+            raise InvariantViolationError("kappa is not a homomorphism", (g,))
     if {kappa[g] for g in G.elements} != set(B.elements):
-        return WreathReport(False, "kappa is not surjective")
+        raise InvariantViolationError("kappa is not surjective")
     for A in copies:
         if not A.is_subgroup_of(G):
-            return WreathReport(False, "copy is not a subgroup")
+            raise InvariantViolationError("copy is not a subgroup")
     gen_union = [g for A in copies for g in A.generators]
     D = PermGroup(G.degree, gen_union, Config(order_cap=G.order + 1))
     kernel = sorted(g for g in G.elements if kappa[g].is_identity())
     if list(D.elements) != kernel:
-        return WreathReport(False, "kernel of kappa differs from the span of the copies")
+        raise InvariantViolationError(
+            "kernel of kappa differs from the span of the copies")
     prod_order = 1
     for A in copies:
         prod_order *= A.order
     if prod_order != D.order:
-        return WreathReport(False,
-                            "copies are not in direct sum: orders %d vs %d"
-                            % (prod_order, D.order))
+        raise InvariantViolationError(
+            "copies are not in direct sum: orders %d vs %d"
+            % (prod_order, D.order))
     for a, A in enumerate(copies):
         for b in range(a + 1, n):
             for x in A.generators:
                 for y in copies[b].generators:
                     if x * y != y * x:
-                        return WreathReport(False, "copies do not commute",
-                                            (x, y))
+                        raise InvariantViolationError(
+                            "copies do not commute", (x, y))
     elem_sets = [set(A.elements) for A in copies]
     for g in G.generators:
         ginv = g.inv()
@@ -172,7 +160,5 @@ def verify_wreath_like(G: PermGroup, copies: Sequence[PermGroup],
         for i in range(n):
             conj = {g * x * ginv for x in copies[i].elements}
             if conj != elem_sets[img[i]]:
-                return WreathReport(
-                    False, "conjugation does not permute copies per kappa",
-                    (g, i))
-    return WreathReport(True)
+                raise InvariantViolationError(
+                    "conjugation does not permute copies per kappa", (g, i))

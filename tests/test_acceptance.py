@@ -15,7 +15,7 @@ import pytest
 from sfw.chartab import character_table
 from sfw.cocycle import (
     crossed_product_check,
-    subfactor_report_from_out,
+    extension_from_out,
     verify_cocycle,
 )
 from sfw.config import Config
@@ -173,27 +173,24 @@ def test_criterion_05_extension():
     A4 = alternating_group(4)
     t = perm(4, "(0 1)")
     out = {x: t * x * t.inv() for x in A4.elements}
-    result, report = subfactor_report_from_out(A4, [out])
-    assert report.ok, report.reason
+    result = extension_from_out(A4, [out])
     assert result.ambient.order == 24
     assert result.index == 2
     assert result.quotient.order == 2
     assert result.fingerprint() == {1: 1, 2: 9, 3: 8, 4: 6}
-    assert report.outer_count == 1
-    assert verify_cocycle(result.cocycle).ok
-    crossed = crossed_product_check(result.ambient, result.inner)
-    assert crossed.ok, crossed.reason
+    assert sum(lift not in result.inner
+               for lift in result.lifts.values()) == 1
+    verify_cocycle(result.cocycle)
+    crossed_product_check(result.ambient, result.inner)
 
 
 @criterion(6, "crossed product decomposition")
 def test_criterion_06_crossed_products():
     s3 = case_by_name("s3-a3")
     assert s3.group.order ** 2 == 36
-    report = crossed_product_check(s3.group, s3.subgroup, s3.subgroup)
-    assert report.ok, report.reason
+    crossed_product_check(s3.group, s3.subgroup, s3.subgroup)
     wr = case_by_name("wr2x3-base")
-    report = crossed_product_check(wr.group, wr.subgroup, wr.subgroup)
-    assert report.ok, report.reason
+    crossed_product_check(wr.group, wr.subgroup, wr.subgroup)
 
 
 @criterion(7, "index arithmetic")

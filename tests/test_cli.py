@@ -239,6 +239,20 @@ def test_extend_command(capsys):
     assert obj["relations_ok"] is True
 
 
+def test_a_failed_extend_relation_is_an_error(capsys, monkeypatch):
+    # a wrong cocycle value breaks the twisted product relation; the
+    # cocycle axioms read the values table, not Cocycle2.value
+    from sfw.cocycle import Cocycle2
+
+    monkeypatch.setattr(Cocycle2, "value",
+                        lambda self, g1, g2: self.base.generators[0])
+    rc = cli.main(["extend", "--case", "a4-v4", "--json"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "twisted product relation fails at" in captured.err
+
+
 def test_induce_command(capsys):
     rc, out = run(capsys, ["induce", "--case", "s3-a3", "--element", "(0 1)", "--json"])
     assert rc == 0

@@ -11,7 +11,6 @@ from sfw.cocycle import (
     _crossed_product_data,
     crossed_product_check,
     extension_from_out,
-    subfactor_report_from_out,
     verify_cocycle,
 )
 from sfw.config import DEFAULT
@@ -59,8 +58,7 @@ def test_a4_extension_has_order_24_and_index_2():
 
 def test_a4_extension_cocycle_is_verified_and_normalized():
     _, res = a4_extension()
-    report = verify_cocycle(res.cocycle)
-    assert report.ok, report.reason
+    verify_cocycle(res.cocycle)
     assert res.cocycle.is_normalized()
     identity = res.quotient.elements[0]
     trivial_action = Perm(tuple(range(res.base.order)))
@@ -71,22 +69,15 @@ def test_a4_subfactor_report():
     A4 = alternating_group(4)
     t = perm(4, "(0 1)")
     out = {x: t * x * t.inv() for x in A4.elements}
-    res, report = subfactor_report_from_out(A4, [out])
-    assert report.ok, report.reason
-    assert report.index == 2
-    assert report.outer_count == 1
-    expected_pairs = res.quotient.order ** 2 + res.quotient.order * len(
-        A4.generators
-    )
-    assert report.relation_pairs == expected_pairs
-    crossed = crossed_product_check(res.ambient, res.inner)
-    assert crossed.ok, crossed.reason
+    res = extension_from_out(A4, [out])
+    assert res.index == 2
+    assert sum(lift not in res.inner for lift in res.lifts.values()) == 1
+    crossed_product_check(res.ambient, res.inner)
 
 
 def test_empty_outer_data_gives_a_trivial_extension():
     S3 = symmetric_group(3)
-    res, report = subfactor_report_from_out(S3, [])
-    assert report.ok
+    res = extension_from_out(S3, [])
     assert res.index == 1
     assert res.ambient.order == 6
 
@@ -97,8 +88,7 @@ def test_s3_times_s3_with_swap():
     assert G.order == 36
     swap = perm(6, "(0 3)(1 4)(2 5)")
     out = {x: swap * x * swap.inv() for x in G.elements}
-    res, report = subfactor_report_from_out(G, [out])
-    assert report.ok, report.reason
+    res = extension_from_out(G, [out])
     assert res.index == 2
     assert res.ambient.order == 72
 
@@ -141,11 +131,12 @@ def test_bad_identity_lift_is_detected_deterministically():
     alpha = dict(res.cocycle.alpha)
     alpha[identity] = other_inner
     broken = Cocycle2(res.base, res.quotient, res.cocycle.values, alpha)
-    r1 = verify_cocycle(broken)
-    assert not r1.ok
-    assert r1.reason == "identity does not act trivially"
-    r2 = verify_cocycle(broken)
-    assert r2.witness == r1.witness
+    with pytest.raises(InvariantViolationError,
+                       match="identity does not act trivially") as r1:
+        verify_cocycle(broken)
+    with pytest.raises(InvariantViolationError) as r2:
+        verify_cocycle(broken)
+    assert r2.value.witness == r1.value.witness
 
 
 def test_tampered_cocycle_fails_an_axiom():
@@ -157,10 +148,9 @@ def test_tampered_cocycle_fails_an_axiom():
     tampered = type(res.cocycle)(
         res.cocycle.base, res.cocycle.quotient, values, res.cocycle.alpha
     )
-    report = verify_cocycle(tampered)
-    assert not report.ok
-    assert report.reason
-    assert report.witness is not None
+    with pytest.raises(InvariantViolationError) as excinfo:
+        verify_cocycle(tampered)
+    assert excinfo.value.witness is not None
 
 
 # ---------------------------------------------------------- crossed products
@@ -169,29 +159,24 @@ def test_tampered_cocycle_fails_an_axiom():
 def test_crossed_product_over_the_normal_core():
     S3 = symmetric_group(3)
     A3 = S3.subgroup([perm(3, "(0 1 2)")])
-    report = crossed_product_check(S3, A3, A3)
-    assert report.ok, report.reason
-    assert report.quotient_order == 2
-    inner = verify_cocycle(report.cocycle)
-    assert inner.ok, inner.reason
+    crossed = crossed_product_check(S3, A3, A3)
+    assert crossed.quotient_order == 2
+    verify_cocycle(crossed.cocycle)
 
 
 def test_crossed_product_with_an_intermediate_subgroup():
     S4 = symmetric_group(4)
     V4 = S4.subgroup([perm(4, "(0 1)(2 3)"), perm(4, "(0 2)(1 3)")])
     A4 = alternating_group(4)
-    report = crossed_product_check(S4, V4, A4)
-    assert report.ok, report.reason
-    assert report.quotient_order == 6
-    assert report.middle_indices == (0, 1, 2)
+    crossed = crossed_product_check(S4, V4, A4)
+    assert crossed.quotient_order == 6
+    assert crossed.middle_indices == (0, 1, 2)
 
 
 def test_crossed_product_of_a4_over_v4():
     A4 = alternating_group(4)
     V4 = A4.subgroup([perm(4, "(0 1)(2 3)"), perm(4, "(0 2)(1 3)")])
-    report = crossed_product_check(A4, V4)
-    assert report.ok, report.reason
-    assert report.quotient_order == 3
+    assert crossed_product_check(A4, V4).quotient_order == 3
 
 
 def test_crossed_product_sees_a_nonsplit_extension():
@@ -200,11 +185,10 @@ def test_crossed_product_sees_a_nonsplit_extension():
     # the subgroup, so the cocycle cannot be constantly trivial.
     C4 = cyclic_group(4)
     half = C4.subgroup([perm(4, "(0 2)(1 3)")])
-    report = crossed_product_check(C4, half)
-    assert report.ok, report.reason
-    assert report.quotient_order == 2
+    crossed = crossed_product_check(C4, half)
+    assert crossed.quotient_order == 2
     identity = C4.elements[0]
-    nontrivial = [v for v in report.cocycle.values.values() if v != identity]
+    nontrivial = [v for v in crossed.cocycle.values.values() if v != identity]
     assert len(nontrivial) == 1
     assert nontrivial[0] == perm(4, "(0 2)(1 3)")
 
@@ -314,7 +298,7 @@ def normal_triples(draw):
 @given(normal_triples())
 def test_crossed_product_bases_and_middle_indices_on_random_groups(triple):
     G, K, H_mid = triple
-    assert crossed_product_check(G, K, H_mid).ok
+    crossed_product_check(G, K, H_mid)
     for rule in ("min", "max"):
         reps, table, elements, crossed, middle = _crossed_product_data(
             G, K, H_mid, rule, DEFAULT)
@@ -353,10 +337,10 @@ def test_a_lift_moved_inside_its_coset_breaks_the_multiplication_law(
         return reps, table, elements, crossed, middle
 
     monkeypatch.setattr(cocycle, "_crossed_product_data", moved_lift)
-    report = crossed_product_check(A4, V4)
-    assert not report.ok
-    assert report.reason == "multiplication law fails"
-    i, a, j, b = report.witness
+    with pytest.raises(InvariantViolationError,
+                       match="multiplication law fails") as excinfo:
+        crossed_product_check(A4, V4)
+    i, a, j, b = excinfo.value.witness
     assert a in V4 and b in V4 and 1 in (i, j)
 
 
@@ -376,10 +360,10 @@ def test_a_trivial_action_breaks_the_multiplication_law(monkeypatch):
         return reps, table, elements, crossed, middle
 
     monkeypatch.setattr(cocycle, "_crossed_product_data", trivial_action)
-    report = crossed_product_check(S3, A3)
-    assert not report.ok
-    assert report.reason == "multiplication law fails"
-    i, a, j, b = report.witness
+    with pytest.raises(InvariantViolationError,
+                       match="multiplication law fails") as excinfo:
+        crossed_product_check(S3, A3)
+    i, a, j, b = excinfo.value.witness
     assert a in A3 and b in A3 and b != A3.identity
 
 

@@ -12,7 +12,8 @@ as __main__, and an import by name would run it again.  Finally, no
 module imports dataclasses, and only verify imports fractions at the
 top: each costs every command that runs the module its start-up time.
 And only permgroup reads the coset labels `coset_of`; every other module
-moves cosets by CosetData.action.
+moves cosets by CosetData.action.  Every check raises at its first
+failure, so no class outside verify's outcome records has an `ok`.
 """
 
 from __future__ import annotations
@@ -191,6 +192,28 @@ def test_no_module_imports_cli():
         assert "cli" in imported_modules("commands.index", ast.parse(text))
     assert "cli" not in imported_modules(
         "commands.index", ast.parse("from . import cli"))
+
+
+def test_checks_raise_instead_of_returning_verdicts():
+    # a check raises at its first failure; only verify's records, which
+    # collect the outcomes of many checks, carry an `ok`
+    verdicts = []
+    for stem, tree in package_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, ast.AnnAssign):
+                    names = [getattr(item.target, "id", None)]
+                elif isinstance(item, ast.Assign):
+                    names = [getattr(t, "id", None) for t in item.targets]
+                else:
+                    continue
+                if "ok" in names:
+                    verdicts.append("%s.%s" % (stem, node.name))
+    assert sorted(verdicts) == ["verify.CaseResult", "verify.VerifyReport"]
 
 
 def reads_attribute(tree, attribute: str) -> bool:

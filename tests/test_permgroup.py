@@ -681,8 +681,7 @@ def test_wreath_z2_z3():
     base_gens = [g for A_i in data.base_copies for g in A_i.generators]
     base = G.subgroup(base_gens)
     assert base.order == 8
-    report = verify_wreath_like(G, data.base_copies, data.kappa, B, data.action)
-    assert report.ok, report.reason
+    verify_wreath_like(G, data.base_copies, data.kappa, B, data.action)
 
 
 def test_wreath_z2_z2_is_dihedral():
@@ -704,10 +703,9 @@ def test_verify_wreath_like_detects_bad_labeling():
     data = wreath_product(cyclic_group(2), cyclic_group(3))
     # swap two copies without adjusting kappa: conjugation condition breaks
     bad_copies = (data.base_copies[1], data.base_copies[0], data.base_copies[2])
-    report = verify_wreath_like(data.group, bad_copies, data.kappa,
-                                data.acting, data.action)
-    assert not report.ok
-    assert "conjugation" in report.reason
+    with pytest.raises(InvariantViolationError, match="conjugation"):
+        verify_wreath_like(data.group, bad_copies, data.kappa,
+                           data.acting, data.action)
 
 
 def test_an_action_table_off_a_homomorphism_is_rejected():
@@ -736,13 +734,17 @@ def test_verify_wreath_like_detects_a_kappa_off_a_homomorphism():
              and data.kappa[g].is_identity())
     kappa = dict(data.kappa)
     kappa[g] = turn
-    report = verify_wreath_like(G, data.base_copies, kappa, B, data.action)
-    assert report == (False, "kappa is not a homomorphism", (g,))
+    with pytest.raises(InvariantViolationError,
+                       match="kappa is not a homomorphism") as excinfo:
+        verify_wreath_like(G, data.base_copies, kappa, B, data.action)
+    assert excinfo.value.witness == (g,)
     # a base generator of order 2 sent to the 3-cycle
     kappa = dict(data.kappa)
     kappa[G.generators[0]] = turn
-    report = verify_wreath_like(G, data.base_copies, kappa, B, data.action)
-    assert report == (False, "kappa is not a homomorphism", ())
+    with pytest.raises(InvariantViolationError,
+                       match="kappa is not a homomorphism") as excinfo:
+        verify_wreath_like(G, data.base_copies, kappa, B, data.action)
+    assert excinfo.value.witness is None
 
 
 def test_verify_wreath_like_single_copy():
@@ -763,8 +765,7 @@ def test_verify_wreath_like_single_copy():
 
     kappa = {g: Perm([pairing_index(g, i) for i in range(3)])
              for g in G.elements}
-    report = verify_wreath_like(G, [V4], kappa, B)
-    assert report.ok, report.reason
+    verify_wreath_like(G, [V4], kappa, B, {b: (0,) for b in B.elements})
 
 
 # ---------------------------------------------------- internal consistency

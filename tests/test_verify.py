@@ -129,10 +129,11 @@ def test_theta_expansion_catches_two_reps_in_one_coset(monkeypatch):
         return cosets._replace(reps=(reps[:2] + (h * reps[1],) + reps[3:]))
 
     monkeypatch.setattr(permgroup, "right_coset_data", doubled)
-    # under this cap only expansion and stabilizers run
-    config = DEFAULT.replace(oracle_cap=case.group.order)
-    report = run_suite("theta", cases=(case,), config=config)
+    # the theta maps refuse the doubled coset, each inside its own case
+    report = run_suite("theta", cases=(case,))
     assert {c.case_id for c in report.failures} == {
+        "theta:s4-s3:k%d:%s" % (k, check)
+        for k in (1, 2) for check in ("entries", "product")} | {
         "theta:s4-s3:expansion"}
 
 
