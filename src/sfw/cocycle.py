@@ -15,11 +15,12 @@ translation, one lift per quotient element, the product table of the
 cosets and the defects of the lifts.  An extension decomposes over its
 inner automorphisms, which extend the conjugations by the generators
 (permgroup.homomorphism_from_images), and pulls the defects back to G.
+Both are then checked by one crossed-product law (_check_crossed_law).
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .automorphisms import (
     automorphism_perm,
@@ -56,9 +57,6 @@ class Cocycle2(NamedTuple):
     quotient: PermGroup
     values: Mapping[Tuple[Perm, Perm], Perm]
     alpha: Mapping[Perm, Perm]
-
-    def value(self, g1: Perm, g2: Perm) -> Perm:
-        return self.values[(g1, g2)]
 
     def apply_alpha(self, g: Perm, x: Perm) -> Perm:
         """Image of the base element x under the automorphism for g."""
@@ -113,6 +111,34 @@ def verify_cocycle(c: Cocycle2) -> None:
                 if lhs != rhs:
                     raise InvariantViolationError(
                         "twisted associativity fails", (g, h, k))
+
+
+def _check_crossed_law(c: Cocycle2, elements: Sequence[Perm],
+                       lifts: Sequence[Perm], table: Sequence[Sequence[int]],
+                       embed: Callable[[Perm], Perm]) -> None:
+    """Check the twisted crossed product law, raising at the first failure.
+
+    lifts[i] lifts elements[i], table[i][j] indexes the lift r_ij of the
+    class of r_i r_j, and embed is a homomorphism iota from the base into
+    the group of the lifts.  After verify_cocycle(c) it checks
+    r_i r_j = iota(w(i,j)) r_ij for all i, j (witness (g_i, g_j)) and
+    r_i iota(b) = iota(alpha_i(b)) r_i for the generators b of the base
+    (witness (g_i, b)).  The generators give the second relation for
+    every b: as r_i iota(b) r_i^-1 = iota(alpha_i(b)), both sides are
+    homomorphisms in b, iota followed by an inner automorphism and
+    alpha_i, an automorphism by verify_cocycle, followed by iota; and two
+    homomorphisms that agree on the generators agree on the base.
+    """
+    verify_cocycle(c)
+    for gi, ri, row in zip(elements, lifts, table):
+        for gj, rj, k in zip(elements, lifts, row):
+            if ri * rj != embed(c.values[(gi, gj)]) * lifts[k]:
+                raise InvariantViolationError(
+                    "twisted product relation fails", (gi, gj))
+        for b in c.base.generators:
+            if ri * embed(b) != embed(c.apply_alpha(gi, b)) * ri:
+                raise InvariantViolationError(
+                    "conjugation relation fails", (gi, b))
 
 
 def _coerce_automorphism(G: PermGroup, item) -> Perm:
@@ -222,12 +248,11 @@ def extension_from_out(G: PermGroup, out_auts: Sequence,
     entry of out_auts is an automorphism given as an element-index
     permutation or as a mapping of group elements.
 
-    The extracted cocycle is verified, and so are the crossed relations:
-    every nonidentity quotient element lifts to an outer automorphism,
-    and the lifts multiply by the cocycle twist and conjugate the
-    embedded base as the outer action prescribes.  As u_a u_b = u_ab,
-    each relation is checked in the extension itself.  The first
-    failure raises InvariantViolationError with its witness.
+    The cocycle and the crossed relations are checked in the extension
+    itself, as u_a u_b = u_ab, by _check_crossed_law with x -> c_x as
+    iota, and every nonidentity quotient element is checked to lift to
+    an outer automorphism.  The first failure raises
+    InvariantViolationError with its witness.
 
     Two facts follow from the construction.  inner lies in ambient,
     which its generators help generate.  And the cocycle is normalized:
@@ -246,29 +271,17 @@ def extension_from_out(G: PermGroup, out_auts: Sequence,
     if inner.order != G.order:
         raise InvariantViolationError("inner automorphism count is off")
     ambient = PermGroup(G.order, inner_gens + outs, config)
-    quotient, lifts, _, defects = _decompose(
+    quotient, lifts, table, defects = _decompose(
         right_coset_data(ambient, inner), config)
     base_of = {a: x for x, a in embedding.items()}
     values = {pair: base_of[w] for pair, w in defects.items()}
     cocycle = Cocycle2(G, quotient, values, lifts)
-    verify_cocycle(cocycle)
+    _check_crossed_law(cocycle, list(lifts), list(lifts.values()), table,
+                       embedding.__getitem__)
     for g in quotient.elements:
         if g != quotient.identity and lifts[g] in inner:
             raise InvariantViolationError(
                 "lift of a nonidentity class is inner", (g,))
-    for g1 in quotient.elements:
-        for g2 in quotient.elements:
-            w = embedding[cocycle.value(g1, g2)]
-            if lifts[g1] * lifts[g2] != w * lifts[g1 * g2]:
-                raise InvariantViolationError(
-                    "twisted product relation fails", (g1, g2))
-    for g in quotient.elements:
-        v = lifts[g]
-        for s in G.generators:
-            image = cocycle.apply_alpha(g, s)
-            if v * embedding[s] * v.inv() != embedding[image]:
-                raise InvariantViolationError(
-                    "conjugation relation fails", (g, s))
     return ExtensionResult(G, ambient, inner, embedding, quotient,
                            lifts, cocycle, quotient.order)
 
@@ -340,12 +353,19 @@ def crossed_product_check(G: PermGroup, K: PermGroup,
 
     K must be normal in G; H_mid, when given, must sit between them,
     and middle_indices restricts the decomposition to it.  For two
-    different representative choices, two things are checked: the
-    cocycle axioms, and the multiplication law (a r_i)(b r_j) =
-    a alpha_i(b) w(i,j) r_ij for all a, b in K and all i, j, where r_ij
-    is the representative of the coset of r_i r_j.  The first failure
-    raises InvariantViolationError with its witness; on success the
+    different representative choices, _check_crossed_law with the
+    identity as iota checks the cocycle axioms, r_i r_j = w(i,j) r_ij
+    for all i, j and r_i b = alpha_i(b) r_i for the generators b of K:
+    |Q|^2 + |Q| |gens K| points.  The first failure raises
+    InvariantViolationError with its witness; on success the
     decomposition by the second choice is returned.
+
+    These points give the multiplication law for all a, b in K and all
+    i, j, with r_ij the representative of the coset of r_i r_j: the
+    second relation holds for every b in K (see _check_crossed_law),
+    so by associativity
+    (a r_i)(b r_j) = a (r_i b) r_j = a alpha_i(b) r_i r_j
+                   = a alpha_i(b) w(i,j) r_ij.
 
     The rest follows from the construction.  The a r_i with a in K are
     the elements of G once each: with_reps takes one r_i per coset of
@@ -355,17 +375,6 @@ def crossed_product_check(G: PermGroup, K: PermGroup,
     of K, and a coset lies in H_mid exactly when its representative
     does; H_mid is a group, so for r_i and r_j in H_mid the coset of
     r_i r_j, and r_ij with it, lies in H_mid.
-
-    The law is checked at a = 1 on |Q|^2 + |Q|(|K| - 1) points
-    (i, a, j, b): at (i, 1, j, 1) for all i, j, and at (i, 1, e, b) for
-    all i and b, with e the identity class.  These points give it
-    everywhere.  _decompose lifts e to r_e = 1, so r_ie = r_i, and
-    (i, 1, e, 1) reads r_i = alpha_i(1) w(i,e) r_i; verify_cocycle
-    checked first that alpha_i is an automorphism, so w(i,e) = 1.  Then
-    (i, 1, e, b) reads r_i b = alpha_i(b) r_i, and (i, 1, j, 1) reads
-    r_i r_j = w(i,j) r_ij.  So by associativity
-    (a r_i)(b r_j) = a (r_i b) r_j = a alpha_i(b) r_i r_j
-                   = a alpha_i(b) w(i,j) r_ij.
     """
     _check_normal(G, K)
     if H_mid is None:
@@ -373,20 +382,7 @@ def crossed_product_check(G: PermGroup, K: PermGroup,
     if not (K.is_subgroup_of(H_mid) and H_mid.is_subgroup_of(G)):
         raise SubgroupError("middle group must sit between the two")
     for rule in ("min", "max"):
-        reps, table, qperms, cocycle, middle = \
+        reps, table, elements, cocycle, middle = \
             _crossed_product_data(G, K, H_mid, rule, config)
-        verify_cocycle(cocycle)
-        one = K.identity
-        points = [(i, j, one) for i in range(len(reps))
-                  for j in range(len(reps))]
-        # class 0, lifted by reps[0] = 1, is e
-        points += [(i, 0, b) for i in range(len(reps))
-                   for b in K.elements[1:]]
-        for i, j, b in points:
-            gi = qperms[i]
-            lhs = reps[i] * (b * reps[j])
-            tw = cocycle.apply_alpha(gi, b) * cocycle.value(gi, qperms[j])
-            if lhs != tw * reps[table[i][j]]:
-                raise InvariantViolationError("multiplication law fails",
-                                              (i, one, j, b))
+        _check_crossed_law(cocycle, elements, reps, table, lambda b: b)
     return CrossedProduct(len(reps), cocycle, middle)

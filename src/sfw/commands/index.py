@@ -1,7 +1,7 @@
 """sfw index: Jones index, coset counts and relative commutant dimensions.
 
-The dimensions are the orbit counts of sfw.commutant; this command runs
-no graph, character table or theta code.
+The double cosets and the dimensions are orbit counts of sfw.commutant;
+this command builds no double coset and runs no graph, table or theta.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ def add_arguments(p):
 def run(args, cfg: Config) -> int:
     name, G, H = _load_inclusion(args, cfg)
     cosets = permgroup.right_coset_data(G, H)
-    dc = permgroup.double_coset_data(G, H)
+    double_cosets = commutant.orbit_count(G, H, H, 1)
     in_h, in_g = commutant.SIDES
     dims = {in_h: {}, in_g: {}}
     for k in range(1, cfg.theta_k_cap + 1):
@@ -32,7 +32,7 @@ def run(args, cfg: Config) -> int:
             "subgroup_order": H.order,
             "index": cosets.index,
             "right_cosets": cosets.index,
-            "double_cosets": dc.count,
+            "double_cosets": double_cosets,
             "commutant_dims": {side: {str(k): v for k, v in table.items()}
                                for side, table in dims.items()},
         }
@@ -41,7 +41,7 @@ def run(args, cfg: Config) -> int:
     lines = ["inclusion: %s" % name,
              "group order: %d, subgroup order: %d" % (G.order, H.order),
              "index: %d" % cosets.index,
-             "double cosets: %d" % dc.count]
+             "double cosets: %d" % double_cosets]
     for k in sorted(dims[in_h]):
         lines.append("relative commutants k=%d: %s=%d %s=%d"
                      % (k, in_h, dims[in_h][k], in_g, dims[in_g][k]))

@@ -4,11 +4,12 @@ Given H <= G with right coset representatives g_1 = e, ..., g_t, every
 element of the group algebra of G amplifies to a t^k x t^k matrix over
 the algebra of H, indexed by k-tuples of coset indices (the theta maps
 of sfw.theta).  The dimensions of the relative commutants of those
-amplifications are exact orbit counts: Burnside's lemma over one
-histogram of fixed cosets per (G0, H).  No theta matrix, character
-table or float enters them, so `index` runs this module and never the
-graphs or the brute-force reference of sfw.standard_invariant, which
-re-exports the names below.
+amplifications are exact orbit counts (orbit_count): Burnside's lemma
+over one histogram of fixed cosets per (G0, H), which also counts the
+double cosets for `index`.  No theta matrix, character table or float
+enters them, so `index` runs this module and never the graphs or the
+brute-force reference of sfw.standard_invariant, which re-exports the
+names below.
 """
 
 from __future__ import annotations
@@ -60,15 +61,22 @@ def relative_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
     _check_k(k, config)
     if not H.is_subgroup_of(G0) or not G0.is_subgroup_of(G):
         raise SubgroupError("need H <= G0 <= G")
-    n = 2 * k if side == IN_GROUP else 2 * k - 1
+    return orbit_count(G, G0, H, 2 * k if side == IN_GROUP else 2 * k - 1)
+
+
+def orbit_count(G: PermGroup, G0: PermGroup, H: PermGroup, n: int) -> int:
+    """The number of G0-orbits on (H\\G)^n, for G0 <= G, by Burnside's lemma.
+
+    At n = 1 with G0 = H these are the double cosets HxH.
+    """
     total = sum(count * fixed ** n
                 for fixed, count in _fixed_point_histogram(G, G0, H).items())
-    dim, rest = divmod(total, G0.order)
+    orbits, rest = divmod(total, G0.order)
     if rest:
         raise InvariantViolationError(
             "Burnside sum %d is not divisible by |G0| = %d"
             % (total, G0.order))
-    return dim
+    return orbits
 
 
 def _fixed_point_histogram(G: PermGroup, G0: PermGroup,

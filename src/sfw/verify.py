@@ -24,7 +24,8 @@ and its flag, and counted apart from passes and failures.
 The suites also run what no command reaches: the wreath-like axioms on
 C2 wr C3 and index towers over the normal core.  The cocycles and
 extensions suites build a few groups of their own under the run's
-config; the other suites use only the corpus.
+config, and under a corpus directory those cases say so in their
+detail; the other suites use only the corpus.
 """
 
 from __future__ import annotations
@@ -111,28 +112,31 @@ def _over_cap(field: str, config: Config) -> str:
 
 
 class _Recorder:
-    def __init__(self):
+    """Case outcomes; own_note ends the detail of a case on built groups."""
+
+    def __init__(self, own_note: str = ""):
         self.results = []
+        self.own_note = own_note
 
     def skip(self, case_id: str, reason: str) -> None:
         self.results.append(CaseResult(case_id, False, reason, True))
 
-    def run(self, case_id: str, fn) -> None:
+    def run(self, case_id: str, fn, own_groups: bool = False) -> None:
+        ok = skipped = False
         try:
-            detail = fn()
+            detail, ok = fn() or "", True
         except _Skip as e:
-            self.skip(case_id, str(e))
+            detail, skipped = str(e), True
         except SfwError as e:
-            self.results.append(CaseResult(case_id, False,
-                                           "%s: %s" % (type(e).__name__, e)))
+            detail = "%s: %s" % (type(e).__name__, e)
         except AssertionError as e:
-            self.results.append(CaseResult(case_id, False, str(e)))
-        else:
-            self.results.append(CaseResult(case_id, True, detail or ""))
+            detail = str(e)
+        if own_groups and self.own_note:
+            detail = "; ".join(filter(None, (detail, self.own_note)))
+        self.results.append(CaseResult(case_id, ok, detail, skipped))
 
 
-def _suite_theta(cases, config: Config) -> list:
-    rec = _Recorder()
+def _suite_theta(rec: _Recorder, cases, config: Config) -> None:
     for case in cases:
         G, H = case.group, case.subgroup
         cosets = permgroup.right_coset_data(G, H)
@@ -219,7 +223,6 @@ def _suite_theta(cases, config: Config) -> list:
             return ""
 
         rec.run("theta:%s:stabilizers" % case.name, stab)
-    return rec.results
 
 
 def _check_dimension_law(graph, direction: str) -> None:
@@ -250,8 +253,7 @@ def _check_dimension_law(graph, direction: str) -> None:
                     "degrees around %s do not add up" % e.label)
 
 
-def _suite_graphs(cases, config: Config) -> list:
-    rec = _Recorder()
+def _suite_graphs(rec: _Recorder, cases, config: Config) -> None:
     for case in cases:
         G, H = case.group, case.subgroup
 
@@ -311,14 +313,14 @@ def _suite_graphs(cases, config: Config) -> list:
             return ""
 
         rec.run("graphs:%s:characters" % case.name, char_table_laws)
-    return rec.results
 
 
 def _normal_triples(cases, config: Config):
-    """Triples (G, K, mid) with K normal in G, drawn from the corpus.
+    """Triples (G, K, mid) with K normal in G, and whether sfw built them.
 
-    The groups are built under the run's config, outside any recorded
-    case, so one above order_cap ends the run with CapExceededError.
+    The corpus adds its wr2x3-base case to the ones built here.  These
+    are built under the run's config, outside any recorded case, so one
+    above order_cap ends the run with CapExceededError.
     """
     S4 = permgroup.symmetric_group(4, config)
     A4 = permgroup.alternating_group(4, config)
@@ -327,30 +329,27 @@ def _normal_triples(cases, config: Config):
             permgroup.parse_cycle_string(4, "(0 2)(1 3)")], config)
     S3 = permgroup.symmetric_group(3, config)
     A3 = permgroup.alternating_group(3, config)
-    triples = [("s4-v4-a4", S4, V4, A4),
-               ("a4-v4", A4, V4, V4),
-               ("s3-a3", S3, A3, A3)]
+    triples = [("s4-v4-a4", S4, V4, A4, True),
+               ("a4-v4", A4, V4, V4, True),
+               ("s3-a3", S3, A3, A3, True)]
     for case in cases:
         if case.name == "wr2x3-base":
             triples.append(("wr2x3-base", case.group, case.subgroup,
-                            case.subgroup))
+                            case.subgroup, False))
     return triples
 
 
-def _suite_cocycles(cases, config: Config) -> list:
-    rec = _Recorder()
-    for name, G, K, mid in _normal_triples(cases, config):
+def _suite_cocycles(rec: _Recorder, cases, config: Config) -> None:
+    for name, G, K, mid, own in _normal_triples(cases, config):
 
         def crossed(G=G, K=K, mid=mid):
             decomposition = cocycle.crossed_product_check(G, K, mid, config)
             return "quotient order %d" % decomposition.quotient_order
 
-        rec.run("cocycles:%s" % name, crossed)
-    return rec.results
+        rec.run("cocycles:%s" % name, crossed, own_groups=own)
 
 
-def _suite_extensions(cases, config: Config) -> list:
-    rec = _Recorder()
+def _suite_extensions(rec: _Recorder, cases, config: Config) -> None:
     # built outside the recorded cases, so a group above order_cap ends
     # the run with CapExceededError instead of failing one case
     A4 = permgroup.alternating_group(4, config)
@@ -372,7 +371,7 @@ def _suite_extensions(cases, config: Config) -> list:
         return "index %d, ambient order %d" % (result.index,
                                                result.ambient.order)
 
-    rec.run("extensions:a4-out", a4_out)
+    rec.run("extensions:a4-out", a4_out, own_groups=True)
 
     def s3_trivial_out(config=config):
         result = cocycle.extension_from_out(S3, [], config)
@@ -380,7 +379,7 @@ def _suite_extensions(cases, config: Config) -> list:
             raise AssertionError("empty outer data must give index 1")
         return ""
 
-    rec.run("extensions:s3-trivial", s3_trivial_out)
+    rec.run("extensions:s3-trivial", s3_trivial_out, own_groups=True)
 
     def s3xs3_swap(config=config):
         swap = permgroup.parse_cycle_string(6, "(0 3)(1 4)(2 5)")
@@ -390,7 +389,7 @@ def _suite_extensions(cases, config: Config) -> list:
             raise AssertionError("swap extension has the wrong size")
         return "index %d" % result.index
 
-    rec.run("extensions:s3xs3-swap", s3xs3_swap)
+    rec.run("extensions:s3xs3-swap", s3xs3_swap, own_groups=True)
 
     def wreath_like(wr=wr):
         wreath.verify_wreath_like(wr.group, wr.base_copies, wr.kappa,
@@ -398,12 +397,10 @@ def _suite_extensions(cases, config: Config) -> list:
         return "C2 wr C3, order %d, %d copies" % (wr.group.order,
                                                   len(wr.base_copies))
 
-    rec.run("extensions:c2wrc3-wreath-like", wreath_like)
-    return rec.results
+    rec.run("extensions:c2wrc3-wreath-like", wreath_like, own_groups=True)
 
 
-def _suite_arithmetic(cases, config: Config) -> list:
-    rec = _Recorder()
+def _suite_arithmetic(rec: _Recorder, cases, config: Config) -> None:
 
     def spectrum(config=config):
         import math
@@ -450,7 +447,6 @@ def _suite_arithmetic(cases, config: Config) -> list:
         return "%d inclusions" % len(cases)
 
     rec.run("arithmetic:bounds", bounds)
-    return rec.results
 
 
 _SUITE_FUNCS = {
@@ -497,14 +493,13 @@ def run_suite(suite: str, cases=None, corpus_dir=None,
         cases = (load_corpus_dir(corpus_dir, config) if corpus_dir
                  else tuple(corpus.require_order_cap(case, config)
                             for case in corpus.builtin_cases()))
-    start = time.perf_counter()
-    if suite == "all":
-        results = []
-        for name in SUITES:
-            results.extend(_SUITE_FUNCS[name](cases, config))
-    elif suite in _SUITE_FUNCS:
-        results = _SUITE_FUNCS[suite](cases, config)
-    else:
+    if suite != "all" and suite not in _SUITE_FUNCS:
         raise ParseError("unknown suite %r, have %s"
                          % (suite, ", ".join(SUITES + ("all",))))
-    return VerifyReport(suite, tuple(results), time.perf_counter() - start)
+    rec = _Recorder("on built-in groups, not the corpus" if corpus_dir
+                    else "")
+    start = time.perf_counter()
+    for name in SUITES if suite == "all" else (suite,):
+        _SUITE_FUNCS[name](rec, cases, config)
+    return VerifyReport(suite, tuple(rec.results),
+                        time.perf_counter() - start)

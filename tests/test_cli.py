@@ -81,6 +81,37 @@ def test_index_reports_every_k_up_to_the_k_cap(capsys, tmp_path):
     }
 
 
+def test_index_builds_no_double_coset(capsys, monkeypatch):
+    # index counts the double cosets as H-orbits on H\\G, by Burnside's
+    # lemma; double_coset_data would build a stabilizer per double coset
+    from sfw import permgroup
+
+    expected = {name: permgroup.double_coset_data(case_by_name(name).group,
+                                                  case_by_name(name).subgroup)
+                .count for name in case_names()}
+
+    def refuse(G, H):
+        raise AssertionError("index built the double cosets")
+
+    monkeypatch.setattr(permgroup, "double_coset_data", refuse)
+    for name, count in expected.items():
+        rc, out = run(capsys, ["index", "--case", name, "--json"])
+        assert rc == 0
+        assert json.loads(out)["double_cosets"] == count, name
+
+
+def test_index_counts_double_cosets_at_every_k_cap(capsys):
+    # at --theta-k-cap 0 no commutant is counted, and the double cosets
+    # still are
+    for cap in range(4):
+        rc, out = run(capsys, ["index", "--case", "s4-s3", "--theta-k-cap",
+                               str(cap), "--json"])
+        assert rc == 0
+        obj = json.loads(out)
+        assert obj["double_cosets"] == 2
+        assert len(obj["commutant_dims"]["in-L(H)"]) == cap
+
+
 def test_graph_command_json_and_dot(capsys):
     rc, out = run(capsys, ["graph", "--case", "a4-v4", "--kind", "principal", "--json"])
     assert rc == 0
@@ -240,17 +271,25 @@ def test_extend_command(capsys):
 
 
 def test_a_failed_extend_relation_is_an_error(capsys, monkeypatch):
-    # a wrong cocycle value breaks the twisted product relation; the
-    # cocycle axioms read the values table, not Cocycle2.value
-    from sfw.cocycle import Cocycle2
+    # a product table with its rows swapped breaks the twisted product
+    # relation at the identity class; the cocycle axioms never read the
+    # table, so the crossed-law check is the one that fails
+    from sfw import cocycle
 
-    monkeypatch.setattr(Cocycle2, "value",
-                        lambda self, g1, g2: self.base.generators[0])
+    decompose = cocycle._decompose
+
+    def swapped_rows(cosets, config):
+        quotient, lifts, table, defects = decompose(cosets, config)
+        return quotient, lifts, table[::-1], defects
+
+    monkeypatch.setattr(cocycle, "_decompose", swapped_rows)
     rc = cli.main(["extend", "--case", "a4-v4", "--json"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     assert "twisted product relation fails at" in captured.err
+    one = "Perm[()]"
+    assert "at (%s, %s)" % (one, one) in captured.err
 
 
 def test_induce_command(capsys):
@@ -300,6 +339,37 @@ def test_verify_corpus_dir(capsys, tmp_path):
     rc, out = run(capsys, ["verify", "--suite", "graphs", "--corpus-dir", str(corpus)])
     assert rc == 0
     assert "failures=0" in out
+
+
+def test_verify_corpus_dir_names_the_cases_on_built_in_groups(capsys,
+                                                              tmp_path):
+    # with an S5 > A5 corpus, cocycles and extensions still run on the
+    # groups they build (S4, A4, V4, S3, A3, S3 x S3, C2 wr C3), and each
+    # of those cases says so; the corpus-driven arithmetic cases do not,
+    # and neither does any case over the built-in corpus
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    entry = {
+        "name": "s5-a5",
+        "group": {"degree": 5, "generators": ["(0 1 2 3 4)", "(0 1)"]},
+        "subgroup": {"degree": 5, "generators": ["(0 1 2)", "(2 3 4)"]},
+    }
+    (corpus / "s5a5.json").write_text(canonical_json(entry))
+    note = "on built-in groups, not the corpus"
+    for suite, noted in (("cocycles", True), ("extensions", True),
+                         ("arithmetic", False)):
+        argv = ["verify", "--suite", suite, "--json"]
+        rc, out = run(capsys, argv + ["--corpus-dir", str(corpus)])
+        assert rc == 0
+        cases = json.loads(out)["cases"]
+        assert cases and all(c["ok"] for c in cases)
+        assert all(c["detail"].endswith(note) == noted for c in cases), cases
+        rc, out = run(capsys, argv)
+        assert rc == 0
+        assert note not in out
+    rc, out = run(capsys, ["verify", "--suite", "extensions",
+                           "--corpus-dir", str(corpus)])
+    assert "ok   extensions:s3-trivial (%s)" % note in out
 
 
 @pytest.mark.parametrize("suite, builds_its_own", [

@@ -324,29 +324,32 @@ def test_a_lift_moved_inside_its_coset_breaks_the_multiplication_law(
         monkeypatch):
     # A4 over V4: the lift r_1 is replaced by c r_1, c in V4, while the
     # table, the defects and alpha stay those of r_1.  Then
-    # r_1' r_1' = c alpha_1(c) r_1 r_1, and alpha_1 fixes no c != 1
+    # r_1' r_1' = c alpha_1(c) r_1 r_1, and alpha_1 fixes no c != 1, so
+    # the twisted product fails first at (g_1, g_1)
     A4 = alternating_group(4)
     c = perm(4, "(0 1)(2 3)")
     V4 = A4.subgroup([c, perm(4, "(0 2)(1 3)")])
     data = cocycle._crossed_product_data
+    moved = []
 
     def moved_lift(G, K, H_mid, rule, config):
         reps, table, elements, crossed, middle = data(G, K, H_mid, rule,
                                                       config)
+        moved.append(elements[1])
         reps = (reps[0], c * reps[1]) + tuple(reps[2:])
         return reps, table, elements, crossed, middle
 
     monkeypatch.setattr(cocycle, "_crossed_product_data", moved_lift)
     with pytest.raises(InvariantViolationError,
-                       match="multiplication law fails") as excinfo:
+                       match="twisted product relation fails") as excinfo:
         crossed_product_check(A4, V4)
-    i, a, j, b = excinfo.value.witness
-    assert a in V4 and b in V4 and 1 in (i, j)
+    assert excinfo.value.witness == (moved[0], moved[0])
 
 
 def test_a_trivial_action_breaks_the_multiplication_law(monkeypatch):
     # S3 over A3 with alpha replaced by the identity: w is trivial, so the
-    # cocycle axioms still hold, but r_1 b = b r_1 fails for the 3-cycles
+    # cocycle axioms and the twisted products still hold, but r_1 b = b r_1
+    # fails for the 3-cycle that generates A3
     S3 = symmetric_group(3)
     A3 = S3.subgroup([perm(3, "(0 1 2)")])
     data = cocycle._crossed_product_data
@@ -361,10 +364,24 @@ def test_a_trivial_action_breaks_the_multiplication_law(monkeypatch):
 
     monkeypatch.setattr(cocycle, "_crossed_product_data", trivial_action)
     with pytest.raises(InvariantViolationError,
-                       match="multiplication law fails") as excinfo:
+                       match="conjugation relation fails") as excinfo:
         crossed_product_check(S3, A3)
-    i, a, j, b = excinfo.value.witness
-    assert a in A3 and b in A3 and b != A3.identity
+    g, b = excinfo.value.witness
+    assert g != Perm.identity(len(g)) and b in A3.generators
+
+
+def test_a_trivial_action_breaks_the_extension_conjugation(monkeypatch):
+    # the A4 extension with apply_alpha(g, x) = x: verify_cocycle reads it
+    # only in twisted associativity, which over C2 = {e, t} still holds,
+    # since w(e, g) = w(g, e) = 1 leaves alpha_t(w(t, t)) = w(t, t); so
+    # the outer lift fails against a generator of A4
+    monkeypatch.setattr(Cocycle2, "apply_alpha", lambda self, g, x: x)
+    with pytest.raises(InvariantViolationError,
+                       match="conjugation relation fails") as excinfo:
+        a4_extension()
+    g, b = excinfo.value.witness
+    A4 = alternating_group(4)
+    assert g != Perm.identity(len(g)) and b in A4.generators
 
 
 def test_an_inner_embedding_that_is_no_homomorphism_is_a_fault(monkeypatch):

@@ -13,7 +13,9 @@ module imports dataclasses, and only verify imports fractions at the
 top: each costs every command that runs the module its start-up time.
 And only permgroup reads the coset labels `coset_of`; every other module
 moves cosets by CosetData.action.  Every check raises at its first
-failure, so no class outside verify's outcome records has an `ok`.
+failure, so no class outside verify's outcome records has an `ok`.  And
+one function of sfw.cocycle checks the crossed-product law, for both
+the extensions and the crossed products.
 """
 
 from __future__ import annotations
@@ -233,3 +235,36 @@ def test_only_permgroup_reads_the_coset_labels():
         assert reads_attribute(ast.parse(text), "coset_of")
     assert not reads_attribute(ast.parse("cosets.coset_index(g)"),
                                "coset_of")
+
+
+CROSSED_LAW = ("twisted product relation fails", "conjugation relation fails",
+               "multiplication law fails")
+
+
+def crossed_law_raisers(tree) -> list:
+    """The module-level functions that raise a crossed-law message."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for raised in ast.walk(node):
+            if isinstance(raised, ast.Raise) and any(
+                    isinstance(c, ast.Constant) and c.value in CROSSED_LAW
+                    for c in ast.walk(raised)):
+                found.append(node.name)
+                break
+    return found
+
+
+def test_one_function_checks_the_crossed_product_law():
+    # extension_from_out and crossed_product_check share one loop over
+    # the law, so a second hand-written copy fails here
+    raisers = ["%s.%s" % (stem, name) for stem, tree in package_trees()
+               for name in crossed_law_raisers(tree)]
+    assert raisers == ["cocycle._check_crossed_law"]
+    copy = ast.parse(
+        "def f(r):\n"
+        "    for x in r:\n"
+        "        if x:\n"
+        "            raise E('conjugation relation fails', (x,))\n")
+    assert crossed_law_raisers(copy) == ["f"]
