@@ -88,10 +88,6 @@ class CharacterTable(NamedTuple):
     characters: tuple  # of ClassFunction, sorted by (degree, values)
     degrees: tuple
 
-    @property
-    def count(self) -> int:
-        return len(self.characters)
-
     def trivial_index(self) -> int:
         for i, chi in enumerate(self.characters):
             if all(v == 1 for v in chi.values):

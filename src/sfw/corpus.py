@@ -1,19 +1,49 @@
-"""Built-in group-subgroup inclusions used by the verification suites."""
+"""The groups sfw declares for itself, and its built-in inclusions.
+
+Every group sfw declares arrives as a group file does: a degree and
+generators in cycle notation.  declared_group builds one from the table
+below under a config, and the built-in cases and the verify suites all
+take their groups from it.  C2wrC3 is the wreath product C2 wr C3 by
+its four generators, the base copies first.
+"""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import NamedTuple
 
-from .config import Config
+from .config import Config, DEFAULT
 from .errors import CapExceededError, PreconditionError
-from .permgroup import (
-    PermGroup,
-    alternating_group,
-    cyclic_group,
-    parse_cycle_string,
-    symmetric_group,
-)
+from .permgroup import PermGroup, parse_cycle_string
+
+# name -> (degree, generator cycle strings)
+_GROUPS = {
+    "S3": (3, ("(0 1 2)", "(0 1)")),
+    "A3": (3, ("(0 1 2)",)),
+    "S4": (4, ("(0 1 2 3)", "(0 1)")),
+    "A4": (4, ("(0 1 2)", "(1 2 3)")),
+    "V4": (4, ("(0 1)(2 3)", "(0 2)(1 3)")),
+    "S3xS3": (6, ("(0 1)", "(0 1 2)", "(3 4)", "(3 4 5)")),
+    "C2": (2, ("(0 1)",)),
+    "C3": (3, ("(0 1 2)",)),
+    "C2wrC3": (6, ("(0 1)", "(2 3)", "(4 5)", "(0 2 4)(1 3 5)")),
+}
+
+
+def declared_group(name: str, config: Config = DEFAULT) -> PermGroup:
+    """The named group of the table, enumerated under config.
+
+    Every caller naming one group under one config shares it and its
+    caches, whether or not it passes the default config.
+    """
+    return _declared_group(name, config)
+
+
+@lru_cache(maxsize=None)
+def _declared_group(name: str, config: Config) -> PermGroup:
+    degree, cycles = _GROUPS[name]
+    return PermGroup(degree, [parse_cycle_string(degree, c) for c in cycles],
+                     config)
 
 
 class InclusionCase(NamedTuple):
@@ -23,56 +53,38 @@ class InclusionCase(NamedTuple):
     index: int
 
 
-@lru_cache(maxsize=None)
-def _symmetric(n: int) -> PermGroup:
-    # S3 and S4 each serve two cases, which share one group and its caches
-    return symmetric_group(n)
-
-
-def _inclusion(G: PermGroup, *cycles: str) -> tuple:
-    """G and its subgroup generated by the cycles, checked to lie in G."""
-    return G, G.subgroup([parse_cycle_string(G.degree, c) for c in cycles])
-
-
-def _wreath_base() -> tuple:
-    # imported here, so that no other case runs sfw.wreath
-    from .wreath import wreath_product
-    wr = wreath_product(cyclic_group(2), cyclic_group(3))
-    base_gens = [g for copy in wr.base_copies for g in copy.generators]
-    return wr.group, wr.group.subgroup(base_gens)
-
-
-# name -> (index, builder of (group, subgroup)), in the order of
-# builtin_cases: six inclusions of index 2 to 4 with varied shapes
-_BUILDERS = {
-    "s3-flip": (3, lambda: _inclusion(_symmetric(3), "(0 1)")),
-    "s3-a3": (2, lambda: _inclusion(_symmetric(3), "(0 1 2)")),
-    "s4-s3": (4, lambda: _inclusion(_symmetric(4), "(0 1)", "(0 1 2)")),
-    "s4-d4": (3, lambda: _inclusion(_symmetric(4), "(0 1 2 3)", "(0 2)")),
-    "a4-v4": (3, lambda: _inclusion(alternating_group(4),
-                                    "(0 1)(2 3)", "(0 2)(1 3)")),
-    "wr2x3-base": (3, _wreath_base),
+# name -> (index, group name, subgroup generator cycle strings), in the
+# order of builtin_cases: six inclusions of index 2 to 4 with varied shapes
+_CASES = {
+    "s3-flip": (3, "S3", ("(0 1)",)),
+    "s3-a3": (2, "S3", ("(0 1 2)",)),
+    "s4-s3": (4, "S4", ("(0 1)", "(0 1 2)")),
+    "s4-d4": (3, "S4", ("(0 1 2 3)", "(0 2)")),
+    "a4-v4": (3, "A4", ("(0 1)(2 3)", "(0 2)(1 3)")),
+    "wr2x3-base": (3, "C2wrC3", ("(0 1)", "(2 3)", "(4 5)")),
 }
 
 
 def builtin_cases() -> tuple:
     """Six inclusions of index 2 to 4 with varied shapes."""
-    return tuple(case_by_name(name) for name in _BUILDERS)
+    return tuple(case_by_name(name) for name in _CASES)
 
 
 def case_names() -> tuple:
-    return tuple(_BUILDERS)
+    return tuple(_CASES)
 
 
 @lru_cache(maxsize=None)
 def case_by_name(name: str) -> InclusionCase:
     """The named built-in case; only its own groups are built."""
     try:
-        index, build = _BUILDERS[name]
+        index, group_name, cycles = _CASES[name]
     except KeyError:
         raise KeyError("unknown case %r, have %s"
                        % (name, ", ".join(case_names()))) from None
-    group, subgroup = build()
+    group = declared_group(group_name)
+    subgroup = group.subgroup(
+        [parse_cycle_string(group.degree, c) for c in cycles])
     if group.order != index * subgroup.order:
         raise PreconditionError("corpus index bookkeeping is wrong")
     return InclusionCase(name, group, subgroup, index)

@@ -360,26 +360,6 @@ class PermGroup:
         return hist
 
 
-def symmetric_group(n: int, config: Config = DEFAULT) -> PermGroup:
-    if n <= 1:
-        return PermGroup(max(n, 1), (), config)
-    gens = [Perm.from_cycles(n, [list(range(n))]), Perm.from_cycles(n, [[0, 1]])]
-    return PermGroup(n, gens, config)
-
-
-def alternating_group(n: int, config: Config = DEFAULT) -> PermGroup:
-    if n <= 2:
-        return PermGroup(max(n, 1), (), config)
-    gens = [Perm.from_cycles(n, [[i, i + 1, i + 2]]) for i in range(n - 2)]
-    return PermGroup(n, gens, config)
-
-
-def cyclic_group(n: int, config: Config = DEFAULT) -> PermGroup:
-    if n <= 1:
-        return PermGroup(max(n, 1), (), config)
-    return PermGroup(n, [Perm.from_cycles(n, [list(range(n))])], config)
-
-
 class ConjClassData(NamedTuple):
     """Conjugacy classes: canonical reps, sizes, and element -> class map.
 

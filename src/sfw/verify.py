@@ -2,11 +2,11 @@
 
 Each suite runs a list of named cases and reports per-case outcomes;
 a case failure is recorded, not raised, so one bad inclusion does not
-hide the rest.  A case fails by raising AssertionError or any SfwError:
-the cocycle, crossed-product, extension and wreath-like checks raise
-InvariantViolationError themselves, and the case records its message
-with the witness.  Precondition and parse errors from malformed custom
-corpora still propagate.
+hide the rest.  A case fails by raising AssertionError or any SfwError
+but CapExceededError: the cocycle, crossed-product, extension and
+wreath-like checks raise InvariantViolationError themselves, and the
+case records its message with the witness.  Precondition and parse
+errors from malformed custom corpora still propagate.
 
 The suites hold the fast paths against the exact references kept for
 them: theta entries against nested conditional expectations, commutant
@@ -19,13 +19,15 @@ proves the product law on all of G x gens, holds the reference on e
 and the generators, and checks the bijection on all of G, each
 reduction proved in its case's docstring.  A case or an entry that a
 cap keeps from running is recorded as skipped, with the cap, its value
-and its flag, and counted apart from passes and failures.
+and its flag, and counted apart from passes and failures; a cap met
+inside a case is a skip too, whose detail is the error's message.
 
 The suites also run what no command reaches: the wreath-like axioms on
 C2 wr C3 and index towers over the normal core.  The cocycles and
-extensions suites build a few groups of their own under the run's
-config, and under a corpus directory those cases say so in their
-detail; the other suites use only the corpus.
+extensions suites take a few groups of their own from
+corpus.declared_group under the run's config, and under a corpus
+directory those cases say so in their detail; the other suites use only
+the corpus.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from . import (
     automorphisms,
     chartab,
     cocycle,
+    commutant,
     corpus,
     formats,
     indexarith,
@@ -125,7 +128,8 @@ class _Recorder:
         ok = skipped = False
         try:
             detail, ok = fn() or "", True
-        except _Skip as e:
+        except (_Skip, CapExceededError) as e:
+            # a cap met inside a case bounds work; it is no failed check
             detail, skipped = str(e), True
         except SfwError as e:
             detail = "%s: %s" % (type(e).__name__, e)
@@ -142,9 +146,13 @@ def _suite_theta(rec: _Recorder, cases, config: Config) -> None:
         cosets = permgroup.right_coset_data(G, H)
         for k in (1, 2):
             size = G.order * cosets.index ** k
-            if size > config.oracle_cap:
+            reason = ""
+            if k > config.theta_k_cap:
+                reason = "k=%d is %s" % (k, _over_cap("theta_k_cap", config))
+            elif size > config.oracle_cap:
                 reason = "|G| t^%d = %d is %s" % (
                     k, size, _over_cap("oracle_cap", config))
+            if reason:
                 for check in ("entries", "product"):
                     rec.skip("theta:%s:k%d:%s" % (case.name, k, check),
                              reason)
@@ -318,17 +326,12 @@ def _suite_graphs(rec: _Recorder, cases, config: Config) -> None:
 def _normal_triples(cases, config: Config):
     """Triples (G, K, mid) with K normal in G, and whether sfw built them.
 
-    The corpus adds its wr2x3-base case to the ones built here.  These
-    are built under the run's config, outside any recorded case, so one
-    above order_cap ends the run with CapExceededError.
+    The corpus adds its wr2x3-base case to the declared groups taken
+    here.  These are built under the run's config, outside any recorded
+    case, so one above order_cap ends the run with CapExceededError.
     """
-    S4 = permgroup.symmetric_group(4, config)
-    A4 = permgroup.alternating_group(4, config)
-    V4 = permgroup.PermGroup(
-        4, [permgroup.parse_cycle_string(4, "(0 1)(2 3)"),
-            permgroup.parse_cycle_string(4, "(0 2)(1 3)")], config)
-    S3 = permgroup.symmetric_group(3, config)
-    A3 = permgroup.alternating_group(3, config)
+    S4, A4, V4, S3, A3 = (corpus.declared_group(name, config)
+                          for name in ("S4", "A4", "V4", "S3", "A3"))
     triples = [("s4-v4-a4", S4, V4, A4, True),
                ("a4-v4", A4, V4, V4, True),
                ("s3-a3", S3, A3, A3, True)]
@@ -352,14 +355,9 @@ def _suite_cocycles(rec: _Recorder, cases, config: Config) -> None:
 def _suite_extensions(rec: _Recorder, cases, config: Config) -> None:
     # built outside the recorded cases, so a group above order_cap ends
     # the run with CapExceededError instead of failing one case
-    A4 = permgroup.alternating_group(4, config)
-    S3 = permgroup.symmetric_group(3, config)
-    S3xS3 = permgroup.PermGroup(
-        6, [permgroup.parse_cycle_string(6, text)
-            for text in ("(0 1)", "(0 1 2)", "(3 4)", "(3 4 5)")], config)
-    wr = wreath.wreath_product(permgroup.cyclic_group(2, config),
-                               permgroup.cyclic_group(3, config),
-                               config=config)
+    A4, S3, S3xS3, C2, C3 = (corpus.declared_group(name, config)
+                             for name in ("A4", "S3", "S3xS3", "C2", "C3"))
+    wr = wreath.wreath_product(C2, C3, config=config)
 
     def a4_out(config=config):
         t = permgroup.parse_cycle_string(4, "(0 1)")
@@ -439,9 +437,9 @@ def _suite_arithmetic(rec: _Recorder, cases, config: Config) -> None:
 
     def bounds(cases=cases):
         for case in cases:
-            dim = standard_invariant.relative_commutant_dim(
+            dim = commutant.relative_commutant_dim(
                 case.group, case.subgroup, case.subgroup, 1,
-                standard_invariant.IN_SUBGROUP, config)
+                commutant.IN_SUBGROUP, config)
             if not indexarith.commutant_bound_check(dim, case.index):
                 raise AssertionError("bound fails on %s" % case.name)
         return "%d inclusions" % len(cases)

@@ -4,7 +4,7 @@ wreath_product realizes A wr B on blocks of points along an action
 table of B, and verify_wreath_like checks the defining properties of a
 decomposition into base copies, a quotient map and an action table,
 raising InvariantViolationError at the first that fails.  Only the
-`wr2x3-base` case and the extensions verify suite reach this module.
+extensions verify suite reaches this module.
 """
 
 from __future__ import annotations

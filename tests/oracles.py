@@ -1,5 +1,9 @@
 """Direct references that no sfw command needs.
 
+symmetric_group, alternating_group and cyclic_group build the groups
+the tests name by their standard generators; sfw declares its own groups
+as cycle strings in one table, corpus.declared_group.
+
 closure and conjugacy_cells build a group and its classes from plain
 Perm products, the references of mulclose and of conjugacy_classes,
 whose loops compose image tuples instead.  homomorphism_by_words
@@ -36,6 +40,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from sfw.chartab import ClassFunction, conjugacy_classes
+from sfw.config import Config, DEFAULT
 from sfw.errors import PreconditionError, SubgroupError
 from sfw.permgroup import CosetData, Perm, PermGroup
 from sfw.wreath import verify_action_table
@@ -49,6 +54,27 @@ def closure(generators):
         frontier = {p * g for p in frontier for g in generators} - found
         found |= frontier
     return found
+
+
+def symmetric_group(n: int, config: Config = DEFAULT) -> PermGroup:
+    if n <= 1:
+        return PermGroup(max(n, 1), (), config)
+    gens = [Perm.from_cycles(n, [list(range(n))]),
+            Perm.from_cycles(n, [[0, 1]])]
+    return PermGroup(n, gens, config)
+
+
+def alternating_group(n: int, config: Config = DEFAULT) -> PermGroup:
+    if n <= 2:
+        return PermGroup(max(n, 1), (), config)
+    gens = [Perm.from_cycles(n, [[i, i + 1, i + 2]]) for i in range(n - 2)]
+    return PermGroup(n, gens, config)
+
+
+def cyclic_group(n: int, config: Config = DEFAULT) -> PermGroup:
+    if n <= 1:
+        return PermGroup(max(n, 1), (), config)
+    return PermGroup(n, [Perm.from_cycles(n, [list(range(n))])], config)
 
 
 def homomorphism_by_words(generators, images):

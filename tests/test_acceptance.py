@@ -29,11 +29,7 @@ from sfw.indexarith import (
     virtual_index,
 )
 from sfw.automorphisms import normal_core
-from sfw.permgroup import (
-    alternating_group,
-    parse_cycle_string,
-    right_coset_data,
-)
+from sfw.permgroup import parse_cycle_string, right_coset_data
 from sfw.standard_invariant import (
     IN_GROUP,
     IN_SUBGROUP,
@@ -47,6 +43,7 @@ from sfw.verify import run_suite
 from oracles import (
     GroupAlgebraElement,
     action_on_tuples,
+    alternating_group,
     induce,
     inner_product,
     nested_expectation_entry,

@@ -13,18 +13,15 @@ from sfw.chartab import (
     restrict,
 )
 from sfw.errors import CapExceededError
-from sfw.permgroup import (
-    alternating_group,
-    cyclic_group,
-    parse_cycle_string,
-    right_coset_data,
-    symmetric_group,
-)
+from sfw.permgroup import parse_cycle_string, right_coset_data
 import oracles
 from oracles import (
+    alternating_group,
+    cyclic_group,
     induce,
     inner_product,
     permutation_character,
+    symmetric_group,
     trivial_character,
 )
 from test_permgroup import inclusions
@@ -167,7 +164,7 @@ def test_exact_multiplicities_match_the_float_inner_product(pair):
     G, H = pair
     g_tab, h_tab = character_table(G), character_table(H)
     matrix = restrict(g_tab, h_tab)
-    assert len(matrix) == g_tab.count
+    assert len(matrix) == len(g_tab.characters)
     for chi, degree, row in zip(g_tab.characters, g_tab.degrees, matrix):
         res = oracles.restrict(chi, H)
         assert list(row) == [inner_product(res, psi)

@@ -16,9 +16,12 @@ from sfw import chartab, cli, verify
 from sfw.commands import CASE_NAMES
 from sfw.commands.verify import SUITE_NAMES
 from sfw.config import DEFAULT, Config, config_fields
-from sfw.corpus import builtin_cases, case_by_name, case_names
+from sfw import corpus
+from sfw.corpus import builtin_cases, case_by_name, case_names, declared_group
 from sfw.formats import canonical_json, graph_from_json, group_to_json
-from sfw.permgroup import CosetData, alternating_group, cyclic_group
+from sfw.permgroup import CosetData, PermGroup, parse_cycle_string
+from sfw.wreath import wreath_product
+from oracles import alternating_group, cyclic_group, symmetric_group
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -596,6 +599,28 @@ def test_the_cases_are_listed_in_order_and_built_once():
     assert cases[2].group is cases[3].group
 
 
+def test_the_declared_groups_are_the_constructions_they_replace():
+    wr = wreath_product(declared_group("C2"), declared_group("C3"))
+    v4 = [parse_cycle_string(4, c) for c in ("(0 1)(2 3)", "(0 2)(1 3)")]
+    s3xs3 = [parse_cycle_string(6, c)
+             for c in ("(0 1)", "(0 1 2)", "(3 4)", "(3 4 5)")]
+    built = {"S3": symmetric_group(3), "A3": alternating_group(3),
+             "S4": symmetric_group(4), "A4": alternating_group(4),
+             "V4": PermGroup(4, v4), "S3xS3": PermGroup(6, s3xs3),
+             "C2": cyclic_group(2), "C3": cyclic_group(3), "C2wrC3": wr.group}
+    assert tuple(built) == tuple(corpus._GROUPS)
+    for name, group in built.items():
+        assert declared_group(name) == group, name
+        assert declared_group(name).generators == group.generators, name
+    assert [declared_group(name).order for name in built] == [
+        6, 3, 24, 12, 4, 36, 2, 3, 24]
+    # the wr2x3-base subgroup is generated by the base copies
+    base = case_by_name("wr2x3-base")
+    assert base.group is declared_group("C2wrC3", DEFAULT)
+    assert base.subgroup.generators == tuple(
+        g for copy in wr.base_copies for g in copy.generators)
+
+
 def test_theta_entry_outside_the_subgroup_exits_1(capsys, monkeypatch):
     # a fault only sfw can make: relabelled cosets that keep the old labels
     relabel = CosetData.with_reps
@@ -969,8 +994,9 @@ def test_a_subcommand_runs_only_the_modules_it_uses(argv, unused):
 # no graph, oracle, automorphism, wreath-product, theta, character table,
 # cocycle or group algebra code, graph and chartab none of the
 # automorphism, wreath-product or theta code, and induce no graph or
-# oracle code.  Only the wr2x3-base case builds a wreath product, and a
-# group file runs no corpus code.  "F" stands for a file holding S4.
+# oracle code.  The wr2x3-base case is C2 wr C3 by its generators, so
+# only verify's extensions suite builds a wreath product, and a group
+# file runs no corpus code.  "F" stands for a file holding S4.
 @pytest.mark.parametrize("argv, runs", [
     (["index", "--case", "s4-s3", "--json"],
      ["commands.index", "commutant", "corpus", "formats", "permgroup"]),
@@ -992,10 +1018,10 @@ def test_a_subcommand_runs_only_the_modules_it_uses(argv, unused):
      ["commands.vindex", "indexarith"]),
     (["spectrum", "4.0"], ["commands.spectrum", "indexarith"]),
     (["index", "--case", "wr2x3-base"],
-     ["commands.index", "commutant", "corpus", "permgroup", "wreath"]),
+     ["commands.index", "commutant", "corpus", "permgroup"]),
     (["verify", "--suite", "arithmetic"],
      ["automorphisms", "commands.verify", "commutant", "corpus",
-      "indexarith", "permgroup", "standard_invariant", "verify", "wreath"]),
+      "indexarith", "permgroup", "verify"]),
     (["index", "--group", "F", "--subgroup", "F", "--json"],
      ["commands.index", "commutant", "formats", "permgroup"]),
     (["graph", "--group", "F", "--subgroup", "F", "--json"],

@@ -25,12 +25,10 @@ from sfw.automorphisms import automorphism_group, conjugation_perm
 from sfw.permgroup import (
     Perm,
     PermGroup,
-    alternating_group,
     conjugacy_classes,
-    cyclic_group,
     parse_cycle_string,
-    symmetric_group,
 )
+from oracles import alternating_group, cyclic_group, symmetric_group
 
 
 def perm(degree, text):

@@ -8,17 +8,13 @@ import pytest
 
 from sfw.corpus import builtin_cases
 from sfw.errors import PreconditionError
-from sfw.permgroup import (
-    Perm,
-    parse_cycle_string,
-    right_coset_data,
-    symmetric_group,
-)
+from sfw.permgroup import Perm, parse_cycle_string, right_coset_data
 from oracles import (
     GroupAlgebraElement,
     conditional_expectation,
     pimsner_popa_expand,
     pimsner_popa_reassemble,
+    symmetric_group,
     trace,
 )
 

@@ -24,13 +24,14 @@ from sfw.indexarith import (
     jones_spectrum_query,
     virtual_index,
 )
-from sfw.permgroup import (
+from sfw.permgroup import parse_cycle_string
+from sfw.theta import induced_theta
+from oracles import (
     alternating_group,
-    parse_cycle_string,
+    induced_monomials,
+    left_cosets,
     symmetric_group,
 )
-from sfw.theta import induced_theta
-from oracles import induced_monomials, left_cosets
 from test_permgroup import inclusions
 
 

@@ -4,7 +4,9 @@ A public module-level function or class that no command, verify suite or
 other package code refers to is either dead or a test oracle, and
 belongs in tests/.  The only exceptions are the file-format functions
 that README's *Library entry points* names for callers of the library.
-The same holds for the public methods of every class in src/sfw.  And
+The same holds for the public methods of every class in src/sfw, and a
+method whose name another class also defines is listed, with where it
+is read, in a map reviewed by hand.  And
 cli registers every other module by name, except the subcommand modules
 of sfw.commands, so that table must name exactly the other modules of
 the package.  No module imports cli: under `python -m sfw.cli` it runs
@@ -90,6 +92,50 @@ def unreferenced_public_methods() -> list:
                   if name not in (attributes if prop else calls))
 
 
+# Each public method or property whose name another class of src/sfw
+# defines too, as a method, property or field, with where the package
+# reads it.  A read of the name counts for every class that defines it,
+# so unreferenced_public_methods cannot tell these apart; they are
+# checked by hand instead.
+SHARED_MEMBERS = {
+    "ConjClassData.count": "chartab.character_table, commands.chartab",
+    "CosetData.action": "theta, cocycle, commutant, automorphisms",
+    # dropping it waits for a benchmark change (ROADMAP item 1)
+    "DoubleCosetData.count": "perfbench/tests/test_perfbench.py alone",
+    "Perm.degree": "permgroup.mulclose, automorphisms.is_automorphism_perm",
+    "Perm.identity": "permgroup.parse_cycle_string, cocycle.verify_cocycle",
+    "PermGroup.identity": "verify._suite_theta, theta, cocycle, wreath",
+    "PermGroup.subgroup": "corpus.case_by_name",
+    "VerifyReport.ok": "commands.verify.run",
+    "VerifyReport.skipped": "commands.verify.run",
+}
+
+
+def shared_public_members() -> list:
+    """Class.member for public methods whose name another class defines.
+
+    A class defines a name by a method, a property or an annotated
+    field, as NamedTuples declare theirs.
+    """
+    methods, owners = [], {}
+    for _, tree in package_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                    methods.append((node.name, name))
+                elif (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    name = item.target.id
+                else:
+                    continue
+                owners.setdefault(name, set()).add(node.name)
+    return sorted("%s.%s" % (cls, name) for cls, name in methods
+                  if not name.startswith("_") and len(owners[name]) > 1)
+
+
 def importers(module: str) -> list:
     """The modules of src/sfw with an import statement naming `module`."""
     found = []
@@ -128,6 +174,11 @@ def test_no_module_imports_fractions_at_the_top():
 
 def test_every_public_method_is_referenced_in_the_package():
     assert unreferenced_public_methods() == []
+
+
+def test_every_shared_member_name_is_reviewed():
+    # equality, so a member that stops sharing its name leaves the map too
+    assert shared_public_members() == sorted(SHARED_MEMBERS)
 
 
 def test_every_public_name_is_reached_or_format_api():

@@ -20,19 +20,17 @@ from sfw.errors import (CapExceededError, InvalidActionError,
 from sfw.permgroup import (
     Perm,
     PermGroup,
-    alternating_group,
     conjugacy_classes,
-    cyclic_group,
     double_coset_data,
     parse_cycle_string,
     right_coset_data,
-    symmetric_group,
 )
 from sfw.standard_invariant import (IN_SUBGROUP, principal_graph,
                                     relative_commutant_dim)
 from sfw.wreath import natural_action, verify_wreath_like, wreath_product
 
 import oracles
+from oracles import alternating_group, cyclic_group, symmetric_group
 
 
 def perm(degree, text):

@@ -23,7 +23,6 @@ from sfw.permgroup import (
     double_coset_data,
     parse_cycle_string,
     right_coset_data,
-    symmetric_group,
 )
 from sfw.standard_invariant import (
     IN_GROUP,
@@ -51,6 +50,7 @@ from oracles import (
     restrict,
     sparse_theta,
     sparse_theta_product,
+    symmetric_group,
 )
 from test_permgroup import inclusions
 

@@ -203,3 +203,27 @@ def test_a_commutants_case_with_every_entry_over_the_cap_is_a_skip():
     assert partial.ok and not partial.skipped
     assert partial.detail == ("4 tower entries match the oracle, 4 skipped "
                               "over oracle_cap=50, set by --oracle-cap")
+
+
+@pytest.mark.parametrize("flags, skipped", [
+    (["--theta-k-cap", "1"], 12),
+    (["--theta-k-cap", "0"], 31),
+    (["--order-cap", "60"], 1),
+])
+def test_a_cap_met_inside_a_case_is_a_skip(capsys, flags, skipped):
+    # a cap bounds work and checks nothing: the theta cases over the k
+    # cap, arithmetic:bounds under a k cap of 0 and the swap extension,
+    # whose ambient group of order 72 is built inside its case, skip
+    assert cli.main(["verify", "--json"] + flags) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["failed"], report["skipped"]) == (0, skipped)
+    skips = {c["id"]: c["detail"] for c in report["cases"] if c["skipped"]}
+    if flags[0] == "--order-cap":
+        assert skips == {"extensions:s3xs3-swap":
+                         "group order exceeds cap 60"}
+    elif flags[1] == "1":
+        assert all(":k2:" in case and detail == (
+            "k=2 is over theta_k_cap=1, set by --theta-k-cap")
+            for case, detail in skips.items())
+    else:
+        assert skips["arithmetic:bounds"] == "tuple length k=1 exceeds cap 0"
