@@ -29,6 +29,9 @@ from .permgroup import (
     right_coset_data,
 )
 
+# the most tuples of candidate generator images the search tries
+CANDIDATE_CAP = 200000
+
 
 class AutomorphismData(NamedTuple):
     """Aut(G) acting on the element list of G.
@@ -107,9 +110,8 @@ def automorphism_group(G: PermGroup, config: Config = DEFAULT) -> AutomorphismDa
     so the result is exhaustive.
     """
     if G.order > config.aut_cap:
-        raise CapExceededError(
-            "automorphism search capped at order %d, group has order %d"
-            % (config.aut_cap, G.order))
+        raise CapExceededError("group order", G.order, config.aut_cap,
+                               "aut_cap")
     gens = _reduced_generators(G)
     classes = conjugacy_classes(G)
     class_size = {p: classes.sizes[i] for p, i in classes.class_of.items()}
@@ -122,9 +124,9 @@ def automorphism_group(G: PermGroup, config: Config = DEFAULT) -> AutomorphismDa
     total = 1
     for pool in candidates:
         total *= len(pool)
-    if total > 200000:
-        raise CapExceededError(
-            "automorphism candidate space too large (%d tuples)" % total)
+    if total > CANDIDATE_CAP:
+        raise CapExceededError("automorphism candidate tuples", total,
+                               CANDIDATE_CAP)
 
     found = []
     for images in itertools.product(*candidates):

@@ -371,8 +371,7 @@ def _character_table(G: PermGroup) -> CharacterTable:
     classes = conjugacy_classes(G)
     r = classes.count
     if r > CLASS_CAP:
-        raise CapExceededError(
-            "group has %d conjugacy classes, cap is %d" % (r, CLASS_CAP))
+        raise CapExceededError("conjugacy classes", r, CLASS_CAP)
     order, sizes = G.order, classes.sizes
     powers = [_power_classes(rep, classes.class_of) for rep in classes.reps]
     inverse = [pw[-1] for pw in powers]

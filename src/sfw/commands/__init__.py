@@ -45,20 +45,11 @@ def _load_group_file(path: str, config: Config):
     return formats.group_from_json(formats.read_json_file(path), config)
 
 
-def _load_case(name: str, config: Config):
-    """A built-in case, held to the same order cap as a group file."""
-    try:
-        case = corpus.case_by_name(name)
-    except KeyError as e:
-        raise ParseError(str(e.args[0])) from None
-    return corpus.require_order_cap(case, config)
-
-
 def _load_inclusion(args, config: Config):
     if args.case:
         if args.group or args.subgroup:
             raise ParseError("--case excludes --group/--subgroup")
-        case = _load_case(args.case, config)
+        case = corpus.case_by_name(args.case, config)
         return case.name, case.group, case.subgroup
     if not (args.group and args.subgroup):
         raise ParseError("need --case or both --group and --subgroup")

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .. import automorphisms, cocycle, formats
+from .. import automorphisms, cocycle, corpus, formats
 from ..config import Config
 from ..errors import ParseError
-from . import _add_common, _emit, _load_case, _load_group_file
+from . import _add_common, _emit, _load_group_file
 
 if TYPE_CHECKING:
     from ..cocycle import Cocycle2, ExtensionResult
@@ -25,7 +25,7 @@ def add_arguments(p):
 
 def run(args, cfg: Config) -> int:
     if args.case:
-        G = _load_case(args.case, cfg).group
+        G = corpus.case_by_name(args.case, cfg).group
     elif args.group:
         G = _load_group_file(args.group, cfg)
     else:

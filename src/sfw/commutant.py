@@ -32,8 +32,8 @@ def _check_k(k: int, config: Config) -> None:
     if k < 1:
         raise PreconditionError("tuple length k=%d must be positive" % k)
     if k > config.theta_k_cap:
-        raise CapExceededError(
-            "tuple length k=%d exceeds cap %d" % (k, config.theta_k_cap))
+        raise CapExceededError("tuple length", k, config.theta_k_cap,
+                               "theta_k_cap")
 
 
 def relative_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,

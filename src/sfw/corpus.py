@@ -2,9 +2,10 @@
 
 Every group sfw declares arrives as a group file does: a degree and
 generators in cycle notation.  declared_group builds one from the table
-below under a config, and the built-in cases and the verify suites all
-take their groups from it.  C2wrC3 is the wreath product C2 wr C3 by
-its four generators, the base copies first.
+below under a config; the built-in cases, listed under the run's config
+too, and the verify suites all take their groups from it.  C2wrC3 is
+the wreath product C2 wr C3 by its four generators, the base copies
+first.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .config import Config, DEFAULT
-from .errors import CapExceededError, PreconditionError
+from .errors import ParseError, PreconditionError
 from .permgroup import PermGroup, parse_cycle_string
 
 # name -> (degree, generator cycle strings)
@@ -65,39 +66,33 @@ _CASES = {
 }
 
 
-def builtin_cases() -> tuple:
-    """Six inclusions of index 2 to 4 with varied shapes."""
-    return tuple(case_by_name(name) for name in _CASES)
+def builtin_cases(config: Config = DEFAULT) -> tuple:
+    """Six inclusions of index 2 to 4 with varied shapes, under config."""
+    return tuple(case_by_name(name, config) for name in _CASES)
 
 
 def case_names() -> tuple:
     return tuple(_CASES)
 
 
+def case_by_name(name: str, config: Config = DEFAULT) -> InclusionCase:
+    """The named case, its groups listed under config like a group file.
+
+    Only its own groups are built, and cached as by declared_group.  An
+    unknown name is bad input, a ParseError.
+    """
+    if name not in _CASES:
+        raise ParseError("unknown case %r, have %s"
+                         % (name, ", ".join(case_names())))
+    return _case_by_name(name, config)
+
+
 @lru_cache(maxsize=None)
-def case_by_name(name: str) -> InclusionCase:
-    """The named built-in case; only its own groups are built."""
-    try:
-        index, group_name, cycles = _CASES[name]
-    except KeyError:
-        raise KeyError("unknown case %r, have %s"
-                       % (name, ", ".join(case_names()))) from None
-    group = declared_group(group_name)
+def _case_by_name(name: str, config: Config) -> InclusionCase:
+    index, group_name, cycles = _CASES[name]
+    group = declared_group(group_name, config)
     subgroup = group.subgroup(
-        [parse_cycle_string(group.degree, c) for c in cycles])
+        [parse_cycle_string(group.degree, c) for c in cycles], config)
     if group.order != index * subgroup.order:
         raise PreconditionError("corpus index bookkeeping is wrong")
     return InclusionCase(name, group, subgroup, index)
-
-
-def require_order_cap(case: InclusionCase, config: Config) -> InclusionCase:
-    """The case, held to config.order_cap like a group read from a file.
-
-    The built-in groups are enumerated once under the default config, so
-    a lower cap has to be applied here.
-    """
-    if case.group.order > config.order_cap:
-        raise CapExceededError("case %s has group order %d, above cap %d"
-                               % (case.name, case.group.order,
-                                  config.order_cap))
-    return case

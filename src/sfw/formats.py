@@ -88,8 +88,8 @@ def group_from_json(obj, config: Config = DEFAULT) -> PermGroup:
     if degree < 1:
         raise ParseError("degree must be at least 1")
     if degree > config.order_cap:
-        raise CapExceededError("group degree %d exceeds cap %d"
-                               % (degree, config.order_cap))
+        raise CapExceededError("group degree", degree, config.order_cap,
+                               "order_cap")
     if "convention" in obj and obj["convention"] != CONVENTION:
         raise ParseError("unsupported composition convention %r"
                          % (obj["convention"],))

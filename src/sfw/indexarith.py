@@ -1,8 +1,10 @@
 """Index arithmetic: the admissible index spectrum, virtual embedding
 index values and chain inequalities.
 
-The block monomial map of G into matrices over a subgroup algebra that
-`induce` prints is theta at k = 1 (theta.induced_theta).
+Arithmetic on index values alone; no group is built here.  `spectrum`
+and `vindex` print jones_spectrum_query and virtual_index, and the
+arithmetic verify suite holds the normal-core towers and the commutant
+dimensions to the chain and commutant bounds.
 """
 
 from __future__ import annotations

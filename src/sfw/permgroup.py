@@ -25,9 +25,9 @@ Conventions used throughout the package:
 This module holds what every group command runs: permutations, group
 closure, cosets, double cosets and conjugacy classes, and the one test
 that generator images define a homomorphism.  Automorphisms
-and normal cores (sfw.automorphisms) and wreath products (sfw.wreath)
-build on it in modules of their own, which only `extend`, the
-`wr2x3-base` case and `verify` run.
+and normal cores (sfw.automorphisms), which only `extend` and `verify`
+run, and wreath products (sfw.wreath), which only `verify` runs, build
+on it in modules of their own.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ class Perm(tuple):
         result = cls.identity(degree)
         for cycle in reversed(list(cycles)):
             images = list(range(degree))
+            if not all(0 <= x < degree for x in cycle):
+                raise ValueError("cycle point out of range 0..%d" % (degree - 1))
             for a, b in zip(cycle, cycle[1:]):
-                if not (0 <= a < degree and 0 <= b < degree):
-                    raise ValueError("cycle point out of range 0..%d" % (degree - 1))
                 images[a] = b
             if cycle:
                 images[cycle[-1]] = cycle[0]
@@ -216,12 +216,14 @@ def parse_cycle_string(degree: int, text: str) -> Perm:
         raise ParseError("%s in cycle string %r" % (e, text)) from None
 
 
-def mulclose(generators: Sequence[Perm], cap: int) -> list:
+def mulclose(generators: Sequence[Perm], cap: int,
+             field: Optional[str] = None) -> list:
     """Breadth-first closure of the generators under multiplication.
 
-    Raises CapExceededError as soon as more than cap elements appear.
-    Products are image tuples composed by right_mul; the elements come
-    back as Perms, in the order found.
+    Raises CapExceededError, naming field as the Config field of the
+    cap, as soon as more than cap elements appear.  Products are image
+    tuples composed by right_mul; the elements come back as Perms, in
+    the order found.
     """
     if not generators:
         raise ValueError("mulclose needs at least one element")
@@ -238,8 +240,7 @@ def mulclose(generators: Sequence[Perm], cap: int) -> list:
             q = step(p)
             if q not in seen:
                 if len(seen) >= cap:
-                    raise CapExceededError(
-                        "group order exceeds cap %d" % cap)
+                    raise CapExceededError("group order", None, cap, field)
                 seen.add(q)
                 found.append(q)
     return list(map(_perm, found))
@@ -280,7 +281,8 @@ class PermGroup:
                     "generator degree %d does not match group degree %d"
                     % (g.degree, degree))
         gens = tuple(g for g in generators if not g.is_identity())
-        elements = mulclose(gens or (Perm.identity(degree),), config.order_cap)
+        elements = mulclose(gens or (Perm.identity(degree),),
+                            config.order_cap, "order_cap")
         elements.sort()
         self.degree = degree
         self.generators = gens if gens else (Perm.identity(degree),)

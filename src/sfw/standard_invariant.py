@@ -144,8 +144,8 @@ def brute_force_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
     # equations are expanded over the elements of G
     size = G.order * index ** (2 * k)
     if size > config.oracle_cap:
-        raise CapExceededError(
-            "oracle size %d exceeds cap %d" % (size, config.oracle_cap))
+        raise CapExceededError("oracle size", size, config.oracle_cap,
+                               "oracle_cap")
     theta, entries, right = _oracle_tables(G, H, k, config)
     positions = range(len(theta.tuples))
     # unknown[a][b] numbers the unknown of entry (a, b), None where the

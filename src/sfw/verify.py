@@ -17,10 +17,10 @@ and the coset basis expands L(G) over L(H) exactly when H x [t] -> G,
 (h, i) -> h g_i, is a bijection.  No check samples: the theta suite
 proves the product law on all of G x gens, holds the reference on e
 and the generators, and checks the bijection on all of G, each
-reduction proved in its case's docstring.  A case or an entry that a
-cap keeps from running is recorded as skipped, with the cap, its value
-and its flag, and counted apart from passes and failures; a cap met
-inside a case is a skip too, whose detail is the error's message.
+reduction proved in its case's docstring.  verify keeps no cap logic
+of its own: a cap met inside a case (CapExceededError, whose message
+names the cap, its value and its flag) makes that case a skip with the
+message as its detail, counted apart from passes and failures.
 
 The suites also run what no command reaches: the wreath-like axioms on
 C2 wr C3 and index towers over the normal core.  The cocycles and
@@ -104,16 +104,6 @@ class VerifyReport(NamedTuple):
         }
 
 
-class _Skip(Exception):
-    """Raised by a case that a cap keeps from running; the message says why."""
-
-
-def _over_cap(field: str, config: Config) -> str:
-    """The cap a skip names: its Config field, its value and its flag."""
-    return "over %s=%d, set by --%s" % (field, getattr(config, field),
-                                        field.replace("_", "-"))
-
-
 class _Recorder:
     """Case outcomes; own_note ends the detail of a case on built groups."""
 
@@ -121,14 +111,11 @@ class _Recorder:
         self.results = []
         self.own_note = own_note
 
-    def skip(self, case_id: str, reason: str) -> None:
-        self.results.append(CaseResult(case_id, False, reason, True))
-
     def run(self, case_id: str, fn, own_groups: bool = False) -> None:
         ok = skipped = False
         try:
             detail, ok = fn() or "", True
-        except (_Skip, CapExceededError) as e:
+        except CapExceededError as e:
             # a cap met inside a case bounds work; it is no failed check
             detail, skipped = str(e), True
         except SfwError as e:
@@ -140,23 +127,21 @@ class _Recorder:
         self.results.append(CaseResult(case_id, ok, detail, skipped))
 
 
+def _theta_map(cosets, k: int, config: Config):
+    """ThetaMap at k, with the |G| t^k columns a case reads under oracle_cap."""
+    amplified = theta.ThetaMap(cosets, k, config)
+    size = cosets.group.order * cosets.index ** k
+    if size > config.oracle_cap:
+        raise CapExceededError("|G| t^%d =" % k, size, config.oracle_cap,
+                               "oracle_cap")
+    return amplified
+
+
 def _suite_theta(rec: _Recorder, cases, config: Config) -> None:
     for case in cases:
         G, H = case.group, case.subgroup
         cosets = permgroup.right_coset_data(G, H)
         for k in (1, 2):
-            size = G.order * cosets.index ** k
-            reason = ""
-            if k > config.theta_k_cap:
-                reason = "k=%d is %s" % (k, _over_cap("theta_k_cap", config))
-            elif size > config.oracle_cap:
-                reason = "|G| t^%d = %d is %s" % (
-                    k, size, _over_cap("oracle_cap", config))
-            if reason:
-                for check in ("entries", "product"):
-                    rec.skip("theta:%s:k%d:%s" % (case.name, k, check),
-                             reason)
-                continue
 
             def entries(k=k, G=G, cosets=cosets):
                 """The matrices against nested expectations on e and gens.
@@ -165,7 +150,7 @@ def _suite_theta(rec: _Recorder, cases, config: Config) -> None:
                 and the reference by construction, and two homomorphisms
                 that agree on generators agree on every product of them.
                 """
-                amplified = theta.ThetaMap(cosets, k, config)
+                amplified = _theta_map(cosets, k, config)
                 count = 0
                 for g in (G.identity,) + tuple(G.generators):
                     m = amplified.matrix(g)
@@ -188,7 +173,7 @@ def _suite_theta(rec: _Recorder, cases, config: Config) -> None:
                 m gives theta(g h) = theta(g s_1 ... s_(m-1)) theta(s_m)
                 = theta(g) theta(h), with theta(e) = 1 for m = 0.
                 """
-                amplified = theta.ThetaMap(cosets, k, config)
+                amplified = _theta_map(cosets, k, config)
                 mats = {g: amplified.matrix(g) for g in G.elements}
                 one = tuple(enumerate([H.identity] * len(amplified.tuples)))
                 if mats[G.identity] != one:
@@ -280,9 +265,7 @@ def _suite_graphs(rec: _Recorder, cases, config: Config) -> None:
         rec.run("graphs:%s:dual" % case.name, dual)
 
         def commutants(G=G, H=H):
-            compared = 0
-            # the caps that kept entries from the oracle, once each
-            caps = {}
+            compared, capped = 0, []
             for k in (1, 2):
                 for G0 in (H, G):
                     for side in standard_invariant.SIDES:
@@ -290,10 +273,8 @@ def _suite_graphs(rec: _Recorder, cases, config: Config) -> None:
                             want = (standard_invariant
                                     .brute_force_commutant_dim(
                                         G, G0, H, k, side, config))
-                        except CapExceededError:
-                            cap = ("theta_k_cap" if k > config.theta_k_cap
-                                   else "oracle_cap")
-                            caps[cap] = caps.get(cap, 0) + 1
+                        except CapExceededError as e:
+                            capped.append(e)
                             continue
                         dim = standard_invariant.relative_commutant_dim(
                             G, G0, H, k, side, config)
@@ -303,13 +284,13 @@ def _suite_graphs(rec: _Recorder, cases, config: Config) -> None:
                                 % (k, side, "H" if G0 is H else "G", dim,
                                    want))
                         compared += 1
-            skipped = sum(caps.values())
-            over = " and ".join(_over_cap(cap, config) for cap in caps)
             if not compared:
-                raise _Skip("all %d tower entries %s" % (skipped, over))
+                raise capped[0]
             detail = "%d tower entries match the oracle" % compared
-            if skipped:
-                detail += ", %d skipped %s" % (skipped, over)
+            if capped:
+                limits = dict.fromkeys(e.limit for e in capped)
+                detail += ", %d skipped %s" % (len(capped),
+                                               " and ".join(limits))
             return detail
 
         rec.run("graphs:%s:commutants" % case.name, commutants)
@@ -417,7 +398,8 @@ def _suite_arithmetic(rec: _Recorder, cases, config: Config) -> None:
     rec.run("arithmetic:spectrum", spectrum)
 
     def chains(cases=cases):
-        # G >= H >= core_G(H), all indices integers
+        # G >= H >= K = core_G(H), all indices integers; they hold for
+        # any K <= H, so K is held to being the kernel of G on H\G
         for case in cases:
             G, H = case.group, case.subgroup
             K = automorphisms.normal_core(G, H)
@@ -429,6 +411,18 @@ def _suite_arithmetic(rec: _Recorder, cases, config: Config) -> None:
             if not indexarith.index_chain_check(a, case.index, c):
                 raise AssertionError("chain bounds violated on %s"
                                      % case.name)
+            if any(g * x * g.inv() not in K
+                   for g in G.generators for x in K.generators):
+                raise AssertionError("core is not normal on %s" % case.name)
+            # K fixes every coset, and G acts on them with |G|/|K| images
+            action = permgroup.right_coset_data(G, H).action
+            trivial = tuple(range(case.index))
+            image = permgroup.PermGroup(case.index, [
+                permgroup.Perm(action(g)) for g in G.generators], config)
+            if (image.order != a
+                    or any(action(x) != trivial for x in K.elements)):
+                raise AssertionError("core is not the kernel on the cosets "
+                                     "of %s" % case.name)
         if indexarith.index_chain_check(2, 2, 3):
             raise AssertionError("impossible chain accepted")
         return "%d towers over the normal core" % len(cases)
@@ -489,8 +483,7 @@ def run_suite(suite: str, cases=None, corpus_dir=None,
     """Run one named suite, or every suite with "all"."""
     if cases is None:
         cases = (load_corpus_dir(corpus_dir, config) if corpus_dir
-                 else tuple(corpus.require_order_cap(case, config)
-                            for case in corpus.builtin_cases()))
+                 else corpus.builtin_cases(config))
     if suite != "all" and suite not in _SUITE_FUNCS:
         raise ParseError("unknown suite %r, have %s"
                          % (suite, ", ".join(SUITES + ("all",))))

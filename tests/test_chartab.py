@@ -222,5 +222,8 @@ def test_inner_product_non_characters_returns_complex():
 def test_class_cap_bounds_the_table_not_the_classes():
     G = cyclic_group(CLASS_CAP + 1)
     assert conjugacy_classes(G).count == CLASS_CAP + 1
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError) as met:
         character_table(G)
+    # no Config field raises this limit
+    assert (met.value.field, met.value.limit) == (None,
+                                                  "over the fixed limit 64")

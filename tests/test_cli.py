@@ -400,7 +400,8 @@ def test_verify_groups_of_its_own_respect_order_cap(capsys, tmp_path, suite,
     captured = capsys.readouterr()
     if builds_its_own:
         assert rc == 4
-        assert captured.err.startswith("error: group order exceeds cap 6")
+        assert captured.err == ("error: group order is over order_cap=6, "
+                                "set by --order-cap\n")
         assert captured.out == ""
     else:
         assert rc == 0 and "failures=0" in captured.out
@@ -456,7 +457,8 @@ def test_order_cap_exits_4(capsys, tmp_path):
     rc = cli.main(argv + ["--order-cap", "6"])
     captured = capsys.readouterr()
     assert rc == 4 and captured.out == ""
-    assert captured.err.startswith("error: group degree 7 exceeds cap 6")
+    assert captured.err == ("error: group degree 7 is over order_cap=6, "
+                            "set by --order-cap\n")
     rc, _ = run(capsys, argv + ["--order-cap", "7"])
     assert rc == 0
 
@@ -468,7 +470,8 @@ def test_chartab_past_the_class_cap_exits_4(capsys, tmp_path):
     rc = cli.main(["chartab", "--group", g, "--subgroup", g])
     captured = capsys.readouterr()
     assert rc == 4
-    assert "65 conjugacy classes, cap is 64" in captured.err
+    assert captured.err == ("error: conjugacy classes 65 is over the fixed "
+                            "limit 64\n")
 
 
 def test_an_automorphism_search_past_its_candidate_bound_exits_4(capsys,
@@ -480,14 +483,30 @@ def test_an_automorphism_search_past_its_candidate_bound_exits_4(capsys,
     rc = cli.main(["extend", "--group", g, "--aut-cap", "1000"])
     captured = capsys.readouterr()
     assert rc == 4
-    assert captured.err == ("error: automorphism candidate space too large "
-                            "(40960000 tuples)\n")
+    assert captured.err == ("error: automorphism candidate tuples 40960000 "
+                            "is over the fixed limit 200000\n")
     assert captured.out == ""
 
 
 def test_bad_cycle_string_exits_2(capsys):
     rc, _ = run(capsys, ["induce", "--case", "s3-a3", "--element", "(0 9)"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("cycle", ["(9)", "(-1)", "(1 2)(5)"])
+def test_every_cycle_point_is_range_checked(capsys, tmp_path, cycle):
+    # a one-point cycle has no pair of consecutive points, and still
+    # names a point of the group
+    expected = ("error: cycle point out of range 0..2 in cycle string %r\n"
+                % cycle)
+    rc = cli.main(["induce", "--case", "s3-a3", "--element", cycle])
+    captured = capsys.readouterr()
+    assert (rc, captured.err, captured.out) == (2, expected, "")
+    g = tmp_path / "g.json"
+    g.write_text(canonical_json({"degree": 3, "generators": [cycle]}))
+    rc = cli.main(["index", "--group", str(g), "--subgroup", str(g)])
+    captured = capsys.readouterr()
+    assert (rc, captured.err, captured.out) == (2, expected, "")
 
 
 def test_a_group_file_that_is_not_utf8_exits_2(capsys, tmp_path):
@@ -835,8 +854,12 @@ def test_order_cap_applies_to_builtin_cases(capsys, tmp_path, argv, enough):
     argv = [str(cfg) if a == "CFG" else a for a in argv]
     rc = cli.main(argv)
     captured = capsys.readouterr()
+    # the case's groups are listed under the run's config, so its group
+    # order meets the cap as a group file's would
+    cap = argv[4] if argv[3] == "--order-cap" else "5"
     assert rc == 4
-    assert captured.err.startswith("error: case ")
+    assert captured.err == ("error: group order is over order_cap=%s, "
+                            "set by --order-cap\n" % cap)
     assert captured.out == ""
     rc = cli.main(argv[:3] + ["--order-cap", str(enough)])
     capsys.readouterr()

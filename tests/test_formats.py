@@ -73,11 +73,14 @@ def test_group_json_respects_the_order_cap():
         "convention": "rightmost-first",
         "generators": ["(0 1 2 3 4)", "(0 1)"],
     }
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match=r"^group order is over "
+                       r"order_cap=10, set by --order-cap$") as met:
         group_from_json(obj, DEFAULT.replace(order_cap=10))
+    assert met.value.field == "order_cap"
     # a C2 on many points has a tiny order but costs its degree per element
     c2 = {"degree": 11, "generators": ["(0 1)"]}
-    with pytest.raises(CapExceededError, match="degree 11 exceeds cap 10"):
+    with pytest.raises(CapExceededError, match=r"^group degree 11 is over "
+                       r"order_cap=10, set by --order-cap$"):
         group_from_json(c2, DEFAULT.replace(order_cap=10))
     assert group_from_json(dict(c2, degree=10),
                            DEFAULT.replace(order_cap=10)).order == 2

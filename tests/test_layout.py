@@ -17,13 +17,17 @@ And only permgroup reads the coset labels `coset_of`; every other module
 moves cosets by CosetData.action.  Every check raises at its first
 failure, so no class outside verify's outcome records has an `ok`.  And
 one function of sfw.cocycle checks the crossed-product law, for both
-the extensions and the crossed products.
+the extensions and the crossed products.  Every cap is met by a
+CapExceededError that names the Config field it reads, but for the two
+limits fixed in the code and mulclose, which passes its caller's field.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+from sfw.config import config_fields
 
 ROOT = Path(__file__).resolve().parents[1]
 FORMAT_API = {"group_to_json", "graph_from_json"}
@@ -105,7 +109,7 @@ SHARED_MEMBERS = {
     "Perm.degree": "permgroup.mulclose, automorphisms.is_automorphism_perm",
     "Perm.identity": "permgroup.parse_cycle_string, cocycle.verify_cocycle",
     "PermGroup.identity": "verify._suite_theta, theta, cocycle, wreath",
-    "PermGroup.subgroup": "corpus.case_by_name",
+    "PermGroup.subgroup": "corpus._case_by_name",
     "VerifyReport.ok": "commands.verify.run",
     "VerifyReport.skipped": "commands.verify.run",
 }
@@ -319,3 +323,54 @@ def test_one_function_checks_the_crossed_product_law():
         "        if x:\n"
         "            raise E('conjugation relation fails', (x,))\n")
     assert crossed_law_raisers(copy) == ["f"]
+
+
+# (function, cap, field) of the CapExceededError calls that name no
+# Config field: the two limits fixed in the code, and mulclose, which
+# passes on the field its caller names
+CAP_EXCEPTIONS = {
+    ("automorphisms.automorphism_group", "CANDIDATE_CAP", None),
+    ("chartab._character_table", "CLASS_CAP", None),
+    ("permgroup.mulclose", "cap", "field"),
+}
+
+
+def cap_raise_sites() -> list:
+    """(module.function, cap, field) per CapExceededError call, as source.
+
+    cap and field are the source of those arguments, None where one is
+    left out.  A call is credited to its innermost enclosing function.
+    """
+    sites = {}
+    for stem, tree in package_trees():
+        # ast.walk visits an outer function before the ones inside it
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "CapExceededError"):
+                    continue
+                args = dict(zip(("measure", "value", "cap", "field"),
+                                node.args))
+                args.update((kw.arg, kw.value) for kw in node.keywords)
+                cap, field = (args.get(name) for name in ("cap", "field"))
+                sites[id(node)] = ("%s.%s" % (stem, function.name),
+                                   *(None if arg is None else ast.unparse(arg)
+                                     for arg in (cap, field)))
+    return sorted(sites.values(), key=str)
+
+
+def test_every_cap_names_the_config_field_it_reads():
+    # each exit 4 names its flag, so a cap outside Config has to be
+    # listed here by hand
+    caps = {repr(name) for name, kind in config_fields() if kind is int}
+    sites = cap_raise_sites()
+    named = [(where, cap, field) for where, cap, field in sites
+             if (where, cap, field) not in CAP_EXCEPTIONS]
+    assert set(sites) >= CAP_EXCEPTIONS
+    for where, cap, field in named:
+        assert field in caps and cap == "config." + field[1:-1], where
+    # and every cap of Config is met somewhere
+    assert {field for _, _, field in named} == caps

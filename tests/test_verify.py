@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from sfw import cli, permgroup, theta
+from sfw import automorphisms, cli, permgroup, theta
 from sfw.config import DEFAULT
 from sfw.corpus import builtin_cases, case_by_name
 from sfw.errors import ParseError, SubgroupError
@@ -209,21 +209,46 @@ def test_a_commutants_case_with_every_entry_over_the_cap_is_a_skip():
     (["--theta-k-cap", "1"], 12),
     (["--theta-k-cap", "0"], 31),
     (["--order-cap", "60"], 1),
+    (["--oracle-cap", "50"], 21),
 ])
 def test_a_cap_met_inside_a_case_is_a_skip(capsys, flags, skipped):
     # a cap bounds work and checks nothing: the theta cases over the k
-    # cap, arithmetic:bounds under a k cap of 0 and the swap extension,
-    # whose ambient group of order 72 is built inside its case, skip
+    # cap, arithmetic:bounds under a k cap of 0, the swap extension,
+    # whose ambient group of order 72 is built inside its case, and the
+    # theta and commutants cases over the oracle cap skip.  Each detail
+    # is the error's message, which names the cap and its flag.
     assert cli.main(["verify", "--json"] + flags) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["failed"], report["skipped"]) == (0, skipped)
     skips = {c["id"]: c["detail"] for c in report["cases"] if c["skipped"]}
+    limit = " is over %s=%s, set by %s" % (flags[0][2:].replace("-", "_"),
+                                           flags[1], flags[0])
+    assert all(detail.endswith(limit) for detail in skips.values())
     if flags[0] == "--order-cap":
-        assert skips == {"extensions:s3xs3-swap":
-                         "group order exceeds cap 60"}
+        assert skips == {"extensions:s3xs3-swap": "group order" + limit}
+    elif flags[0] == "--oracle-cap":
+        assert skips["theta:s4-s3:k1:entries"] == "|G| t^1 = 96" + limit
+        assert skips["graphs:s4-s3:commutants"] == "oracle size 384" + limit
     elif flags[1] == "1":
-        assert all(":k2:" in case and detail == (
-            "k=2 is over theta_k_cap=1, set by --theta-k-cap")
-            for case, detail in skips.items())
+        assert all(":k2:" in case and detail == "tuple length 2" + limit
+                   for case, detail in skips.items())
     else:
-        assert skips["arithmetic:bounds"] == "tuple length k=1 exceeds cap 0"
+        assert skips["arithmetic:bounds"] == "tuple length 1" + limit
+
+
+@pytest.mark.parametrize("core, detail", [
+    pytest.param("trivial", "core is not the kernel on the cosets of s3-a3",
+                 id="trivial"),
+    pytest.param("subgroup", "core is not normal on s3-flip", id="subgroup"),
+])
+def test_arithmetic_chains_catch_a_wrong_normal_core(monkeypatch, core,
+                                                     detail):
+    # |G|/|K| = [G:H] |H|/|K| holds for any K <= H, so the index checks
+    # alone pass with either of these in place of the core
+    wrong = {"trivial": lambda G, H: permgroup.PermGroup(G.degree, ()),
+             "subgroup": lambda G, H: H}[core]
+    monkeypatch.setattr(automorphisms, "normal_core", wrong)
+    report = run_suite("arithmetic")
+    chains = {c.case_id: c for c in report.cases}["arithmetic:chains"]
+    assert not chains.ok and not chains.skipped
+    assert chains.detail == detail
