@@ -36,7 +36,9 @@ def run(args, cfg: Config) -> int:
 
 
 def graph_to_dot(g: BipartiteMultiGraph, name: str = "principal") -> str:
-    lines = ["graph %s {" % name,
+    # a quoted ID may hold any character; case names hold hyphens
+    quoted = name.replace("\\", "\\\\").replace('"', '\\"')
+    lines = ['graph "%s" {' % quoted,
              "  rankdir=LR;",
              "  node [shape=circle];"]
     for i, v in enumerate(g.even):

@@ -8,12 +8,13 @@ tuples with a label in H per column, so products compose the actions
 and multiply the labels (ThetaMap.matrix, theta_matrix_product).  At
 k = 1 on the inverted left transversal (induced_theta, built with
 CosetData.with_reps) the amplification is the block monomial embedding
-of G into t x t matrices over the algebra of H that `induce` prints; it
-is checked on the generators of G on every call.  nested_theta_entry
-computes any entry by nested conditional expectations, the reference
-that the theta verify suite holds the matrices to.  Each expectation of
-a single basis element u_x is u_x or zero, so the reference is a chain
-of group products with one membership test in H per level.
+of G into t x t matrices over the algebra of H that `induce` prints.
+theta is a homomorphism by construction (ThetaMap.matrix), and only the
+theta verify suite checks it.  nested_theta_entry computes any entry by
+nested conditional expectations, the reference that the suite holds the
+matrices to.  Each expectation of a single basis element u_x is u_x or
+zero, so the reference is a chain of group products with one membership
+test in H per level.
 
 Only `induce`, the verify suites and the commutant oracle reach this
 module; `index` and the graphs count commutants without it.  Tuples
@@ -69,19 +70,20 @@ class ThetaMap:
         """theta(g) in H wr Sym(tuples): a (row, w) pair per column.
 
         Column n, the tuple j = self.tuples[n], holds its one nonzero
-        entry u_w in row `row`, a position in self.tuples too: the row
-        tuple i is the image of j under the tuple action, a bijection of
-        the tuples, and w = prod_i * g * prod_j^-1 lies in H.  Every
-        other entry is zero.  nested_theta_entry computes any entry by
-        nested conditional expectations and serves as the reference.
+        entry u_w in row `row`, the tuple i = self.tuples[row] with
+        H p_l(i) = H p_l(j) g^-1 for every l, where p_l(j) = g_{j_l} *
+        ... * g_{j_k} are the suffix products; w = p_i g p_j^-1 lies in H.
+        The row is looked up from the moved suffix cosets of j, at one
+        product per coset for the whole matrix, and the label takes two
+        products per column.  A label outside H is a fault of this code,
+        not of the input.  nested_theta_entry is the reference.
 
-        With p_l(j) = g_{j_l} * ... * g_{j_k} the suffix products of j,
-        the tuple action gives the row i with H p_l(i) = H p_l(j) g^-1
-        for every l, and the suffix cosets fix a tuple.  So the row is
-        looked up from the moved suffix cosets of j, at one product per
-        coset for the whole matrix, and the label takes two products per
-        column.  A label outside H is a fault of this code, not of the
-        input.
+        theta is a unitary homomorphism by construction, so no call
+        checks it.  The labels compose: p_i g p_j^-1 p_j h p_l^-1 =
+        p_i gh p_l^-1.  The rows compose, since they are read off
+        CosetData.action(g^-1), a homomorphism.  theta(g) is unitary, its
+        rows being the image of a bijection: one permutation moves the
+        t^k distinct suffix-coset tuples, which fill [t]^k.
         """
         cosets = self.cosets
         if g not in cosets.group:
@@ -110,32 +112,15 @@ def induced_theta(G: PermGroup, K: PermGroup) -> ThetaMap:
     a_l^-1, and entry (m, l) of theta(g) is u_c with
     c = a_m^-1 g a_l in K (the Kaloujnine-Krasner embedding of G into
     K wr Sym(t)).  The map takes the default config, so theta_k_cap
-    does not bind it.  Multiplicativity and unitarity are checked on
-    the generators of G before it is returned.
+    does not bind it.  It is a unitary homomorphism by construction
+    (ThetaMap.matrix); the theta:<case>:induced verify case checks it.
     """
     cosets = right_coset_data(G, K)
     # the left coset x K is the inverse of the right coset K x^-1
     lefts = sorted((min((rep.inv() * k for k in K.elements),
                         key=Perm.sort_key) for rep in cosets.reps),
                    key=Perm.sort_key)
-    theta = ThetaMap(cosets.with_reps([a.inv() for a in lefts]), 1)
-    _check_on_generators(theta)
-    return theta
-
-
-def _check_on_generators(theta: ThetaMap) -> None:
-    """theta(g) theta(h) = theta(gh) and theta(g) theta(g)* = 1 on generators."""
-    gens = theta.cosets.group.generators
-    mats = {g: theta.matrix(g) for g in gens}
-    for g in gens:
-        for h in gens:
-            if theta_matrix_product(mats[g], mats[h]) != theta.matrix(g * h):
-                raise InvariantViolationError(
-                    "theta is not multiplicative at (%r, %r)" % (g, h))
-        # a monomial matrix over H is unitary when its rows permute its columns
-        if sorted(row for row, _ in mats[g]) != list(range(len(mats[g]))):
-            raise InvariantViolationError(
-                "theta of %r is not unitary" % (g,))
+    return ThetaMap(cosets.with_reps([a.inv() for a in lefts]), 1)
 
 
 def theta_matrix_product(m1: tuple, m2: tuple) -> tuple:
@@ -147,10 +132,12 @@ def theta_matrix_product(m1: tuple, m2: tuple) -> tuple:
     return tuple((m1[r][0], m1[r][1] * w) for r, w in m2)
 
 
-def stabilizer_matches_intersection(G: PermGroup, H: PermGroup) -> bool:
+def verify_stabilizers(G: PermGroup, H: PermGroup) -> None:
     """Stab_H(i) under the coset action equals H intersect g_i^-1 H g_i.
 
-    h fixes the coset H g_i exactly when g_i h g_i^-1 lies in H.
+    h fixes the coset H g_i exactly when g_i h g_i^-1 lies in H.  The
+    first (h, i) where the two disagree raises InvariantViolationError
+    with that witness.
     """
     cosets = right_coset_data(G, H)
     pairs = tuple(enumerate(zip(cosets.reps, map(Perm.inv, cosets.reps))))
@@ -158,8 +145,9 @@ def stabilizer_matches_intersection(G: PermGroup, H: PermGroup) -> bool:
         moved = cosets.action(h)
         for i, (rep, rep_inv) in pairs:
             if (moved[i] == i) != (rep * h * rep_inv in H):
-                return False
-    return True
+                raise InvariantViolationError(
+                    "stabilizer of the coset differs from the "
+                    "intersection", (h, i))
 
 
 def nested_theta_entry(cosets: CosetData, g: Perm, i_tuple,

@@ -15,9 +15,10 @@ under oracle_cap.  Every reference is a computation with group
 elements: an entry of the amplified u_g is one element of H or zero,
 and the coset basis expands L(G) over L(H) exactly when H x [t] -> G,
 (h, i) -> h g_i, is a bijection.  No check samples: the theta suite
-proves the product law on all of G x gens, holds the reference on e
-and the generators, and checks the bijection on all of G, each
-reduction proved in its case's docstring.  verify keeps no cap logic
+proves the product law on all of G x gens, on the standard transversal
+and on the map `induce` prints, holds the reference on e and the
+generators, and checks the bijection on all of G, each reduction proved
+in its docstring.  verify keeps no cap logic
 of its own: a cap met inside a case (CapExceededError, whose message
 names the cap, its value and its flag) makes that case a skip with the
 message as its detail, counted apart from passes and failures.
@@ -127,14 +128,36 @@ class _Recorder:
         self.results.append(CaseResult(case_id, ok, detail, skipped))
 
 
-def _theta_map(cosets, k: int, config: Config):
-    """ThetaMap at k, with the |G| t^k columns a case reads under oracle_cap."""
-    amplified = theta.ThetaMap(cosets, k, config)
+def _under_oracle_cap(amplified, config: Config):
+    """amplified, if the |G| t^k columns a case reads fit under oracle_cap."""
+    cosets, k = amplified.cosets, amplified.k
     size = cosets.group.order * cosets.index ** k
     if size > config.oracle_cap:
         raise CapExceededError("|G| t^%d =" % k, size, config.oracle_cap,
                                "oracle_cap")
     return amplified
+
+
+def _check_theta_law(amplified) -> str:
+    """theta(e) = 1, unitary rows and theta(g s) = theta(g) theta(s).
+
+    Every h in G is a word s_1 ... s_m in the generators (G is finite,
+    so no inverses are needed), and induction on m gives
+    theta(g h) = theta(g s_1 ... s_(m-1)) theta(s_m) = theta(g) theta(h).
+    """
+    G, H = amplified.cosets.group, amplified.cosets.subgroup
+    mats = {g: amplified.matrix(g) for g in G.elements}
+    one = tuple(enumerate([H.identity] * len(amplified.tuples)))
+    if mats[G.identity] != one:
+        raise AssertionError("theta of the identity is not 1")
+    for g, m in mats.items():
+        if len({row for row, _ in m}) != len(m):
+            raise AssertionError("duplicate row in amplified matrix")
+        for s in G.generators:
+            if theta.theta_matrix_product(m, mats[s]) != mats[g * s]:
+                raise AssertionError(
+                    "theta is not multiplicative at (%r, %r)" % (g, s))
+    return "%d products checked" % (G.order * len(G.generators))
 
 
 def _suite_theta(rec: _Recorder, cases, config: Config) -> None:
@@ -150,7 +173,8 @@ def _suite_theta(rec: _Recorder, cases, config: Config) -> None:
                 and the reference by construction, and two homomorphisms
                 that agree on generators agree on every product of them.
                 """
-                amplified = _theta_map(cosets, k, config)
+                amplified = _under_oracle_cap(
+                    theta.ThetaMap(cosets, k, config), config)
                 count = 0
                 for g in (G.identity,) + tuple(G.generators):
                     m = amplified.matrix(g)
@@ -165,32 +189,17 @@ def _suite_theta(rec: _Recorder, cases, config: Config) -> None:
 
             rec.run("theta:%s:k%d:entries" % (case.name, k), entries)
 
-            def product(k=k, G=G, H=H, cosets=cosets):
-                """theta(e) = 1 and theta(g s) = theta(g) theta(s) on G x gens.
-
-                Every h in G is a word s_1 ... s_m in the generators
-                (G is finite, so no inverses are needed), and induction on
-                m gives theta(g h) = theta(g s_1 ... s_(m-1)) theta(s_m)
-                = theta(g) theta(h), with theta(e) = 1 for m = 0.
-                """
-                amplified = _theta_map(cosets, k, config)
-                mats = {g: amplified.matrix(g) for g in G.elements}
-                one = tuple(enumerate([H.identity] * len(amplified.tuples)))
-                if mats[G.identity] != one:
-                    raise AssertionError("theta of the identity is not 1")
-                for g, m in mats.items():
-                    if len({row for row, _ in m}) != len(m):
-                        raise AssertionError("duplicate row in amplified "
-                                             "matrix")
-                    for s in G.generators:
-                        if (theta.theta_matrix_product(m, mats[s])
-                                != mats[g * s]):
-                            raise AssertionError(
-                                "theta is not multiplicative at (%r, %r)"
-                                % (g, s))
-                return "%d products checked" % (G.order * len(G.generators))
+            def product(k=k, cosets=cosets):
+                return _check_theta_law(_under_oracle_cap(
+                    theta.ThetaMap(cosets, k, config), config))
 
             rec.run("theta:%s:k%d:product" % (case.name, k), product)
+
+        def induced(G=G, H=H):
+            return _check_theta_law(_under_oracle_cap(
+                theta.induced_theta(G, H), config))
+
+        rec.run("theta:%s:induced" % case.name, induced)
 
         def expansion(G=G, H=H, cosets=cosets):
             """The coset basis u_{g_i} expands L(G) over L(H), exactly.
@@ -211,9 +220,7 @@ def _suite_theta(rec: _Recorder, cases, config: Config) -> None:
         rec.run("theta:%s:expansion" % case.name, expansion)
 
         def stab(G=G, H=H):
-            if not theta.stabilizer_matches_intersection(G, H):
-                raise AssertionError("stabilizer mismatch")
-            return ""
+            theta.verify_stabilizers(G, H)
 
         rec.run("theta:%s:stabilizers" % case.name, stab)
 
@@ -299,7 +306,6 @@ def _suite_graphs(rec: _Recorder, cases, config: Config) -> None:
             # character_table checks orthogonality and the degree squares
             for grp in (G, H):
                 chartab.character_table(grp)
-            return ""
 
         rec.run("graphs:%s:characters" % case.name, char_table_laws)
 
@@ -356,7 +362,6 @@ def _suite_extensions(rec: _Recorder, cases, config: Config) -> None:
         result = cocycle.extension_from_out(S3, [], config)
         if result.index != 1:
             raise AssertionError("empty outer data must give index 1")
-        return ""
 
     rec.run("extensions:s3-trivial", s3_trivial_out, own_groups=True)
 
@@ -454,10 +459,11 @@ def load_corpus_dir(path: str, config: Config = DEFAULT) -> tuple:
     """Read inclusion cases from JSON files in a directory.
 
     Each file holds {"name": ..., "group": {...}, "subgroup": {...}};
-    H <= G is checked, so |H| divides |G| by Lagrange.  A directory or file
-    that cannot be read is a ParseError.
+    H <= G is checked, so |H| divides |G| by Lagrange.  The name, the
+    file's stem when left out, names the file's cases.  A directory or
+    file that cannot be read is a ParseError.
     """
-    cases = []
+    cases, taken = [], set()
     try:
         listed = os.listdir(path)
     except OSError as e:
@@ -469,7 +475,11 @@ def load_corpus_dir(path: str, config: Config = DEFAULT) -> tuple:
         obj = formats.read_json_file(os.path.join(path, fn))
         if not isinstance(obj, dict):
             raise ParseError("%s: corpus entry must be an object" % fn)
-        name = obj.get("name") or os.path.splitext(fn)[0]
+        name = obj.get("name", os.path.splitext(fn)[0])
+        if not (isinstance(name, str) and name) or name in taken:
+            raise ParseError("%s: corpus name must be a non-empty string "
+                             "that no other file takes" % fn)
+        taken.add(name)
         G = formats.group_from_json(obj.get("group"), config)
         H = formats.group_from_json(obj.get("subgroup"), config)
         if not H.is_subgroup_of(G):

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from sfw import chartab, cli, verify
+from sfw import chartab, cli, theta, verify
+from sfw.commands.graph import graph_to_dot
 from sfw.commands import CASE_NAMES
 from sfw.commands.verify import SUITE_NAMES
 from sfw.config import DEFAULT, Config, config_fields
@@ -20,6 +21,7 @@ from sfw import corpus
 from sfw.corpus import builtin_cases, case_by_name, case_names, declared_group
 from sfw.formats import canonical_json, graph_from_json, group_to_json
 from sfw.permgroup import CosetData, PermGroup, parse_cycle_string
+from sfw.standard_invariant import principal_graph
 from sfw.wreath import wreath_product
 from oracles import alternating_group, cyclic_group, symmetric_group
 
@@ -124,12 +126,38 @@ def test_graph_command_json_and_dot(capsys):
 
     rc, out = run(capsys, ["graph", "--case", "s3-flip", "--format", "dot"])
     assert rc == 0
-    assert out.startswith("graph principal")
+    assert out.startswith('graph "principal_s3-flip" {\n')
     assert out.count(" -- ") == 4
 
     rc, out = run(capsys, ["graph", "--case", "s3-flip", "--kind", "dual", "--format", "dot"])
     assert rc == 0
     assert "G:chi2" in out
+
+
+# A DOT ID is a name (letters, digits and "_", not led by a digit), a
+# numeral, or a double-quoted string in which a quote is escaped
+DOT_ID = re.compile(r'[A-Za-z_][A-Za-z_0-9]*|-?(\.[0-9]+|[0-9]+(\.[0-9]*)?)'
+                    r'|"([^"\\]|\\.)*"')
+
+
+@pytest.mark.parametrize("kind", ["principal", "dual"])
+@pytest.mark.parametrize("case", CASE_NAMES)
+def test_every_builtin_dot_graph_has_a_valid_id(capsys, case, kind):
+    rc, out = run(capsys, ["graph", "--case", case, "--kind", kind,
+                           "--format", "dot"])
+    assert rc == 0
+    head = re.fullmatch(r"graph (.*) \{", out.splitlines()[0])
+    assert head and DOT_ID.fullmatch(head.group(1))
+    assert head.group(1) == '"%s_%s"' % (kind, case)
+
+
+def test_dot_graph_ids_escape_quotes_and_backslashes():
+    case = case_by_name("s3-flip")
+    graph = principal_graph(case.group, case.subgroup)
+    head = graph_to_dot(graph, 'a"b\\').splitlines()[0]
+    assert head == 'graph "a\\"b\\\\" {'
+    assert DOT_ID.fullmatch(head[len("graph "):-len(" {")])
+    assert not DOT_ID.fullmatch("principal_s3-flip")
 
 
 def test_chartab_command(capsys):
@@ -303,6 +331,34 @@ def test_induce_command(capsys):
     entries = obj["matrices"][0]["entries"]
     assert sorted((e["row"], e["col"]) for e in entries) == [(0, 1), (1, 0)]
     assert all(e["support"] == "()" for e in entries)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--case", "wr2x3-base", "--json"],
+    ["--case", "s4-s3"],
+    ["--case", "s3-a3", "--element", "(0 2 1)", "--json"],
+], ids=["generators-json", "generators-text", "element"])
+def test_induce_computes_one_matrix_per_printed_element(capsys, monkeypatch,
+                                                        argv):
+    # the law of theta holds by construction and verify checks it, so
+    # induce forms no product of generators and no theta of one
+    calls = []
+    real = theta.ThetaMap.matrix
+
+    def matrix(self, g):
+        calls.append(g.cycle_string())
+        return real(self, g)
+
+    monkeypatch.setattr(theta.ThetaMap, "matrix", matrix)
+    rc, out = run(capsys, ["induce"] + argv)
+    assert rc == 0
+    if "--element" in argv:
+        printed = [argv[argv.index("--element") + 1]]
+    else:
+        printed = [g.cycle_string()
+                   for g in case_by_name(argv[1]).group.generators]
+    assert calls == printed
+    assert all(g in out for g in printed)
 
 
 def test_induce_is_not_bound_by_the_theta_k_cap(capsys):

@@ -26,6 +26,7 @@ from sfw.indexarith import (
 )
 from sfw.permgroup import parse_cycle_string
 from sfw.theta import induced_theta
+from sfw.verify import _check_theta_law
 from oracles import (
     alternating_group,
     induced_monomials,
@@ -244,6 +245,9 @@ def test_induced_theta_matches_the_monomial_reference(pair):
     for g, monomial in induced_monomials(G, K).items():
         got = {(i, j): w for j, (i, w) in enumerate(theta.matrix(g))}
         assert got == monomial
+    # induce does not check the law, so it is held here on random
+    # inclusions by the check verify runs on the built-in ones
+    _check_theta_law(theta)
 
 
 def test_induced_map_for_s3_over_a3():

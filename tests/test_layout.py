@@ -17,9 +17,11 @@ And only permgroup reads the coset labels `coset_of`; every other module
 moves cosets by CosetData.action.  Every check raises at its first
 failure, so no class outside verify's outcome records has an `ok`.  And
 one function of sfw.cocycle checks the crossed-product law, for both
-the extensions and the crossed products.  Every cap is met by a
-CapExceededError that names the Config field it reads, but for the two
-limits fixed in the code and mulclose, which passes its caller's field.
+the extensions and the crossed products, and one function of sfw.verify
+checks the theta law, which `induce` does not re-check.  Every cap is
+met by a CapExceededError that names the Config field it reads, but for
+the two limits fixed in the code and mulclose, which passes its
+caller's field.
 """
 
 from __future__ import annotations
@@ -294,35 +296,66 @@ def test_only_permgroup_reads_the_coset_labels():
 
 CROSSED_LAW = ("twisted product relation fails", "conjugation relation fails",
                "multiplication law fails")
+THETA_LAW = ("theta is not multiplicative",)
 
 
-def crossed_law_raisers(tree) -> list:
-    """The module-level functions that raise a crossed-law message."""
+def law_raisers(tree, messages: tuple) -> list:
+    """The module-level functions that raise a message led by one of these."""
     found = []
     for node in tree.body:
         if not isinstance(node, ast.FunctionDef):
             continue
         for raised in ast.walk(node):
             if isinstance(raised, ast.Raise) and any(
-                    isinstance(c, ast.Constant) and c.value in CROSSED_LAW
+                    isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    and c.value.startswith(messages)
                     for c in ast.walk(raised)):
                 found.append(node.name)
                 break
     return found
 
 
+def package_law_raisers(messages: tuple) -> list:
+    return ["%s.%s" % (stem, name) for stem, tree in package_trees()
+            for name in law_raisers(tree, messages)]
+
+
 def test_one_function_checks_the_crossed_product_law():
     # extension_from_out and crossed_product_check share one loop over
     # the law, so a second hand-written copy fails here
-    raisers = ["%s.%s" % (stem, name) for stem, tree in package_trees()
-               for name in crossed_law_raisers(tree)]
-    assert raisers == ["cocycle._check_crossed_law"]
+    assert package_law_raisers(CROSSED_LAW) == ["cocycle._check_crossed_law"]
     copy = ast.parse(
         "def f(r):\n"
         "    for x in r:\n"
         "        if x:\n"
         "            raise E('conjugation relation fails', (x,))\n")
-    assert crossed_law_raisers(copy) == ["f"]
+    assert law_raisers(copy, CROSSED_LAW) == ["f"]
+
+
+def calls_in(tree, function: str) -> set:
+    """The names that the module-level `function` calls, bare or as x.name."""
+    node = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {getattr(call.func, "id", getattr(call.func, "attr", None))
+            for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+def test_one_function_checks_the_theta_law():
+    # theta is a homomorphism by construction (ThetaMap.matrix); verify
+    # checks the law on both transversals with one function, and the
+    # map `induce` prints is built without computing a matrix
+    assert package_law_raisers(THETA_LAW) == ["verify._check_theta_law"]
+    trees = dict(package_trees())
+    called = calls_in(trees["theta"], "induced_theta")
+    assert not called & {"matrix", "theta_matrix_product",
+                         "_check_theta_law"}
+    assert not any(name.startswith(("_check", "verify")) for name in called)
+    # the scan sees a call of a law check
+    copy = ast.parse("def induced_theta(G, K):\n"
+                     "    theta = ThetaMap(c, 1)\n"
+                     "    _check_on_generators(theta)\n"
+                     "    return theta\n")
+    assert "_check_on_generators" in calls_in(copy, "induced_theta")
 
 
 # (function, cap, field) of the CapExceededError calls that name no

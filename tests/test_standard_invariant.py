@@ -38,8 +38,8 @@ from sfw.theta import (
     ThetaMap,
     induced_theta,
     nested_theta_entry,
-    stabilizer_matches_intersection,
     theta_matrix_product,
+    verify_stabilizers,
 )
 from oracles import (
     action_on_tuples,
@@ -458,7 +458,7 @@ def test_commutant_rejects_bad_side():
 
 def test_stabilizers_match_intersections():
     for case in builtin_cases():
-        assert stabilizer_matches_intersection(case.group, case.subgroup)
+        verify_stabilizers(case.group, case.subgroup)
 
 
 # ------------------------------------------------------------------- graphs

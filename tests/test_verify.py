@@ -10,7 +10,7 @@ import pytest
 from sfw import automorphisms, cli, permgroup, theta
 from sfw.config import DEFAULT
 from sfw.corpus import builtin_cases, case_by_name
-from sfw.errors import ParseError, SubgroupError
+from sfw.errors import InvariantViolationError, ParseError, SubgroupError
 from sfw.formats import canonical_json
 from sfw.permgroup import CosetData, parse_cycle_string, right_coset_data
 from sfw.verify import SUITES, load_corpus_dir, run_suite
@@ -82,6 +82,44 @@ def test_corpus_dir_rejects_bad_entries(tmp_path):
         load_corpus_dir(str(tmp_path))
 
 
+# S3 > A3 as a corpus entry with no name
+S3_A3 = {"group": {"degree": 3, "convention": "rightmost-first",
+                   "generators": ["(0 1 2)", "(0 1)"]},
+         "subgroup": {"degree": 3, "convention": "rightmost-first",
+                      "generators": ["(0 1 2)"]}}
+
+
+@pytest.mark.parametrize("name", [{"x": [1]}, [1], 7, None, ""],
+                         ids=["object", "list", "number", "null", "empty"])
+def test_corpus_names_are_non_empty_strings(tmp_path, capsys, name):
+    (tmp_path / "bad.json").write_text(
+        canonical_json(dict(S3_A3, name=name)))
+    with pytest.raises(ParseError, match="^bad.json: corpus name must be a "
+                                         "non-empty string that no other "
+                                         "file takes$"):
+        load_corpus_dir(str(tmp_path))
+    assert cli.main(["verify", "--suite", "theta", "--corpus-dir",
+                     str(tmp_path)]) == 2
+    assert "bad.json" in capsys.readouterr().err
+
+
+def test_corpus_names_are_distinct_across_the_directory(tmp_path):
+    # a name left out is the file's stem, which another file may take
+    def write(fn, **name):
+        (tmp_path / fn).write_text(canonical_json(dict(S3_A3, **name)))
+
+    write("a.json", name="s3-a3")
+    write("b.json")
+    assert [c.name for c in load_corpus_dir(str(tmp_path))] == ["s3-a3", "b"]
+    write("c.json", name="b")
+    for other in ("b", "s3-a3"):
+        write("c.json", name=other)
+        with pytest.raises(ParseError, match="^c.json: corpus name must be "
+                                             "a non-empty string that no "
+                                             "other file takes$"):
+            load_corpus_dir(str(tmp_path))
+
+
 def _theta_failures_on_s4_s3() -> set:
     report = run_suite("theta", cases=(case_by_name("s4-s3"),))
     return {c.case_id for c in report.failures}
@@ -150,6 +188,33 @@ def test_theta_stabilizers_catch_a_corrupted_coset_action(monkeypatch):
 
     monkeypatch.setattr(CosetData, "action", action)
     assert "theta:s4-s3:stabilizers" in _theta_failures_on_s4_s3()
+    # the check names the first point where the two sides disagree
+    with pytest.raises(InvariantViolationError) as caught:
+        theta.verify_stabilizers(case.group, case.subgroup)
+    assert caught.value.witness == (h, 0)
+    report = run_suite("theta", cases=(case,))
+    detail = {c.case_id: c.detail for c in report.cases}[
+        "theta:s4-s3:stabilizers"]
+    assert detail == ("InvariantViolationError: stabilizer of the coset "
+                      "differs from the intersection at %r" % ((h, 0),))
+
+
+def test_a_wrong_row_fails_the_law_on_both_transversals(monkeypatch,
+                                                        capsys):
+    # theta((0 2)) with the rows of its first two columns swapped, as a
+    # faulty row lookup would give; (0 2) is off the generators, so only
+    # the law on G x gens reaches it, on the map `induce` prints too
+    target = parse_cycle_string(4, "(0 2)")
+    _corrupt_theta_at(monkeypatch, target,
+                      lambda m: ((m[1][0], m[0][1]), (m[0][0], m[1][1]))
+                      + m[2:])
+    assert cli.main(["verify", "--suite", "theta", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = {c["id"]: c["detail"] for c in report["cases"]
+              if not c["ok"] and not c["skipped"]}
+    for case_id in ("theta:s4-s3:k1:product", "theta:s4-s3:induced"):
+        assert failed[case_id].startswith("theta is not multiplicative at ")
+    assert "theta:s4-s3:k1:entries" not in failed
 
 
 def test_nested_theta_entry_matches_the_group_algebra():
@@ -174,21 +239,26 @@ def test_nested_theta_entry_matches_the_group_algebra():
 
 def test_a_capped_theta_suite_lists_its_skipped_cases(capsys):
     # every case appears; the 8 (case, k) pairs over the cap skip their
-    # entries and product cases, and the skips name the cap and its flag
+    # entries and product cases, the 3 inclusions whose |G| t is over it
+    # skip their induced case, and the skips name the cap and its flag
     argv = ["verify", "--suite", "theta", "--oracle-cap", "50"]
     assert cli.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1].startswith("suite=theta cases=36 failures=0 skipped=16 ")
+    assert lines[-1].startswith("suite=theta cases=42 failures=0 skipped=19 ")
     skips = [line for line in lines if line.startswith("skip ")]
-    assert len(skips) == 16 and len(lines) == 37
+    assert len(skips) == 19 and len(lines) == 43
     assert all(line.endswith("over oracle_cap=50, set by --oracle-cap)")
-               and line.split()[1].split(":")[2] in ("k1", "k2")
+               and line.split()[1].split(":")[2] in ("k1", "k2", "induced")
                for line in skips)
+    assert sorted(line.split()[1] for line in skips
+                  if line.split()[1].endswith(":induced")) == [
+        "theta:s4-d4:induced", "theta:s4-s3:induced",
+        "theta:wr2x3-base:induced"]
     assert cli.main(argv + ["--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["cases_run"], report["failed"], report["skipped"]) == (
-        36, 0, 16)
-    assert sum(c["skipped"] and not c["ok"] for c in report["cases"]) == 16
+        42, 0, 19)
+    assert sum(c["skipped"] and not c["ok"] for c in report["cases"]) == 19
 
 
 def test_a_commutants_case_with_every_entry_over_the_cap_is_a_skip():
@@ -209,7 +279,7 @@ def test_a_commutants_case_with_every_entry_over_the_cap_is_a_skip():
     (["--theta-k-cap", "1"], 12),
     (["--theta-k-cap", "0"], 31),
     (["--order-cap", "60"], 1),
-    (["--oracle-cap", "50"], 21),
+    (["--oracle-cap", "50"], 24),
 ])
 def test_a_cap_met_inside_a_case_is_a_skip(capsys, flags, skipped):
     # a cap bounds work and checks nothing: the theta cases over the k
@@ -228,6 +298,7 @@ def test_a_cap_met_inside_a_case_is_a_skip(capsys, flags, skipped):
         assert skips == {"extensions:s3xs3-swap": "group order" + limit}
     elif flags[0] == "--oracle-cap":
         assert skips["theta:s4-s3:k1:entries"] == "|G| t^1 = 96" + limit
+        assert skips["theta:s4-s3:induced"] == "|G| t^1 = 96" + limit
         assert skips["graphs:s4-s3:commutants"] == "oracle size 384" + limit
     elif flags[1] == "1":
         assert all(":k2:" in case and detail == "tuple length 2" + limit
