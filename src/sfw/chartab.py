@@ -35,9 +35,10 @@ Besides the table, the module holds what the graph builders use: the
 restriction matrix from a table to the table of a subgroup, whose
 entries are the multiplicities <chi|K, psi>.  They are computed from
 the spectra in GF(q), with one prime q per pair of tables, and are
-exact integers.  Induction, restriction as a class function and the
-float inner product are not needed by any command; the tests keep
-references for them.
+exact integers, and each row is checked to sum, weighted by the
+subgroup's degrees, to the degree of its character.  Induction,
+restriction as a class function and the float inner product are not
+needed by any command; the tests keep references for them.
 
 Conjugacy classes come from permgroup.conjugacy_classes, which this
 module re-exports; the class cap applies only to the table.
@@ -459,13 +460,16 @@ def restrict(table: CharacterTable, sub_table: CharacterTable) -> tuple:
 
     Entry (b, s) is <chi_b|K, psi_s> = |K|^-1 sum_c |C_c| chi_b(k_c)
     conj(psi_s(k_c)) over the classes of K, an exact non-negative
-    integer n with n psi_s(1) <= chi_b(1).  It is evaluated in GF(q),
-    q the least prime = 1 modulo the exponent of K with q > chi(1) for
-    every chi of the table, with each exp(2 pi i j / o) sent to the
-    matching power of one primitive root; the residue is then n itself.
-    The class fusion and the subgroup check run once, each character's
-    spectra are reduced mod q once, and the matrix is kept in the big
-    group's cache keyed by K.
+    integer n_bs with n_bs psi_s(1) <= chi_b(1).  It is evaluated in
+    GF(q), q the least prime = 1 modulo the exponent of K with
+    q > chi(1) for every chi of the table, with each exp(2 pi i j / o)
+    sent to the matching power of one primitive root; the residue is
+    then n_bs itself.  Each row is checked against the degree law
+    sum_s n_bs psi_s(1) = chi_b(1), chi_b|K evaluated at 1, which holds
+    for the true multiplicities and, the residues being non-negative,
+    bounds every entry as above.  The class fusion and the subgroup
+    check run once, each character's spectra are reduced mod q once,
+    and the matrix is kept in the big group's cache keyed by K.
     """
     G, K = table.group, sub_table.group
 
@@ -499,11 +503,11 @@ def restrict(table: CharacterTable, sub_table: CharacterTable) -> tuple:
             weighted = [size * v * inv_order % q
                         for size, v in zip(sub_table.classes.sizes, x)]
             row = tuple(sum(map(mul, weighted, y)) % q for y in columns)
-            for n, d in zip(row, sub_table.degrees):
-                if n * d > degree:
-                    raise InvariantViolationError(
-                        "multiplicity %d of a degree-%d character in one "
-                        "of degree %d" % (n, d, degree))
+            restricted = sum(map(mul, row, sub_table.degrees))
+            if restricted != degree:
+                raise InvariantViolationError(
+                    "restriction of a degree-%d character has degree %d"
+                    % (degree, restricted))
             matrix.append(row)
         return tuple(matrix)
     return G.cached(("restriction", K), compute)

@@ -4,18 +4,20 @@ A finite group H containing a normal copy of G determines, after a
 choice of coset lifts, an outer action of the quotient on G together
 with a G-valued 2-cocycle twisting the multiplication.  This module
 extracts that data from outer automorphisms or from an explicit normal
-inclusion, verifies the cocycle axioms, and checks the twisted crossed
-product relations as identities in the group, where the unitaries u_h
-multiply.  Each check raises InvariantViolationError at its first
-failure, with the failing point as its witness: on the data this module
-extracts, only a fault of this code can trip one.  Both sources go
+inclusion and checks the twisted crossed product relations as
+identities in the group, where the unitaries u_h multiply; the cocycle
+axioms follow from them.  Each check raises InvariantViolationError at
+its first failure, with the failing point as its witness: on the data
+this module extracts, only a fault of this code can trip one.  Both sources go
 through one decomposition of a group over a normal subgroup
 (_decompose): the quotient acting on the coset indices by right
 translation, one lift per quotient element, the product table of the
 cosets and the defects of the lifts.  An extension decomposes over its
 inner automorphisms, which extend the conjugations by the generators
 (permgroup.homomorphism_from_images), and pulls the defects back to G.
-Both are then checked by one crossed-product law (_check_crossed_law).
+Both are then checked by one crossed-product law (_check_crossed_law),
+on every base element, every pair of quotient elements and the lift of
+the identity.
 """
 
 from __future__ import annotations
@@ -68,74 +70,56 @@ class Cocycle2(NamedTuple):
         return self.values[(one, one)] == self.base.identity
 
 
-def verify_cocycle(c: Cocycle2) -> None:
-    """Check the twisted cocycle axioms, raising at the first failure.
-
-    Axioms: the identity acts trivially, composing two of the
-    automorphisms equals conjugation by the cocycle value followed by
-    the automorphism of the product, and the twisted associativity law
-    alpha_g(w(h,k)) * w(g, hk) == w(g,h) * w(gh, k).
-    """
-    Q = c.quotient
-    B = c.base
-    for g in Q.elements:
-        if g not in c.alpha:
-            raise InvariantViolationError("missing automorphism", (g,))
-        if not is_automorphism_perm(B, c.alpha[g]):
-            raise InvariantViolationError("value is not an automorphism",
-                                          (g,))
-    for g in Q.elements:
-        for h in Q.elements:
-            if (g, h) not in c.values:
-                raise InvariantViolationError("missing cocycle value",
-                                              (g, h))
-            if c.values[(g, h)] not in B:
-                raise InvariantViolationError("cocycle value outside base",
-                                              (g, h))
-    one = Q.identity
-    if c.alpha[one] != Perm.identity(B.order):
-        raise InvariantViolationError("identity does not act trivially",
-                                      (one,))
-    for g in Q.elements:
-        for h in Q.elements:
-            lhs = c.alpha[g] * c.alpha[h]
-            rhs = conjugation_perm(B, c.values[(g, h)]) * c.alpha[g * h]
-            if lhs != rhs:
-                raise InvariantViolationError("composition law fails",
-                                              (g, h))
-    for g in Q.elements:
-        for h in Q.elements:
-            for k in Q.elements:
-                lhs = c.apply_alpha(g, c.values[(h, k)]) * c.values[(g, h * k)]
-                rhs = c.values[(g, h)] * c.values[(g * h, k)]
-                if lhs != rhs:
-                    raise InvariantViolationError(
-                        "twisted associativity fails", (g, h, k))
-
-
 def _check_crossed_law(c: Cocycle2, elements: Sequence[Perm],
                        lifts: Sequence[Perm], table: Sequence[Sequence[int]],
                        embed: Callable[[Perm], Perm]) -> None:
     """Check the twisted crossed product law, raising at the first failure.
 
-    lifts[i] lifts elements[i], table[i][j] indexes the lift r_ij of the
-    class of r_i r_j, and embed is a homomorphism iota from the base into
-    the group of the lifts.  After verify_cocycle(c) it checks
-    r_i r_j = iota(w(i,j)) r_ij for all i, j (witness (g_i, g_j)) and
-    r_i iota(b) = iota(alpha_i(b)) r_i for the generators b of the base
-    (witness (g_i, b)).  The generators give the second relation for
-    every b: as r_i iota(b) r_i^-1 = iota(alpha_i(b)), both sides are
-    homomorphisms in b, iota followed by an inner automorphism and
-    alpha_i, an automorphism by verify_cocycle, followed by iota; and two
-    homomorphisms that agree on the generators agree on the base.
+    lifts[i] lifts elements[i], the elements of the quotient, table[i][j]
+    indexes the lift r_ij of the class of r_i r_j, and embed is an
+    injective homomorphism iota from the base B into the group of the
+    lifts.  It checks, in this order:
+    (a) the lift r_e of the identity is 1 (witness (e,));
+    (b) g_i g_j = g_ij for all i, j, the quotient product agrees with
+        the table (witness (g_i, g_j));
+    (c) r_i r_j = iota(w(g_i, g_j)) r_ij for all i, j (witness (g_i, g_j));
+    (d) r_i iota(b) = iota(alpha_i(b)) r_i for every b in B (witness
+        (g_i, b)).
+    That is |Q|^2 + |Q|^2 + |Q| |B| points, no more than the extension
+    of order |Q| |B| and the |Q|^2 cocycle values they decide.
+
+    They give the cocycle axioms.  By (d) on all of B,
+    alpha_i = iota^-1 Ad(r_i) iota, an injective endomorphism of the
+    finite group B, so an automorphism.  With r_e = 1 by (a), (d) gives
+    alpha_e = 1, and (c) at (e, e), whose product is e by (b), gives
+    iota(w(e, e)) = 1, so w(e, e) = 1.  Write r_gh for the lift of gh,
+    which (b) makes r_ij.  Conjugating iota(b) by both sides of
+    r_g r_h = iota(w(g, h)) r_gh gives, by (d),
+    iota(alpha_g alpha_h(b)) = iota(w(g, h) alpha_gh(b) w(g, h)^-1),
+    so alpha_g alpha_h = Ad(w(g, h)) alpha_gh.  And the two ways to
+    multiply r_g r_h r_k out are
+    (r_g r_h) r_k = iota(w(g, h) w(gh, k)) r_ghk and
+    r_g (r_h r_k) = iota(alpha_g(w(h, k)) w(g, hk)) r_ghk,
+    so associativity in the group of the lifts gives
+    alpha_g(w(h, k)) w(g, hk) = w(g, h) w(gh, k).  Each step cancels
+    iota, which is one to one.
     """
-    verify_cocycle(c)
+    r_e = lifts[elements.index(c.quotient.identity)]
+    if r_e != Perm.identity(len(r_e)):
+        raise InvariantViolationError("lift of the identity is not 1",
+                                      (c.quotient.identity,))
+    for gi, row in zip(elements, table):
+        for gj, k in zip(elements, row):
+            if gi * gj != elements[k]:
+                raise InvariantViolationError(
+                    "multiplication law fails", (gi, gj))
     for gi, ri, row in zip(elements, lifts, table):
         for gj, rj, k in zip(elements, lifts, row):
             if ri * rj != embed(c.values[(gi, gj)]) * lifts[k]:
                 raise InvariantViolationError(
                     "twisted product relation fails", (gi, gj))
-        for b in c.base.generators:
+    for gi, ri in zip(elements, lifts):
+        for b in c.base.elements:
             if ri * embed(b) != embed(c.apply_alpha(gi, b)) * ri:
                 raise InvariantViolationError(
                     "conjugation relation fails", (gi, b))
@@ -173,8 +157,8 @@ def _decompose(cosets: CosetData, config: Config):
     keyed by pairs of quotient elements, each checked to lie in the
     normal subgroup.
 
-    The identity of the quotient lifts to the identity without a check.
-    reps[0] = 1 holds for both callers: it is the least element in
+    The identity of the quotient lifts to the identity, which
+    _check_crossed_law checks.  reps[0] = 1 holds for both callers: it is the least element in
     right_coset_data, and CosetData.with_reps refuses any other.  It
     gives k -> coset of reps[k] * 1 = k, the identity, and once the
     representatives are checked to separate, no other lift shares it.
@@ -248,18 +232,16 @@ def extension_from_out(G: PermGroup, out_auts: Sequence,
     entry of out_auts is an automorphism given as an element-index
     permutation or as a mapping of group elements.
 
-    The cocycle and the crossed relations are checked in the extension
-    itself, as u_a u_b = u_ab, by _check_crossed_law with x -> c_x as
-    iota, and every nonidentity quotient element is checked to lift to
-    an outer automorphism.  The first failure raises
-    InvariantViolationError with its witness.
-
-    Two facts follow from the construction.  inner lies in ambient,
-    which its generators help generate.  And the cocycle is normalized:
-    _decompose lifts the identity class to r_e = 1, so
-    w(e,e) = r_e r_e r_e^-1 = 1, and 1 pulls back to the identity of G
-    alone, since the embedding is one to one once inner is checked to
-    have |G| elements.
+    The crossed relations are checked in the extension itself, as
+    u_a u_b = u_ab, by _check_crossed_law with x -> c_x as iota, and
+    every nonidentity quotient element is checked to lift to an outer
+    automorphism.  The first failure raises InvariantViolationError
+    with its witness.  iota is the homomorphism that
+    homomorphism_from_images extends from the generators, and it is
+    one to one once inner is checked to have |G| elements; so the law
+    gives the cocycle axioms, a normalized cocycle among them (see
+    _check_crossed_law).  inner lies in ambient, which its generators
+    help generate.
     """
     if len(G.center()) != 1:
         raise NontrivialCenterError(
@@ -354,16 +336,16 @@ def crossed_product_check(G: PermGroup, K: PermGroup,
     K must be normal in G; H_mid, when given, must sit between them,
     and middle_indices restricts the decomposition to it.  For two
     different representative choices, _check_crossed_law with the
-    identity as iota checks the cocycle axioms, r_i r_j = w(i,j) r_ij
-    for all i, j and r_i b = alpha_i(b) r_i for the generators b of K:
-    |Q|^2 + |Q| |gens K| points.  The first failure raises
+    identity as iota checks r_e = 1, the product table against the
+    quotient, r_i r_j = w(i,j) r_ij for all i, j and
+    r_i b = alpha_i(b) r_i for every b in K: |Q|^2 + |Q|^2 + |Q| |K|
+    points, which give the cocycle axioms.  The first failure raises
     InvariantViolationError with its witness; on success the
     decomposition by the second choice is returned.
 
     These points give the multiplication law for all a, b in K and all
-    i, j, with r_ij the representative of the coset of r_i r_j: the
-    second relation holds for every b in K (see _check_crossed_law),
-    so by associativity
+    i, j, with r_ij the representative of the coset of r_i r_j, by
+    associativity
     (a r_i)(b r_j) = a (r_i b) r_j = a alpha_i(b) r_i r_j
                    = a alpha_i(b) w(i,j) r_ij.
 

@@ -16,7 +16,6 @@ from sfw.chartab import character_table
 from sfw.cocycle import (
     crossed_product_check,
     extension_from_out,
-    verify_cocycle,
 )
 from sfw.config import Config
 from sfw.corpus import builtin_cases, case_by_name
@@ -177,7 +176,6 @@ def test_criterion_05_extension():
     assert result.fingerprint() == {1: 1, 2: 9, 3: 8, 4: 6}
     assert sum(lift not in result.inner
                for lift in result.lifts.values()) == 1
-    verify_cocycle(result.cocycle)
     crossed_product_check(result.ambient, result.inner)
 
 

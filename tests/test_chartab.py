@@ -12,7 +12,7 @@ from sfw.chartab import (
     conjugacy_classes,
     restrict,
 )
-from sfw.errors import CapExceededError
+from sfw.errors import CapExceededError, InvariantViolationError
 from sfw.permgroup import parse_cycle_string, right_coset_data
 import oracles
 from oracles import (
@@ -126,6 +126,20 @@ def test_restrict_s3_regular_to_a3():
     triv = a3_tab.trivial_index()
     assert mults[triv] == 0
     assert sorted(mults) == [0, 1, 1]
+
+
+def test_restriction_rows_must_restrict_the_degree():
+    # the degree-2 character of S3 with its degree misread as 3: the
+    # multiplicities 0, 1, 1 on A3 meet the entry bound n psi(1) <= 3,
+    # but the restriction has degree 2, not 3
+    G = symmetric_group(3)
+    A3 = G.subgroup([perm(3, "(0 1 2)")])
+    tab = character_table(G)
+    degrees = tuple(3 if d == 2 else d for d in tab.degrees)
+    with pytest.raises(InvariantViolationError,
+                       match="restriction of a degree-3 character has "
+                             "degree 2"):
+        restrict(tab._replace(degrees=degrees), character_table(A3))
 
 
 def test_frobenius_reciprocity():

@@ -302,9 +302,9 @@ def test_extend_command(capsys):
 
 
 def test_a_failed_extend_relation_is_an_error(capsys, monkeypatch):
-    # a product table with its rows swapped breaks the twisted product
-    # relation at the identity class; the cocycle axioms never read the
-    # table, so the crossed-law check is the one that fails
+    # a product table with its rows swapped no longer agrees with the
+    # quotient product at the identity class, which the crossed law
+    # checks before any relation in the extension
     from sfw import cocycle
 
     decompose = cocycle._decompose
@@ -318,7 +318,7 @@ def test_a_failed_extend_relation_is_an_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    assert "twisted product relation fails at" in captured.err
+    assert "multiplication law fails at" in captured.err
     one = "Perm[()]"
     assert "at (%s, %s)" % (one, one) in captured.err
 
@@ -713,9 +713,11 @@ def test_theta_entry_outside_the_subgroup_exits_1(capsys, monkeypatch):
 def test_a_table_without_its_trivial_character_exits_1(capsys, monkeypatch,
                                                       tmp_path):
     # a fault only sfw can make: a character table that lost its trivial
-    # character.  It runs on groups read from files, so the restriction
-    # matrix built from the faulty table is cached on groups of its own,
-    # not on the built-in case that later tests read.
+    # character.  The sign of S3 restricts to the trivial character of
+    # A3, which is gone, so the degree law of the restriction matrix
+    # fails before the graph looks for the trivial vertex.  It runs on
+    # groups read from files, so nothing built from the faulty table is
+    # cached on the built-in case that later tests read.
     case = case_by_name("s3-a3")
     g = write_group(tmp_path / "g.json", case.group)
     h = write_group(tmp_path / "h.json", case.subgroup)
@@ -733,7 +735,8 @@ def test_a_table_without_its_trivial_character_exits_1(capsys, monkeypatch,
     rc = cli.main(["graph", "--group", g, "--subgroup", h, "--kind", "dual"])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "no trivial character" in captured.err
+    assert ("restriction of a degree-1 character has degree 0"
+            in captured.err)
 
 
 def test_config_file_settings_apply(capsys, tmp_path):

@@ -11,7 +11,6 @@ from sfw.cocycle import (
     _crossed_product_data,
     crossed_product_check,
     extension_from_out,
-    verify_cocycle,
 )
 from sfw.config import DEFAULT
 from sfw.errors import (
@@ -27,6 +26,7 @@ from sfw.permgroup import (
     PermGroup,
     conjugacy_classes,
     parse_cycle_string,
+    right_coset_data,
 )
 from oracles import alternating_group, cyclic_group, symmetric_group
 
@@ -54,9 +54,17 @@ def test_a4_extension_has_order_24_and_index_2():
     assert res.fingerprint() == {1: 1, 2: 9, 3: 8, 4: 6}
 
 
+def law_inputs(res):
+    """The inputs of the crossed law that extension_from_out checked."""
+    _, lifts, table, _ = cocycle._decompose(
+        right_coset_data(res.ambient, res.inner), DEFAULT)
+    return (res.cocycle, list(lifts), list(lifts.values()), table,
+            res.embedding.__getitem__)
+
+
 def test_a4_extension_cocycle_is_verified_and_normalized():
     _, res = a4_extension()
-    verify_cocycle(res.cocycle)
+    cocycle._check_crossed_law(*law_inputs(res))
     assert res.cocycle.is_normalized()
     identity = res.quotient.elements[0]
     trivial_action = Perm(tuple(range(res.base.order)))
@@ -118,37 +126,83 @@ def test_extension_rejects_a_non_automorphism():
 
 
 # ---------------------------------------------------------------- cocycles
+#
+# Each fault below is injected into the inputs of the crossed law that
+# the A4 extension checked, and the law raises at its first failure,
+# with the failing point as its witness.
 
 
 def test_bad_identity_lift_is_detected_deterministically():
     _, res = a4_extension()
-    identity = res.quotient.elements[0]
-    other_inner = next(
-        g for g in res.inner.elements if g != res.ambient.elements[0]
-    )
-    alpha = dict(res.cocycle.alpha)
-    alpha[identity] = other_inner
-    broken = Cocycle2(res.base, res.quotient, res.cocycle.values, alpha)
+    c, elements, lifts, table, embed = law_inputs(res)
+    other_inner = next(g for g in res.inner.elements
+                       if g != res.ambient.identity)
+    lifts[elements.index(res.quotient.identity)] = other_inner
     with pytest.raises(InvariantViolationError,
-                       match="identity does not act trivially") as r1:
-        verify_cocycle(broken)
+                       match="lift of the identity is not 1") as r1:
+        cocycle._check_crossed_law(c, elements, lifts, table, embed)
     with pytest.raises(InvariantViolationError) as r2:
-        verify_cocycle(broken)
-    assert r2.value.witness == r1.value.witness
+        cocycle._check_crossed_law(c, elements, lifts, table, embed)
+    assert r1.value.witness == r2.value.witness == (res.quotient.identity,)
 
 
 def test_tampered_cocycle_fails_an_axiom():
     _, res = a4_extension()
-    q = res.quotient.elements
-    nontrivial = next(g for g in res.base.elements if g != res.base.elements[0])
-    values = dict(res.cocycle.values)
-    values[(q[1], q[1])] = nontrivial * values[(q[1], q[1])]
-    tampered = type(res.cocycle)(
-        res.cocycle.base, res.cocycle.quotient, values, res.cocycle.alpha
-    )
-    with pytest.raises(InvariantViolationError) as excinfo:
-        verify_cocycle(tampered)
-    assert excinfo.value.witness is not None
+    c, elements, lifts, table, embed = law_inputs(res)
+    t = elements[1]
+    nontrivial = res.base.elements[1]
+    values = dict(c.values)
+    values[(t, t)] = nontrivial * values[(t, t)]
+    with pytest.raises(InvariantViolationError,
+                       match="twisted product relation fails") as excinfo:
+        cocycle._check_crossed_law(c._replace(values=values), elements,
+                                   lifts, table, embed)
+    assert excinfo.value.witness == (t, t)
+
+
+def test_a_table_with_its_rows_swapped_breaks_the_quotient_product():
+    _, res = a4_extension()
+    c, elements, lifts, table, embed = law_inputs(res)
+    with pytest.raises(InvariantViolationError,
+                       match="multiplication law fails") as excinfo:
+        cocycle._check_crossed_law(c, elements, lifts, table[::-1], embed)
+    one = res.quotient.identity
+    assert excinfo.value.witness == (one, one)
+
+
+def test_a_trivial_action_breaks_the_extension_conjugation():
+    # alpha_t = 1 keeps every twisted product, but t acts on A4 by an
+    # outer automorphism, which moves some element of A4
+    A4, res = a4_extension()
+    c, elements, lifts, table, embed = law_inputs(res)
+    identity = Perm.identity(A4.order)
+    with pytest.raises(InvariantViolationError,
+                       match="conjugation relation fails") as excinfo:
+        cocycle._check_crossed_law(
+            c._replace(alpha=dict.fromkeys(c.alpha, identity)), elements,
+            lifts, table, embed)
+    g, b = excinfo.value.witness
+    assert g == elements[1] and b in A4 and b != A4.identity
+
+
+def test_an_action_right_on_the_generators_alone_is_caught():
+    # alpha_t kept on the identity and the generators of A4 but with the
+    # images of two other elements swapped: a permutation of A4 that is
+    # no homomorphism, which the law finds at one of those elements
+    A4, res = a4_extension()
+    c, elements, lifts, table, embed = law_inputs(res)
+    t = elements[1]
+    images = list(c.alpha[t].images)
+    x, y = [k for k, b in enumerate(A4.elements)
+            if b != A4.identity and b not in A4.generators][:2]
+    images[x], images[y] = images[y], images[x]
+    alpha = dict(c.alpha)
+    alpha[t] = Perm(images)
+    with pytest.raises(InvariantViolationError,
+                       match="conjugation relation fails") as excinfo:
+        cocycle._check_crossed_law(c._replace(alpha=alpha), elements,
+                                   lifts, table, embed)
+    assert excinfo.value.witness == (t, A4.elements[x])
 
 
 # ---------------------------------------------------------- crossed products
@@ -159,7 +213,7 @@ def test_crossed_product_over_the_normal_core():
     A3 = S3.subgroup([perm(3, "(0 1 2)")])
     crossed = crossed_product_check(S3, A3, A3)
     assert crossed.quotient_order == 2
-    verify_cocycle(crossed.cocycle)
+    assert crossed.cocycle.is_normalized()
 
 
 def test_crossed_product_with_an_intermediate_subgroup():
@@ -366,20 +420,6 @@ def test_a_trivial_action_breaks_the_multiplication_law(monkeypatch):
         crossed_product_check(S3, A3)
     g, b = excinfo.value.witness
     assert g != Perm.identity(len(g)) and b in A3.generators
-
-
-def test_a_trivial_action_breaks_the_extension_conjugation(monkeypatch):
-    # the A4 extension with apply_alpha(g, x) = x: verify_cocycle reads it
-    # only in twisted associativity, which over C2 = {e, t} still holds,
-    # since w(e, g) = w(g, e) = 1 leaves alpha_t(w(t, t)) = w(t, t); so
-    # the outer lift fails against a generator of A4
-    monkeypatch.setattr(Cocycle2, "apply_alpha", lambda self, g, x: x)
-    with pytest.raises(InvariantViolationError,
-                       match="conjugation relation fails") as excinfo:
-        a4_extension()
-    g, b = excinfo.value.witness
-    A4 = alternating_group(4)
-    assert g != Perm.identity(len(g)) and b in A4.generators
 
 
 def test_an_inner_embedding_that_is_no_homomorphism_is_a_fault(monkeypatch):

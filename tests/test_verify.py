@@ -120,6 +120,24 @@ def test_corpus_names_are_distinct_across_the_directory(tmp_path):
             load_corpus_dir(str(tmp_path))
 
 
+@pytest.mark.parametrize("fn, name", [
+    ("bad.json", {"name": "a b:c\nd"}),
+    ("bad.json", {"name": "theta:s3-a3"}),
+    ("a:b.json", {}),
+], ids=["newline", "colon", "stem"])
+def test_corpus_names_cannot_split_a_case_id_or_a_line(tmp_path, capsys, fn,
+                                                       name):
+    # a newline would split an output line, and a ":" makes an id that
+    # reads as another case's; a name left out is the file's stem
+    (tmp_path / fn).write_text(canonical_json(dict(S3_A3, **name)))
+    with pytest.raises(ParseError, match="^%s: corpus name .* may hold only "
+                                         "letters, digits" % fn):
+        load_corpus_dir(str(tmp_path))
+    assert cli.main(["verify", "--suite", "theta", "--corpus-dir",
+                     str(tmp_path)]) == 2
+    assert fn in capsys.readouterr().err
+
+
 def _theta_failures_on_s4_s3() -> set:
     report = run_suite("theta", cases=(case_by_name("s4-s3"),))
     return {c.case_id for c in report.failures}
