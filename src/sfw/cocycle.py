@@ -158,10 +158,11 @@ def _decompose(cosets: CosetData, config: Config):
     normal subgroup.
 
     The identity of the quotient lifts to the identity, which
-    _check_crossed_law checks.  reps[0] = 1 holds for both callers: it is the least element in
-    right_coset_data, and CosetData.with_reps refuses any other.  It
-    gives k -> coset of reps[k] * 1 = k, the identity, and once the
-    representatives are checked to separate, no other lift shares it.
+    _check_crossed_law checks.  reps[0] = 1 holds for both callers: it
+    is the least element in right_coset_data, and CosetData.with_reps
+    refuses any other.  It gives k -> coset of reps[k] * 1 = k, the
+    identity, and once the representatives are checked to separate, no
+    other lift shares it.
     """
     reps, K = cosets.reps, cosets.subgroup
     inverses = [r.inv() for r in reps]

@@ -43,6 +43,7 @@ from oracles import (
     GroupAlgebraElement,
     action_on_tuples,
     alternating_group,
+    assert_cocycle_axioms,
     induce,
     inner_product,
     nested_expectation_entry,
@@ -176,6 +177,7 @@ def test_criterion_05_extension():
     assert result.fingerprint() == {1: 1, 2: 9, 3: 8, 4: 6}
     assert sum(lift not in result.inner
                for lift in result.lifts.values()) == 1
+    assert_cocycle_axioms(result.cocycle)
     crossed_product_check(result.ambient, result.inner)
 
 

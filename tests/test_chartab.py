@@ -91,6 +91,18 @@ def test_trivial_index():
         assert all(abs(v - 1.0) < 1e-9 for v in chi.values)
 
 
+def test_a_table_without_its_trivial_character_has_no_trivial_index():
+    tab = character_table(symmetric_group(3))
+    trivial = tab.trivial_index()
+    kept = [n for n in range(len(tab.characters)) if n != trivial]
+    lost = tab._replace(
+        characters=tuple(tab.characters[n] for n in kept),
+        degrees=tuple(tab.degrees[n] for n in kept))
+    with pytest.raises(InvariantViolationError,
+                       match="no trivial character found"):
+        lost.trivial_index()
+
+
 def test_orthogonality_rows():
     for G in (symmetric_group(4), alternating_group(4)):
         tab = character_table(G)

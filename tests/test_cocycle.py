@@ -28,7 +28,12 @@ from sfw.permgroup import (
     parse_cycle_string,
     right_coset_data,
 )
-from oracles import alternating_group, cyclic_group, symmetric_group
+from oracles import (
+    alternating_group,
+    assert_cocycle_axioms,
+    cyclic_group,
+    symmetric_group,
+)
 
 
 def perm(degree, text):
@@ -158,6 +163,9 @@ def test_tampered_cocycle_fails_an_axiom():
         cocycle._check_crossed_law(c._replace(values=values), elements,
                                    lifts, table, embed)
     assert excinfo.value.witness == (t, t)
+    # the axioms the law stands for fail on the same cocycle
+    with pytest.raises(AssertionError):
+        assert_cocycle_axioms(c._replace(values=values))
 
 
 def test_a_table_with_its_rows_swapped_breaks_the_quotient_product():
@@ -214,6 +222,11 @@ def test_crossed_product_over_the_normal_core():
     crossed = crossed_product_check(S3, A3, A3)
     assert crossed.quotient_order == 2
     assert crossed.cocycle.is_normalized()
+    # both transversals the check decides give cocycles, "max" returned
+    for rule in ("min", "max"):
+        assert_cocycle_axioms(
+            _crossed_product_data(S3, A3, A3, rule, DEFAULT)[3])
+    assert_cocycle_axioms(crossed.cocycle)
 
 
 def test_crossed_product_with_an_intermediate_subgroup():
@@ -314,6 +327,7 @@ def test_extensions_lift_the_identity_first_and_are_normalized(drawn):
     assert res.lifts[identity] == res.ambient.identity
     assert res.cocycle.is_normalized()
     assert res.inner.is_subgroup_of(res.ambient)
+    assert_cocycle_axioms(res.cocycle)
 
 
 def normal_closure(G, gens):
@@ -364,6 +378,8 @@ def test_crossed_product_bases_and_middle_indices_on_random_groups(triple):
         assert len(middle) * K.order == H_mid.order
         # K is normal, so conjugation by every lift keeps it in place
         assert all(r * x * r.inv() in K for r in reps for x in K.elements)
+        # the crossed law that crossed_product_check passed gives these
+        assert_cocycle_axioms(crossed)
 
 
 # ---------------------------------------------------- internal consistency
