@@ -6,6 +6,9 @@ Each candidate tuple of images is extended to a map on G, or rejected,
 by one closure of the graph it generates
 (permgroup.homomorphism_from_images), and is kept when that map is a
 bijection.
+AutomorphismData is the one automorphism group of an extension:
+cocycle.extension_from_out takes outer classes as indices into its
+out_cosets and checks none of what the search decided again.
 The normal core is the kernel of a group acting on the cosets of a
 subgroup.  Only `extend`, the cocycle checks and the verify suites
 reach this module; `index`, `graph`, `chartab` and `induce` never run
@@ -38,7 +41,9 @@ class AutomorphismData(NamedTuple):
 
     aut.degree == G.order; automorphism p sends G.elements[i] to
     G.elements[p(i)].  inner is the subgroup of conjugations, and
-    out_cosets decomposes aut by inner, one coset per outer class.
+    out_cosets decomposes aut by inner, one coset per outer class;
+    coset 0 is inner itself, and extend names the outer classes by the
+    indices 1 to index - 1.
     """
 
     group: PermGroup
@@ -55,22 +60,6 @@ def automorphism_perm(G: PermGroup, mapping: Mapping[Perm, Perm]) -> Perm:
 def conjugation_perm(G: PermGroup, g: Perm) -> Perm:
     ginv = g.inv()
     return Perm([G.element_index(g * p * ginv) for p in G.elements])
-
-
-def is_automorphism_perm(G: PermGroup, a: Perm) -> bool:
-    """Check that index permutation a respects the multiplication of G.
-
-    The images of the generators define at most one homomorphism, and a
-    must be it.
-    """
-    if a.degree != G.order:
-        return False
-    elems = G.elements
-    phi = homomorphism_from_images(
-        G.generators, [elems[a[G.element_index(s)]] for s in G.generators],
-        G.order)
-    return phi is not None and all(
-        phi[x] == elems[i] for x, i in zip(elems, a))
 
 
 def _generating_subset(candidates: Sequence[Perm], order: int) -> list:

@@ -3,20 +3,22 @@
 A finite group H containing a normal copy of G determines, after a
 choice of coset lifts, an outer action of the quotient on G together
 with a G-valued 2-cocycle twisting the multiplication.  This module
-extracts that data from outer automorphisms or from an explicit normal
-inclusion and checks the twisted crossed product relations as
-identities in the group, where the unitaries u_h multiply; the cocycle
-axioms follow from them.  Each check raises InvariantViolationError at
-its first failure, with the failing point as its witness: on the data
-this module extracts, only a fault of this code can trip one.  Both sources go
-through one decomposition of a group over a normal subgroup
-(_decompose): the quotient acting on the coset indices by right
-translation, one lift per quotient element, the product table of the
-cosets and the defects of the lifts.  An extension decomposes over its
-inner automorphisms, which extend the conjugations by the generators
-(permgroup.homomorphism_from_images), and pulls the defects back to G.
-Both are then checked by one crossed-product law (_check_crossed_law),
-on every base element, every pair of quotient elements and the lift of
+extracts that data from chosen outer classes of an automorphism group
+that automorphisms.automorphism_group has found and checked, or from an
+explicit normal inclusion, and checks the twisted crossed product
+relations as identities in the group, where the unitaries u_h
+multiply; the cocycle axioms follow from them.  Each check raises
+InvariantViolationError at its first failure, with the failing point as
+its witness: on the data this module extracts, only a fault of this
+code can trip one.  Both sources go through one decomposition of a
+group over a normal subgroup (_decompose): the quotient acting on the
+coset indices by right translation, one lift per quotient element, the
+product table of the cosets and the defects of the lifts.  An extension
+decomposes over the inner automorphisms that automorphism_group listed
+and pulls the defects back to G by conjugation, which
+permgroup.homomorphism_from_images extends from the generators.  Both
+are then checked by one crossed-product law (_check_crossed_law), on
+every base element, every pair of quotient elements and the lift of
 the identity.
 """
 
@@ -24,18 +26,12 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .automorphisms import (
-    automorphism_perm,
-    conjugation_perm,
-    is_automorphism_perm,
-)
+from .automorphisms import AutomorphismData, conjugation_perm
 from .config import Config, DEFAULT
 from .errors import (
-    HomomorphismError,
     InvariantViolationError,
     NontrivialCenterError,
     NotNormalError,
-    PreconditionError,
     SubgroupError,
 )
 from .permgroup import (
@@ -125,25 +121,6 @@ def _check_crossed_law(c: Cocycle2, elements: Sequence[Perm],
                     "conjugation relation fails", (gi, b))
 
 
-def _coerce_automorphism(G: PermGroup, item) -> Perm:
-    """Accept either an element-index permutation or a Perm -> Perm map."""
-    if isinstance(item, Perm):
-        a = item
-    elif isinstance(item, Mapping):
-        try:
-            a = automorphism_perm(G, item)
-        except ValueError as e:
-            raise HomomorphismError("supplied map is not an automorphism: %s"
-                                    % e) from None
-    else:
-        raise PreconditionError(
-            "automorphism must be a permutation of element indices or a "
-            "mapping of group elements")
-    if not is_automorphism_perm(G, a):
-        raise HomomorphismError("supplied map is not an automorphism")
-    return a
-
-
 def _decompose(cosets: CosetData, config: Config):
     """A group over a normal subgroup, from the cosets of the subgroup.
 
@@ -188,10 +165,12 @@ def _decompose(cosets: CosetData, config: Config):
 class ExtensionResult(NamedTuple):
     """A group generated over the inner automorphisms by chosen outer ones.
 
-    ambient acts on base element indices; inner is the image of the
-    base under conjugation; quotient is realized on the inner-coset
-    indices; lifts picks the minimal coset representative for each
-    quotient element, with the identity lifted to the identity.
+    ambient acts on base element indices, a subgroup of Aut(G) and the
+    very AutomorphismData.aut object when it is all of it; inner is
+    AutomorphismData.inner, the image of the base under conjugation;
+    quotient is realized on the inner-coset indices; lifts picks the
+    minimal coset representative for each quotient element, with the
+    identity lifted to the identity.
     """
 
     base: PermGroup
@@ -224,36 +203,42 @@ def _inner_embedding(G: PermGroup) -> dict:
     return {x: phi[x] for x in G.elements}
 
 
-def extension_from_out(G: PermGroup, out_auts: Sequence,
+def extension_from_out(auts: AutomorphismData, classes: Sequence[int],
                        config: Config = DEFAULT) -> ExtensionResult:
-    """Build the extension of G by the chosen outer automorphisms, checked.
+    """Build the extension of G by the chosen outer classes, checked.
 
-    Requires a trivial centre so that G embeds as its own inner
-    automorphism group and cocycle values pull back uniquely.  Each
-    entry of out_auts is an automorphism given as an element-index
-    permutation or as a mapping of group elements.
+    auts is the automorphism group of G (automorphisms.automorphism_group)
+    and classes are indices into auts.out_cosets, from 1 to index - 1,
+    each standing for its coset representative.  Requires a trivial
+    centre so that G embeds as its own inner automorphism group and
+    cocycle values pull back uniquely.  The extension is
+    <auts.inner, the chosen representatives>, a subgroup of auts.aut;
+    when it is all of it, it is auts.aut itself, so its cosets over
+    auts.inner are the ones automorphism_group cached.
+
+    Nothing automorphism_group decided is decided again: every
+    representative is an automorphism, and auts.inner is
+    <c_s : s in the generators>, of order |G| / |Z(G)| = |G|.  A
+    representative of a coset other than auts.inner lies outside it, so
+    each nonidentity quotient element lifts to an outer automorphism.
 
     The crossed relations are checked in the extension itself, as
     u_a u_b = u_ab, by _check_crossed_law with x -> c_x as iota, and
-    every nonidentity quotient element is checked to lift to an outer
-    automorphism.  The first failure raises InvariantViolationError
-    with its witness.  iota is the homomorphism that
-    homomorphism_from_images extends from the generators, and it is
-    one to one once inner is checked to have |G| elements; so the law
-    gives the cocycle axioms, a normalized cocycle among them (see
-    _check_crossed_law).  inner lies in ambient, which its generators
-    help generate.
+    the first failure raises InvariantViolationError with its witness.
+    iota is the homomorphism that homomorphism_from_images extends from
+    the generators; its image is auts.inner and its kernel Z(G) = 1, so
+    it is one to one, and the law gives the cocycle axioms, a
+    normalized cocycle among them (see _check_crossed_law).
     """
+    G, inner = auts.group, auts.inner
     if len(G.center()) != 1:
         raise NontrivialCenterError(
             "base group must have trivial centre")
-    outs = [_coerce_automorphism(G, a) for a in out_auts]
+    reps = [auts.out_cosets.reps[i] for i in classes]
+    ambient = PermGroup(G.order, inner.generators + tuple(reps), config)
+    if ambient == auts.aut:
+        ambient = auts.aut
     embedding = _inner_embedding(G)
-    inner_gens = [embedding[x] for x in G.generators]
-    inner = PermGroup(G.order, inner_gens, config)
-    if inner.order != G.order:
-        raise InvariantViolationError("inner automorphism count is off")
-    ambient = PermGroup(G.order, inner_gens + outs, config)
     quotient, lifts, table, defects = _decompose(
         right_coset_data(ambient, inner), config)
     base_of = {a: x for x, a in embedding.items()}
@@ -261,10 +246,6 @@ def extension_from_out(G: PermGroup, out_auts: Sequence,
     cocycle = Cocycle2(G, quotient, values, lifts)
     _check_crossed_law(cocycle, list(lifts), list(lifts.values()), table,
                        embedding.__getitem__)
-    for g in quotient.elements:
-        if g != quotient.identity and lifts[g] in inner:
-            raise InvariantViolationError(
-                "lift of a nonidentity class is inner", (g,))
     return ExtensionResult(G, ambient, inner, embedding, quotient,
                            lifts, cocycle, quotient.order)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 
-from .. import corpus, formats
+from .. import corpus, formats, permgroup
 from ..config import Config, config_fields
 from ..errors import ParseError
 
@@ -55,6 +55,8 @@ def _load_inclusion(args, config: Config):
         raise ParseError("need --case or both --group and --subgroup")
     G = _load_group_file(args.group, config)
     H = _load_group_file(args.subgroup, config)
+    # every command on an inclusion needs H <= G, chartab --member too
+    permgroup.require_subgroup(G, H)
     return "custom", G, H
 
 

@@ -43,14 +43,17 @@ def run(args, cfg: Config) -> int:
                 raise ParseError("outer class list must be integers or "
                                  "'all'") from None
         for p in picks:
+            if not available:
+                raise ParseError("outer class %d out of range: the group "
+                                 "has no outer automorphism classes" % p)
             if not 1 <= p <= available:
                 raise ParseError("outer class %d out of range, have 1..%d"
                                  % (p, available))
-    outs = [auts.out_cosets.reps[p] for p in picks]
     # extension_from_out raises at a failed relation, so whatever is
-    # printed has passed them all: the index - 1 nonidentity classes
-    # among them lift to outer automorphisms
-    result = cocycle.extension_from_out(G, outs, cfg)
+    # printed has passed them all; the index - 1 nonidentity classes
+    # lift to coset representatives outside Inn(G), so to outer
+    # automorphisms
+    result = cocycle.extension_from_out(auts, picks, cfg)
     if args.json:
         payload = extension_to_json(result)
         payload["relations_ok"] = True

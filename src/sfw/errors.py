@@ -9,7 +9,9 @@ signals a broken internal consistency check and is never expected to
 fire; the exact checks of a character table (orthogonality mod p, the
 squared degrees, the eigenvalue multiplicities) raise it, and so do the
 cocycle, crossed-product and wreath-like checks, with the failing point
-as its witness.
+as its witness.  No input names an automorphism by a map, so no class
+refuses one: `extend` picks outer classes of the automorphism group
+that automorphisms.automorphism_group found.
 """
 
 
@@ -42,10 +44,6 @@ class NontrivialCenterError(PreconditionError):
 
 
 class InvalidActionError(PreconditionError):
-    pass
-
-
-class HomomorphismError(PreconditionError):
     pass
 
 

@@ -419,7 +419,8 @@ def _conjugacy_classes(G: PermGroup) -> ConjClassData:
                          tuple(sizes[n] for n in order), class_of)
 
 
-def _require_subgroup(G: PermGroup, H: PermGroup) -> None:
+def require_subgroup(G: PermGroup, H: PermGroup) -> None:
+    """Refuse H unless it lies in G, naming both by degree and order."""
     if not H.is_subgroup_of(G):
         raise SubgroupError(
             "not a subgroup: degree %d order %d inside degree %d order %d"
@@ -483,7 +484,7 @@ def right_coset_data(G: PermGroup, H: PermGroup) -> CosetData:
 
 
 def _right_cosets(G: PermGroup, H: PermGroup) -> CosetData:
-    _require_subgroup(G, H)
+    require_subgroup(G, H)
     assigned = {}
     reps = []
     for g in sorted(G.elements, key=Perm.sort_key):

@@ -28,7 +28,9 @@ C2 wr C3 and index towers over the normal core.  The cocycles and
 extensions suites take a few groups of their own from
 corpus.declared_group under the run's config, and under a corpus
 directory those cases say so in their detail; the other suites use only
-the corpus.
+the corpus.  Each extension case picks outer classes of the
+automorphism group of its base, found inside the case, so aut_cap meets
+it there as a skip.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from typing import NamedTuple
 # registration a suite runs only the modules it uses
 from . import (
     automorphisms,
-    chartab,
     cocycle,
     commutant,
     corpus,
@@ -272,13 +273,6 @@ def _suite_graphs(rec: _Recorder, cases, config: Config) -> None:
 
         rec.run("graphs:%s:commutants" % case.name, commutants)
 
-        def char_table_laws(G=G, H=H):
-            # character_table checks orthogonality and the degree squares
-            for grp in (G, H):
-                chartab.character_table(grp)
-
-        rec.run("graphs:%s:characters" % case.name, char_table_laws)
-
 
 def _normal_triples(cases, config: Config):
     """Triples (G, K, mid) with K normal in G, and whether sfw built them.
@@ -316,10 +310,13 @@ def _suite_extensions(rec: _Recorder, cases, config: Config) -> None:
                              for name in ("A4", "S3", "S3xS3", "C2", "C3"))
     wr = wreath.wreath_product(C2, C3, config=config)
 
-    def a4_out(config=config):
-        t = permgroup.parse_cycle_string(4, "(0 1)")
-        out = {x: t * x * t.inv() for x in A4.elements}
-        result = cocycle.extension_from_out(A4, [out], config)
+    def extension(G, classes):
+        return cocycle.extension_from_out(
+            automorphisms.automorphism_group(G, config), classes, config)
+
+    def a4_out():
+        # Out(A4) = C2, so class 1 is the only one
+        result = extension(A4, [1])
         hist = dict(result.fingerprint())
         if hist != {1: 1, 2: 9, 3: 8, 4: 6}:
             raise AssertionError("unexpected extension fingerprint %r" % hist)
@@ -328,17 +325,16 @@ def _suite_extensions(rec: _Recorder, cases, config: Config) -> None:
 
     rec.run("extensions:a4-out", a4_out, own_groups=True)
 
-    def s3_trivial_out(config=config):
-        result = cocycle.extension_from_out(S3, [], config)
+    def s3_trivial_out():
+        result = extension(S3, [])
         if result.index != 1:
             raise AssertionError("empty outer data must give index 1")
 
     rec.run("extensions:s3-trivial", s3_trivial_out, own_groups=True)
 
-    def s3xs3_swap(config=config):
-        swap = permgroup.parse_cycle_string(6, "(0 3)(1 4)(2 5)")
-        out = {x: swap * x * swap.inv() for x in S3xS3.elements}
-        result = cocycle.extension_from_out(S3xS3, [out], config)
+    def s3xs3_swap():
+        # Out(S3 x S3) = C2, its class the swap of the factors
+        result = extension(S3xS3, [1])
         if result.index != 2 or result.ambient.order != 72:
             raise AssertionError("swap extension has the wrong size")
         return "index %d" % result.index

@@ -142,6 +142,10 @@ def _commands() -> list:
         cmds.append(["graph"] + files + ["--kind", "dual"])
         cmds.append(["chartab"] + files + ["--json"])
         cmds.append(["induce"] + files + ["--json"])
+    # S4 is no subgroup of A5: both commands refuse the pair with exit 3
+    files = ["--group", "@a5-s3.G", "--subgroup", "@s5-s4.H"]
+    cmds.append(["chartab"] + files + ["--json"])
+    cmds.append(["graph"] + files + ["--kind", "dual"])
     # every outer class, and for C3^2 x| C2 (quotient S4) class 16 alone
     # (quotient C4)
     for name, _, _, selections in EXTEND_GROUPS:

@@ -27,8 +27,8 @@ from sfw.indexarith import (
     jones_spectrum_query,
     virtual_index,
 )
-from sfw.automorphisms import normal_core
-from sfw.permgroup import parse_cycle_string, right_coset_data
+from sfw.automorphisms import automorphism_group, normal_core
+from sfw.permgroup import right_coset_data
 from sfw.standard_invariant import (
     IN_GROUP,
     IN_SUBGROUP,
@@ -75,10 +75,6 @@ def criterion(number, label):
         return run
 
     return wrap
-
-
-def perm(degree, text):
-    return parse_cycle_string(degree, text)
 
 
 @criterion(1, "theta consistency")
@@ -167,10 +163,9 @@ def test_criterion_04_reassembly():
 
 @criterion(5, "extension pipeline")
 def test_criterion_05_extension():
+    # Out(A4) = C2: class 1 is the only outer class
     A4 = alternating_group(4)
-    t = perm(4, "(0 1)")
-    out = {x: t * x * t.inv() for x in A4.elements}
-    result = extension_from_out(A4, [out])
+    result = extension_from_out(automorphism_group(A4), [1])
     assert result.ambient.order == 24
     assert result.index == 2
     assert result.quotient.order == 2

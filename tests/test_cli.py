@@ -301,6 +301,19 @@ def test_extend_command(capsys):
     assert obj["relations_ok"] is True
 
 
+def test_extend_says_when_the_group_has_no_outer_classes(capsys):
+    # Out(S4) = 1
+    rc = cli.main(["extend", "--case", "s4-s3", "--out-classes", "1"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == ("error: outer class 1 out of range: the group "
+                            "has no outer automorphism classes\n")
+    rc = cli.main(["extend", "--case", "a4-v4", "--out-classes", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: outer class 2 out of range, "
+                                       "have 1..1\n")
+
+
 def test_a_failed_extend_relation_is_an_error(capsys, monkeypatch):
     # a product table with its rows swapped no longer agrees with the
     # quotient product at the identity class, which the crossed law
@@ -499,6 +512,27 @@ def test_non_subgroup_exits_3(capsys, tmp_path):
     h = write_group(tmp_path / "h.json", case_by_name("a4-v4").subgroup)
     rc, _ = run(capsys, ["index", "--group", g, "--subgroup", h])
     assert rc == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["index"], ["chartab"], ["chartab", "--member", "subgroup"],
+    ["graph"], ["graph", "--kind", "dual"], ["induce"]])
+@pytest.mark.parametrize("group, subgroup", [
+    ("C3", "S4"), ("S4", "C3")], ids=["C3-S4", "S4-C3"])
+def test_every_command_on_an_inclusion_refuses_a_non_subgroup(
+        capsys, tmp_path, argv, group, subgroup):
+    # refused once, where the files are read, with the one message, so
+    # chartab, which reads a single member, refuses it too
+    groups = {"C3": cyclic_group(3), "S4": symmetric_group(4)}
+    g = write_group(tmp_path / "g.json", groups[group])
+    h = write_group(tmp_path / "h.json", groups[subgroup])
+    rc = cli.main(argv + ["--group", g, "--subgroup", h])
+    captured = capsys.readouterr()
+    G, H = groups[group], groups[subgroup]
+    assert (rc, captured.out) == (3, "")
+    assert captured.err == (
+        "error: not a subgroup: degree %d order %d inside degree %d order "
+        "%d\n" % (H.degree, H.order, G.degree, G.order))
 
 
 def test_order_cap_exits_4(capsys, tmp_path):

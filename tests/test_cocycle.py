@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sfw import cocycle
+from sfw import cocycle, permgroup
 from sfw.cocycle import (
     Cocycle2,
     _crossed_product_data,
@@ -14,7 +14,6 @@ from sfw.cocycle import (
 )
 from sfw.config import DEFAULT
 from sfw.errors import (
-    HomomorphismError,
     InvariantViolationError,
     NontrivialCenterError,
     NotNormalError,
@@ -41,10 +40,15 @@ def perm(degree, text):
 
 
 def a4_extension():
+    # Out(A4) = C2: class 1 is the only outer class
     A4 = alternating_group(4)
-    t = perm(4, "(0 1)")
-    out = {x: t * x * t.inv() for x in A4.elements}
-    return A4, extension_from_out(A4, [out])
+    return A4, extension_from_out(automorphism_group(A4), [1])
+
+
+def c3sq_c2():
+    """C3^2 x| C2, the inversion acting on both factors: Out = S4."""
+    return PermGroup(6, [perm(6, t) for t in ("(0 1 2)", "(3 4 5)",
+                                              "(1 2)(4 5)")])
 
 
 # ------------------------------------------------------------- extensions
@@ -77,10 +81,11 @@ def test_a4_extension_cocycle_is_verified_and_normalized():
 
 
 def test_a4_subfactor_report():
-    A4 = alternating_group(4)
+    A4, res = a4_extension()
+    # the one outer class is that of conjugation by a transposition
     t = perm(4, "(0 1)")
-    out = {x: t * x * t.inv() for x in A4.elements}
-    res = extension_from_out(A4, [out])
+    assert conjugation_perm(A4, t) in res.ambient
+    assert conjugation_perm(A4, t) not in res.inner
     assert res.index == 2
     assert sum(lift not in res.inner for lift in res.lifts.values()) == 1
     crossed_product_check(res.ambient, res.inner)
@@ -88,7 +93,7 @@ def test_a4_subfactor_report():
 
 def test_empty_outer_data_gives_a_trivial_extension():
     S3 = symmetric_group(3)
-    res = extension_from_out(S3, [])
+    res = extension_from_out(automorphism_group(S3), [])
     assert res.index == 1
     assert res.ambient.order == 6
 
@@ -97,11 +102,12 @@ def test_s3_times_s3_with_swap():
     gens = [perm(6, t) for t in ("(0 1)", "(0 1 2)", "(3 4)", "(3 4 5)")]
     G = PermGroup(6, gens)
     assert G.order == 36
-    swap = perm(6, "(0 3)(1 4)(2 5)")
-    out = {x: swap * x * swap.inv() for x in G.elements}
-    res = extension_from_out(G, [out])
+    # Out(S3 x S3) = C2, and its class is the swap of the two factors
+    res = extension_from_out(automorphism_group(G), [1])
     assert res.index == 2
     assert res.ambient.order == 72
+    swap = conjugation_perm(G, perm(6, "(0 3)(1 4)(2 5)"))
+    assert swap in res.ambient and swap not in res.inner
 
 
 @pytest.mark.parametrize("degree, generators", [
@@ -113,21 +119,37 @@ def test_the_embedding_is_conjugation_by_every_element(degree, generators):
     # A4, S4 and C3^2 x| C2: the embedding is composed from the images
     # of the generators, and must agree with conjugation computed anew
     G = PermGroup(degree, [perm(degree, text) for text in generators])
-    res = extension_from_out(G, [])
+    res = extension_from_out(automorphism_group(G), [])
     assert list(res.embedding) == list(G.elements)
     assert res.embedding == {x: conjugation_perm(G, x) for x in G.elements}
 
 
 def test_extension_requires_a_trivial_centre():
     with pytest.raises(NontrivialCenterError):
-        extension_from_out(cyclic_group(4), [])
+        extension_from_out(automorphism_group(cyclic_group(4)), [])
 
 
-def test_extension_rejects_a_non_automorphism():
-    A4 = alternating_group(4)
-    collapse = {x: A4.elements[0] for x in A4.elements}
-    with pytest.raises(HomomorphismError):
-        extension_from_out(A4, [collapse])
+@pytest.mark.parametrize("classes", [[], [16], [1, 5, 9], "all"])
+def test_an_extension_closes_three_groups_whatever_it_picks(monkeypatch,
+                                                            classes):
+    # the conjugation embedding, the extension and its quotient: the
+    # automorphisms and Inn(G) are read from automorphism_group, which
+    # checked them, and the cosets of Aut(G) over Inn(G) are its own
+    auts = automorphism_group(c3sq_c2())
+    if classes == "all":
+        classes = range(1, auts.out_cosets.index)
+    closures = []
+    mulclose = permgroup.mulclose
+
+    def counted(*args, **kwargs):
+        closures.append(args[0])
+        return mulclose(*args, **kwargs)
+
+    monkeypatch.setattr(permgroup, "mulclose", counted)
+    res = extension_from_out(auts, list(classes))
+    assert len(closures) == 3
+    # an extension that is all of Aut(G) is the very group
+    assert (res.ambient is auts.aut) == (res.index == 24)
 
 
 # ---------------------------------------------------------------- cocycles
@@ -262,10 +284,13 @@ def test_extension_and_crossed_product_decompose_alike():
     # C3^2 x| C2 has Out = S4: a quotient of order 24, on which right
     # translation and the rows of the product table are different
     # permutations of the coset indices
-    G = PermGroup(6, [perm(6, t) for t in ("(0 1 2)", "(3 4 5)",
-                                           "(1 2)(4 5)")])
-    res = extension_from_out(G, automorphism_group(G).out_cosets.reps[1:])
+    G = c3sq_c2()
+    auts = automorphism_group(G)
+    res = extension_from_out(auts, range(1, auts.out_cosets.index))
     assert res.quotient.order == 24
+    # every class picked: the extension is Aut(G), with its cached cosets
+    assert res.ambient is auts.aut
+    assert right_coset_data(res.ambient, res.inner) is auts.out_cosets
     _, _, elements, crossed, _ = _crossed_product_data(
         res.ambient, res.inner, res.inner, "min", DEFAULT)
     assert list(elements) == list(res.lifts)
@@ -303,28 +328,29 @@ def test_crossed_product_middle_must_sit_between():
 
 @st.composite
 def outer_data(draw):
-    """A random centreless subgroup G of S3, S4 or S5, with up to two
-    automorphisms of G that conjugate it by elements of its normalizer."""
+    """A random centreless subgroup G of S3, S4 or S5, its automorphism
+    group, and a subset of its outer class indices."""
     n = draw(st.integers(3, 5))
     perms = st.permutations(range(n)).map(Perm)
     G = PermGroup(n, draw(st.lists(perms, min_size=1, max_size=2)))
     assume(len(G.center()) == 1)
-    normalizer = [t for t in symmetric_group(n).elements
-                  if all(t * g * t.inv() in G for g in G.generators)]
-    # an element outside G is more likely to act by an outer class
-    ts = draw(st.lists(st.sampled_from(
-        [t for t in normalizer if t not in G] or normalizer), max_size=2))
-    return G, [{x: t * x * t.inv() for x in G.elements} for t in ts]
+    auts = automorphism_group(G)
+    outer = range(1, auts.out_cosets.index)
+    return auts, sorted(draw(st.sets(st.sampled_from(outer)) if outer
+                             else st.just(set())))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(outer_data())
 def test_extensions_lift_the_identity_first_and_are_normalized(drawn):
-    G, outs = drawn
-    res = extension_from_out(G, outs)
+    auts, classes = drawn
+    res = extension_from_out(auts, classes)
     identity = res.quotient.identity
     assert next(iter(res.lifts)) == identity
     assert res.lifts[identity] == res.ambient.identity
+    # coset representatives: only the identity class lifts into Inn(G)
+    assert all((g == identity) == (lift in res.inner)
+               for g, lift in res.lifts.items())
     assert res.cocycle.is_normalized()
     assert res.inner.is_subgroup_of(res.ambient)
     assert_cocycle_axioms(res.cocycle)
@@ -442,6 +468,7 @@ def test_an_inner_embedding_that_is_no_homomorphism_is_a_fault(monkeypatch):
     # the 3-cycle of S3 sent to the conjugation by a transposition, of
     # order 2, and the transposition to the identity
     S3 = symmetric_group(3)
+    auts = automorphism_group(S3)
     flip = perm(3, "(0 1)")
 
     def swapped(G, g):
@@ -452,4 +479,4 @@ def test_an_inner_embedding_that_is_no_homomorphism_is_a_fault(monkeypatch):
     monkeypatch.setattr(cocycle, "conjugation_perm", swapped)
     with pytest.raises(InvariantViolationError,
                        match="conjugation is not a homomorphism"):
-        extension_from_out(S3, [])
+        extension_from_out(auts, [])

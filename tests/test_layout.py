@@ -109,7 +109,7 @@ SHARED_MEMBERS = {
     "CosetData.action": "theta, cocycle, commutant, automorphisms",
     # dropping it waits for a benchmark change (ROADMAP item 1)
     "DoubleCosetData.count": "perfbench/tests/test_perfbench.py alone",
-    "Perm.degree": "permgroup.mulclose, automorphisms.is_automorphism_perm",
+    "Perm.degree": "permgroup.mulclose, permgroup.homomorphism_from_images",
     "Perm.identity": "permgroup.parse_cycle_string, "
                      "cocycle._check_crossed_law",
     "PermGroup.identity": "verify._suite_theta, theta, cocycle, wreath",

@@ -7,14 +7,18 @@ import json
 
 import pytest
 
-from sfw import automorphisms, cli, permgroup, theta
+from sfw import automorphisms, chartab, cli, permgroup, theta
 from sfw.config import DEFAULT
-from sfw.corpus import builtin_cases, case_by_name
+from sfw.corpus import InclusionCase, builtin_cases, case_by_name
 from sfw.errors import InvariantViolationError, ParseError, SubgroupError
 from sfw.formats import canonical_json
 from sfw.permgroup import CosetData, parse_cycle_string, right_coset_data
 from sfw.verify import SUITES, load_corpus_dir, run_suite
-from oracles import GroupAlgebraElement, nested_expectation_entry
+from oracles import (
+    GroupAlgebraElement,
+    nested_expectation_entry,
+    symmetric_group,
+)
 
 
 def test_every_named_suite_passes_on_the_builtin_corpus():
@@ -302,7 +306,7 @@ def test_a_commutants_case_with_every_entry_over_the_cap_is_a_skip():
 def test_a_cap_met_inside_a_case_is_a_skip(capsys, flags, skipped):
     # a cap bounds work and checks nothing: the theta cases over the k
     # cap, arithmetic:bounds under a k cap of 0, the swap extension,
-    # whose ambient group of order 72 is built inside its case, and the
+    # whose automorphism group of order 72 is found inside its case, and the
     # theta and commutants cases over the oracle cap skip.  Each detail
     # is the error's message, which names the cap and its flag.
     assert cli.main(["verify", "--json"] + flags) == 0
@@ -323,6 +327,38 @@ def test_a_cap_met_inside_a_case_is_a_skip(capsys, flags, skipped):
                    for case, detail in skips.items())
     else:
         assert skips["arithmetic:bounds"] == "tuple length 1" + limit
+
+
+def test_the_extension_cases_skip_an_automorphism_search_over_aut_cap(
+        capsys):
+    # each extension case finds the automorphism group of its base (A4,
+    # S3 and S3 x S3, of orders 12, 6 and 36) inside the case
+    argv = ["verify", "--suite", "extensions", "--aut-cap", "5", "--json"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    skips = {c["id"]: c["detail"] for c in report["cases"] if c["skipped"]}
+    limit = " is over aut_cap=5, set by --aut-cap"
+    assert skips == {"extensions:a4-out": "group order 12" + limit,
+                     "extensions:s3-trivial": "group order 6" + limit,
+                     "extensions:s3xs3-swap": "group order 36" + limit}
+    assert report["failed"] == 0
+
+
+def test_the_dual_graph_case_checks_the_character_tables(monkeypatch):
+    # the tables are built, and their orthogonality checked, by the dual
+    # graph; fresh groups keep any table cached on the corpus out
+    def broken(*args):
+        raise InvariantViolationError("row orthogonality fails")
+
+    monkeypatch.setattr(chartab, "_check_orthogonality", broken)
+    S3 = symmetric_group(3)
+    case = InclusionCase("s3-flip", S3,
+                         S3.subgroup([parse_cycle_string(3, "(0 1)")]), 3)
+    report = run_suite("graphs", cases=(case,))
+    dual = {c.case_id: c for c in report.cases}["graphs:s3-flip:dual"]
+    assert not dual.ok and not dual.skipped
+    assert dual.detail == ("InvariantViolationError: row orthogonality "
+                           "fails")
 
 
 @pytest.mark.parametrize("core, detail", [
