@@ -133,6 +133,11 @@ def _commands() -> list:
     cmds.append(["index", "--case", "no-such-case"])
     cmds.append(["verify", "--suite", "bogus"])
     cmds.append(["extend", "--case", "wr2x3-base", "--json"])
+    # outer classes out of range: below 1, above index - 1 (A4 has one
+    # outer class), and any class of a group with trivial Out (S3)
+    cmds.append(["extend", "--case", "a4-v4", "--out-classes", "0"])
+    cmds.append(["extend", "--case", "a4-v4", "--out-classes", "2"])
+    cmds.append(["extend", "--case", "s3-flip", "--out-classes", "1"])
     cmds.append(["spectrum", "0.5"])
     cmds.append(["index", "--case", "s4-s3", "--order-cap", "10"])
     for name, _, _, _ in RUNGS:
