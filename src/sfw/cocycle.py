@@ -19,12 +19,14 @@ and pulls the defects back to G by conjugation, which
 permgroup.homomorphism_from_images extends from the generators.  Both
 are then checked by one crossed-product law (_check_crossed_law), on
 every base element, every pair of quotient elements and the lift of
-the identity.
+the identity.  Both return the Cocycle2 they checked, which holds the
+base, the quotient and the lifts; an extension keeps its ambient group
+beside it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Mapping, NamedTuple, Sequence, Tuple
 
 from .automorphisms import AutomorphismData, conjugation_perm
 from .config import Config, DEFAULT
@@ -32,6 +34,7 @@ from .errors import (
     InvariantViolationError,
     NontrivialCenterError,
     NotNormalError,
+    ParseError,
     SubgroupError,
 )
 from .permgroup import (
@@ -166,21 +169,16 @@ class ExtensionResult(NamedTuple):
     """A group generated over the inner automorphisms by chosen outer ones.
 
     ambient acts on base element indices, a subgroup of Aut(G) and the
-    very AutomorphismData.aut object when it is all of it; inner is
-    AutomorphismData.inner, the image of the base under conjugation;
-    quotient is realized on the inner-coset indices; lifts picks the
-    minimal coset representative for each quotient element, with the
-    identity lifted to the identity.
+    very AutomorphismData.aut object when every outer class is chosen.
+    cocycle.base is G, cocycle.quotient is ambient / Inn(G) realized on
+    the inner-coset indices, so its order is the index, and
+    cocycle.alpha lifts each quotient element to the minimal
+    representative of its coset, with the identity lifted to the
+    identity.
     """
 
-    base: PermGroup
     ambient: PermGroup
-    inner: PermGroup
-    embedding: Mapping[Perm, Perm]
-    quotient: PermGroup
-    lifts: Mapping[Perm, Perm]
     cocycle: Cocycle2
-    index: int
 
     def fingerprint(self) -> Mapping[int, int]:
         """Element order histogram of the ambient group."""
@@ -209,12 +207,13 @@ def extension_from_out(auts: AutomorphismData, classes: Sequence[int],
 
     auts is the automorphism group of G (automorphisms.automorphism_group)
     and classes are indices into auts.out_cosets, from 1 to index - 1,
-    each standing for its coset representative.  Requires a trivial
-    centre so that G embeds as its own inner automorphism group and
-    cocycle values pull back uniquely.  The extension is
-    <auts.inner, the chosen representatives>, a subgroup of auts.aut;
-    when it is all of it, it is auts.aut itself, so its cosets over
-    auts.inner are the ones automorphism_group cached.
+    each standing for its coset representative; an index out of that
+    range is a ParseError.  Requires a trivial centre so that G embeds
+    as its own inner automorphism group and cocycle values pull back
+    uniquely.  The extension is <auts.inner, the chosen
+    representatives>, a subgroup of auts.aut.  When classes name every
+    outer class it is auts.aut itself, closed by no second closure, and
+    its cosets over auts.inner are the ones automorphism_group cached.
 
     Nothing automorphism_group decided is decided again: every
     representative is an automorphism, and auts.inner is
@@ -231,13 +230,22 @@ def extension_from_out(auts: AutomorphismData, classes: Sequence[int],
     normalized cocycle among them (see _check_crossed_law).
     """
     G, inner = auts.group, auts.inner
+    available = auts.out_cosets.index - 1
+    for p in classes:
+        if not available:
+            raise ParseError("outer class %d out of range: the group "
+                             "has no outer automorphism classes" % p)
+        if not 1 <= p <= available:
+            raise ParseError("outer class %d out of range, have 1..%d"
+                             % (p, available))
     if len(G.center()) != 1:
         raise NontrivialCenterError(
             "base group must have trivial centre")
-    reps = [auts.out_cosets.reps[i] for i in classes]
-    ambient = PermGroup(G.order, inner.generators + tuple(reps), config)
-    if ambient == auts.aut:
+    if len(set(classes)) == available:
         ambient = auts.aut
+    else:
+        reps = [auts.out_cosets.reps[i] for i in classes]
+        ambient = PermGroup(G.order, inner.generators + tuple(reps), config)
     embedding = _inner_embedding(G)
     quotient, lifts, table, defects = _decompose(
         right_coset_data(ambient, inner), config)
@@ -246,24 +254,11 @@ def extension_from_out(auts: AutomorphismData, classes: Sequence[int],
     cocycle = Cocycle2(G, quotient, values, lifts)
     _check_crossed_law(cocycle, list(lifts), list(lifts.values()), table,
                        embedding.__getitem__)
-    return ExtensionResult(G, ambient, inner, embedding, quotient,
-                           lifts, cocycle, quotient.order)
+    return ExtensionResult(ambient, cocycle)
 
 
 # ---------------------------------------------------------------------------
 # crossed product decomposition of a group over a normal subgroup
-
-class CrossedProduct(NamedTuple):
-    """The decomposition of G over K that crossed_product_check verified.
-
-    middle_indices are the coset indices whose representatives lie in
-    the middle group.
-    """
-
-    quotient_order: int
-    cocycle: Cocycle2
-    middle_indices: Tuple[int, ...]
-
 
 def _check_normal(G: PermGroup, K: PermGroup) -> None:
     if not K.is_subgroup_of(G):
@@ -275,55 +270,47 @@ def _check_normal(G: PermGroup, K: PermGroup) -> None:
                 raise NotNormalError("subgroup is not normal")
 
 
-def _crossed_reps(G: PermGroup, K: PermGroup, H_mid: PermGroup,
-                  rule: str) -> CosetData:
-    """The cosets of K, one representative each, those inside H_mid first.
+def _crossed_reps(G: PermGroup, K: PermGroup, rule: str) -> CosetData:
+    """The cosets of K, one representative each, in the order of cosets.
 
     rule "min" takes the canonical minimal element of each coset, rule
     "max" takes the largest one by sort key except that the subgroup
-    coset keeps the identity, which sorts first under either rule.
+    coset keeps the identity.
     """
     cosets = right_coset_data(G, K)
-    if rule == "max":
-        chosen = [cosets.reps[0]] + [
-            max(cosets.coset_elements(i), key=Perm.sort_key)
-            for i in range(1, cosets.index)]
-    else:
-        chosen = list(cosets.reps)
-    chosen.sort(key=lambda r: (r not in H_mid, r.sort_key()))
-    return cosets.with_reps(chosen)
+    if rule == "min":
+        return cosets
+    return cosets.with_reps([cosets.reps[0]] + [
+        max(cosets.coset_elements(i), key=Perm.sort_key)
+        for i in range(1, cosets.index)])
 
 
-def _crossed_product_data(G: PermGroup, K: PermGroup, H_mid: PermGroup,
-                          rule: str, config: Config):
+def _crossed_product_data(G: PermGroup, K: PermGroup, rule: str,
+                          config: Config):
     """The decomposition of G over K by one rule, with alpha_g = Ad(r_g).
 
     Conjugation by a lift r keeps K in place without a check:
     crossed_product_check decides that K is normal in G (_check_normal)
     before it calls this, so r x r^-1 lies in K for every x in K.
     """
-    cosets = _crossed_reps(G, K, H_mid, rule)
+    cosets = _crossed_reps(G, K, rule)
     quotient, lifts, table, values = _decompose(cosets, config)
     alpha = {g: conjugation_perm(K, r) for g, r in lifts.items()}
     cocycle = Cocycle2(K, quotient, values, alpha)
-    middle = tuple(j for j, r in enumerate(cosets.reps) if r in H_mid)
-    return cosets.reps, table, list(lifts), cocycle, middle
+    return cosets.reps, table, list(lifts), cocycle
 
 
 def crossed_product_check(G: PermGroup, K: PermGroup,
-                          H_mid: Optional[PermGroup] = None,
-                          config: Config = DEFAULT) -> CrossedProduct:
+                          config: Config = DEFAULT) -> Cocycle2:
     """Decompose G as a twisted crossed product of K by G/K and verify.
 
-    K must be normal in G; H_mid, when given, must sit between them,
-    and middle_indices restricts the decomposition to it.  For two
-    different representative choices, _check_crossed_law with the
-    identity as iota checks r_e = 1, the product table against the
-    quotient, r_i r_j = w(i,j) r_ij for all i, j and
-    r_i b = alpha_i(b) r_i for every b in K: |Q|^2 + |Q|^2 + |Q| |K|
-    points, which give the cocycle axioms.  The first failure raises
-    InvariantViolationError with its witness; on success the
-    decomposition by the second choice is returned.
+    K must be normal in G.  For two different representative choices,
+    _check_crossed_law with the identity as iota checks r_e = 1, the
+    product table against the quotient, r_i r_j = w(i,j) r_ij for all
+    i, j and r_i b = alpha_i(b) r_i for every b in K:
+    |Q|^2 + |Q|^2 + |Q| |K| points, which give the cocycle axioms.  The
+    first failure raises InvariantViolationError with its witness; on
+    success the cocycle of the second choice is returned.
 
     These points give the multiplication law for all a, b in K and all
     i, j, with r_ij the representative of the coset of r_i r_j, by
@@ -333,20 +320,11 @@ def crossed_product_check(G: PermGroup, K: PermGroup,
 
     The rest follows from the construction.  The a r_i with a in K are
     the elements of G once each: with_reps takes one r_i per coset of
-    K, and those cosets partition G.  The middle indices, the i with
-    r_i in H_mid, number |H_mid| / |K| and are closed under the product
-    table: K <= H_mid, checked on entry, makes H_mid a union of cosets
-    of K, and a coset lies in H_mid exactly when its representative
-    does; H_mid is a group, so for r_i and r_j in H_mid the coset of
-    r_i r_j, and r_ij with it, lies in H_mid.
+    K, and those cosets partition G.
     """
     _check_normal(G, K)
-    if H_mid is None:
-        H_mid = K
-    if not (K.is_subgroup_of(H_mid) and H_mid.is_subgroup_of(G)):
-        raise SubgroupError("middle group must sit between the two")
     for rule in ("min", "max"):
-        reps, table, elements, cocycle, middle = \
-            _crossed_product_data(G, K, H_mid, rule, config)
+        reps, table, elements, cocycle = \
+            _crossed_product_data(G, K, rule, config)
         _check_crossed_law(cocycle, elements, reps, table, lambda b: b)
-    return CrossedProduct(len(reps), cocycle, middle)
+    return cocycle

@@ -31,7 +31,6 @@ def run(args, cfg: Config) -> int:
     else:
         raise ParseError("need --case or --group")
     auts = automorphisms.automorphism_group(G, cfg)
-    available = auts.out_cosets.index - 1
     if args.out_classes == "all":
         picks = list(range(1, auts.out_cosets.index))
     else:
@@ -42,30 +41,24 @@ def run(args, cfg: Config) -> int:
             except ValueError:
                 raise ParseError("outer class list must be integers or "
                                  "'all'") from None
-        for p in picks:
-            if not available:
-                raise ParseError("outer class %d out of range: the group "
-                                 "has no outer automorphism classes" % p)
-            if not 1 <= p <= available:
-                raise ParseError("outer class %d out of range, have 1..%d"
-                                 % (p, available))
-    # extension_from_out raises at a failed relation, so whatever is
-    # printed has passed them all; the index - 1 nonidentity classes
-    # lift to coset representatives outside Inn(G), so to outer
-    # automorphisms
+    # extension_from_out refuses a class out of range and raises at a
+    # failed relation, so whatever is printed has passed them all; the
+    # index - 1 nonidentity classes lift to coset representatives
+    # outside Inn(G), so to outer automorphisms
     result = cocycle.extension_from_out(auts, picks, cfg)
+    c = result.cocycle
     if args.json:
         payload = extension_to_json(result)
         payload["relations_ok"] = True
-        payload["outer_lifts"] = result.index - 1
+        payload["outer_lifts"] = c.quotient.order - 1
         _emit(args, formats.canonical_json(payload))
         return 0
-    lines = ["base order: %d" % result.base.order,
+    lines = ["base order: %d" % c.base.order,
              "extension order: %d" % result.ambient.order,
-             "index: %d" % result.index,
+             "index: %d" % c.quotient.order,
              "element order histogram: %s" % dict(sorted(
                  result.fingerprint().items())),
-             "cocycle normalized: %s" % result.cocycle.is_normalized(),
+             "cocycle normalized: %s" % c.is_normalized(),
              "relations verified: True"]
     _emit(args, "\n".join(lines) + "\n")
     return 0
@@ -87,10 +80,11 @@ def cocycle_to_json(c: Cocycle2) -> dict:
 def extension_to_json(result: ExtensionResult) -> dict:
     fingerprint = {str(k): v
                    for k, v in sorted(result.fingerprint().items())}
+    c = result.cocycle
     return {
-        "base_order": result.base.order,
+        "base_order": c.base.order,
         "ambient_order": result.ambient.order,
-        "index": result.index,
+        "index": c.quotient.order,
         "fingerprint": fingerprint,
-        "cocycle": cocycle_to_json(result.cocycle),
+        "cocycle": cocycle_to_json(c),
     }

@@ -369,7 +369,6 @@ class ConjClassData(NamedTuple):
     is the least element of its class, so the identity's class is first.
     """
 
-    group: PermGroup
     reps: tuple
     sizes: tuple
     class_of: Mapping[Perm, int]
@@ -415,7 +414,7 @@ def _conjugacy_classes(G: PermGroup) -> ConjClassData:
     rank = {n: i for i, n in enumerate(order)}
     # keyed by the elements themselves, not by the image tuples found
     class_of = {x: rank[orbit_of[x]] for x in G.elements}
-    return ConjClassData(G, tuple(reps[n] for n in order),
+    return ConjClassData(tuple(reps[n] for n in order),
                          tuple(sizes[n] for n in order), class_of)
 
 
@@ -504,12 +503,12 @@ def _right_cosets(G: PermGroup, H: PermGroup) -> CosetData:
 
 
 class DoubleCosetData(NamedTuple):
-    """Double cosets H\\G/H with stabilizers K_i = H  *intersect*  g_i^-1 H g_i."""
+    """Double cosets H\\G/H with stabilizers K_i = H  *intersect*  g_i^-1 H g_i.
 
-    group: PermGroup
-    subgroup: PermGroup
+    The double coset of reps[i] has |H|^2 / |K_i| elements.
+    """
+
     reps: tuple
-    sizes: tuple
     stabilizers: tuple
 
     @property
@@ -540,16 +539,16 @@ def double_coset_data(G: PermGroup, H: PermGroup) -> DoubleCosetData:
 def _double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetData:
     """The double cosets as orbits of H on the right cosets, checked.
 
-    Two facts need no check of their own.  The sizes sum to |G|: the
+    Two facts need no check of their own.  The double coset of an orbit
+    has |orbit| |H| elements, which is |H|^2 / |K| by the
+    orbit-stabilizer check below.  And these sizes sum to |G|: the
     orbits partition the t right cosets, so they sum to t |H|, and the
-    coset partition check of _right_cosets gives t |H| = |G|.  And each
-    size times |K| is |H|^2: a size is |orbit| |H|, and the
-    orbit-stabilizer check below gives |orbit| |K| = |H|.
+    coset partition check of _right_cosets gives t |H| = |G|.
     """
     cosets = right_coset_data(G, H)
     orbit_of = [None] * cosets.index
     cap = Config(order_cap=H.order)
-    dc_reps, sizes, stabs = [], [], []
+    dc_reps, stabs = [], []
     interned = {H: H}
     in_h = H._index
     # a generator s moves coset j to action(s)[j] and u to u * s
@@ -595,7 +594,6 @@ def _double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetData:
                 "orbit of length %d and stabilizer of order %d violate "
                 "|H| = %d" % (len(orbit), K.order, H.order))
         dc_reps.append(g)
-        sizes.append(len(orbit) * H.order)
         stabs.append(K)
-    return DoubleCosetData(G, H, tuple(dc_reps), tuple(sizes), tuple(stabs))
+    return DoubleCosetData(tuple(dc_reps), tuple(stabs))
 

@@ -1,7 +1,7 @@
 """Wreath-like products WR(A, B acting on I) of permutation groups.
 
-wreath_product realizes A wr B on blocks of points along an action
-table of B, and verify_wreath_like checks the defining properties of a
+wreath_product realizes A wr B on blocks of points along the natural
+action of B, and verify_wreath_like checks the defining properties of a
 decomposition into base copies, a quotient map and an action table,
 raising InvariantViolationError at the first that fails.  Only the
 extensions verify suite reaches this module.
@@ -9,7 +9,7 @@ extensions verify suite reaches this module.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .config import Config, DEFAULT
 from .errors import InvalidActionError, InvariantViolationError
@@ -17,18 +17,17 @@ from .permgroup import Perm, PermGroup, homomorphism_from_images
 
 
 class WreathData(NamedTuple):
-    """A wreath product A wr B realized on len(I) * deg(A) points.
+    """A wreath product A wr B realized on deg(B) * deg(A) points.
 
-    Block i occupies points [i*deg(A), (i+1)*deg(A)).  kappa maps each
-    element of the product onto the acting group B; its kernel is the
-    direct sum of the base copies.
+    B acts on I = its own points (natural_action).  Block i occupies
+    points [i*deg(A), (i+1)*deg(A)).  kappa maps each element of the
+    product onto the acting group B; its kernel is the direct sum of
+    the base copies.
     """
 
     group: PermGroup
-    base: PermGroup
     base_copies: tuple
     acting: PermGroup
-    action: Mapping[Perm, tuple]
     kappa: Mapping[Perm, Perm]
 
 
@@ -55,25 +54,18 @@ def verify_action_table(B: PermGroup, action: Mapping[Perm, Sequence[int]],
 
 
 def wreath_product(A: PermGroup, B: PermGroup,
-                   action: Optional[Mapping[Perm, tuple]] = None,
                    config: Config = DEFAULT) -> WreathData:
-    """Wreath-like product of A by B along a faithful action of B on I.
+    """Wreath product of A by B along B's natural action on its points.
 
-    Returns the product group together with the base copies and the
-    quotient map kappa recovered from the block structure.
+    That action is faithful, as B is a permutation group, and any
+    faithful action is the natural action of the permutation group its
+    images generate.  Returns the product group together with the base
+    copies and the quotient map kappa recovered from the block
+    structure: g permutes the blocks as some b in B, since the
+    generators do and B is closed, and b is the one element with those
+    images.
     """
-    if action is None:
-        action = natural_action(B)
-    size = len(next(iter(action.values())))
-    verify_action_table(B, action, size)
-    by_image = {}
-    for b, img in action.items():
-        key = tuple(img)
-        if key in by_image:
-            raise InvalidActionError(
-                "action must be faithful so the quotient map is recoverable")
-        by_image[key] = b
-    dA = A.degree
+    dA, size = A.degree, B.degree
     degree = size * dA
     gens = []
     copy_gens = [[] for _ in range(size)]
@@ -86,21 +78,17 @@ def wreath_product(A: PermGroup, B: PermGroup,
             gens.append(p)
             copy_gens[i].append(p)
     for b in B.generators:
-        img = action[b]
         images = [0] * degree
         for i in range(size):
             for x in range(dA):
-                images[i * dA + x] = img[i] * dA + x
+                images[i * dA + x] = b(i) * dA + x
         gens.append(Perm(images))
     G = PermGroup(degree, gens, config)
     copies = tuple(PermGroup(degree, cg, config) for cg in copy_gens)
-    kappa = {}
-    for g in G.elements:
-        key = tuple(g(i * dA) // dA for i in range(size))
-        if key not in by_image:
-            raise InvalidActionError("element does not permute blocks per the action")
-        kappa[g] = by_image[key]
-    return WreathData(G, A, copies, B, dict(action), kappa)
+    by_image = {b.images: b for b in B.elements}
+    kappa = {g: by_image[tuple(g(i * dA) // dA for i in range(size))]
+             for g in G.elements}
+    return WreathData(G, copies, B, kappa)
 
 
 def verify_wreath_like(G: PermGroup, copies: Sequence[PermGroup],

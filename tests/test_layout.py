@@ -6,7 +6,9 @@ belongs in tests/.  The only exceptions are the file-format functions
 that README's *Library entry points* names for callers of the library.
 The same holds for the public methods of every class in src/sfw, and a
 method whose name another class also defines is listed, with where it
-is read, in a map reviewed by hand.  And
+is read, in a map reviewed by hand.  Every field of a public record is
+read by name in the package, but for one that only the test oracles
+read.  And
 cli registers every other module by name, except the subcommand modules
 of sfw.commands, so that table must name exactly the other modules of
 the package.  No module imports cli: under `python -m sfw.cli` it runs
@@ -77,10 +79,11 @@ def unreferenced_public_methods() -> list:
     """Class.method for public methods that the package never names.
 
     A property is reached by any `x.name`.  A method counts as reached
-    only when some call `x.name(...)` spells it: a plain attribute of
-    that name may be a field of another class (several NamedTuples have
-    a `subgroup` field), which would hide a method called from tests
-    alone, or not at all.
+    only when some call `x.name(...)` spells it, or its own class names
+    it, as `key=Perm.sort_key` does: a plain attribute of that name may
+    be a field of another class (several NamedTuples have a `subgroup`
+    field), which would hide a method called from tests alone, or not
+    at all.
     """
     methods, attributes, calls = [], set(), set()
     for _, tree in package_trees():
@@ -92,11 +95,41 @@ def unreferenced_public_methods() -> list:
                                and not item.name.startswith("_"))
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    calls.add((node.value.id, node.attr))
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)):
                 calls.add(node.func.attr)
     return sorted("%s.%s" % (cls, name) for cls, name, prop in methods
-                  if name not in (attributes if prop else calls))
+                  if not ({name, (cls, name)} & (attributes if prop
+                                                 else calls)))
+
+
+def unread_record_fields(trees=None) -> set:
+    """Class.field for fields of public NamedTuples that no `x.field` reads.
+
+    A record field is read by name, so one that no attribute of the
+    package spells is carried for nothing, or for tests alone.  A read
+    of the name counts for every class with a member of that name, so a
+    field whose name another class also uses (`group`, `sizes`,
+    `subgroup`, ...) may be unread and pass; such fields are checked by
+    review, not by this scan.  trees defaults to package_trees().
+    """
+    fields, read = [], set()
+    for _, tree in trees or package_trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ClassDef)
+                    and not node.name.startswith("_")
+                    and any(getattr(base, "id", None) == "NamedTuple"
+                            for base in node.bases)):
+                fields.extend((node.name, item.target.id)
+                              for item in node.body
+                              if isinstance(item, ast.AnnAssign)
+                              and isinstance(item.target, ast.Name))
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return {"%s.%s" % (cls, name) for cls, name in fields
+            if name not in read}
 
 
 # Each public method or property whose name another class of src/sfw
@@ -106,7 +139,6 @@ def unreferenced_public_methods() -> list:
 # checked by hand instead.
 SHARED_MEMBERS = {
     "ConjClassData.count": "chartab.character_table, commands.chartab",
-    "CosetData.action": "theta, cocycle, commutant, automorphisms",
     # dropping it waits for a benchmark change (ROADMAP item 1)
     "DoubleCosetData.count": "perfbench/tests/test_perfbench.py alone",
     "Perm.degree": "permgroup.mulclose, permgroup.homomorphism_from_images",
@@ -182,6 +214,17 @@ def test_no_module_imports_fractions_at_the_top():
 
 def test_every_public_method_is_referenced_in_the_package():
     assert unreferenced_public_methods() == []
+
+
+def test_every_record_field_is_read_in_the_package():
+    # is_character is read only by the float inner product of
+    # tests/oracles.py, which trusts a multiplicity only between two
+    # genuine characters; the exact table never needs to ask
+    assert unread_record_fields() == {"ClassFunction.is_character"}
+    # the scan sees a field that nothing reads
+    spare = ast.parse("class Spare(NamedTuple):\n    spare_field: int\n")
+    assert unread_record_fields(package_trees() + [("spare", spare)]) == {
+        "ClassFunction.is_character", "Spare.spare_field"}
 
 
 def test_every_shared_member_name_is_reviewed():

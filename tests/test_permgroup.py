@@ -231,6 +231,11 @@ def _double_coset_oracle(G, H):
     return cells
 
 
+def double_coset_sizes(H, dc):
+    """|H g_i H| = |H|^2 / |K_i| for each double coset, in dc's order."""
+    return [H.order ** 2 // K.order for K in dc.stabilizers]
+
+
 CORPUS_PAIRS = [
     ("s3-transposition", lambda: (symmetric_group(3), [perm(3, "(0 1)")])),
     ("s3-a3", lambda: (symmetric_group(3), [perm(3, "(0 1 2)")])),
@@ -259,12 +264,13 @@ def test_double_cosets_against_oracle(name, make):
     G, hgens = make()
     H = G.subgroup(hgens)
     dc = double_coset_data(G, H)
-    got = {frozenset(h1 * r * h2 for h1 in H.elements for h2 in H.elements)
-           for r in dc.reps}
-    assert got == _double_coset_oracle(G, H)
-    assert sum(dc.sizes) == G.order
-    for size, K in zip(dc.sizes, dc.stabilizers):
-        assert size * K.order == H.order * H.order
+    got = [frozenset(h1 * r * h2 for h1 in H.elements for h2 in H.elements)
+           for r in dc.reps]
+    assert set(got) == _double_coset_oracle(G, H)
+    # the sizes the stabilizers give are the oracle's, and sum to |G|
+    assert double_coset_sizes(H, dc) == [len(cell) for cell in got]
+    assert sum(double_coset_sizes(H, dc)) == G.order
+    for K in dc.stabilizers:
         assert K.is_subgroup_of(H)
 
 
@@ -419,12 +425,10 @@ def test_double_cosets_match_oracle_on_random_subgroups(pair):
     assert dc.count == len(cells)
     # _double_cosets leaves these to the checks that decide them: the
     # coset partition gives the sum, orbit-stabilizer each size
-    assert sum(dc.sizes) == G.order
-    assert all(size * K.order == H.order * H.order
-               for size, K in zip(dc.sizes, dc.stabilizers))
-    for r, size, K in zip(dc.reps, dc.sizes, dc.stabilizers):
+    assert sum(double_coset_sizes(H, dc)) == G.order
+    for r, K in zip(dc.reps, dc.stabilizers):
         assert r == min(cell_of[r], key=Perm.sort_key)
-        assert size == len(cell_of[r])
+        assert len(cell_of[r]) * K.order == H.order * H.order
         conj = {r.inv() * h * r for h in H.elements}
         assert set(K.elements) == {h for h in H.elements if h in conj}
         # equal stabilizers are one object, and one equal to H is H
@@ -474,7 +478,7 @@ def test_double_cosets_s7_s6_multiplication_count(monkeypatch):
 
     monkeypatch.setattr(Perm, "__mul__", counting_mul)
     dc = double_coset_data(G, H)
-    assert list(dc.sizes) == [720, 4320]
+    assert double_coset_sizes(H, dc) == [720, 4320]
     assert calls[0] < 4 * G.order
 
 
@@ -504,7 +508,7 @@ def test_double_cosets_s3_transposition():
     H = G.subgroup([perm(3, "(0 1)")])
     dc = double_coset_data(G, H)
     assert dc.count == 2
-    assert sorted(dc.sizes) == [2, 4]
+    assert sorted(double_coset_sizes(H, dc)) == [2, 4]
     assert dc.stabilizers[0].order == 2
     assert dc.stabilizers[1].order == 1
     assert dc.reps[0].is_identity()
@@ -515,7 +519,7 @@ def test_double_cosets_s3_a3():
     H = G.subgroup([perm(3, "(0 1 2)")])
     dc = double_coset_data(G, H)
     assert dc.count == 2
-    assert list(dc.sizes) == [3, 3]
+    assert double_coset_sizes(H, dc) == [3, 3]
     assert all(K.order == 3 for K in dc.stabilizers)
 
 
@@ -669,7 +673,26 @@ def test_wreath_z2_z3():
     base_gens = [g for A_i in data.base_copies for g in A_i.generators]
     base = G.subgroup(base_gens)
     assert base.order == 8
-    verify_wreath_like(G, data.base_copies, data.kappa, B, data.action)
+    verify_wreath_like(G, data.base_copies, data.kappa, B, natural_action(B))
+
+
+def test_wreath_along_a_faithful_action_table():
+    # S3 acting on its three transpositions by conjugation: a faithful
+    # action given as a table, which wreath_product takes as the
+    # permutation group its images generate
+    S3 = symmetric_group(3)
+    points = [perm(3, c) for c in ("(0 1)", "(0 2)", "(1 2)")]
+    table = {g: tuple(points.index(g * t * g.inv()) for t in points)
+             for g in S3.elements}
+    wreath.verify_action_table(S3, table, 3)
+    assert len(set(table.values())) == S3.order
+    B = PermGroup(3, [Perm(table[g]) for g in S3.generators])
+    assert set(B.elements) == set(map(Perm, table.values()))
+    A = cyclic_group(2)
+    data = wreath_product(A, B)
+    assert data.group.order == A.order ** 3 * B.order
+    verify_wreath_like(data.group, data.base_copies, data.kappa, B,
+                       natural_action(B))
 
 
 def test_wreath_z2_z2_is_dihedral():
@@ -680,20 +703,13 @@ def test_wreath_z2_z2_is_dihedral():
     assert hist == {1: 1, 2: 5, 4: 2}
 
 
-def test_wreath_requires_faithful_action():
-    B = cyclic_group(2)
-    action = {b: (0,) for b in B.elements}  # trivial on one point
-    with pytest.raises(InvalidActionError):
-        wreath_product(cyclic_group(2), B, action)
-
-
 def test_verify_wreath_like_detects_bad_labeling():
     data = wreath_product(cyclic_group(2), cyclic_group(3))
     # swap two copies without adjusting kappa: conjugation condition breaks
     bad_copies = (data.base_copies[1], data.base_copies[0], data.base_copies[2])
     with pytest.raises(InvariantViolationError, match="conjugation"):
         verify_wreath_like(data.group, bad_copies, data.kappa,
-                           data.acting, data.action)
+                           data.acting, natural_action(data.acting))
 
 
 def test_an_action_table_off_a_homomorphism_is_rejected():
@@ -724,14 +740,16 @@ def test_verify_wreath_like_detects_a_kappa_off_a_homomorphism():
     kappa[g] = turn
     with pytest.raises(InvariantViolationError,
                        match="kappa is not a homomorphism") as excinfo:
-        verify_wreath_like(G, data.base_copies, kappa, B, data.action)
+        verify_wreath_like(G, data.base_copies, kappa, B,
+                           natural_action(B))
     assert excinfo.value.witness == (g,)
     # a base generator of order 2 sent to the 3-cycle
     kappa = dict(data.kappa)
     kappa[G.generators[0]] = turn
     with pytest.raises(InvariantViolationError,
                        match="kappa is not a homomorphism") as excinfo:
-        verify_wreath_like(G, data.base_copies, kappa, B, data.action)
+        verify_wreath_like(G, data.base_copies, kappa, B,
+                           natural_action(B))
     assert excinfo.value.witness is None
 
 
