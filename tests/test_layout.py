@@ -85,7 +85,7 @@ def unreferenced_public_methods() -> list:
     field), which would hide a method called from tests alone, or not
     at all.
     """
-    methods, attributes, calls = [], set(), set()
+    methods, attributes, calls, named = [], set(), set(), set()
     for _, tree in package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
@@ -96,13 +96,13 @@ def unreferenced_public_methods() -> list:
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
                 if isinstance(node.value, ast.Name):
-                    calls.add((node.value.id, node.attr))
+                    named.add("%s.%s" % (node.value.id, node.attr))
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)):
                 calls.add(node.func.attr)
     return sorted("%s.%s" % (cls, name) for cls, name, prop in methods
-                  if not ({name, (cls, name)} & (attributes if prop
-                                                 else calls)))
+                  if name not in (attributes if prop else calls)
+                  and "%s.%s" % (cls, name) not in named)
 
 
 def unread_record_fields(trees=None) -> set:
