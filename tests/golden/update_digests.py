@@ -139,6 +139,10 @@ def _commands() -> list:
     cmds.append(["extend", "--case", "a4-v4", "--out-classes", "2"])
     cmds.append(["extend", "--case", "s3-flip", "--out-classes", "1"])
     cmds.append(["spectrum", "0.5"])
+    # an odd permutation is no element of A4: exit 3, in both formats
+    cmds.append(["induce", "--case", "a4-v4", "--element", "(0 1)"])
+    cmds.append(["induce", "--case", "a4-v4", "--element", "(0 1)",
+                 "--json"])
     cmds.append(["index", "--case", "s4-s3", "--order-cap", "10"])
     for name, _, _, _ in RUNGS:
         files = ["--group", "@%s.G" % name, "--subgroup", "@%s.H" % name]
