@@ -54,11 +54,12 @@ from operator import mul
 from typing import NamedTuple, Optional
 
 from .config import Config, DEFAULT
-from .errors import CapExceededError, InvariantViolationError, SubgroupError
+from .errors import CapExceededError, InvariantViolationError
 from .permgroup import (
     ConjClassData,
     PermGroup,
     conjugacy_classes,
+    require_subgroup,
     right_mul,
 )
 
@@ -474,8 +475,7 @@ def restrict(table: CharacterTable, sub_table: CharacterTable) -> tuple:
     G, K = table.group, sub_table.group
 
     def compute():
-        if not K.is_subgroup_of(G):
-            raise SubgroupError("restriction target is not a subgroup")
+        require_subgroup(G, K)
         at = [table.classes.class_index(rep)
               for rep in sub_table.classes.reps]
         orders = [len(s) for s in sub_table.characters[0].spectra]

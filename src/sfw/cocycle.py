@@ -35,13 +35,13 @@ from .errors import (
     NontrivialCenterError,
     NotNormalError,
     ParseError,
-    SubgroupError,
 )
 from .permgroup import (
     CosetData,
     Perm,
     PermGroup,
     homomorphism_from_images,
+    require_subgroup,
     right_coset_data,
 )
 
@@ -169,7 +169,8 @@ class ExtensionResult(NamedTuple):
     """A group generated over the inner automorphisms by chosen outer ones.
 
     ambient acts on base element indices, a subgroup of Aut(G) and the
-    very AutomorphismData.aut object when every outer class is chosen.
+    very AutomorphismData.aut object when the chosen outer classes
+    generate Aut(G) over Inn(G).
     cocycle.base is G, cocycle.quotient is ambient / Inn(G) realized on
     the inner-coset indices, so its order is the index, and
     cocycle.alpha lifts each quotient element to the minimal
@@ -212,8 +213,10 @@ def extension_from_out(auts: AutomorphismData, classes: Sequence[int],
     as its own inner automorphism group and cocycle values pull back
     uniquely.  The extension is <auts.inner, the chosen
     representatives>, a subgroup of auts.aut.  When classes name every
-    outer class it is auts.aut itself, closed by no second closure, and
-    its cosets over auts.inner are the ones automorphism_group cached.
+    outer class it is auts.aut itself, closed by no second closure; a
+    strict subset is closed, and is auts.aut when its order is.  Either
+    way the cosets of auts.aut over auts.inner are the ones
+    automorphism_group cached.
 
     Nothing automorphism_group decided is decided again: every
     representative is an automorphism, and auts.inner is
@@ -241,11 +244,13 @@ def extension_from_out(auts: AutomorphismData, classes: Sequence[int],
     if len(G.center()) != 1:
         raise NontrivialCenterError(
             "base group must have trivial centre")
-    if len(set(classes)) == available:
-        ambient = auts.aut
-    else:
+    ambient = auts.aut
+    if len(set(classes)) != available:
         reps = [auts.out_cosets.reps[i] for i in classes]
-        ambient = PermGroup(G.order, inner.generators + tuple(reps), config)
+        closed = PermGroup(G.order, inner.generators + tuple(reps), config)
+        # a subgroup of Aut(G) of its order is Aut(G)
+        if closed.order != ambient.order:
+            ambient = closed
     embedding = _inner_embedding(G)
     quotient, lifts, table, defects = _decompose(
         right_coset_data(ambient, inner), config)
@@ -261,8 +266,7 @@ def extension_from_out(auts: AutomorphismData, classes: Sequence[int],
 # crossed product decomposition of a group over a normal subgroup
 
 def _check_normal(G: PermGroup, K: PermGroup) -> None:
-    if not K.is_subgroup_of(G):
-        raise SubgroupError("not a subgroup")
+    require_subgroup(G, K)
     for g in G.generators:
         ginv = g.inv()
         for x in K.generators:

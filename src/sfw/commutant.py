@@ -19,9 +19,8 @@ from .errors import (
     CapExceededError,
     InvariantViolationError,
     PreconditionError,
-    SubgroupError,
 )
-from .permgroup import PermGroup, right_coset_data
+from .permgroup import PermGroup, require_subgroup, right_coset_data
 
 IN_SUBGROUP = "in-L(H)"
 IN_GROUP = "in-L(G)"
@@ -34,6 +33,16 @@ def _check_k(k: int, config: Config) -> None:
     if k > config.theta_k_cap:
         raise CapExceededError("tuple length", k, config.theta_k_cap,
                                "theta_k_cap")
+
+
+def _check_tower(G: PermGroup, G0: PermGroup, H: PermGroup, k: int,
+                 side: str, config: Config) -> None:
+    """Refuse a commutant of the tower unless H <= G0 <= G, k and side fit."""
+    if side not in SIDES:
+        raise PreconditionError("side must be one of %r" % (SIDES,))
+    _check_k(k, config)
+    require_subgroup(G0, H)
+    require_subgroup(G, G0)
 
 
 def relative_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
@@ -56,11 +65,7 @@ def relative_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
     cosets Hx with Hxg = Hx.  Every k and both sides read one histogram
     of fix over G0 (see _fixed_point_histogram).
     """
-    if side not in SIDES:
-        raise PreconditionError("side must be one of %r" % (SIDES,))
-    _check_k(k, config)
-    if not H.is_subgroup_of(G0) or not G0.is_subgroup_of(G):
-        raise SubgroupError("need H <= G0 <= G")
+    _check_tower(G, G0, H, k, side, config)
     return orbit_count(G, G0, H, 2 * k if side == IN_GROUP else 2 * k - 1)
 
 

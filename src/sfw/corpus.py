@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .config import Config, DEFAULT
-from .errors import ParseError, PreconditionError
+from .errors import InvariantViolationError, ParseError
 from .permgroup import PermGroup, parse_cycle_string
 
 # name -> (degree, generator cycle strings)
@@ -93,6 +93,7 @@ def _case_by_name(name: str, config: Config) -> InclusionCase:
     group = declared_group(group_name, config)
     subgroup = group.subgroup(
         [parse_cycle_string(group.degree, c) for c in cycles], config)
+    # the stored index checks the table above, not any input
     if group.order != index * subgroup.order:
-        raise PreconditionError("corpus index bookkeeping is wrong")
+        raise InvariantViolationError("corpus index bookkeeping is wrong")
     return InclusionCase(name, group, subgroup, index)

@@ -345,8 +345,7 @@ class PermGroup:
     def subgroup(self, generators: Iterable[Perm],
                  config: Config = DEFAULT) -> "PermGroup":
         sub = PermGroup(self.degree, generators, config)
-        if not sub.is_subgroup_of(self):
-            raise SubgroupError("generated group is not inside the parent")
+        require_subgroup(self, sub)
         return sub
 
     def center(self) -> tuple:

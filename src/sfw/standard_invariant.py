@@ -30,19 +30,15 @@ from .commutant import (
     IN_GROUP,
     IN_SUBGROUP,
     SIDES,
-    _check_k,
+    _check_tower,
     relative_commutant_dim,
 )
 from .config import Config, DEFAULT
-from .errors import (
-    CapExceededError,
-    InvariantViolationError,
-    PreconditionError,
-    SubgroupError,
-)
+from .errors import CapExceededError, InvariantViolationError
 from .permgroup import (
     PermGroup,
     double_coset_data,
+    require_subgroup,
     right_coset_data,
     right_mul,
 )
@@ -134,11 +130,7 @@ def brute_force_commutant_dim(G: PermGroup, G0: PermGroup, H: PermGroup,
     the coefficient of each group element gives one integer equation.
     Their rank comes from exact fraction-free elimination in integers.
     """
-    if side not in SIDES:
-        raise PreconditionError("side must be one of %r" % (SIDES,))
-    _check_k(k, config)
-    if not H.is_subgroup_of(G0) or not G0.is_subgroup_of(G):
-        raise SubgroupError("need H <= G0 <= G")
+    _check_tower(G, G0, H, k, side, config)
     index = right_coset_data(G, H).index
     # up to t^(2k) unknowns, one per pair of tuples, and the commutation
     # equations are expanded over the elements of G
@@ -337,8 +329,7 @@ def dual_principal_graph(G: PermGroup, H: PermGroup,
     The designated vertex is the trivial character of G.  config is
     accepted as in principal_graph.
     """
-    if not H.is_subgroup_of(G):
-        raise SubgroupError("need H <= G")
+    require_subgroup(G, H)
     g_tab = chartab.character_table(G)
     h_tab = chartab.character_table(H)
     return _assemble_graph(_vertices(g_tab, "G", 0), _vertices(h_tab, "H", 0),

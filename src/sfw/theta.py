@@ -86,8 +86,7 @@ class ThetaMap:
         t^k distinct suffix-coset tuples, which fill [t]^k.
         """
         cosets = self.cosets
-        if g not in cosets.group:
-            raise PreconditionError("element is outside the ambient group")
+        _check_element(cosets, g)
         H = cosets.subgroup
         moved = cosets.action(g.inv())
         out = []
@@ -101,6 +100,12 @@ class ThetaMap:
                     % (i, j, g))
             out.append((row, w))
         return tuple(out)
+
+
+def _check_element(cosets: CosetData, g: Perm) -> None:
+    if g not in cosets.group:
+        raise PreconditionError("element %s is outside the group"
+                                % g.cycle_string())
 
 
 def induced_theta(G: PermGroup, K: PermGroup) -> ThetaMap:
@@ -160,8 +165,7 @@ def nested_theta_entry(cosets: CosetData, g: Perm, i_tuple,
     with a membership test in H at each level.  Returns the label w in
     H of a nonzero entry, or None for a zero one.
     """
-    if g not in cosets.group:
-        raise PreconditionError("element is outside the ambient group")
+    _check_element(cosets, g)
     H = cosets.subgroup
     reps = cosets.reps
     w = g

@@ -514,6 +514,21 @@ def test_non_subgroup_exits_3(capsys, tmp_path):
     assert rc == 3
 
 
+def test_a_wrong_index_in_the_case_table_is_an_internal_fault(
+        capsys, monkeypatch):
+    # only sfw's own table can hold a wrong index, so it exits 1, not 3
+    index, group, cycles = corpus._CASES["a4-v4"]
+    monkeypatch.setitem(corpus._CASES, "a4-v4", (index + 1, group, cycles))
+    corpus._case_by_name.cache_clear()
+    try:
+        rc = cli.main(["index", "--case", "a4-v4"])
+    finally:
+        corpus._case_by_name.cache_clear()
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err == "error: corpus index bookkeeping is wrong\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["index"], ["chartab"], ["chartab", "--member", "subgroup"],
     ["graph"], ["graph", "--kind", "dual"], ["induce"]])

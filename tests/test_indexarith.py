@@ -25,7 +25,7 @@ from sfw.indexarith import (
     virtual_index,
 )
 from sfw.permgroup import parse_cycle_string
-from sfw.theta import induced_theta
+from sfw.theta import induced_theta, nested_theta_entry
 from sfw.verify import _check_theta_law
 from oracles import (
     alternating_group,
@@ -310,5 +310,12 @@ def test_induced_map_rejects_bad_data():
     with pytest.raises(SubgroupError):
         induced_theta(A3, K)
     theta = induced_theta(S3, A3)
-    with pytest.raises(PreconditionError):
-        theta.matrix(perm(4, "(0 3)"))
+    # the message `induce --element` prints, from the matrix and from
+    # the nested reference alike
+    outside = perm(4, "(0 3)")
+    for refuse in (lambda: theta.matrix(outside),
+                   lambda: nested_theta_entry(theta.cosets, outside,
+                                              (0,), (0,))):
+        with pytest.raises(PreconditionError) as excinfo:
+            refuse()
+        assert str(excinfo.value) == "element (0 3) is outside the group"

@@ -13,8 +13,8 @@ cli registers every other module by name, except the subcommand modules
 of sfw.commands, so that table must name exactly the other modules of
 the package.  No module imports cli: under `python -m sfw.cli` it runs
 as __main__, and an import by name would run it again.  Finally, no
-module imports dataclasses, and only verify imports fractions at the
-top: each costs every command that runs the module its start-up time.
+module imports dataclasses or fractions: each costs every command that
+runs the module its start-up time.
 And only permgroup reads the coset labels `coset_of`; every other module
 moves cosets by CosetData.action.  Every check raises at its first
 failure, so no class outside verify's outcome records has an `ok`.  And
@@ -24,7 +24,9 @@ axioms that the law implies; one function of sfw.verify
 checks the theta law, which `induce` does not re-check.  Every cap is
 met by a CapExceededError that names the Config field it reads, but for
 the two limits fixed in the code and mulclose, which passes its
-caller's field.
+caller's field.  And a group that is no subgroup is refused by one
+function, permgroup.require_subgroup, with one message, but for a corpus
+file, whose refusal names the file.
 """
 
 from __future__ import annotations
@@ -417,6 +419,38 @@ def test_one_function_checks_the_theta_law():
                      "    _check_on_generators(theta)\n"
                      "    return theta\n")
     assert "_check_on_generators" in calls_in(copy, "induced_theta")
+
+
+def raise_sites(exception: str, trees=None) -> list:
+    """module.function per `raise exception`, in its innermost function."""
+    sites = {}
+    for stem, tree in trees or package_trees():
+        # ast.walk visits an outer function before the ones inside it
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    raised = getattr(node.exc, "func", node.exc)
+                    if exception in (getattr(raised, "id", None),
+                                     getattr(raised, "attr", None)):
+                        sites[id(node)] = "%s.%s" % (stem, function.name)
+    return sorted(sites.values())
+
+
+def test_one_function_refuses_a_non_subgroup():
+    # every entry point calls permgroup.require_subgroup, so a
+    # non-inclusion reads the same wherever it is met; a corpus file's
+    # refusal names the file
+    assert raise_sites("SubgroupError") == [
+        "permgroup.require_subgroup", "verify.load_corpus_dir"]
+    # the scan sees a hand-written refusal in a method
+    copy = ast.parse("class PermGroup:\n"
+                     "    def subgroup(self, sub):\n"
+                     "        if not sub.is_subgroup_of(self):\n"
+                     "            raise errors.SubgroupError('outside')\n")
+    assert raise_sites("SubgroupError", [("permgroup", copy)]) == [
+        "permgroup.subgroup"]
 
 
 # (function, cap, field) of the CapExceededError calls that name no

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from sfw.automorphisms import automorphism_group, normal_core
 from sfw.chartab import character_table
+from sfw.cocycle import crossed_product_check
 from sfw.config import Config
-from sfw import automorphisms, permgroup, wreath
+from sfw import automorphisms, chartab, permgroup, wreath
 from sfw.errors import (CapExceededError, InvalidActionError,
                         InvariantViolationError, ParseError,
                         PreconditionError, SubgroupError)
@@ -25,8 +26,10 @@ from sfw.permgroup import (
     parse_cycle_string,
     right_coset_data,
 )
-from sfw.standard_invariant import (IN_SUBGROUP, principal_graph,
+from sfw.standard_invariant import (IN_SUBGROUP, brute_force_commutant_dim,
+                                    dual_principal_graph, principal_graph,
                                     relative_commutant_dim)
+from sfw.theta import induced_theta
 from sfw.wreath import natural_action, verify_wreath_like, wreath_product
 
 import oracles
@@ -553,6 +556,33 @@ def test_subgroup_rejects_outsiders():
     G = alternating_group(4)
     with pytest.raises(SubgroupError):
         G.subgroup([perm(4, "(0 1)")])
+
+
+@pytest.mark.parametrize("entry", [
+    lambda G, H: G.subgroup(H.generators),
+    right_coset_data,
+    double_coset_data,
+    lambda G, H: chartab.restrict(character_table(G), character_table(H)),
+    principal_graph,
+    dual_principal_graph,
+    lambda G, H: relative_commutant_dim(G, G, H, 1, IN_SUBGROUP),
+    lambda G, H: brute_force_commutant_dim(G, G, H, 1, IN_SUBGROUP),
+    crossed_product_check,
+    induced_theta,
+    normal_core,
+], ids=["subgroup", "right_cosets", "double_cosets", "restrict",
+        "principal_graph", "dual_graph", "commutant_dim",
+        "brute_force_commutant_dim", "crossed_product", "induced_theta",
+        "normal_core"])
+def test_every_entry_point_refuses_a_non_subgroup_with_one_message(entry):
+    # <(0 1)> is no subgroup of A4, and each entry point says so through
+    # permgroup.require_subgroup
+    G = alternating_group(4)
+    H = PermGroup(4, [perm(4, "(0 1)")])
+    with pytest.raises(SubgroupError) as excinfo:
+        entry(G, H)
+    assert str(excinfo.value) == (
+        "not a subgroup: degree 4 order 2 inside degree 4 order 12")
 
 
 def test_conjugacy_partition_s4():
