@@ -88,7 +88,11 @@ class CharacterTable(NamedTuple):
     group: PermGroup
     classes: ConjClassData
     characters: tuple  # of ClassFunction, sorted by (degree, values)
-    degrees: tuple
+
+    @property
+    def degrees(self) -> tuple:
+        """Each character's value at the identity, its first class."""
+        return tuple(int(chi.values[0].real) for chi in self.characters)
 
     def trivial_index(self) -> int:
         for i, chi in enumerate(self.characters):
@@ -119,18 +123,18 @@ def _modulus(e: int, square_bound: int) -> tuple:
     the primitive e-th root of unity z = a^((p-1)/e) in GF(p) of least a.
 
     p does not divide the order of a group of exponent e: a prime
-    divisor of the order divides e, and p > e.
+    divisor of the order divides e, and p > e.  The search for a ends:
+    the units of GF(p) form a cyclic group of order p - 1, a multiple
+    of e, so a generator a of it gives a z of order exactly e, and z has
+    order e exactly when z^(e/q) != 1 for every prime q dividing e.
     """
     p = e + 1
     while p * p <= square_bound or _prime_factors(p) != [p]:
         p += e
     factors = _prime_factors(e)
-    for a in range(1, p):
-        z = pow(a, (p - 1) // e, p)
-        if all(pow(z, e // q, p) != 1 for q in factors):
-            return p, z
-    raise InvariantViolationError("no primitive %d-th root of unity mod %d"
-                                  % (e, p))
+    powers = (pow(a, (p - 1) // e, p) for a in range(1, p))
+    return p, next(z for z in powers
+                   if all(pow(z, e // q, p) != 1 for q in factors))
 
 
 def _echelon(rows: list, p: int) -> tuple:
@@ -419,7 +423,7 @@ def _character_table(G: PermGroup) -> CharacterTable:
     rows.sort(key=sort_key)
     functions = tuple(ClassFunction(G, values, True, spectra)
                       for _, values, spectra in rows)
-    return CharacterTable(G, classes, functions, tuple(d for d, _, _ in rows))
+    return CharacterTable(G, classes, functions)
 
 
 def _check_orthogonality(table: list, sizes: tuple, inverse: list,
@@ -497,13 +501,13 @@ def restrict(table: CharacterTable, sub_table: CharacterTable) -> tuple:
 
         columns = [residues(psi.spectra, inv_roots)
                    for psi in sub_table.characters]
-        matrix = []
+        matrix, sub_degrees = [], sub_table.degrees
         for chi, degree in zip(table.characters, table.degrees):
             x = residues([chi.spectra[k] for k in at], roots)
             weighted = [size * v * inv_order % q
                         for size, v in zip(sub_table.classes.sizes, x)]
             row = tuple(sum(map(mul, weighted, y)) % q for y in columns)
-            restricted = sum(map(mul, row, sub_table.degrees))
+            restricted = sum(map(mul, row, sub_degrees))
             if restricted != degree:
                 raise InvariantViolationError(
                     "restriction of a degree-%d character has degree %d"

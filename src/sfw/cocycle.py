@@ -134,35 +134,38 @@ def _decompose(cosets: CosetData, config: Config):
     (keyed in the order of reps), the product table
     table[i][j] = action(reps[j])[i], the coset of reps[i] * reps[j], and
     the defects reps[i] * reps[j] * reps[table[i][j]]^-1
-    keyed by pairs of quotient elements, each checked to lie in the
-    normal subgroup.
+    keyed by pairs of quotient elements.
+
+    K must be normal in G, as both callers establish:
+    crossed_product_check decides it (_check_normal), and Inn(G) is
+    normal in every group of automorphisms that contains it.  A quotient
+    whose order is not the index shows that a caller broke this; it is
+    the one fault checked here.  The action of G on the cosets of a
+    normal K has kernel K, so action(reps[i]^-1) = action(reps[j]^-1)
+    only when reps[i]^-1 reps[j] lies in K, that is when
+    reps[i] K = reps[j] K, the same coset as K is normal: the lifts are
+    told apart.  And reps[i] * reps[j] lies in the coset
+    K reps[table[i][j]] that the table names, so each defect lies in K.
 
     The identity of the quotient lifts to the identity, which
     _check_crossed_law checks.  reps[0] = 1 holds for both callers: it
     is the least element in right_coset_data, and CosetData.with_reps
     refuses any other.  It gives k -> coset of reps[k] * 1 = k, the
-    identity, and once the representatives are checked to separate, no
-    other lift shares it.
+    identity, and no other lift shares it.
     """
-    reps, K = cosets.reps, cosets.subgroup
+    reps = cosets.reps
     inverses = [r.inv() for r in reps]
     elements = [Perm(cosets.action(rinv)) for rinv in inverses]
     quotient = PermGroup(cosets.index, elements, config)
     if quotient.order != cosets.index:
-        raise InvariantViolationError("quotient order mismatch")
-    lifts = dict(zip(elements, reps))
-    if len(lifts) != quotient.order:
-        raise InvariantViolationError("coset representatives do not separate")
+        raise InvariantViolationError(
+            "quotient of order %d over %d cosets"
+            % (quotient.order, cosets.index))
     table = list(zip(*map(cosets.action, reps)))
-    defects = {}
-    for gi, ri, row in zip(elements, reps, table):
-        for gj, rj, k in zip(elements, reps, row):
-            w = ri * rj * inverses[k]
-            if w not in K:
-                raise InvariantViolationError(
-                    "coset defect landed outside the normal subgroup")
-            defects[(gi, gj)] = w
-    return quotient, lifts, table, defects
+    defects = {(gi, gj): ri * rj * inverses[k]
+               for gi, ri, row in zip(elements, reps, table)
+               for gj, rj, k in zip(elements, reps, row)}
+    return quotient, dict(zip(elements, reps)), table, defects
 
 
 class ExtensionResult(NamedTuple):

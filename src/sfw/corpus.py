@@ -5,7 +5,9 @@ generators in cycle notation.  declared_group builds one from the table
 below under a config; the built-in cases, listed under the run's config
 too, and the verify suites all take their groups from it.  C2wrC3 is
 the wreath product C2 wr C3 by its four generators, the base copies
-first.
+first.  A4C4 is A4 x| C4, of order 48, with C4 acting on A4 as a
+transposition of S4 does: a wreath-like group over C2 and S3 that does
+not split.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ _GROUPS = {
     "C2": (2, ("(0 1)",)),
     "C3": (3, ("(0 1 2)",)),
     "C2wrC3": (6, ("(0 1)", "(2 3)", "(4 5)", "(0 2 4)(1 3 5)")),
+    "A4C4": (8, ("(0 1 2)", "(1 2 3)", "(0 1)(4 5 6 7)")),
 }
 
 
@@ -51,7 +54,10 @@ class InclusionCase(NamedTuple):
     name: str
     group: PermGroup
     subgroup: PermGroup
-    index: int
+
+    @property
+    def index(self) -> int:
+        return self.group.order // self.subgroup.order
 
 
 # name -> (index, group name, subgroup generator cycle strings), in the
@@ -96,4 +102,4 @@ def _case_by_name(name: str, config: Config) -> InclusionCase:
     # the stored index checks the table above, not any input
     if group.order != index * subgroup.order:
         raise InvariantViolationError("corpus index bookkeeping is wrong")
-    return InclusionCase(name, group, subgroup, index)
+    return InclusionCase(name, group, subgroup)

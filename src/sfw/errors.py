@@ -43,10 +43,6 @@ class NontrivialCenterError(PreconditionError):
     pass
 
 
-class InvalidActionError(PreconditionError):
-    pass
-
-
 class ConstraintError(PreconditionError):
     """An arithmetic side condition failed; the message reports both sides."""
 

@@ -1,10 +1,10 @@
-"""Index arithmetic: the admissible index spectrum, virtual embedding
-index values and chain inequalities.
+"""Index arithmetic: the admissible index spectrum and virtual embedding
+index values.
 
 Arithmetic on index values alone; no group is built here.  `spectrum`
 and `vindex` print jones_spectrum_query and virtual_index, and the
-arithmetic verify suite holds the normal-core towers and the commutant
-dimensions to the chain and commutant bounds.
+arithmetic verify suite holds jones_spectrum_query to the discrete
+points 4 cos^2(pi/n).
 """
 
 from __future__ import annotations
@@ -123,16 +123,4 @@ def virtual_index(spec: VirtualEmbeddingSpec) -> int:
         raise ConstraintError(
             "sum s_i [G:K_i] = %d but t = %d" % (total, spec.t))
     return spec.t * sum(p.s * p.index_H_gammaK for p in spec.parts)
-
-
-def index_chain_check(index_outer: int, index_top: int,
-                      index_bottom: int) -> bool:
-    """max of the two factors <= composite <= product, exactly."""
-    return (max(index_top, index_bottom) <= index_outer
-            <= index_top * index_bottom)
-
-
-def commutant_bound_check(commutant_dim: int, index: int) -> bool:
-    """Relative commutant dimension is at most index + 1."""
-    return commutant_dim <= index + 1
 

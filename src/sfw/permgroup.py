@@ -431,8 +431,11 @@ class CosetData(NamedTuple):
     group: PermGroup
     subgroup: PermGroup
     reps: tuple
-    index: int
     coset_of: Mapping[Perm, int]
+
+    @property
+    def index(self) -> int:
+        return len(self.reps)
 
     def coset_index(self, g: Perm) -> int:
         return self.coset_of[g]
@@ -469,8 +472,7 @@ class CosetData(NamedTuple):
                 "a relabelling must represent the subgroup by the identity")
         position = {i: n for n, i in enumerate(old)}
         coset_of = {x: position[i] for x, i in self.coset_of.items()}
-        return CosetData(self.group, self.subgroup, reps, self.index,
-                         coset_of)
+        return CosetData(self.group, self.subgroup, reps, coset_of)
 
 
 def right_coset_data(G: PermGroup, H: PermGroup) -> CosetData:
@@ -497,8 +499,7 @@ def _right_cosets(G: PermGroup, H: PermGroup) -> CosetData:
             "coset partition inconsistent: %d cosets of size %d in order %d"
             % (index, H.order, G.order))
     # keyed by the elements of G, in their order, not by image tuples
-    return CosetData(G, H, tuple(reps), index,
-                     {g: assigned[g] for g in G.elements})
+    return CosetData(G, H, tuple(reps), {g: assigned[g] for g in G.elements})
 
 
 class DoubleCosetData(NamedTuple):

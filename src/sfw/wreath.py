@@ -2,9 +2,10 @@
 
 wreath_product realizes A wr B on blocks of points along the natural
 action of B, and verify_wreath_like checks the defining properties of a
-decomposition into base copies, a quotient map and an action table,
-raising InvariantViolationError at the first that fails.  Only the
-extensions verify suite reaches this module.
+decomposition into base copies and a quotient map onto a permutation
+group B, which acts on the copies as on its points, raising
+InvariantViolationError at the first that fails.  Only the extensions
+verify suite reaches this module.
 """
 
 from __future__ import annotations
@@ -12,45 +13,23 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Sequence
 
 from .config import Config, DEFAULT
-from .errors import InvalidActionError, InvariantViolationError
+from .errors import InvariantViolationError
 from .permgroup import Perm, PermGroup, homomorphism_from_images
 
 
 class WreathData(NamedTuple):
     """A wreath product A wr B realized on deg(B) * deg(A) points.
 
-    B acts on I = its own points (natural_action).  Block i occupies
-    points [i*deg(A), (i+1)*deg(A)).  kappa maps each element of the
-    product onto the acting group B; its kernel is the direct sum of
-    the base copies.
+    B acts on I = its own points.  Block i occupies points
+    [i*deg(A), (i+1)*deg(A)).  kappa maps each element of the product
+    onto the acting group B; its kernel is the direct sum of the base
+    copies.
     """
 
     group: PermGroup
     base_copies: tuple
     acting: PermGroup
     kappa: Mapping[Perm, Perm]
-
-
-def natural_action(B: PermGroup) -> dict:
-    """B acting on its own points, as an action table."""
-    return {b: b.images for b in B.elements}
-
-
-def verify_action_table(B: PermGroup, action: Mapping[Perm, Sequence[int]],
-                        size: int) -> None:
-    """Raise InvalidActionError unless action is a homomorphism B -> Sym(size)."""
-    if set(action) != set(B.elements):
-        raise InvalidActionError("action table must cover exactly the acting group")
-    for b, img in action.items():
-        if len(img) != size or sorted(img) != list(range(size)):
-            raise InvalidActionError(
-                "action of %r is not a bijection on the index set" % (b,))
-    if tuple(action[B.identity]) != tuple(range(size)):
-        raise InvalidActionError("identity must act trivially")
-    phi = homomorphism_from_images(
-        B.generators, [Perm(action[b]) for b in B.generators], B.order)
-    if phi is None or any(phi[b] != tuple(img) for b, img in action.items()):
-        raise InvalidActionError("action table is not a homomorphism")
 
 
 def wreath_product(A: PermGroup, B: PermGroup,
@@ -91,24 +70,32 @@ def wreath_product(A: PermGroup, B: PermGroup,
     return WreathData(G, copies, B, kappa)
 
 
+def _least(elements) -> tuple:
+    """The least of a non-empty set of elements, as a witness."""
+    return (min(elements, key=Perm.sort_key),)
+
+
 def verify_wreath_like(G: PermGroup, copies: Sequence[PermGroup],
-                       kappa: Mapping[Perm, Perm], B: PermGroup,
-                       action: Mapping[Perm, tuple]) -> None:
+                       kappa: Mapping[Perm, Perm], B: PermGroup) -> None:
     """Check the defining properties of a wreath-like decomposition.
 
-    kappa must be a surjective homomorphism G -> B whose kernel is the
-    internal direct sum of the copies, and conjugation must permute the
-    copies according to the action of kappa(g) on the index set.  The
-    first property that fails raises InvariantViolationError.
+    B acts on the indices of the copies as a permutation group of degree
+    len(copies): the action of WR(A, B acting on I) is faithful, and a
+    faithful action is the natural action of the permutation group its
+    images generate.  kappa must be a surjective homomorphism G -> B
+    whose kernel is the internal direct sum of the copies, and
+    conjugation by g must carry copy i onto copy kappa(g)(i).  The first
+    property that fails raises InvariantViolationError, with the failing
+    element, copy index or pair as its witness.
     """
     copies = tuple(copies)
     n = len(copies)
-    try:
-        verify_action_table(B, action, n)
-    except InvalidActionError as exc:
-        raise InvariantViolationError("bad action table: %s" % exc) from None
+    if B.degree != n:
+        raise InvariantViolationError(
+            "acting group of degree %d on %d copies" % (B.degree, n))
     if set(kappa) != set(G.elements):
-        raise InvariantViolationError("kappa is not a total map on the group")
+        raise InvariantViolationError("kappa is not a total map on the group",
+                                      _least(set(kappa) ^ set(G.elements)))
     phi = homomorphism_from_images(
         G.generators, [kappa[s] for s in G.generators], G.order)
     if phi is None:
@@ -116,17 +103,20 @@ def verify_wreath_like(G: PermGroup, copies: Sequence[PermGroup],
     for g in sorted(G.elements, key=Perm.sort_key):
         if phi[g] != kappa[g]:
             raise InvariantViolationError("kappa is not a homomorphism", (g,))
-    if {kappa[g] for g in G.elements} != set(B.elements):
-        raise InvariantViolationError("kappa is not surjective")
-    for A in copies:
+    missed = set(B.elements) ^ set(kappa.values())
+    if missed:
+        raise InvariantViolationError(
+            "kappa does not map onto the acting group", _least(missed))
+    for i, A in enumerate(copies):
         if not A.is_subgroup_of(G):
-            raise InvariantViolationError("copy is not a subgroup")
+            raise InvariantViolationError("copy is not a subgroup", (i,))
     gen_union = [g for A in copies for g in A.generators]
     D = PermGroup(G.degree, gen_union, Config(order_cap=G.order + 1))
-    kernel = sorted(g for g in G.elements if kappa[g].is_identity())
-    if list(D.elements) != kernel:
+    kernel = {g for g in G.elements if kappa[g].is_identity()}
+    if kernel != set(D.elements):
         raise InvariantViolationError(
-            "kernel of kappa differs from the span of the copies")
+            "kernel of kappa differs from the span of the copies",
+            _least(kernel ^ set(D.elements)))
     prod_order = 1
     for A in copies:
         prod_order *= A.order
@@ -144,9 +134,9 @@ def verify_wreath_like(G: PermGroup, copies: Sequence[PermGroup],
     elem_sets = [set(A.elements) for A in copies]
     for g in G.generators:
         ginv = g.inv()
-        img = action[kappa[g]]
+        b = kappa[g]
         for i in range(n):
             conj = {g * x * ginv for x in copies[i].elements}
-            if conj != elem_sets[img[i]]:
+            if conj != elem_sets[b(i)]:
                 raise InvariantViolationError(
                     "conjugation does not permute copies per kappa", (g, i))

@@ -22,6 +22,11 @@ of the fraction-free integer elimination of the commutant oracle.
 assert_cocycle_axioms checks the textbook axioms of a twisted 2-cocycle
 point by point, the reference of the proof in the docstring of
 cocycle._check_crossed_law that the crossed product law implies them.
+check_action_table holds a table of images to being an action, which
+the package never takes: B acts on the copies of a wreath-like group as
+on its own points.  complement searches a wreath-like group for a
+subgroup that its quotient map sends onto B one to one, so that the
+tests can tell a split group from one that does not split.
 
 GroupAlgebraElement is the complex group algebra of a permutation group,
 with the conditional expectation onto a subgroup and the Pimsner-Popa
@@ -39,6 +44,7 @@ ThetaMap.matrix returns.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Mapping
 
@@ -46,7 +52,6 @@ from sfw.chartab import ClassFunction, conjugacy_classes
 from sfw.config import Config, DEFAULT
 from sfw.errors import PreconditionError, SubgroupError
 from sfw.permgroup import CosetData, Perm, PermGroup
-from sfw.wreath import verify_action_table
 
 
 def closure(generators):
@@ -177,9 +182,42 @@ def trivial_character(G):
                          is_character=True)
 
 
+def complement(G, kappa, B):
+    """A subgroup of G that kappa maps onto B one to one, or None.
+
+    Such a subgroup holds a lift of each generator of B, and those lifts
+    generate it; and lifts that generate a group of order |B| generate
+    one that kappa maps onto B one to one.  So the search runs over the
+    tuples of lifts of the generators.
+    """
+    lifts = [[g for g in G.elements if kappa[g] == b] for b in B.generators]
+    for choice in itertools.product(*lifts):
+        found = closure(list(choice))
+        if len(found) == B.order:
+            return found
+    return None
+
+
+def check_action_table(G, action, size):
+    """Assert that action maps G homomorphically into Sym(size).
+
+    The table must cover exactly G, each entry must be a bijection of
+    0..size-1, the identity must act trivially, and action[x * s] must be
+    action[x] composed with action[s], rightmost first, for every x in G
+    and generator s, which makes it a homomorphism on all of G.
+    """
+    assert set(action) == set(G.elements), "table does not cover the group"
+    image = {g: Perm(action[g]) for g in G.elements}
+    assert all(p.degree == size for p in image.values()), "wrong degree"
+    assert image[G.identity].is_identity(), "identity acts"
+    for x in G.elements:
+        for s in G.generators:
+            assert image[x * s] == image[x] * image[s], (x, s)
+
+
 def permutation_character(G, action, size):
-    """Fixed-point character of a verified action of G on {0..size-1}."""
-    verify_action_table(G, action, size)
+    """Fixed-point character of a checked action of G on {0..size-1}."""
+    check_action_table(G, action, size)
     values = []
     for rep in conjugacy_classes(G).reps:
         img = action[rep]

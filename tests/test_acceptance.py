@@ -23,7 +23,6 @@ from sfw.errors import CapExceededError, ConstraintError
 from sfw.indexarith import (
     VirtualEmbeddingSpec,
     VirtualPart,
-    index_chain_check,
     jones_spectrum_query,
     virtual_index,
 )
@@ -210,7 +209,6 @@ def test_criterion_07_index_arithmetic():
         b = G.order // H.order
         c = H.order // K.order
         assert a == b * c
-        assert index_chain_check(a, b, c)
 
 
 @criterion(8, "character theory laws")

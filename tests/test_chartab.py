@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from sfw import chartab
 from sfw.chartab import (
     CLASS_CAP,
     ClassFunction,
@@ -96,8 +97,7 @@ def test_a_table_without_its_trivial_character_has_no_trivial_index():
     trivial = tab.trivial_index()
     kept = [n for n in range(len(tab.characters)) if n != trivial]
     lost = tab._replace(
-        characters=tuple(tab.characters[n] for n in kept),
-        degrees=tuple(tab.degrees[n] for n in kept))
+        characters=tuple(tab.characters[n] for n in kept))
     with pytest.raises(InvariantViolationError,
                        match="no trivial character found"):
         lost.trivial_index()
@@ -141,17 +141,20 @@ def test_restrict_s3_regular_to_a3():
 
 
 def test_restriction_rows_must_restrict_the_degree():
-    # the degree-2 character of S3 with its degree misread as 3: the
-    # multiplicities 0, 1, 1 on A3 meet the entry bound n psi(1) <= 3,
-    # but the restriction has degree 2, not 3
+    # the degree-2 character of S3 with its value at the identity, its
+    # degree, misread as 3: the multiplicities 0, 1, 1 on A3, read from
+    # its spectra, meet the entry bound n psi(1) <= 3, but the
+    # restriction has degree 2, not 3
     G = symmetric_group(3)
     A3 = G.subgroup([perm(3, "(0 1 2)")])
     tab = character_table(G)
-    degrees = tuple(3 if d == 2 else d for d in tab.degrees)
+    misread = tuple(chi._replace(values=(3,) + chi.values[1:])
+                    if d == 2 else chi
+                    for chi, d in zip(tab.characters, tab.degrees))
     with pytest.raises(InvariantViolationError,
                        match="restriction of a degree-3 character has "
                              "degree 2"):
-        restrict(tab._replace(degrees=degrees), character_table(A3))
+        restrict(tab._replace(characters=misread), character_table(A3))
 
 
 def test_frobenius_reciprocity():
@@ -253,3 +256,64 @@ def test_class_cap_bounds_the_table_not_the_classes():
     # no Config field raises this limit
     assert (met.value.field, met.value.limit) == (None,
                                                   "over the fixed limit 64")
+
+
+# ---------------------------------------------------- internal consistency
+#
+# Each check of the table can fail only through a fault in sfw.  The
+# fault is injected into a private step, and the table of a fresh S3 is
+# computed without the cache: e = 6 and 4 |G| = 24 give p = 7, its
+# classes are e, the transpositions and the 3-cycles, and its degrees
+# are 1, 1 and 2.
+
+def dropping_the_last_root(original):
+    return lambda f, p: original(f, p)[:-1]
+
+
+def splitting_nothing(original):
+    return lambda basis, rows, p: [basis]
+
+
+def doubling_the_fourier_rows(original):
+    return lambda o, p, w: [[2 * x % p for x in row]
+                            for row in original(o, p, w)]
+
+
+def lines_made_by(change):
+    """A wrapper of _common_lines that passes its lines through change."""
+    def wrap(original):
+        return lambda classes, p: change(original(classes, p))
+    return wrap
+
+
+@pytest.mark.parametrize("step, fault, message", [
+    pytest.param("_roots", dropping_the_last_root,
+                 "class matrix is not diagonalizable over GF(7)",
+                 id="an-eigenvalue-lost"),
+    pytest.param("_split", splitting_nothing,
+                 "class matrices leave an eigenspace of dimension 3 mod 7",
+                 id="no-space-split"),
+    pytest.param("_fourier_rows", doubling_the_fourier_rows,
+                 "eigenvalue multiplicities (2,) do not fit degree 1",
+                 id="spectra-doubled"),
+    pytest.param("_common_lines",
+                 lines_made_by(lambda v: [[0] + v[0][1:]] + v[1:]),
+                 "eigenvector vanishes at the identity class mod 7",
+                 id="zero-at-the-identity"),
+    pytest.param("_common_lines",
+                 lines_made_by(lambda v: v[:-1] + [[1, 0, 0]]),
+                 "no degree d <= sqrt(6) has d^2 = 6 mod 7",
+                 id="no-character-line"),
+    pytest.param("_common_lines", lines_made_by(lambda v: v + v[:1]),
+                 "row orthogonality fails mod 7 at (0, 3)",
+                 id="a-line-twice"),
+    pytest.param("_common_lines", lines_made_by(lambda v: v[:-1]),
+                 "degree squares sum to 2, expected 6",
+                 id="a-line-lost"),
+])
+def test_a_fault_in_a_step_of_the_table_is_caught(monkeypatch, step, fault,
+                                                  message):
+    monkeypatch.setattr(chartab, step, fault(getattr(chartab, step)))
+    with pytest.raises(InvariantViolationError) as excinfo:
+        chartab._character_table(symmetric_group(3))
+    assert str(excinfo.value) == message

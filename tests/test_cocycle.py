@@ -492,3 +492,15 @@ def test_an_inner_embedding_that_is_no_homomorphism_is_a_fault(monkeypatch):
     with pytest.raises(InvariantViolationError,
                        match="conjugation is not a homomorphism"):
         extension_from_out(auts, [])
+
+
+def test_a_quotient_over_a_subgroup_that_is_not_normal_is_a_fault(
+        monkeypatch):
+    # crossed_product_check decides normality before it decomposes; with
+    # that check skipped, the lifts of the three cosets of <(0 1)> act on
+    # them as all of S3, a quotient of order 6 over 3 cosets
+    monkeypatch.setattr(cocycle, "_check_normal", lambda G, K: None)
+    S3 = symmetric_group(3)
+    with pytest.raises(InvariantViolationError) as excinfo:
+        crossed_product_check(S3, S3.subgroup([perm(3, "(0 1)")]))
+    assert str(excinfo.value) == "quotient of order 6 over 3 cosets"

@@ -19,8 +19,6 @@ from sfw.indexarith import (
     SpectrumVerdict,
     VirtualEmbeddingSpec,
     VirtualPart,
-    commutant_bound_check,
-    index_chain_check,
     jones_spectrum_query,
     virtual_index,
 )
@@ -158,13 +156,6 @@ def test_virtual_index_rejects_nonpositive_data():
         VirtualEmbeddingSpec.make(1, [])
 
 
-def test_index_chain_arithmetic():
-    assert index_chain_check(6, 2, 3)
-    assert index_chain_check(6, 3, 2)
-    assert not index_chain_check(2, 2, 3)
-    assert not index_chain_check(7, 2, 3)
-
-
 def test_index_chains_on_nested_subgroups():
     S4 = symmetric_group(4)
     A4 = alternating_group(4)
@@ -173,13 +164,6 @@ def test_index_chains_on_nested_subgroups():
     b = S4.order // A4.order
     c = A4.order // V4.order
     assert a == b * c
-    assert index_chain_check(a, b, c)
-
-
-def test_commutant_dimension_bound():
-    assert commutant_bound_check(2, 3)
-    assert commutant_bound_check(1, 1)
-    assert not commutant_bound_check(5, 3)
 
 
 def test_corpus_indices_sit_in_the_spectrum():

@@ -26,12 +26,15 @@ met by a CapExceededError that names the Config field it reads, but for
 the two limits fixed in the code and mulclose, which passes its
 caller's field.  And a group that is no subgroup is refused by one
 function, permgroup.require_subgroup, with one message, but for a corpus
-file, whose refusal names the file.
+file, whose refusal names the file.  Every message that an internal
+check raises as InvariantViolationError is named by a test that trips
+the check.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 from sfw.config import config_fields
@@ -141,8 +144,11 @@ def unread_record_fields(trees=None) -> set:
 # checked by hand instead.
 SHARED_MEMBERS = {
     "ConjClassData.count": "chartab.character_table, commands.chartab",
+    "CosetData.index": "commands.index, commutant, theta, cocycle, "
+                       "permgroup._double_cosets",
     # dropping it waits for a benchmark change (ROADMAP item 1)
     "DoubleCosetData.count": "perfbench/tests/test_perfbench.py alone",
+    "InclusionCase.index": "verify._suite_arithmetic",
     "Perm.degree": "permgroup.mulclose, permgroup.homomorphism_from_images",
     "Perm.identity": "permgroup.parse_cycle_string, "
                      "cocycle._check_crossed_law",
@@ -451,6 +457,73 @@ def test_one_function_refuses_a_non_subgroup():
                      "            raise errors.SubgroupError('outside')\n")
     assert raise_sites("SubgroupError", [("permgroup", copy)]) == [
         "permgroup.subgroup"]
+
+
+# a % conversion of a format string, as "%d", "%r" or "%.3f"
+CONVERSION = re.compile(r"%[-#0 +]*\d*(?:\.\d+)?[a-z%]")
+
+
+def invariant_messages(trees=None) -> list:
+    """(fixed text, module.function) per `raise InvariantViolationError`.
+
+    The fixed text is the message's format string up to its first %
+    conversion, and None for a message that is not a string literal,
+    formatted or not.  A raise is credited to its innermost function.
+    trees defaults to package_trees().
+    """
+    sites = {}
+    for stem, tree in trees or package_trees():
+        # ast.walk visits an outer function before the ones inside it
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if not (isinstance(node, ast.Raise)
+                        and isinstance(node.exc, ast.Call)
+                        and "InvariantViolationError" in (
+                            getattr(node.exc.func, "id", None),
+                            getattr(node.exc.func, "attr", None))):
+                    continue
+                message = node.exc.args[0] if node.exc.args else None
+                if isinstance(message, ast.BinOp):
+                    message = message.left
+                text = (CONVERSION.split(message.value)[0]
+                        if isinstance(message, ast.Constant)
+                        and isinstance(message.value, str) else None)
+                sites[id(node)] = (text, "%s.%s" % (stem, function.name))
+    return sorted(sites.values(), key=str)
+
+
+def literals_of_the_tests() -> list:
+    """The string literals of the test modules but this one.
+
+    Backslashes are taken out, so a message a test matches as a regex,
+    "sqrt\\(6\\)", reads as it prints, "sqrt(6)".
+    """
+    return [node.value.replace("\\", "")
+            for path in sorted((ROOT / "tests").glob("test_*.py"))
+            if path.name != "test_layout.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+def test_every_internal_check_is_held_by_a_test():
+    # each check that raises InvariantViolationError can fail only
+    # through a fault in sfw, so a test injects that fault and holds the
+    # message; a new check that no test trips, or whose message no test
+    # names, fails here at once.  Ten characters name a check.
+    literals = literals_of_the_tests()
+    unheld = [(text, where) for text, where in invariant_messages()
+              if text is None or len(text) < 10
+              or not any(text in literal for literal in literals)]
+    assert unheld == []
+    # the scan reads a formatted message up to its first conversion
+    copy = ast.parse("def f(x):\n"
+                     "    if x:\n"
+                     "        raise errors.InvariantViolationError(\n"
+                     "            'spare check fails at %d of %d' % (x, x))\n")
+    assert invariant_messages([("spare", copy)]) == [
+        ("spare check fails at ", "spare.f")]
 
 
 # (function, cap, field) of the CapExceededError calls that name no

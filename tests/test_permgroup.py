@@ -14,8 +14,9 @@ from sfw.automorphisms import automorphism_group, normal_core
 from sfw.chartab import character_table
 from sfw.cocycle import crossed_product_check
 from sfw.config import Config
+from sfw.corpus import declared_group
 from sfw import automorphisms, chartab, permgroup, wreath
-from sfw.errors import (CapExceededError, InvalidActionError,
+from sfw.errors import (CapExceededError,
                         InvariantViolationError, ParseError,
                         PreconditionError, SubgroupError)
 from sfw.permgroup import (
@@ -30,7 +31,7 @@ from sfw.standard_invariant import (IN_SUBGROUP, brute_force_commutant_dim,
                                     dual_principal_graph, principal_graph,
                                     relative_commutant_dim)
 from sfw.theta import induced_theta
-from sfw.wreath import natural_action, verify_wreath_like, wreath_product
+from sfw.wreath import verify_wreath_like, wreath_product
 
 import oracles
 from oracles import alternating_group, cyclic_group, symmetric_group
@@ -110,15 +111,15 @@ def test_products_are_only_between_perms():
         p * Perm.identity(4)
 
 
-def test_a_perm_is_one_operand_of_percent_formatting():
-    # a tuple right of % would be spread over the conversions
-    B = symmetric_group(3)
-    action = natural_action(B)
-    bad = B.generators[0]
-    action[bad] = (0, 1)
-    with pytest.raises(InvalidActionError,
-                       match=r"action of Perm\[.*\] is not a bijection"):
-        wreath.verify_action_table(B, action, 3)
+def test_a_perm_is_one_operand_of_percent_formatting(monkeypatch):
+    # a Perm is a tuple, which right of % would be spread over the
+    # conversions; the stabilizer message formats one
+    G, H = s4_over_s3()
+    stabilizers_built_as(monkeypatch, lambda K: G)
+    with pytest.raises(InvariantViolationError,
+                       match=r"^stabilizer element Perm\[\(.*\)\] is outside "
+                             r"the intersection$"):
+        double_coset_data(G, H)
 
 
 def test_degree_one_groups():
@@ -703,7 +704,7 @@ def test_wreath_z2_z3():
     base_gens = [g for A_i in data.base_copies for g in A_i.generators]
     base = G.subgroup(base_gens)
     assert base.order == 8
-    verify_wreath_like(G, data.base_copies, data.kappa, B, natural_action(B))
+    verify_wreath_like(G, data.base_copies, data.kappa, B)
 
 
 def test_wreath_along_a_faithful_action_table():
@@ -714,15 +715,14 @@ def test_wreath_along_a_faithful_action_table():
     points = [perm(3, c) for c in ("(0 1)", "(0 2)", "(1 2)")]
     table = {g: tuple(points.index(g * t * g.inv()) for t in points)
              for g in S3.elements}
-    wreath.verify_action_table(S3, table, 3)
+    oracles.check_action_table(S3, table, 3)
     assert len(set(table.values())) == S3.order
     B = PermGroup(3, [Perm(table[g]) for g in S3.generators])
     assert set(B.elements) == set(map(Perm, table.values()))
     A = cyclic_group(2)
     data = wreath_product(A, B)
     assert data.group.order == A.order ** 3 * B.order
-    verify_wreath_like(data.group, data.base_copies, data.kappa, B,
-                       natural_action(B))
+    verify_wreath_like(data.group, data.base_copies, data.kappa, B)
 
 
 def test_wreath_z2_z2_is_dihedral():
@@ -733,33 +733,52 @@ def test_wreath_z2_z2_is_dihedral():
     assert hist == {1: 1, 2: 5, 4: 2}
 
 
+A4C4_INVOLUTIONS = ("(0 1)(2 3)", "(0 2)(1 3)", "(0 3)(1 2)")
+
+
+def test_a4_by_c4_is_wreath_like_and_does_not_split():
+    # copy i is <z v_i>, with z = (4 6)(5 7) and v_i an involution of V4,
+    # and kappa(g) permutes the copies as conjugation by g does
+    G, S3 = declared_group("A4C4"), declared_group("S3")
+    assert (G.degree, G.order) == (8, 48)
+    z = perm(8, "(4 6)(5 7)")
+    copies = [G.subgroup([z * perm(8, v)]) for v in A4C4_INVOLUTIONS]
+    found = [set(A.elements) for A in copies]
+    kappa = {g: Perm([found.index({g * x * g.inv() for x in A.elements})
+                      for A in copies])
+             for g in G.elements}
+    verify_wreath_like(G, copies, kappa, S3)
+    # a complement would hold a lift of order 2 of each transposition
+    swap = perm(3, "(0 1)")
+    assert [g for g in G.elements if kappa[g] == swap and g.order() == 2] \
+        == []
+    assert oracles.complement(G, kappa, S3) is None
+    # the split C2 wr S3 of the same order has one, permuting the blocks
+    data = wreath_product(cyclic_group(2), S3)
+    assert data.group.order == G.order
+    C = oracles.complement(data.group, data.kappa, data.acting)
+    assert len(C) == 6 and not any(data.kappa[c].is_identity()
+                                   for c in C if not c.is_identity())
+
+
+def c2_wr_c3():
+    return wreath_product(cyclic_group(2), cyclic_group(3))
+
+
 def test_verify_wreath_like_detects_bad_labeling():
-    data = wreath_product(cyclic_group(2), cyclic_group(3))
+    data = c2_wr_c3()
     # swap two copies without adjusting kappa: conjugation condition breaks
     bad_copies = (data.base_copies[1], data.base_copies[0], data.base_copies[2])
-    with pytest.raises(InvariantViolationError, match="conjugation"):
-        verify_wreath_like(data.group, bad_copies, data.kappa,
-                           data.acting, natural_action(data.acting))
-
-
-def test_an_action_table_off_a_homomorphism_is_rejected():
-    B = symmetric_group(3)
-    swap, left, right = (perm(3, c) for c in ("(0 1)", "(0 2)", "(1 2)"))
-    assert swap in B.generators
-    # right on the generators, wrong on two transpositions they generate
-    action = natural_action(B)
-    action[left], action[right] = action[right], action[left]
-    with pytest.raises(InvalidActionError, match="not a homomorphism"):
-        wreath.verify_action_table(B, action, 3)
-    # a transposition acting as a 3-cycle: no homomorphism at all
-    action = natural_action(B)
-    action[swap] = (1, 2, 0)
-    with pytest.raises(InvalidActionError, match="not a homomorphism"):
-        wreath.verify_action_table(B, action, 3)
+    turn = data.group.generators[-1]
+    with pytest.raises(InvariantViolationError,
+                       match="conjugation does not permute copies per kappa "
+                             "at") as excinfo:
+        verify_wreath_like(data.group, bad_copies, data.kappa, data.acting)
+    assert excinfo.value.witness == (turn, 0)
 
 
 def test_verify_wreath_like_detects_a_kappa_off_a_homomorphism():
-    data = wreath_product(cyclic_group(2), cyclic_group(3))
+    data = c2_wr_c3()
     G, B = data.group, data.acting
     turn = B.generators[0]
     # an element of the base, no generator, sent off the kernel
@@ -770,38 +789,93 @@ def test_verify_wreath_like_detects_a_kappa_off_a_homomorphism():
     kappa[g] = turn
     with pytest.raises(InvariantViolationError,
                        match="kappa is not a homomorphism") as excinfo:
-        verify_wreath_like(G, data.base_copies, kappa, B,
-                           natural_action(B))
+        verify_wreath_like(G, data.base_copies, kappa, B)
     assert excinfo.value.witness == (g,)
     # a base generator of order 2 sent to the 3-cycle
     kappa = dict(data.kappa)
     kappa[G.generators[0]] = turn
     with pytest.raises(InvariantViolationError,
                        match="kappa is not a homomorphism") as excinfo:
-        verify_wreath_like(G, data.base_copies, kappa, B,
-                           natural_action(B))
+        verify_wreath_like(G, data.base_copies, kappa, B)
     assert excinfo.value.witness is None
 
 
-def test_verify_wreath_like_single_copy():
-    # S4 with V4 as single copy and quotient S3 via the natural surjection
-    G = symmetric_group(4)
-    V4 = G.subgroup([perm(4, "(0 1)(2 3)"), perm(4, "(0 2)(1 3)")])
-    B = symmetric_group(3)
-    # S4/V4 = S3: build kappa from the action on the three partitions
-    pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+def test_an_acting_group_of_another_degree_is_a_fault():
+    data = c2_wr_c3()
+    with pytest.raises(InvariantViolationError,
+                       match="^acting group of degree 4 on 3 copies$"):
+        verify_wreath_like(data.group, data.base_copies, data.kappa,
+                           cyclic_group(4))
 
-    def pairing_index(g, i):
-        (a, b), (c, d) = pairings[i]
-        moved = frozenset((frozenset((g(a), g(b))), frozenset((g(c), g(d)))))
-        for j, ((w, x), (y, z)) in enumerate(pairings):
-            if moved == frozenset((frozenset((w, x)), frozenset((y, z)))):
-                return j
-        raise AssertionError
 
-    kappa = {g: Perm([pairing_index(g, i) for i in range(3)])
-             for g in G.elements}
-    verify_wreath_like(G, [V4], kappa, B, {b: (0,) for b in B.elements})
+def test_a_kappa_not_total_is_a_fault():
+    data = c2_wr_c3()
+    last = max(data.group.elements, key=Perm.sort_key)
+    kappa = {g: b for g, b in data.kappa.items() if g != last}
+    with pytest.raises(InvariantViolationError,
+                       match="kappa is not a total map on the group at"
+                       ) as excinfo:
+        verify_wreath_like(data.group, data.base_copies, kappa, data.acting)
+    assert excinfo.value.witness == (last,)
+
+
+def test_a_kappa_not_onto_is_a_fault():
+    # kappa lands in C3, which misses the transpositions of S3
+    data = c2_wr_c3()
+    with pytest.raises(InvariantViolationError,
+                       match="kappa does not map onto the acting group at"
+                       ) as excinfo:
+        verify_wreath_like(data.group, data.base_copies, data.kappa,
+                           symmetric_group(3))
+    assert excinfo.value.witness == (perm(3, "(0 1)"),)
+
+
+def test_a_copy_outside_the_group_is_a_fault():
+    data = c2_wr_c3()
+    # (0 2) mixes the blocks {0, 1} and {2, 3}
+    copies = data.base_copies[:2] + (PermGroup(6, [perm(6, "(0 2)")]),)
+    with pytest.raises(InvariantViolationError,
+                       match="copy is not a subgroup at") as excinfo:
+        verify_wreath_like(data.group, copies, data.kappa, data.acting)
+    assert excinfo.value.witness == (2,)
+
+
+def test_copies_short_of_the_kernel_are_a_fault():
+    data = c2_wr_c3()
+    first, second, _ = data.base_copies
+    with pytest.raises(InvariantViolationError,
+                       match="kernel of kappa differs from the span of the "
+                             "copies at") as excinfo:
+        verify_wreath_like(data.group, (first, second, first), data.kappa,
+                           data.acting)
+    # the least kernel element that the first two copies miss
+    assert excinfo.value.witness == (perm(6, "(4 5)"),)
+
+
+def test_copies_not_in_direct_sum_are_a_fault():
+    data = c2_wr_c3()
+    first, second, third = data.base_copies
+    wide = data.group.subgroup(third.generators + first.generators)
+    with pytest.raises(InvariantViolationError,
+                       match="^copies are not in direct sum: orders 16 vs 8$"):
+        verify_wreath_like(data.group, (first, second, wide), data.kappa,
+                           data.acting)
+
+
+def test_copies_that_do_not_commute_are_a_fault():
+    # in S3 wr C2 the first copy and the diagonal S3 span the base, of
+    # order 36 = 6 * 6, but a 3-cycle of one and a transposition of the
+    # other do not commute
+    data = wreath_product(symmetric_group(3), cyclic_group(2))
+    diagonal = data.group.subgroup([perm(6, "(0 1 2)(3 4 5)"),
+                                    perm(6, "(0 1)(3 4)")])
+    first = data.base_copies[0]
+    with pytest.raises(InvariantViolationError,
+                       match="copies do not commute at") as excinfo:
+        verify_wreath_like(data.group, (first, diagonal), data.kappa,
+                           data.acting)
+    assert excinfo.value.witness == (perm(6, "(0 1 2)"),
+                                     perm(6, "(0 1)(3 4)"))
 
 
 # ---------------------------------------------------- internal consistency
@@ -819,8 +893,10 @@ def s4_over_s3():
 def test_a_corrupt_subgroup_order_breaks_the_coset_partition(monkeypatch):
     G, H = s4_over_s3()
     monkeypatch.setattr(H, "order", H.order + 1)
-    with pytest.raises(InvariantViolationError, match="coset partition"):
+    with pytest.raises(InvariantViolationError) as e:
         right_coset_data(G, H)
+    assert str(e.value) == ("coset partition inconsistent: 4 cosets of size "
+                            "7 in order 24")
 
 
 def stabilizers_built_as(monkeypatch, make):
@@ -845,8 +921,10 @@ def test_a_stabilizer_of_the_wrong_order_is_a_fault(monkeypatch):
     G, H = s4_over_s3()
     trivial = PermGroup(4, ())
     stabilizers_built_as(monkeypatch, lambda K: trivial)
-    with pytest.raises(InvariantViolationError, match="violate"):
+    with pytest.raises(InvariantViolationError) as e:
         double_coset_data(G, H)
+    assert str(e.value) == ("orbit of length 3 and stabilizer of order 1 "
+                            "violate |H| = 6")
 
 
 def test_an_automorphism_set_not_closed_is_a_fault(monkeypatch):
@@ -854,8 +932,9 @@ def test_an_automorphism_set_not_closed_is_a_fault(monkeypatch):
     G = symmetric_group(3)
     monkeypatch.setattr(automorphisms, "automorphism_perm",
                         lambda group, phi: Perm.identity(group.order))
-    with pytest.raises(InvariantViolationError, match="not closed"):
+    with pytest.raises(InvariantViolationError) as e:
         automorphism_group(G)
+    assert str(e.value) == "automorphism set is not closed"
 
 
 def test_an_automorphism_set_generating_more_is_a_fault(monkeypatch):
@@ -872,8 +951,10 @@ def test_an_automorphism_set_generating_more_is_a_fault(monkeypatch):
         return encode(group, phi)
 
     monkeypatch.setattr(automorphisms, "automorphism_perm", encode_one_wrongly)
-    with pytest.raises(InvariantViolationError, match="not closed"):
+    with pytest.raises(InvariantViolationError) as e:
         automorphism_group(G)
+    assert str(e.value) == ("the set is not closed: it generates more than 6 "
+                            "elements")
 
 
 def test_an_inner_automorphism_count_off_the_centre_is_a_fault(monkeypatch):
@@ -881,5 +962,6 @@ def test_an_inner_automorphism_count_off_the_centre_is_a_fault(monkeypatch):
     G = symmetric_group(3)
     monkeypatch.setattr(automorphisms, "conjugation_perm",
                         lambda group, g: Perm.identity(group.order))
-    with pytest.raises(InvariantViolationError, match="inner automorphism"):
+    with pytest.raises(InvariantViolationError) as e:
         automorphism_group(G)
+    assert str(e.value) == "inner automorphism count violates |G/Z(G)|"

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfw import standard_invariant
+from sfw import commutant, standard_invariant
 from sfw.chartab import character_table
 from sfw.config import DEFAULT
 from sfw.corpus import builtin_cases, case_by_name
@@ -274,6 +274,19 @@ def test_theta_matrix_honours_a_raised_k_cap():
         assert val == nested_expectation_entry(cosets, g, i_t, j_t)
 
 
+def test_two_representatives_in_one_coset_are_a_fault():
+    # a transversal that names one coset twice: the tuples (1,) and (2,)
+    # have the same suffix coset, so no row lookup could tell them apart
+    case = case_by_name("s3-flip")
+    cosets = right_coset_data(case.group, case.subgroup)
+    reps = cosets.reps[:2] + cosets.reps[1:2]
+    with pytest.raises(InvariantViolationError) as excinfo:
+        ThetaMap(cosets._replace(reps=reps), 1)
+    assert str(excinfo.value) == (
+        "two index tuples share their suffix cosets, so the "
+        "representatives do not lie in distinct cosets")
+
+
 # ------------------------------------------------- relative commutant sizes
 
 
@@ -446,6 +459,24 @@ def test_depth_one_subgroup_side_counts_double_cosets():
         G, H = case.group, case.subgroup
         dim = relative_commutant_dim(G, H, H, 1, IN_SUBGROUP)
         assert dim <= case.index + 1
+
+
+def test_a_burnside_sum_off_by_one_is_a_fault(monkeypatch):
+    # <(0 1)> in S3 over itself: e fixes the 3 cosets and (0 1) one, a
+    # sum of 4 at n = 1; one element too many counted as fixing one
+    # coset makes it 5, which |H| = 2 does not divide
+    histogram = commutant._fixed_point_histogram
+
+    def off_by_one(G, G0, H):
+        counts = dict(histogram(G, G0, H))
+        counts[1] += 1
+        return counts
+
+    monkeypatch.setattr(commutant, "_fixed_point_histogram", off_by_one)
+    case = case_by_name("s3-flip")
+    with pytest.raises(InvariantViolationError) as excinfo:
+        commutant.orbit_count(case.group, case.subgroup, case.subgroup, 1)
+    assert str(excinfo.value) == "Burnside sum 5 is not divisible by |G0| = 2"
 
 
 def test_commutant_rejects_bad_side():
@@ -629,7 +660,35 @@ def test_norm_certificate_rejects_a_raised_edge():
             for n, (e, o, m) in enumerate(g.edges):
                 edges = list(g.edges)
                 edges[n] = (e, o, m + 1)
-                with pytest.raises(InvariantViolationError):
+                with pytest.raises(InvariantViolationError,
+                                   match=r"^Perron certificate fails at "
+                                         r"H:chi\d+: B\^T B d gives \d+, "
+                                         r"want \[G:H\] \* \d+ = \d+$"):
                     standard_invariant._assemble_graph(
                         g.even, g.odd, edges, designated, marked,
                         case.index)
+
+
+def test_a_raised_edge_names_where_the_certificate_fails():
+    # the dual graph of S3 over A3 is G:chi0 - H:chi2 - G:chi1, the
+    # trivial and sign characters of S3 over the trivial one of A3, all
+    # of degree 1; doubling the first edge gives H:chi2 the weight
+    # 2 * 2 + 1 = 5
+    case = case_by_name("s3-a3")
+    g = dual_principal_graph(case.group, case.subgroup)
+    assert g.edges == ((0, 0, 1), (1, 0, 1))
+    with pytest.raises(InvariantViolationError) as excinfo:
+        standard_invariant._assemble_graph(g.even, g.odd,
+                                           ((0, 0, 2), (1, 0, 1)), 0, 0, 2)
+    assert str(excinfo.value) == ("Perron certificate fails at H:chi2: "
+                                  "B^T B d gives 5, want [G:H] * 1 = 2")
+
+
+def test_a_graph_cut_off_from_its_trivial_odd_vertex_is_a_fault():
+    # with no edges the designated vertex is a component of its own
+    case = case_by_name("s3-a3")
+    g = dual_principal_graph(case.group, case.subgroup)
+    with pytest.raises(InvariantViolationError) as excinfo:
+        standard_invariant._assemble_graph(g.even, g.odd, (), 0, 0, 2)
+    assert str(excinfo.value) == ("trivial odd vertex fell outside the "
+                                  "designated component")

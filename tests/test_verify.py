@@ -7,12 +7,13 @@ import json
 
 import pytest
 
-from sfw import automorphisms, chartab, cli, permgroup, theta
+from sfw import automorphisms, chartab, cli, corpus, permgroup, theta
 from sfw.config import DEFAULT
-from sfw.corpus import InclusionCase, builtin_cases, case_by_name
+from sfw.corpus import InclusionCase, builtin_cases, case_by_name, case_names
 from sfw.errors import InvariantViolationError, ParseError, SubgroupError
 from sfw.formats import canonical_json
-from sfw.permgroup import CosetData, parse_cycle_string, right_coset_data
+from sfw.permgroup import (CosetData, PermGroup, parse_cycle_string,
+                           right_coset_data)
 from sfw.verify import SUITES, load_corpus_dir, run_suite
 from oracles import (
     GroupAlgebraElement,
@@ -299,13 +300,13 @@ def test_a_commutants_case_with_every_entry_over_the_cap_is_a_skip():
 
 @pytest.mark.parametrize("flags, skipped", [
     (["--theta-k-cap", "1"], 12),
-    (["--theta-k-cap", "0"], 31),
+    (["--theta-k-cap", "0"], 30),
     (["--order-cap", "60"], 1),
     (["--oracle-cap", "50"], 24),
 ])
 def test_a_cap_met_inside_a_case_is_a_skip(capsys, flags, skipped):
     # a cap bounds work and checks nothing: the theta cases over the k
-    # cap, arithmetic:bounds under a k cap of 0, the swap extension,
+    # cap, the commutants cases under a k cap of 0, the swap extension,
     # whose automorphism group of order 72 is found inside its case, and the
     # theta and commutants cases over the oracle cap skip.  Each detail
     # is the error's message, which names the cap and its flag.
@@ -326,7 +327,25 @@ def test_a_cap_met_inside_a_case_is_a_skip(capsys, flags, skipped):
         assert all(":k2:" in case and detail == "tuple length 2" + limit
                    for case, detail in skips.items())
     else:
-        assert skips["arithmetic:bounds"] == "tuple length 1" + limit
+        assert not any(case.startswith("arithmetic:") for case in skips)
+        assert all(skips["graphs:%s:commutants" % name]
+                   == "tuple length 1" + limit for name in case_names())
+
+
+def test_the_nonsplit_wreath_like_case_fails_on_another_group(monkeypatch):
+    # with (0 1)(4 6)(5 7) for the generator of C4, the group is S4 on
+    # the first four points, which holds no z v_i: the case fails, and
+    # the other extension cases still pass
+    declared = corpus.declared_group
+    other = PermGroup(8, [parse_cycle_string(8, c) for c in (
+        "(0 1 2)", "(1 2 3)", "(0 1)(4 6)(5 7)")])
+    monkeypatch.setattr(corpus, "declared_group", lambda name, config: (
+        other if name == "A4C4" else declared(name, config)))
+    report = run_suite("extensions")
+    outcomes = {c.case_id: (c.ok, c.detail) for c in report.cases}
+    assert outcomes.pop("extensions:a4c4-wreath-like") == (
+        False, "InvariantViolationError: copy is not a subgroup at (0,)")
+    assert all(ok for ok, _ in outcomes.values())
 
 
 def test_the_extension_cases_skip_an_automorphism_search_over_aut_cap(
@@ -353,7 +372,7 @@ def test_the_dual_graph_case_checks_the_character_tables(monkeypatch):
     monkeypatch.setattr(chartab, "_check_orthogonality", broken)
     S3 = symmetric_group(3)
     case = InclusionCase("s3-flip", S3,
-                         S3.subgroup([parse_cycle_string(3, "(0 1)")]), 3)
+                         S3.subgroup([parse_cycle_string(3, "(0 1)")]))
     report = run_suite("graphs", cases=(case,))
     dual = {c.case_id: c for c in report.cases}["graphs:s3-flip:dual"]
     assert not dual.ok and not dual.skipped
